@@ -10,9 +10,9 @@ pair joins a black vertex to a white one.
 The ``unique_matching_*`` constructions produce, for given zone sizes, the
 single coloring-and-matching satisfying a prescribed list of zone
 conditions; they are built by an inductive peeling recursion (pair off an
-extreme vertex, shrink the instance) rather than by search.  Brute-force
-search over all (coloring, matching) pairs is kept in the tests as the
-uniqueness oracle.
+extreme vertex, shrink the instance) rather than by search.  Suite A7 in
+:mod:`tlimm.verify` is the uniqueness oracle: it searches every
+(coloring, matching) pair that meets the zone conditions.
 """
 
 from __future__ import annotations
@@ -47,8 +47,10 @@ class Coloring:
     primed_whites: frozenset[int]
 
     def __post_init__(self):
-        assert all(1 <= i <= self.n for i in self.blacks)
-        assert all(1 <= j <= self.n for j in self.primed_whites)
+        if not all(1 <= i <= self.n for i in self.blacks):
+            raise ValueError(f"black labels {sorted(self.blacks)} exceed n={self.n}")
+        if not all(1 <= j <= self.n for j in self.primed_whites):
+            raise ValueError(f"labels {sorted(self.primed_whites)}' exceed n={self.n}")
 
     def is_black_position(self, p: int) -> bool:
         """Color of the 0-based circular position p."""
@@ -108,8 +110,10 @@ class CircularColoring:
     colors: str
 
     def __post_init__(self):
-        assert len(self.colors) == 2 * self.n
-        assert set(self.colors) <= {BLACK, WHITE}
+        if len(self.colors) != 2 * self.n:
+            raise ValueError(f"{len(self.colors)} colors for 2n={2 * self.n} positions")
+        if not set(self.colors) <= {BLACK, WHITE}:
+            raise ValueError(f"colors must be {BLACK}/{WHITE}: {self.colors!r}")
 
     def is_black_position(self, p: int) -> bool:
         return self.colors[p] == BLACK
@@ -258,8 +262,10 @@ def _unique_general(a: int, b: int, c: int, d: int, e: int) -> tuple[list[bool],
 def unique_matching_general(
     a: int, b: int, c: int, d: int, e: int
 ) -> tuple[CircularColoring, NonCrossingMatching]:
-    """The unique coloring and compatible matching for the circular zone
-    conditions with sizes (a, b, c, d, e); n = a + b + c + d + e.
+    """The unique coloring and compatible matching on the 0-based circular
+    positions, n = a + b + c + d + e, with [0, b+c+e) black; a blacks and b
+    whites in [b+c+e, a+2b+c+e) with no internal pair; [a+2b+c+e, a+b+e+n)
+    white; d blacks and c whites in [a+b+e+n, 2n) with no internal pair.
 
     >>> col, m = unique_matching_general(0, 1, 1, 0, 0)
     >>> col.colors, m.pairing

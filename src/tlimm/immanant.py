@@ -240,7 +240,7 @@ class Immanant:
 
     def to_json(self) -> dict:
         terms = [
-            {"perm": format_perm(u), "coeff": _format_coeff(c)}
+            {"perm": format_perm(u), "coeff": str(c)}
             for u, c in sorted(self.coeffs.items())
         ]
         return {"n": self.n, "terms": terms}
@@ -253,22 +253,6 @@ class Immanant:
             for term in data["terms"]
         }
         return cls(n, coeffs)
-
-
-def _format_coeff(c: Coeff) -> str:
-    return str(c)
-
-
-def add(f: Immanant, g: Immanant) -> Immanant:
-    return f + g
-
-
-def scale(f: Immanant, c: Coeff) -> Immanant:
-    return f.scaled(c)
-
-
-def equal(f: Immanant, g: Immanant) -> bool:
-    return f == g
 
 
 def zero_immanant(n: int) -> Immanant:

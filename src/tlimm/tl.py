@@ -26,7 +26,6 @@ from . import limits
 from .errors import PreconditionError
 from .perm import (
     Perm,
-    avoiding_321,
     is_321_avoiding,
     length,
     reduced_word,
@@ -69,10 +68,13 @@ class NonCrossingMatching:
     pairing: tuple[int, ...]
 
     def __post_init__(self):
-        assert len(self.pairing) == 2 * self.n
-        assert is_noncrossing(self.pairing)
+        if len(self.pairing) != 2 * self.n:
+            raise ValueError(f"{len(self.pairing)} partners for {2 * self.n} vertices")
+        if not is_noncrossing(self.pairing):
+            raise ValueError(f"pairing {self.pairing} is not non-crossing and perfect")
         # Paired circular positions always differ by an odd amount.
-        assert all((p - q) % 2 == 1 for p, q in enumerate(self.pairing))
+        if not all((p - q) % 2 == 1 for p, q in enumerate(self.pairing)):
+            raise ValueError(f"pairing {self.pairing} joins positions of equal parity")
 
     def __repr__(self):
         return f"NonCrossingMatching({self.n}, {format_matching(self)!r})"
@@ -457,13 +459,3 @@ def f_coeff(w: Perm, u: Perm) -> int:
         raise PreconditionError(f"size mismatch: {len(w)} vs {len(u)}")
     return theta(u).coeff(beta(w))
 
-
-def f_coeff_from_table(w: Perm, table: dict[Perm, TLElement]) -> dict[Perm, int]:
-    """All coefficients f_w(u) at once, given a precomputed theta table."""
-    target = beta(w)
-    return {u: elem.coeff(target) for u, elem in table.items() if elem.coeff(target)}
-
-
-def enumerate_321_avoiding(n: int) -> tuple[Perm, ...]:
-    """Alias kept close to the bijection: same set as avoiding_321(n)."""
-    return avoiding_321(n)

@@ -15,7 +15,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from . import classify, coloring, immanant, perm, tl
 from .classify import PATTERN_1324, PATTERN_2143
@@ -249,93 +249,105 @@ def suite_a6(n: int) -> VerificationReport:
     return _report("A6", n, body)
 
 
-def _compatible_colorings(m: tl.NonCrossingMatching) -> Iterable[tuple[bool, ...]]:
-    """All 2^n colorings (True = black, by circular position) making every
-    pair of m bichromatic."""
-    pairs = m.pairs()
-    for bits in itertools.product((False, True), repeat=len(pairs)):
-        colors = [False] * (2 * m.n)
-        for (p, q), black_first in zip(pairs, bits):
-            colors[p], colors[q] = black_first, not black_first
-        yield tuple(colors)
+# (positions, blacks, whites, sealed): the zone holds exactly that many black
+# and white positions, and a sealed zone holds no pair of the matching.
+Zone = tuple[Sequence[int], int, int, bool]
 
 
-def _general_conditions(colors: tuple[bool, ...], m: tl.NonCrossingMatching,
-                        a: int, b: int, c: int, d: int, e: int) -> bool:
+def _labels(n: int, lo: int, hi: int, primed: bool = False) -> tuple[int, ...]:
+    """Circular positions of the vertices lo..hi, or lo'..hi' if primed."""
+    if primed:
+        return tuple(range(2 * n - hi, 2 * n - lo + 1))
+    return tuple(range(lo - 1, hi))
+
+
+def _black(positions: Sequence[int]) -> Zone:
+    return (positions, len(positions), 0, False)
+
+
+def _white(positions: Sequence[int]) -> Zone:
+    return (positions, 0, len(positions), False)
+
+
+def _general_zones(a: int, b: int, c: int, d: int, e: int) -> tuple[Zone, ...]:
+    """The zones of ``unique_matching_general``, in circular order."""
     n = a + b + c + d + e
-    zone1 = range(0, b + c + e)
-    zone2 = range(b + c + e, a + 2 * b + c + e)
-    zone3 = range(a + 2 * b + c + e, a + b + e + n)
-    zone4 = range(a + b + e + n, 2 * n)
-    if not all(colors[p] for p in zone1):
-        return False
-    if not all(not colors[p] for p in zone3):
-        return False
-    if sum(colors[p] for p in zone2) != a or sum(not colors[p] for p in zone2) != b:
-        return False
-    if sum(colors[p] for p in zone4) != d or sum(not colors[p] for p in zone4) != c:
-        return False
-    z2, z4 = set(zone2), set(zone4)
-    for p, q in m.pairs():
-        if (p in z2 and q in z2) or (p in z4 and q in z4):
-            return False
-    return True
+    return (
+        _black(range(0, b + c + e)),
+        (range(b + c + e, a + 2 * b + c + e), a, b, True),
+        _white(range(a + 2 * b + c + e, a + b + e + n)),
+        (range(a + b + e + n, 2 * n), d, c, True),
+    )
 
 
-def _case1_conditions(colors: tuple[bool, ...], m: tl.NonCrossingMatching,
-                      a: int, b: int, c: int, d: int, e: int) -> bool:
+def _case1_zones(a: int, b: int, c: int, d: int, e: int) -> tuple[Zone, ...]:
+    """The zones of ``unique_matching_case1``."""
     n = a + b + c + d + e
-    pos_u = lambda i: i - 1
-    pos_p = lambda i: 2 * n - i
-    if not all(colors[pos_u(i)] for i in range(a + 1, n - d + 1)):
-        return False
-    if not all(not colors[pos_p(i)] for i in range(b + 1, n - c + 1)):
-        return False
-    zone1 = {pos_u(i) for i in range(1, a + 1)} | {pos_p(i) for i in range(1, b + 1)}
-    zone2 = {pos_u(i) for i in range(n - d + 1, n + 1)} | {
-        pos_p(i) for i in range(n - c + 1, n + 1)
-    }
-    if sum(colors[p] for p in zone1) != a or sum(not colors[p] for p in zone1) != b:
-        return False
-    if sum(colors[p] for p in zone2) != d or sum(not colors[p] for p in zone2) != c:
-        return False
-    for p, q in m.pairs():
-        if (p in zone1 and q in zone1) or (p in zone2 and q in zone2):
-            return False
-    return True
+    return (
+        _black(_labels(n, a + 1, n - d)),
+        _white(_labels(n, b + 1, n - c, True)),
+        (_labels(n, 1, a) + _labels(n, 1, b, True), a, b, True),
+        (_labels(n, n - d + 1, n) + _labels(n, n - c + 1, n, True), d, c, True),
+    )
 
 
-def _case2_conditions(colors: tuple[bool, ...], m: tl.NonCrossingMatching,
-                      a: int, e: int, b: int, c: int, f: int, d: int) -> bool:
+def _case2_zones(a: int, e: int, b: int, c: int, f: int, d: int) -> tuple[Zone, ...]:
+    """The zones of ``unique_matching_case2``."""
     n = a + e + b + c + f + d
-    pos_u = lambda i: i - 1
-    pos_p = lambda i: 2 * n - i
-    if not all(colors[pos_u(i)] for i in range(1, a + e + 1)):
-        return False
-    if not all(not colors[pos_u(i)] for i in range(a + e + b + c + 1, n + 1)):
-        return False
-    if not all(colors[pos_p(i)] for i in range(1, b + f + 1)):
-        return False
-    if not all(not colors[pos_p(i)] for i in range(b + f + a + d + 1, n + 1)):
-        return False
-    mid_u = {pos_u(i) for i in range(a + e + 1, a + e + b + c + 1)}
-    mid_p = {pos_p(i) for i in range(b + f + 1, b + f + a + d + 1)}
-    if sum(colors[p] for p in mid_u) != c or sum(not colors[p] for p in mid_u) != b:
-        return False
-    if sum(colors[p] for p in mid_p) != d or sum(not colors[p] for p in mid_p) != a:
-        return False
-    for p, q in m.pairs():
-        if (p in mid_u and q in mid_u) or (p in mid_p and q in mid_p):
-            return False
-    return True
+    return (
+        _black(_labels(n, 1, a + e)),
+        (_labels(n, a + e + 1, a + e + b + c), c, b, True),
+        _white(_labels(n, a + e + b + c + 1, n)),
+        _black(_labels(n, 1, b + f, True)),
+        (_labels(n, b + f + 1, b + f + a + d, True), d, a, True),
+        _white(_labels(n, b + f + a + d + 1, n, True)),
+    )
 
 
-def _brute_solutions(n: int, predicate) -> list[tuple[tuple[bool, ...], tl.NonCrossingMatching]]:
+def _zone_solutions(
+    n: int, zones: Sequence[Zone]
+) -> list[tuple[tuple[bool, ...], tl.NonCrossingMatching]]:
+    """Every (coloring, matching) on the 2n circular positions that meets
+    the zones, which must partition the positions: each zone holds its
+    counts of black (True) and white positions, every pair joins black to
+    white, and no pair has both ends in one sealed zone.  Exhaustive: every
+    coloring that meets the counts is tried against every matching.
+
+    >>> zones = _general_zones(1, 1, 0, 0, 0)
+    >>> _zone_solutions(2, zones)
+    [((True, False, True, False), NonCrossingMatching(2, "1-2 1'-2'"))]
+    >>> len(_zone_solutions(2, [(p, k, w, False) for p, k, w, _ in zones]))
+    3
+    """
+    covered = sorted(p for positions, _, _, _ in zones for p in positions)
+    if covered != list(range(2 * n)):
+        raise ValueError(f"zones do not partition the {2 * n} positions")
+    for positions, blacks, whites, _ in zones:
+        if blacks + whites != len(positions):
+            raise ValueError(f"zone {positions} cannot hold {blacks}+{whites} colors")
+    sealed = {
+        p: z
+        for z, (positions, _, _, seal) in enumerate(zones)
+        if seal
+        for p in positions
+    }
+    # Which matchings keep every pair out of the sealed zones does not
+    # depend on the coloring, so that filter runs once.
+    allowed = [
+        (m, m.pairs())
+        for m in tl.all_matchings(n)
+        if not any(p in sealed and sealed[p] == sealed.get(q) for p, q in m.pairs())
+    ]
     out = []
-    for m in tl.all_matchings(n):
-        for colors in _compatible_colorings(m):
-            if predicate(colors, m):
-                out.append((colors, m))
+    for choice in itertools.product(
+        *(itertools.combinations(positions, blacks) for positions, blacks, _, _ in zones)
+    ):
+        colors = [False] * (2 * n)
+        for p in itertools.chain.from_iterable(choice):
+            colors[p] = True
+        for m, pairs in allowed:
+            if all(colors[p] != colors[q] for p, q in pairs):
+                out.append((tuple(colors), m))
     return out
 
 
@@ -355,52 +367,32 @@ def suite_a7(n: int) -> VerificationReport:
     constructed one, which in turn equals beta of the built permutation."""
 
     def body(rec: _Recorder) -> None:
-        for a, b, c, d, e in _compositions(n, 5, (0, 0, 0, 0, 0)):
-            col, m = coloring.unique_matching_general(a, b, c, d, e)
-            expected = [
-                (tuple(ch == "B" for ch in col.colors), m)
-            ]
-            found = _brute_solutions(
-                n, lambda colors, mm, t=(a, b, c, d, e): _general_conditions(colors, mm, *t)
-            )
-            rec.check(
-                "general zone instance has the one constructed solution",
-                f"(a,b,c,d,e)=({a},{b},{c},{d},{e})", expected, found,
-            )
-        for a, b, c, d, e in _compositions(n, 5, (1, 1, 1, 1, 0)):
-            col, m = coloring.unique_matching_case1(a, b, c, d, e)
-            circ = col.circular()
-            expected = [(tuple(ch == "B" for ch in circ.colors), m)]
-            found = _brute_solutions(
-                n, lambda colors, mm, t=(a, b, c, d, e): _case1_conditions(colors, mm, *t)
-            )
-            rec.check(
-                "case-1 zone instance has the one constructed solution",
-                f"(a,b,c,d,e)=({a},{b},{c},{d},{e})", expected, found,
-            )
-            rec.check(
-                "case-1 matching is beta of the built permutation",
-                f"(a,b,c,d,e)=({a},{b},{c},{d},{e})",
-                tl.beta(classify.build_case1(a, b, e, c, d)), m,
-            )
-        for a, e, b, c, f, d in _compositions(n, 6, (1, 0, 1, 1, 0, 1)):
-            if max(e, f) < 1:
-                continue
-            col, m = coloring.unique_matching_case2(a, e, b, c, f, d)
-            circ = col.circular()
-            expected = [(tuple(ch == "B" for ch in circ.colors), m)]
-            found = _brute_solutions(
-                n, lambda colors, mm, t=(a, e, b, c, f, d): _case2_conditions(colors, mm, *t)
-            )
-            rec.check(
-                "case-2 zone instance has the one constructed solution",
-                f"(a,e,b,c,f,d)=({a},{e},{b},{c},{f},{d})", expected, found,
-            )
-            rec.check(
-                "case-2 matching is beta of the built permutation",
-                f"(a,e,b,c,f,d)=({a},{e},{b},{c},{f},{d})",
-                tl.beta(classify.build_case2(a, e, b, c, f, d)), m,
-            )
+        families = (
+            ("general", "abcde", _compositions(n, 5, (0, 0, 0, 0, 0)),
+             coloring.unique_matching_general, _general_zones, None),
+            ("case-1", "abcde", _compositions(n, 5, (1, 1, 1, 1, 0)),
+             coloring.unique_matching_case1, _case1_zones, classify.build_case1),
+            ("case-2", "aebcfd",
+             (t for t in _compositions(n, 6, (1, 0, 1, 1, 0, 1))
+              if max(t[1], t[4]) >= 1),
+             coloring.unique_matching_case2, _case2_zones, classify.build_case2),
+        )
+        for family, names, instances, construct, zones, build in families:
+            for sizes in instances:
+                # By keyword, because build_case1 takes (a, b, e, c, d).
+                params = dict(zip(names, sizes))
+                witness = f"({','.join(names)})=({','.join(map(str, sizes))})"
+                col, m = construct(**params)
+                colors = tuple(col.is_black_position(p) for p in range(2 * n))
+                rec.check(
+                    f"{family} zone instance has the one constructed solution",
+                    witness, [(colors, m)], _zone_solutions(n, zones(**params)),
+                )
+                if build is not None:
+                    rec.check(
+                        f"{family} matching is beta of the built permutation",
+                        witness, tl.beta(build(**params)), m,
+                    )
 
     return _report("A7", n, body)
 

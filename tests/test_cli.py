@@ -113,6 +113,10 @@ def test_render_paths(capsys):
     assert svg.count("<rect") == 16
 
 
+def test_render_crossing_matching_is_parse_error():
+    assert cli.main(["render", "ncm", "1-3 2-4 1'-2' 3'-4'"]) == cli.EXIT_PARSE
+
+
 def test_render_shape_from_file(tmp_path, capsys):
     path = tmp_path / "shape.json"
     path.write_text(json.dumps(immanant.hull((2, 1, 4, 3)).to_json()))

@@ -139,12 +139,12 @@ def test_cm_sign_law(n):
 
 def test_immanant_arithmetic_and_json():
     f = immanant.tl_immanant((2, 1, 4, 3))
-    assert immanant.add(f, immanant.scale(f, -1)).is_zero()
+    assert (f + f.scaled(-1)).is_zero()
     g = immanant.Immanant.from_json(f.to_json())
-    assert immanant.equal(f, g)
+    assert f == g
     round_trip = json.loads(json.dumps(f.to_json()))
     assert immanant.Immanant.from_json(round_trip) == f
-    h = immanant.scale(f, Fraction(1, 2))
+    h = f.scaled(Fraction(1, 2))
     assert immanant.Immanant.from_json(h.to_json()) == h
 
 

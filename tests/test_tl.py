@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -32,8 +36,28 @@ def test_matching_text_roundtrip():
 
 
 def test_matching_validation():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         tl.NonCrossingMatching(2, (2, 3, 0, 1))  # crossing
+
+
+def test_validation_survives_python_O():
+    """Input checks raise, so they still run when -O strips asserts."""
+    script = """
+from tlimm import coloring, tl
+for build, args in ((tl.NonCrossingMatching, (2, (2, 3, 0, 1))),
+                    (coloring.make_coloring, (2, [5], [1]))):
+    try:
+        build(*args)
+    except ValueError:
+        continue
+    raise SystemExit(f"accepted {build.__name__}{args}")
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(tl.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_relations():
