@@ -45,7 +45,7 @@ from .coloring import (
     unique_matching_case2,
     unique_matching_general,
 )
-from .errors import LimitError, PreconditionError
+from .errors import LimitError, PreconditionError, VerificationError
 from .immanant import (
     Immanant,
     SkewShape,

@@ -22,7 +22,7 @@ import dataclasses
 import math
 from itertools import combinations
 
-from .errors import PreconditionError
+from .errors import PreconditionError, VerificationError
 from .immanant import (
     Immanant,
     SkewShape,
@@ -232,7 +232,8 @@ def classify_2143(w: Perm) -> CaseParams:
         rebuilt = build_case2(
             params.a, params.e, params.b, params.c, params.f, params.d
         )
-    assert rebuilt == w, (w, params)
+    if rebuilt != w:
+        raise VerificationError(f"{params} rebuilds {rebuilt}, not {w}")
     return params
 
 
@@ -421,7 +422,8 @@ def decompose(w: Perm, validate: bool | None = None) -> Decomposition:
     report that no combination of percent immanants equals Imm_w.
 
     With validate (default: on for n <= 6) the shape sum is checked
-    coefficientwise against the Temperley-Lieb immanant.
+    coefficientwise against the Temperley-Lieb immanant; a mismatch raises
+    VerificationError.
 
     >>> decompose((1, 2, 3, 4)).kind
     'one'
@@ -459,6 +461,6 @@ def decompose(w: Perm, validate: bool | None = None) -> Decomposition:
         total = Immanant(n, {})
         for s in result.shapes:
             total = total + percent_immanant(s)
-        expected = tl_immanant(w).scaled(result.sign)
-        assert total == expected, f"decomposition of {w} failed validation"
+        if total != tl_immanant(w).scaled(result.sign):
+            raise VerificationError(f"decomposition of {w} failed validation")
     return result

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import classify, immanant, perm, render, tl, verify
-from .errors import PreconditionError
+from .errors import PreconditionError, VerificationError
 
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
@@ -91,6 +91,8 @@ def cmd_expand(args) -> int:
 
 
 def cmd_classes(args) -> int:
+    if args.n < 0:
+        raise ValueError(f"n must be non-negative, got {args.n}")
     classes = immanant.related_classes(args.n)
     _emit({
         "n": args.n,
@@ -144,7 +146,7 @@ def cmd_verify(args) -> int:
     names.sort(key=lambda s: int(s[1:]))
     items = []
     for name in names:
-        sizes = (args.n,) if args.n is not None else verify.default_sizes(name)
+        sizes = (args.n,) if args.n is not None else verify.DEFAULT_SIZES[name]
         items.extend((name, n) for n in sizes)
     reports = _verify_jobs(items, args.jobs)
     failed = 0
@@ -232,6 +234,9 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except VerificationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

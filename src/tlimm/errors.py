@@ -7,3 +7,8 @@ class PreconditionError(ValueError):
 
 class LimitError(PreconditionError):
     """A full-S_n computation was requested beyond the configured size cap."""
+
+
+class VerificationError(Exception):
+    """A result failed the check against an independent computation that
+    the package makes before returning it."""

@@ -30,14 +30,7 @@ from .perm import (
     parse_perm,
     sign,
 )
-from .tl import (
-    NonCrossingMatching,
-    TLElement,
-    all_matchings,
-    beta,
-    beta_inv,
-    theta_table,
-)
+from .tl import _theta_rows, all_matchings, beta_inv
 
 Coeff = int | Fraction
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -102,9 +95,13 @@ class SkewShape:
 
     @classmethod
     def from_json(cls, data: Mapping) -> SkewShape:
-        n = int(data["n"])
-        lam = _pad_bounds(n, data["lambda"])
-        mu = _pad_bounds(n, data.get("mu", []))
+        """Read the JSON form; a document of the wrong shape is a ValueError."""
+        try:
+            n = int(data["n"])
+            lam = _pad_bounds(n, data["lambda"])
+            mu = _pad_bounds(n, data.get("mu", []))
+        except TypeError as exc:
+            raise ValueError(f"not a skew shape document: {exc}") from None
         return cls(n, lam, mu)
 
 
@@ -247,11 +244,15 @@ class Immanant:
 
     @classmethod
     def from_json(cls, data: Mapping) -> Immanant:
-        n = int(data["n"])
-        coeffs = {
-            parse_perm(term["perm"]): Fraction(str(term["coeff"]))
-            for term in data["terms"]
-        }
+        """Read the JSON form; a document of the wrong shape is a ValueError."""
+        try:
+            n = int(data["n"])
+            coeffs = {
+                parse_perm(str(term["perm"])): Fraction(str(term["coeff"]))
+                for term in data["terms"]
+            }
+        except TypeError as exc:
+            raise ValueError(f"not an immanant document: {exc}") from None
         return cls(n, coeffs)
 
 
@@ -277,33 +278,27 @@ def percent_immanant(shape: SkewShape) -> Immanant:
     )
 
 
-def tl_immanant(w: Perm, table: dict[Perm, TLElement] | None = None) -> Immanant:
+def tl_immanant(w: Perm) -> Immanant:
     """The Temperley-Lieb immanant of a 321-avoiding w: the coefficient of u
     is the coefficient of beta(w) in theta(u)."""
     if not is_321_avoiding(w):
         raise PreconditionError(f"{w} contains the pattern 321")
-    n = len(w)
-    if table is None:
-        table = theta_table(n)
-    target = beta(w)
-    return Immanant(
-        n, {u: elem.coeff(target) for u, elem in table.items()}
-    )
+    return Immanant(len(w), all_tl_immanants(len(w))[w].coeffs)
 
 
 @functools.lru_cache(maxsize=4)
 def all_tl_immanants(n: int) -> dict[Perm, Immanant]:
-    """The Temperley-Lieb immanants of every 321-avoiding w in S_n."""
-    table = theta_table(n)
-    by_matching: dict[NonCrossingMatching, dict[Perm, int]] = {
-        m: {} for m in all_matchings(n)
-    }
-    for u, elem in table.items():
-        for m, c in elem.terms.items():
-            by_matching[m][u] = c
-    return {
-        beta_inv(m): Immanant(n, coeffs) for m, coeffs in by_matching.items()
-    }
+    """The Temperley-Lieb immanants of every 321-avoiding w in S_n, filled
+    in place from one weak-order pass over the theta rows; the one stored
+    table of the coefficients f_w(u).  The entries are shared: copy one
+    before changing it."""
+    limits.check_limit(n, limits.theta_max_n(), "theta table")
+    matchings = all_matchings(n)
+    columns = [Immanant(n, {}) for _ in matchings]
+    for u, row in _theta_rows(n):
+        for k, c in row.items():
+            columns[k].coeffs[u] = c
+    return {beta_inv(m): f for m, f in zip(matchings, columns)}
 
 
 def cm_immanant(n: int, I: Iterable[int], J: Iterable[int]) -> Immanant:
@@ -343,7 +338,10 @@ def as_matrix(rows: Sequence[Sequence]) -> Matrix:
 
 def parse_matrix(text: str) -> Matrix:
     """Parse a JSON array of arrays of rational strings."""
-    return as_matrix(json.loads(text))
+    try:
+        return as_matrix(json.loads(text))
+    except TypeError as exc:
+        raise ValueError(f"not a matrix document: {exc}") from None
 
 
 def evaluate(f: Immanant, matrix: Sequence[Sequence]) -> Fraction:

@@ -15,6 +15,7 @@ import functools
 import itertools
 from typing import Iterable, Iterator, Sequence
 
+from . import limits
 from .errors import PreconditionError
 
 Perm = tuple[int, ...]
@@ -249,7 +250,9 @@ def is_321_avoiding(w: Perm) -> bool:
 
 @functools.lru_cache(maxsize=16)
 def avoiding_321(n: int) -> tuple[Perm, ...]:
-    """All 321-avoiding permutations of [n], lexicographically sorted."""
+    """All 321-avoiding permutations of [n], lexicographically sorted; a
+    scan of all of S_n, so n is held to the whole-S_n cap."""
+    limits.check_limit(n, limits.max_n(), "321-avoiding permutations")
     return tuple(w for w in all_perms(n) if is_321_avoiding(w))
 
 

@@ -27,7 +27,6 @@ from .errors import PreconditionError
 from .perm import (
     Perm,
     is_321_avoiding,
-    length,
     reduced_word,
     right_mult_gen,
 )
@@ -396,13 +395,9 @@ def beta_inv(m: NonCrossingMatching) -> Perm:
     return tuple(word)
 
 
+@functools.lru_cache(maxsize=16)
 def all_matchings(n: int) -> tuple[NonCrossingMatching, ...]:
     """All Catalan(n) non-crossing matchings of 2n vertices."""
-    return _all_matchings_cached(n)
-
-
-@functools.lru_cache(maxsize=16)
-def _all_matchings_cached(n: int) -> tuple[NonCrossingMatching, ...]:
     out = []
     pairing = [-1] * (2 * n)
 
@@ -424,29 +419,51 @@ def _all_matchings_cached(n: int) -> tuple[NonCrossingMatching, ...]:
     return tuple(out)
 
 
-def theta_table(n: int, limit: int | None = None) -> dict[Perm, TLElement]:
+@functools.lru_cache(maxsize=16)
+def _steps(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """steps[k][i-1] = (k', loops): matching k of all_matchings(n) times t_i
+    is matching k' with that many closed loops."""
+    matchings = all_matchings(n)
+    index = {m: k for k, m in enumerate(matchings)}
+    products = [[_attach_generator(m, i) for i in range(1, n)] for m in matchings]
+    return tuple(tuple((index[g], loops) for g, loops in row) for row in products)
+
+
+def _theta_rows(n: int) -> Iterator[tuple[Perm, dict[int, int]]]:
+    """theta(u) for every u in S_n as {index in all_matchings(n): coeff},
+    depth first along the weak order: each u != e is theta(u s_d) (t_d - 1)
+    for the first descent d of u, so only the rows on the current path are
+    held.  A yielded row must not be changed."""
+    steps = _steps(n)
+
+    def visit(u: Perm, row: dict[int, int]) -> Iterator[tuple[Perm, dict[int, int]]]:
+        yield u, row
+        for d in range(1, n):
+            child = right_mult_gen(u, d)
+            if next((i for i in range(1, n) if child[i - 1] > child[i]), None) != d:
+                continue
+            terms: dict[int, int] = {}
+            for k, c in row.items():
+                glued, loops = steps[k][d - 1]
+                terms[glued] = terms.get(glued, 0) + (c << loops)
+                terms[k] = terms.get(k, 0) - c
+            yield from visit(child, {k: c for k, c in terms.items() if c})
+
+    # The identity matching comes last in all_matchings(n).
+    yield from visit(tuple(range(1, n + 1)), {len(steps) - 1: 1})
+
+
+def theta_table(n: int) -> dict[Perm, TLElement]:
     """theta(u) for every u in S_n, built along the weak order so each entry
-    costs a single generator multiplication."""
-    if limit is None:
-        limit = limits.theta_max_n()
-    limits.check_limit(n, limit, "theta table")
-    return dict(_theta_table_cached(n))
-
-
-@functools.lru_cache(maxsize=4)
-def _theta_table_cached(n: int) -> tuple[tuple[Perm, TLElement], ...]:
-    from .perm import all_perms
-
-    by_length = sorted(all_perms(n), key=lambda u: (length(u), u))
-    table: dict[Perm, TLElement] = {}
-    for u in by_length:
-        descent = next((i for i in range(1, n) if u[i - 1] > u[i]), None)
-        if descent is None:
-            table[u] = TLElement.one(n)
-        else:
-            shorter = right_mult_gen(u, descent)
-            table[u] = table[shorter]._times_theta_gen(descent)
-    return tuple(table.items())
+    costs a single generator multiplication.  Not cached: the Temperley-Lieb
+    immanants of :func:`tlimm.immanant.all_tl_immanants` are the stored form
+    of these coefficients."""
+    limits.check_limit(n, limits.theta_max_n(), "theta table")
+    matchings = all_matchings(n)
+    return {
+        u: TLElement(n, {matchings[k]: c for k, c in row.items()})
+        for u, row in _theta_rows(n)
+    }
 
 
 def f_coeff(w: Perm, u: Perm) -> int:

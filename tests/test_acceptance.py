@@ -25,7 +25,7 @@ CRITERIA = {
 @pytest.mark.parametrize("criterion", list(CRITERIA))
 def test_acceptance(criterion):
     reports = [
-        verify.run_suite(criterion, n) for n in verify.default_sizes(criterion)
+        verify.run_suite(criterion, n) for n in verify.DEFAULT_SIZES[criterion]
     ]
     checks = sum(r.checks for r in reports)
     failures = [f for r in reports for f in r.failures]

@@ -1,7 +1,7 @@
 import pytest
 
-from tlimm import classify, immanant, perm, tl
-from tlimm.errors import PreconditionError
+from tlimm import classify, cli, immanant, perm
+from tlimm.errors import PreconditionError, VerificationError
 
 
 def test_corner_params():
@@ -112,17 +112,6 @@ def test_every_applicable_w_classifies(n):
                 assert perm.contains_pattern(w, (3, 1, 5, 2, 4))
 
 
-@pytest.mark.parametrize("n", (4, 5))
-def test_closed_form_exhaustive(n):
-    table = tl.theta_table(n)
-    for w in perm.avoiding_321(n):
-        if perm.contains_pattern(w, (1, 3, 2, 4)):
-            continue
-        target = tl.beta(w)
-        for u in perm.all_perms(n):
-            assert classify.closed_form_coeff(w, u) == table[u].coeff(target)
-
-
 def test_closed_form_anchors():
     assert classify.closed_form_coeff((2, 1, 4, 3), (2, 1, 4, 3)) == 1
     assert classify.closed_form_coeff((2, 1, 4, 3), (2, 1, 3, 4)) == 0
@@ -134,18 +123,6 @@ def test_closed_form_anchors():
 def test_antidiag_anchors():
     assert classify.antidiag_coeff((2, 1, 4, 3)) == 2
     assert classify.antidiag_coeff((2, 3, 1, 5, 6, 4)) == 3
-
-
-@pytest.mark.parametrize("n", (4, 5, 6))
-def test_antidiag_equals_oracle(n):
-    w0 = perm.longest_word(n)
-    expansion = tl.theta(w0)
-    for w in perm.avoiding_321(n):
-        if perm.contains_pattern(w, (1, 3, 2, 4)):
-            continue
-        if not perm.contains_pattern(w, (2, 1, 4, 3)):
-            continue
-        assert classify.antidiag_coeff(w) == abs(expansion.coeff(tl.beta(w)))
 
 
 def test_cm_expansion_anchor_2143():
@@ -184,20 +161,6 @@ def test_cm_expansion_anchor_24153():
         if {w[i - 1] for i in I} == J
     ]
     assert carrying == [(frozenset({1, 2, 4}), frozenset({2, 4, 5}))]
-
-
-@pytest.mark.parametrize("n", (4, 5, 6))
-def test_cm_expansion_contract(n):
-    imms = immanant.all_tl_immanants(n)
-    for w in perm.avoiding_321(n):
-        if perm.contains_pattern(w, (1, 3, 2, 4)):
-            continue
-        if not perm.contains_pattern(w, (2, 1, 4, 3)):
-            continue
-        total = immanant.zero_immanant(n)
-        for s, I, J in classify.cm_expansion(w):
-            total = total + immanant.cm_immanant(n, I, J).scaled(s)
-        assert total.scaled(perm.sign(w)) == imms[w]
 
 
 def test_rect_cm_expansion_anchors():
@@ -277,6 +240,15 @@ def test_decompose_full(n):
             assert d.shapes == (immanant.hull(w),)
         if d.kind == "two":
             assert len(d.shapes) == 2 and d.shapes[0] == immanant.hull(w)
+
+
+def test_failed_validation_raises(monkeypatch):
+    monkeypatch.setattr(
+        classify, "_second_shape", lambda params: immanant.full_square(params.n)
+    )
+    with pytest.raises(VerificationError):
+        classify.decompose((2, 1, 4, 3), validate=True)
+    assert cli.main(["decompose", "2143"]) == cli.EXIT_MISMATCH
 
 
 def test_json_readers_roundtrip():

@@ -1,4 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from tlimm import cli, immanant, perm, render, tl
 
@@ -115,6 +121,30 @@ def test_render_paths(capsys):
 
 def test_render_crossing_matching_is_parse_error():
     assert cli.main(["render", "ncm", "1-3 2-4 1'-2' 3'-4'"]) == cli.EXIT_PARSE
+
+
+@pytest.mark.parametrize("argv, files, code", [
+    (["render", "shape", "5"], {}, cli.EXIT_PARSE),
+    (["render", "shape", "null"], {}, cli.EXIT_PARSE),
+    (["render", "shape", '{"n": 2, "lambda": 5}'], {}, cli.EXIT_PARSE),
+    (["eval", "f", "x"], {"f": "[1]", "x": "[[1]]"}, cli.EXIT_PARSE),
+    (["eval", "f", "x"], {"f": '{"n": 2, "terms": 5}', "x": "[[1]]"}, cli.EXIT_PARSE),
+    (["eval", "f", "x"], {"f": '{"n": 1, "terms": []}', "x": "5"}, cli.EXIT_PARSE),
+    (["classes", "-1"], {}, cli.EXIT_PARSE),
+    (["verify", "--suite", "A6", "--n", "9"], {}, cli.EXIT_PRECONDITION),
+    (["immanant", "12345678"], {}, cli.EXIT_PRECONDITION),
+])
+def test_bad_input_exit_code_without_traceback(argv, files, code, tmp_path):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "tlimm.cli", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
+    assert len(done.stderr.splitlines()) == 1
 
 
 def test_render_shape_from_file(tmp_path, capsys):

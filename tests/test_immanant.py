@@ -96,12 +96,13 @@ def test_tl_immanant_anchors():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_all_tl_immanants_match_f_coeff(n):
-    table = tl.theta_table(n)
+    # The stored table against the single-shot theta(u), which does not
+    # go through the weak-order pass.
     imms = immanant.all_tl_immanants(n)
-    for w in perm.avoiding_321(n):
-        target = tl.beta(w)
-        for u in perm.all_perms(n):
-            assert imms[w].coeff(u) == table[u].coeff(target)
+    for u in perm.all_perms(n):
+        row = tl.theta(u)
+        for w in perm.avoiding_321(n):
+            assert imms[w].coeff(u) == row.coeff(tl.beta(w))
 
 
 def test_cm_immanant():
@@ -219,15 +220,6 @@ def test_sign_alternation():
     assert not immanant.is_1324_sign_alternating(immanant.tl_immanant((2, 4, 1, 5, 3)))
 
 
-@pytest.mark.parametrize("n", range(2, 7))
-def test_classes_are_hull_fibers(n):
-    classes = immanant.related_classes(n)
-    fibers = {}
-    for w in perm.all_perms(n):
-        fibers.setdefault(immanant.hull(w), set()).add(w)
-    assert {frozenset(c) for c in classes} == {frozenset(v) for v in fibers.values()}
-
-
 def test_classes_examples():
     assert all(len(c) == 1 for c in immanant.related_classes(3))
     big = next(c for c in immanant.related_classes(5) if (1, 2, 3, 4, 5) in c)
@@ -265,3 +257,5 @@ def test_limits(monkeypatch):
     monkeypatch.delenv("TLIMM_MAX_N")
     with pytest.raises(LimitError):
         immanant.determinant_immanant(9)
+    with pytest.raises(LimitError):
+        immanant.tl_immanant(perm.identity(8))

@@ -1,4 +1,3 @@
-import itertools
 import os
 import random
 import subprocess
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlimm import perm, tl
+from tlimm import perm, tl, verify
 from tlimm.errors import LimitError, PreconditionError
 
 from oracles import beta_lookup, brute_all_matchings
@@ -41,14 +40,18 @@ def test_matching_validation():
 
 
 def test_validation_survives_python_O():
-    """Input checks raise, so they still run when -O strips asserts."""
+    """Input checks and the validation of results raise, so they still run
+    when -O strips asserts; decompose is given a wrong second shape."""
     script = """
-from tlimm import coloring, tl
-for build, args in ((tl.NonCrossingMatching, (2, (2, 3, 0, 1))),
-                    (coloring.make_coloring, (2, [5], [1]))):
+from tlimm import classify, coloring, immanant, tl
+from tlimm.errors import VerificationError
+classify._second_shape = lambda params: immanant.full_square(params.n)
+for build, args, error in ((tl.NonCrossingMatching, (2, (2, 3, 0, 1)), ValueError),
+                           (coloring.make_coloring, (2, [5], [1]), ValueError),
+                           (classify.decompose, ((2, 1, 4, 3), True), VerificationError)):
     try:
         build(*args)
-    except ValueError:
+    except error:
         continue
     raise SystemExit(f"accepted {build.__name__}{args}")
 """
@@ -115,11 +118,12 @@ def test_theta_table_agrees_with_single_shot():
     }
 
 
-def test_theta_table_limit():
+def test_theta_table_limit(monkeypatch):
     with pytest.raises(LimitError):
         tl.theta_table(8)
+    monkeypatch.setenv("TLIMM_MAX_N", "4")
     with pytest.raises(LimitError):
-        tl.theta_table(9, limit=8)
+        tl.theta_table(5)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -159,25 +163,10 @@ def test_f_coeff_vanishes_off_bruhat_interval(n):
                 assert table[u].coeff(target) == 0
 
 
-@pytest.mark.parametrize("n", range(2, 7))
-def test_symmetry(n):
-    rng = random.Random(n)
-    table = tl.theta_table(n)
-    avoiders = perm.avoiding_321(n)
-    pairs = (
-        list(itertools.product(avoiders, perm.all_perms(n)))
-        if n <= 5
-        else [
-            (rng.choice(avoiders), rng.choice(list(perm.all_perms(n))))
-            for _ in range(300)
-        ]
-    )
-    for w, u in pairs:
-        value = table[u].coeff(tl.beta(w))
-        assert value == table[perm.inverse(u)].coeff(tl.beta(perm.inverse(w)))
-        assert value == table[perm.conjugate_by_longest(u)].coeff(
-            tl.beta(perm.conjugate_by_longest(w))
-        )
+def test_symmetry_all_pairs_n6():
+    """Suite A5 (n = 2..5 in the gate) at n = 6, on every (w, u) pair."""
+    report = verify.run_suite("A5", 6)
+    assert report.ok and report.checks == 2 * tl.catalan(6) * 720
 
 
 matching_for = lambda n: st.sampled_from(tl.all_matchings(n))
