@@ -105,7 +105,8 @@ def case_params_from_json(data: dict) -> CaseParams:
 
 @dataclasses.dataclass(frozen=True)
 class Decomposition:
-    """sign(w) * Imm_w written as a sum of percent immanants, when possible."""
+    """sign(w) * Imm_w written as a sum of percent immanants, when possible;
+    kind "none" has sign 0 and no shapes, as its JSON form carries neither."""
 
     kind: str  # "one" | "two" | "none"
     sign: int
@@ -436,7 +437,7 @@ def decompose(w: Perm, validate: bool | None = None) -> Decomposition:
     if validate is None:
         validate = n <= 6
     if not avoids_main_patterns(w):
-        return Decomposition("none", sign(w), ())
+        return Decomposition("none", 0, ())
     if avoids(w, PATTERN_2143):
         result = Decomposition("one", sign(w), (hull(w),))
     else:

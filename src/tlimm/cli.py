@@ -133,6 +133,9 @@ def cmd_render(args) -> int:
 
 
 def _verify_jobs(items, jobs: int):
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, len(items))
     if jobs <= 1:
         return [verify.run_suite(name, n) for name, n in items]
     import multiprocessing
@@ -142,8 +145,7 @@ def _verify_jobs(items, jobs: int):
 
 
 def cmd_verify(args) -> int:
-    names = sorted(verify.SUITES) if args.suite == "all" else [args.suite]
-    names.sort(key=lambda s: int(s[1:]))
+    names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     items = []
     for name in names:
         sizes = (args.n,) if args.n is not None else verify.DEFAULT_SIZES[name]
@@ -219,9 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification suites")
     p.add_argument("--suite", default="all",
-                   choices=("all", *sorted(verify.SUITES, key=lambda s: int(s[1:]))))
+                   choices=("all", *verify.SUITES))
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at least 1 and at most one per (suite, n) run")
     p.set_defaults(func=cmd_verify)
 
     return parser

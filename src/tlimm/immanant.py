@@ -251,7 +251,7 @@ class Immanant:
                 parse_perm(str(term["perm"])): Fraction(str(term["coeff"]))
                 for term in data["terms"]
             }
-        except TypeError as exc:
+        except (TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"not an immanant document: {exc}") from None
         return cls(n, coeffs)
 
@@ -340,7 +340,7 @@ def parse_matrix(text: str) -> Matrix:
     """Parse a JSON array of arrays of rational strings."""
     try:
         return as_matrix(json.loads(text))
-    except TypeError as exc:
+    except (TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"not a matrix document: {exc}") from None
 
 

@@ -128,7 +128,8 @@ def conjugate_by_longest(w: Perm) -> Perm:
 
 def transposition(n: int, i: int, j: int) -> Perm:
     """The transposition (i j) in S_n."""
-    assert 1 <= i <= n and 1 <= j <= n
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise PreconditionError(f"transposition ({i} {j}) is not in S_{n}")
     word = list(range(1, n + 1))
     word[i - 1], word[j - 1] = word[j - 1], word[i - 1]
     return tuple(word)
@@ -151,7 +152,8 @@ def sign(w: Perm) -> int:
 
 def right_mult_gen(w: Perm, i: int) -> Perm:
     """w . s_i: swap the entries in positions i and i+1 (1-based)."""
-    assert 1 <= i < len(w)
+    if not 1 <= i < len(w):
+        raise PreconditionError(f"no generator s_{i} in S_{len(w)}")
     word = list(w)
     word[i - 1], word[i] = word[i], word[i - 1]
     return tuple(word)

@@ -1,21 +1,25 @@
 """
 Exhaustive verification suites.
 
-Each suite checks one exact identity over a whole desk-scale range and
-returns a :class:`VerificationReport`; a failure records the claim, the
-witness input and the expected/actual values.  Suites A1-A10 are the
-acceptance gate; ``run_suite`` runs one suite at one size and
+Each suite checks one exact identity over a whole desk-scale range.  A
+suite is written as a generator of checks, ``(claim, witness, expected,
+actual)`` tuples; the ``@_suite`` runner counts them, records a
+:class:`Failure` (claim, witness input and the expected/actual values) for
+each check whose two values differ, and times the whole stream, so
+``suite_aN(n)`` returns a :class:`VerificationReport`.  Suites A1-A10 are
+the acceptance gate; ``run_suite`` runs one suite at one size and
 ``DEFAULT_SIZES`` holds the per-suite size ranges.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import random
 import time
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import classify, coloring, immanant, perm, tl
 from .classify import PATTERN_1324, PATTERN_2143
@@ -59,26 +63,29 @@ class VerificationReport:
         }
 
 
-class _Recorder:
-    def __init__(self):
-        self.checks = 0
-        self.failures: list[Failure] = []
-
-    def check(self, claim: str, witness: str, expected, actual) -> None:
-        self.checks += 1
-        if expected != actual:
-            self.failures.append(
-                Failure(claim, witness, repr(expected), repr(actual))
-            )
+# (claim, witness, expected, actual)
+_Check = tuple[str, str, object, object]
 
 
-def _report(suite: str, n: int, body: Callable[[_Recorder], None]) -> VerificationReport:
-    rec = _Recorder()
-    start = time.perf_counter()
-    body(rec)
-    return VerificationReport(
-        suite, n, rec.checks, rec.failures, time.perf_counter() - start
-    )
+def _suite(name: str):
+    """Make a generator of checks into the suite ``name``: the result runs
+    the generator and returns its report."""
+
+    def decorate(checks: Callable[..., Iterator[_Check]]) -> Callable[..., VerificationReport]:
+        @functools.wraps(checks)
+        def run(n: int, **kwargs) -> VerificationReport:
+            count = 0
+            failures: list[Failure] = []
+            start = time.perf_counter()
+            for claim, witness, expected, actual in checks(n, **kwargs):
+                count += 1
+                if expected != actual:
+                    failures.append(Failure(claim, witness, repr(expected), repr(actual)))
+            return VerificationReport(name, n, count, failures, time.perf_counter() - start)
+
+        return run
+
+    return decorate
 
 
 def _applicable_two_case(n: int) -> list[Perm]:
@@ -90,158 +97,116 @@ def _applicable_two_case(n: int) -> list[Perm]:
     ]
 
 
-def suite_a1(n: int) -> VerificationReport:
+@_suite("A1")
+def suite_a1(n: int) -> Iterator[_Check]:
     """Single-percent classification: tl_immanant(w) equals
     sign(w) * percent(hull(w)) exactly when w avoids 1324 and 2143."""
-
-    def body(rec: _Recorder) -> None:
-        imms = immanant.all_tl_immanants(n)
-        for w in perm.avoiding_321(n):
-            lhs = imms[w]
-            rhs = immanant.percent_immanant(immanant.hull(w)).scaled(perm.sign(w))
-            rec.check(
-                "one-percent iff avoids 1324 and 2143",
-                perm.format_perm(w),
-                perm.avoids(w, PATTERN_1324, PATTERN_2143),
-                lhs == rhs,
-            )
-
-    return _report("A1", n, body)
+    imms = immanant.all_tl_immanants(n)
+    for w in perm.avoiding_321(n):
+        lhs = imms[w]
+        rhs = immanant.percent_immanant(immanant.hull(w)).scaled(perm.sign(w))
+        yield ("one-percent iff avoids 1324 and 2143", perm.format_perm(w),
+               perm.avoids(w, PATTERN_1324, PATTERN_2143), lhs == rhs)
 
 
-def suite_a2(n: int) -> VerificationReport:
+@_suite("A2")
+def suite_a2(n: int) -> Iterator[_Check]:
     """Two-percent classification: decompose(w) is non-none iff w avoids the
     five forbidden patterns iff tl_immanant(w) is 1324-sign-alternating, and
     the produced shape sum matches exactly."""
-
-    def body(rec: _Recorder) -> None:
-        imms = immanant.all_tl_immanants(n)
-        for w in perm.avoiding_321(n):
-            d = classify.decompose(w, validate=False)
-            ok_patterns = classify.avoids_main_patterns(w)
-            alternating = immanant.is_1324_sign_alternating(imms[w])
-            rec.check(
-                "decomposable iff avoids forbidden patterns",
-                perm.format_perm(w), ok_patterns, d.kind != "none",
-            )
-            rec.check(
-                "decomposable iff sign-alternating",
-                perm.format_perm(w), ok_patterns, alternating,
-            )
-            if d.kind != "none":
-                total = immanant.zero_immanant(n)
-                for s in d.shapes:
-                    total = total + immanant.percent_immanant(s)
-                rec.check(
-                    "shape sum equals signed immanant",
-                    perm.format_perm(w), imms[w].scaled(d.sign), total,
-                )
-
-    return _report("A2", n, body)
+    imms = immanant.all_tl_immanants(n)
+    for w in perm.avoiding_321(n):
+        d = classify.decompose(w, validate=False)
+        ok_patterns = classify.avoids_main_patterns(w)
+        alternating = immanant.is_1324_sign_alternating(imms[w])
+        yield ("decomposable iff avoids forbidden patterns", perm.format_perm(w),
+               ok_patterns, d.kind != "none")
+        yield ("decomposable iff sign-alternating", perm.format_perm(w),
+               ok_patterns, alternating)
+        if d.kind != "none":
+            total = immanant.zero_immanant(n)
+            for s in d.shapes:
+                total = total + immanant.percent_immanant(s)
+            yield ("shape sum equals signed immanant", perm.format_perm(w),
+                   imms[w].scaled(d.sign), total)
 
 
-def suite_a3(n: int, samples: int = 100_000, seed: int = 20_433) -> VerificationReport:
+# How many (w, u) pairs A3 draws at n >= 7.
+_A3_SAMPLES = 100_000
+
+
+@_suite("A3")
+def suite_a3(n: int, seed: int = 20_433) -> Iterator[_Check]:
     """Closed-form coefficients agree with the Temperley-Lieb expansion:
     exhaustive for n <= 6, sampled at n = 7."""
-
-    def body(rec: _Recorder) -> None:
-        imms = immanant.all_tl_immanants(n)
-        applicable = [
-            w for w in perm.avoiding_321(n) if perm.avoids(w, PATTERN_1324)
-        ]
-        # Which pairs a seed draws depends on this (length, u) order.
-        universe = sorted(perm.all_perms(n), key=lambda u: (perm.length(u), u))
-        claim = "closed form equals expansion coefficient"
-        if n <= 6:
-            pairs: Iterable[tuple[Perm, Perm]] = itertools.product(applicable, universe)
-        else:
-            claim += " (sampled)"
-            rng = random.Random(seed)
-            pairs = (
-                (applicable[rng.randrange(len(applicable))],
-                 universe[rng.randrange(len(universe))])
-                for _ in range(samples)
-            )
-        for w, u in pairs:
-            rec.check(
-                claim,
-                f"w={perm.format_perm(w)} u={perm.format_perm(u)}",
-                imms[w].coeff(u),
-                classify.closed_form_coeff(w, u),
-            )
-
-    return _report("A3", n, body)
+    imms = immanant.all_tl_immanants(n)
+    applicable = [w for w in perm.avoiding_321(n) if perm.avoids(w, PATTERN_1324)]
+    # Which pairs a seed draws depends on this (length, u) order.
+    universe = sorted(perm.all_perms(n), key=lambda u: (perm.length(u), u))
+    claim = "closed form equals expansion coefficient"
+    if n <= 6:
+        pairs: Iterable[tuple[Perm, Perm]] = itertools.product(applicable, universe)
+    else:
+        claim += " (sampled)"
+        rng = random.Random(seed)
+        pairs = (
+            (applicable[rng.randrange(len(applicable))],
+             universe[rng.randrange(len(universe))])
+            for _ in range(_A3_SAMPLES)
+        )
+    for w, u in pairs:
+        yield (claim, f"w={perm.format_perm(w)} u={perm.format_perm(u)}",
+               imms[w].coeff(u), classify.closed_form_coeff(w, u))
 
 
-def suite_a4(n: int) -> VerificationReport:
+@_suite("A4")
+def suite_a4(n: int) -> Iterator[_Check]:
     """Complementary minors expand into compatible Temperley-Lieb immanants:
     (-1)^(s(I)+s(J)) CM_{I,J} = sum of Imm_w over compatible w."""
-
-    def body(rec: _Recorder) -> None:
-        imms = immanant.all_tl_immanants(n)
-        for k in range(n + 1):
-            for I in itertools.combinations(range(1, n + 1), k):
-                for J in itertools.combinations(range(1, n + 1), k):
-                    lhs = immanant.cm_immanant(n, I, J).scaled(
-                        immanant.subset_sign(I) * immanant.subset_sign(J)
-                    )
-                    rhs = immanant.zero_immanant(n)
-                    for w in coloring.compatible_permutations(
-                        coloring.make_coloring(n, I, J)
-                    ):
-                        rhs = rhs + imms[w]
-                    rec.check(
-                        "signed CM equals compatible immanant sum",
-                        f"I={set(I) or '{}'} J={set(J) or '{}'}",
-                        lhs, rhs,
-                    )
-
-    return _report("A4", n, body)
+    imms = immanant.all_tl_immanants(n)
+    for k in range(n + 1):
+        for I in itertools.combinations(range(1, n + 1), k):
+            for J in itertools.combinations(range(1, n + 1), k):
+                lhs = immanant.cm_immanant(n, I, J).scaled(
+                    immanant.subset_sign(I) * immanant.subset_sign(J)
+                )
+                rhs = immanant.zero_immanant(n)
+                for w in coloring.compatible_permutations(coloring.make_coloring(n, I, J)):
+                    rhs = rhs + imms[w]
+                yield ("signed CM equals compatible immanant sum",
+                       f"I={set(I) or '{}'} J={set(J) or '{}'}", lhs, rhs)
 
 
-def suite_a5(n: int) -> VerificationReport:
+@_suite("A5")
+def suite_a5(n: int) -> Iterator[_Check]:
     """Coefficient symmetry: f_w(u) = f_{w^-1}(u^-1) = f_{w0 w w0}(w0 u w0)."""
-
-    def body(rec: _Recorder) -> None:
-        imms = immanant.all_tl_immanants(n)
-        for w in perm.avoiding_321(n):
-            fw = imms[w]
-            fwi = imms[perm.inverse(w)]
-            fwc = imms[perm.conjugate_by_longest(w)]
-            for u in perm.all_perms(n):
-                value = fw.coeff(u)
-                rec.check(
-                    "f is inverse-symmetric",
-                    f"w={perm.format_perm(w)} u={perm.format_perm(u)}",
-                    value, fwi.coeff(perm.inverse(u)),
-                )
-                rec.check(
-                    "f is w0-conjugation-symmetric",
-                    f"w={perm.format_perm(w)} u={perm.format_perm(u)}",
-                    value, fwc.coeff(perm.conjugate_by_longest(u)),
-                )
-
-    return _report("A5", n, body)
+    imms = immanant.all_tl_immanants(n)
+    for w in perm.avoiding_321(n):
+        fw = imms[w]
+        fwi = imms[perm.inverse(w)]
+        fwc = imms[perm.conjugate_by_longest(w)]
+        for u in perm.all_perms(n):
+            value = fw.coeff(u)
+            witness = f"w={perm.format_perm(w)} u={perm.format_perm(u)}"
+            yield ("f is inverse-symmetric", witness,
+                   value, fwi.coeff(perm.inverse(u)))
+            yield ("f is w0-conjugation-symmetric", witness,
+                   value, fwc.coeff(perm.conjugate_by_longest(u)))
 
 
-def suite_a6(n: int) -> VerificationReport:
+@_suite("A6")
+def suite_a6(n: int) -> Iterator[_Check]:
     """The matching bijection: 321-avoiding permutations, non-crossing
     matchings and the Catalan number all agree, with beta a bijection."""
-
-    def body(rec: _Recorder) -> None:
-        avoiders = perm.avoiding_321(n)
-        matchings = tl.all_matchings(n)
-        rec.check("Catalan many avoiders", f"n={n}", tl.catalan(n), len(avoiders))
-        rec.check("Catalan many matchings", f"n={n}", tl.catalan(n), len(matchings))
-        images = {tl.beta(w) for w in avoiders}
-        rec.check("beta is injective", f"n={n}", len(avoiders), len(images))
-        rec.check("beta is onto the matchings", f"n={n}", set(matchings), images)
-        for w in avoiders:
-            rec.check(
-                "beta round trip", perm.format_perm(w), w, tl.beta_inv(tl.beta(w))
-            )
-
-    return _report("A6", n, body)
+    avoiders = perm.avoiding_321(n)
+    matchings = tl.all_matchings(n)
+    yield ("Catalan many avoiders", f"n={n}", tl.catalan(n), len(avoiders))
+    yield ("Catalan many matchings", f"n={n}", tl.catalan(n), len(matchings))
+    images = {tl.beta(w) for w in avoiders}
+    yield ("beta is injective", f"n={n}", len(avoiders), len(images))
+    yield ("beta is onto the matchings", f"n={n}", set(matchings), images)
+    for w in avoiders:
+        yield ("beta round trip", perm.format_perm(w), w, tl.beta_inv(tl.beta(w)))
 
 
 # (positions, blacks, whites, sealed): the zone holds exactly that many black
@@ -356,155 +321,116 @@ def _compositions(total: int, parts: int, minima: tuple[int, ...]) -> Iterable[t
             yield (first,) + rest
 
 
-def suite_a7(n: int) -> VerificationReport:
+@_suite("A7")
+def suite_a7(n: int) -> Iterator[_Check]:
     """Unique-matching constructions match brute force: every zone-condition
     instance has exactly one (coloring, matching) solution and it is the
     constructed one, which in turn equals beta of the built permutation."""
-
-    def body(rec: _Recorder) -> None:
-        families = (
-            ("general", "abcde", _compositions(n, 5, (0, 0, 0, 0, 0)),
-             coloring.unique_matching_general, _general_zones, None),
-            ("case-1", "abcde", _compositions(n, 5, (1, 1, 1, 1, 0)),
-             coloring.unique_matching_case1, _case1_zones, classify.build_case1),
-            ("case-2", "aebcfd",
-             (t for t in _compositions(n, 6, (1, 0, 1, 1, 0, 1))
-              if max(t[1], t[4]) >= 1),
-             coloring.unique_matching_case2, _case2_zones, classify.build_case2),
-        )
-        for family, names, instances, construct, zones, build in families:
-            for sizes in instances:
-                # By keyword, because build_case1 takes (a, b, e, c, d).
-                params = dict(zip(names, sizes))
-                witness = f"({','.join(names)})=({','.join(map(str, sizes))})"
-                col, m = construct(**params)
-                colors = tuple(col.is_black_position(p) for p in range(2 * n))
-                rec.check(
-                    f"{family} zone instance has the one constructed solution",
-                    witness, [(colors, m)], _zone_solutions(n, zones(**params)),
-                )
-                if build is not None:
-                    rec.check(
-                        f"{family} matching is beta of the built permutation",
-                        witness, tl.beta(build(**params)), m,
-                    )
-
-    return _report("A7", n, body)
+    families = (
+        ("general", "abcde", _compositions(n, 5, (0, 0, 0, 0, 0)),
+         coloring.unique_matching_general, _general_zones, None),
+        ("case-1", "abcde", _compositions(n, 5, (1, 1, 1, 1, 0)),
+         coloring.unique_matching_case1, _case1_zones, classify.build_case1),
+        ("case-2", "aebcfd",
+         (t for t in _compositions(n, 6, (1, 0, 1, 1, 0, 1))
+          if max(t[1], t[4]) >= 1),
+         coloring.unique_matching_case2, _case2_zones, classify.build_case2),
+    )
+    for family, names, instances, construct, zones, build in families:
+        for sizes in instances:
+            # By keyword, because build_case1 takes (a, b, e, c, d).
+            params = dict(zip(names, sizes))
+            witness = f"({','.join(names)})=({','.join(map(str, sizes))})"
+            col, m = construct(**params)
+            colors = tuple(col.is_black_position(p) for p in range(2 * n))
+            yield (f"{family} zone instance has the one constructed solution", witness,
+                   [(colors, m)], _zone_solutions(n, zones(**params)))
+            if build is not None:
+                yield (f"{family} matching is beta of the built permutation", witness,
+                       tl.beta(build(**params)), m)
 
 
-def suite_a8(n: int) -> VerificationReport:
+@_suite("A8")
+def suite_a8(n: int) -> Iterator[_Check]:
     """Anti-diagonal coefficients: the closed form matches |f_w(w0)|, with
     the two fixed anchors at n = 4 and n = 6."""
-
-    def body(rec: _Recorder) -> None:
-        w0 = perm.longest_word(n)
-        expansion = tl.theta(w0)
-        for w in _applicable_two_case(n):
-            rec.check(
-                "closed form matches |f_w(w0)|",
-                perm.format_perm(w),
-                abs(expansion.coeff(tl.beta(w))),
-                classify.antidiag_coeff(w),
-            )
-        if n == 4:
-            rec.check("anchor f_2143(4321)", "2143",
-                      2, tl.f_coeff((2, 1, 4, 3), (4, 3, 2, 1)))
-        if n == 6:
-            rec.check("anchor |f_231564(654321)|", "231564",
-                      3, abs(tl.f_coeff((2, 3, 1, 5, 6, 4), (6, 5, 4, 3, 2, 1))))
-
-    return _report("A8", n, body)
+    w0 = perm.longest_word(n)
+    expansion = tl.theta(w0)
+    for w in _applicable_two_case(n):
+        yield ("closed form matches |f_w(w0)|", perm.format_perm(w),
+               abs(expansion.coeff(tl.beta(w))), classify.antidiag_coeff(w))
+    if n == 4:
+        yield ("anchor f_2143(4321)", "2143",
+               2, tl.f_coeff((2, 1, 4, 3), (4, 3, 2, 1)))
+    if n == 6:
+        yield ("anchor |f_231564(654321)|", "231564",
+               3, abs(tl.f_coeff((2, 3, 1, 5, 6, 4), (6, 5, 4, 3, 2, 1))))
 
 
-def suite_a9(n: int, seed: int = 94_711) -> VerificationReport:
+@_suite("A9")
+def suite_a9(n: int, seed: int = 94_711) -> Iterator[_Check]:
     """1324-relatedness classes coincide with hull fibers, and random span
     elements decompose and reconstruct exactly (n <= 5)."""
+    classes = immanant.related_classes(n)
+    fibers: dict[immanant.SkewShape, set[Perm]] = {}
+    for w in perm.all_perms(n):
+        fibers.setdefault(immanant.hull(w), set()).add(w)
+    yield ("classes equal hull fibers", f"n={n}",
+           {frozenset(v) for v in fibers.values()}, {frozenset(c) for c in classes})
+    if n <= 5:
+        rng = random.Random(seed + n)
 
-    def body(rec: _Recorder) -> None:
-        classes = immanant.related_classes(n)
-        fibers: dict[immanant.SkewShape, set[Perm]] = {}
-        for w in perm.all_perms(n):
-            fibers.setdefault(immanant.hull(w), set()).add(w)
-        rec.check(
-            "classes equal hull fibers",
-            f"n={n}",
-            {frozenset(v) for v in fibers.values()},
-            {frozenset(c) for c in classes},
-        )
-        if n <= 5:
-            rng = random.Random(seed + n)
+        def random_shape() -> immanant.SkewShape:
+            lam = sorted((rng.randint(0, n) for _ in range(n)), reverse=True)
+            raw = sorted((rng.randint(0, n) for _ in range(n)), reverse=True)
+            mu = [min(r, l) for r, l in zip(raw, lam)]
+            return immanant.SkewShape(n, tuple(lam), tuple(mu))
 
-            def random_shape() -> immanant.SkewShape:
-                lam = sorted((rng.randint(0, n) for _ in range(n)), reverse=True)
-                raw = sorted((rng.randint(0, n) for _ in range(n)), reverse=True)
-                mu = [min(r, l) for r, l in zip(raw, lam)]
-                return immanant.SkewShape(n, tuple(lam), tuple(mu))
-
-            for trial in range(25):
-                f = immanant.zero_immanant(n)
-                for _ in range(3):
-                    f = f + immanant.percent_immanant(random_shape()).scaled(
-                        Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                    )
-                rebuilt = immanant.zero_immanant(n)
-                for rep, c in immanant.percent_basis_decompose(f):
-                    members = next(cl for cl in classes if rep in cl)
-                    rebuilt = rebuilt + immanant.class_indicator(n, members).scaled(c)
-                rec.check(
-                    "span element reconstructs from class decomposition",
-                    f"n={n} trial={trial}", f, rebuilt,
+        for trial in range(25):
+            f = immanant.zero_immanant(n)
+            for _ in range(3):
+                f = f + immanant.percent_immanant(random_shape()).scaled(
+                    Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                 )
+            rebuilt = immanant.zero_immanant(n)
+            for rep, c in immanant.percent_basis_decompose(f):
+                members = next(cl for cl in classes if rep in cl)
+                rebuilt = rebuilt + immanant.class_indicator(n, members).scaled(c)
+            yield ("span element reconstructs from class decomposition",
+                   f"n={n} trial={trial}", f, rebuilt)
 
-    return _report("A9", n, body)
 
-
-def suite_a10(n: int) -> VerificationReport:
+@_suite("A10")
+def suite_a10(n: int) -> Iterator[_Check]:
     """Complementary-minor expansions reproduce the immanants exactly, and
     the 0/1 witness matrix separates percent from Temperley-Lieb values."""
-
-    def body(rec: _Recorder) -> None:
-        imms = immanant.all_tl_immanants(n)
-        for w in _applicable_two_case(n):
-            total = immanant.zero_immanant(n)
-            for s, I, J in classify.cm_expansion(w):
-                total = total + immanant.cm_immanant(n, I, J).scaled(s)
-            rec.check(
-                "signed CM expansion equals the immanant",
-                perm.format_perm(w), imms[w], total.scaled(perm.sign(w)),
-            )
-        for w in perm.avoiding_321(n):
-            if not perm.avoids(w, PATTERN_1324, PATTERN_2143):
-                continue
-            if w[0] != 1 and w[0] != w[-1] + 1:
-                continue
-            total = immanant.zero_immanant(n)
-            for I, J in classify.rect_cm_expansion(w):
-                total = total + immanant.cm_immanant(n, I, J)
-            rec.check(
-                "rectangle CM expansion equals the hull percent immanant",
-                perm.format_perm(w),
-                immanant.percent_immanant(immanant.hull(w)), total,
-            )
-        for w in _applicable_two_case(n):
-            X = immanant.witness_matrix(w)
-            rec.check(
-                "witness matrix: hull percent immanant is +-1",
-                perm.format_perm(w),
-                1,
-                abs(immanant.evaluate(
-                    immanant.percent_immanant(immanant.hull(w)), X
-                )),
-            )
-            rec.check(
-                "witness matrix: Temperley-Lieb immanant vanishes",
-                perm.format_perm(w),
-                Fraction(0), immanant.evaluate(imms[w], X),
-            )
-
-    return _report("A10", n, body)
+    imms = immanant.all_tl_immanants(n)
+    applicable = _applicable_two_case(n)
+    for w in applicable:
+        total = immanant.zero_immanant(n)
+        for s, I, J in classify.cm_expansion(w):
+            total = total + immanant.cm_immanant(n, I, J).scaled(s)
+        yield ("signed CM expansion equals the immanant", perm.format_perm(w),
+               imms[w], total.scaled(perm.sign(w)))
+    for w in perm.avoiding_321(n):
+        if not perm.avoids(w, PATTERN_1324, PATTERN_2143):
+            continue
+        if w[0] != 1 and w[0] != w[-1] + 1:
+            continue
+        total = immanant.zero_immanant(n)
+        for I, J in classify.rect_cm_expansion(w):
+            total = total + immanant.cm_immanant(n, I, J)
+        yield ("rectangle CM expansion equals the hull percent immanant",
+               perm.format_perm(w), immanant.percent_immanant(immanant.hull(w)), total)
+    for w in applicable:
+        X = immanant.witness_matrix(w)
+        yield ("witness matrix: hull percent immanant is +-1", perm.format_perm(w),
+               1, abs(immanant.evaluate(immanant.percent_immanant(immanant.hull(w)), X)))
+        yield ("witness matrix: Temperley-Lieb immanant vanishes", perm.format_perm(w),
+               Fraction(0), immanant.evaluate(imms[w], X))
 
 
-SUITES: dict[str, Callable[[int], VerificationReport]] = {
+SUITES: dict[str, Callable[..., VerificationReport]] = {
     "A1": suite_a1,
     "A2": suite_a2,
     "A3": suite_a3,
@@ -533,6 +459,8 @@ DEFAULT_SIZES: dict[str, tuple[int, ...]] = {
 
 def run_suite(suite: str, n: int) -> VerificationReport:
     """Run one suite at one size."""
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     return SUITES[suite](n)

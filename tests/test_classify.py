@@ -252,12 +252,24 @@ def test_failed_validation_raises(monkeypatch):
 
 
 def test_json_readers_roundtrip():
-    for w in [(2, 1, 4, 3), (2, 4, 1, 5, 3), (1, 2, 3, 4), (3, 1, 2, 5, 4)]:
-        d = classify.decompose(w)
-        assert classify.Decomposition.from_json(d.to_json()).to_json() == d.to_json()
-    for w in [(2, 1, 4, 3), (2, 4, 1, 5, 3), (3, 1, 5, 2, 4)]:
-        p = classify.classify_2143(w)
-        assert classify.case_params_from_json(p.to_json()) == p
+    """Every JSON emitter against its reader, for every 321-avoiding w with
+    1 <= n <= 5; classify_2143 applies to 2143 and seven w at n = 5."""
+    classified = 0
+    for n in range(1, 6):
+        for w in perm.avoiding_321(n):
+            d = classify.decompose(w)
+            assert classify.Decomposition.from_json(d.to_json()) == d
+            shape = immanant.hull(w)
+            assert immanant.SkewShape.from_json(shape.to_json()) == shape
+            f = immanant.tl_immanant(w)
+            assert immanant.Immanant.from_json(f.to_json()) == f
+            if perm.avoids(w, classify.PATTERN_1324) and not perm.avoids(
+                w, classify.PATTERN_2143
+            ):
+                p = classify.classify_2143(w)
+                assert classify.case_params_from_json(p.to_json()) == p
+                classified += 1
+    assert classified == 8
 
 
 def test_decompose_json():

@@ -103,6 +103,17 @@ def test_verify_jobs(capsys):
     assert code == 0 and "A1 n=4" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--suite", "A1", "--n", "-1"], "error: n must be non-negative, got -1"),
+    (["--suite", "A1", "--n", "3", "--jobs", "0"], "error: --jobs must be at least 1, got 0"),
+    (["--jobs", "-5"], "error: --jobs must be at least 1, got -5"),
+], ids=["n-negative", "jobs-zero", "jobs-negative"])
+def test_verify_bad_size_or_jobs(argv, message, capsys):
+    assert cli.main(["verify", *argv]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.err.strip() == message and captured.out == ""
+
+
 def test_render_paths(capsys):
     code, out = run(capsys, "render", "ncm", "2341")
     assert code == 0 and "1'" in out
@@ -133,6 +144,9 @@ def test_render_crossing_matching_is_parse_error():
     (["classes", "-1"], {}, cli.EXIT_PARSE),
     (["verify", "--suite", "A6", "--n", "9"], {}, cli.EXIT_PRECONDITION),
     (["immanant", "12345678"], {}, cli.EXIT_PRECONDITION),
+    (["eval", "f", "x"], {"f": '{"n": 1, "terms": [{"perm": "1", "coeff": "1/0"}]}',
+                          "x": "[[1]]"}, cli.EXIT_PARSE),
+    (["eval", "f", "x"], {"f": '{"n": 1, "terms": []}', "x": '[["1/0"]]'}, cli.EXIT_PARSE),
 ])
 def test_bad_input_exit_code_without_traceback(argv, files, code, tmp_path):
     for name, text in files.items():
