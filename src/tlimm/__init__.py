@@ -34,7 +34,6 @@ from .classify import (
     reduce_to_special,
 )
 from .coloring import (
-    CircularColoring,
     Coloring,
     canonical_coloring,
     make_coloring,

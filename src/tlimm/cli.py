@@ -160,6 +160,8 @@ def cmd_verify(args) -> int:
                 f"  FAIL {failure.claim} [{failure.witness}]: "
                 f"expected {failure.expected}, got {failure.actual}"
             )
+        if report.failures:
+            print(f"  rerun: tlimm verify --suite {report.suite} --n {report.n}")
     total = sum(r.checks for r in reports)
     print(f"total: {total} checks, {failed} failures")
     return 0 if failed == 0 else EXIT_MISMATCH

@@ -1,25 +1,23 @@
 """
 Black/white vertex colorings and their compatible matchings.
 
-A coloring of the 2n vertices is stored either as a pair (I, J) — I the set
-of unprimed black vertices, J the set of primed *white* vertices — or as a
-:class:`CircularColoring`, a B/W string over the circular positions
-1, ..., n, n', ..., 1'.  A coloring is compatible with a matching when every
-pair joins a black vertex to a white one.
+A coloring of the 2n vertices is stored as a pair (I, J): I the set of
+unprimed black vertices, J the set of primed *white* vertices.  A coloring
+is compatible with a matching when every pair joins a black vertex to a
+white one.
 
 The ``unique_matching_*`` constructions produce, for given zone sizes, the
 single coloring-and-matching satisfying a prescribed list of zone
-conditions; they are built by an inductive peeling recursion (pair off an
-extreme vertex, shrink the instance) rather than by search.  Suite A7 in
-:mod:`tlimm.verify` is the uniqueness oracle: it searches every
-(coloring, matching) pair that meets the zone conditions.
+conditions; they are built directly as rainbow blocks of nested pairs,
+not by search.  Suite A7 in :mod:`tlimm.verify` is the uniqueness oracle:
+it searches every (coloring, matching) pair that meets the zone conditions.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import warnings
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import PreconditionError
 from .perm import Perm, is_321_avoiding
@@ -33,9 +31,6 @@ from .tl import (
     vertex_position,
     _matching,
 )
-
-BLACK = "B"
-WHITE = "W"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -59,14 +54,17 @@ class Coloring:
             return label not in self.primed_whites
         return label in self.blacks
 
-    def circular(self) -> CircularColoring:
-        return CircularColoring(
-            self.n,
-            "".join(
-                BLACK if self.is_black_position(p) else WHITE
-                for p in range(2 * self.n)
-            ),
+    @classmethod
+    def from_circle(cls, n: int, colors: Sequence[bool]) -> Coloring:
+        """The coloring with colors[p] the color of circular position p
+        (True = black)."""
+        if len(colors) != 2 * n:
+            raise ValueError(f"{len(colors)} colors for 2n={2 * n} positions")
+        blacks = frozenset(p + 1 for p in range(n) if colors[p])
+        primed_whites = frozenset(
+            2 * n - p for p in range(n, 2 * n) if not colors[p]
         )
+        return cls(n, blacks, primed_whites)
 
 
 def make_coloring(n: int, I: Iterable[int], J: Iterable[int]) -> Coloring:
@@ -102,35 +100,7 @@ def parse_coloring(text: str) -> Coloring:
     return Coloring(n, sets["I"], sets["J"])
 
 
-@dataclasses.dataclass(frozen=True)
-class CircularColoring:
-    """Colors of the 0-based circular positions, as a B/W string."""
-
-    n: int
-    colors: str
-
-    def __post_init__(self):
-        if len(self.colors) != 2 * self.n:
-            raise ValueError(f"{len(self.colors)} colors for 2n={2 * self.n} positions")
-        if not set(self.colors) <= {BLACK, WHITE}:
-            raise ValueError(f"colors must be {BLACK}/{WHITE}: {self.colors!r}")
-
-    def is_black_position(self, p: int) -> bool:
-        return self.colors[p] == BLACK
-
-    def to_ij(self) -> Coloring:
-        blacks = frozenset(
-            p + 1 for p in range(self.n) if self.colors[p] == BLACK
-        )
-        primed_whites = frozenset(
-            2 * self.n - p
-            for p in range(self.n, 2 * self.n)
-            if self.colors[p] == WHITE
-        )
-        return Coloring(self.n, blacks, primed_whites)
-
-
-def is_compatible(m: NonCrossingMatching, c: Coloring | CircularColoring) -> bool:
+def is_compatible(m: NonCrossingMatching, c: Coloring) -> bool:
     """True iff every pair of m joins a black vertex to a white one."""
     if m.n != c.n:
         raise PreconditionError(f"size mismatch: {m.n} vs {c.n}")
@@ -190,93 +160,63 @@ def has_internal_pairing(m: NonCrossingMatching, vertices: Iterable) -> bool:
 # ---------------------------------------------------------------------------
 # Unique matchings for prescribed zone conditions.
 #
-# All three constructions work on 0-based circular positions and return
-# (colors, pairing) with colors a list of booleans (True = black).
-
-
-def _reflect(total: int, colors: list[bool], pairing: list[int], const: int):
-    """Relabel position p as (const - p) mod total and flip all colors."""
-    new_colors = [False] * total
-    new_pairing = [0] * total
-    for p in range(total):
-        q = (const - p) % total
-        new_colors[q] = not colors[p]
-    for p in range(total):
-        new_pairing[(const - p) % total] = (const - pairing[p]) % total
-    return new_colors, new_pairing
-
-
-def _shift(total: int, colors: list[bool], pairing: list[int], by: int):
-    new_colors = [False] * total
-    new_pairing = [0] * total
-    for p in range(total):
-        q = (p + by) % total
-        new_colors[q] = colors[p]
-        new_pairing[q] = (pairing[p] + by) % total
-    return new_colors, new_pairing
-
-
-def _unique_simple(a: int, b: int, c: int) -> tuple[list[bool], list[int]]:
-    """Unique coloring/matching with positions [a, a+b) black, [a+b, a+b+c)
-    white, and no pair inside [0, a)."""
-    assert a >= 0 and b >= 0 and c >= 0 and (a + b + c) % 2 == 0
-    total = a + b + c
-    if a == 0:
-        assert b == c
-        colors = [True] * b + [False] * c
-        pairing = [total - 1 - p for p in range(total)]
-        return colors, pairing
-    if b <= c:
-        # Position 0 must pair with the last position and is black.
-        inner_colors, inner_pairing = _unique_simple(a - 1, b, c - 1)
-        colors = [True] + inner_colors + [False]
-        pairing = [total - 1] + [q + 1 for q in inner_pairing] + [0]
-        return colors, pairing
-    # Mirror through the free zone to swap the roles of b and c.
-    colors, pairing = _unique_simple(a, c, b)
-    return _reflect(total, colors, pairing, a - 1)
+# The general solution is built on 0-based circular positions as (colors,
+# pairing), colors a list of booleans (True = black); Case 1 and Case 2
+# transport it through a reflection of the circle.
 
 
 def _unique_general(a: int, b: int, c: int, d: int, e: int) -> tuple[list[bool], list[int]]:
     """Unique coloring/matching on 2n positions, n = a+b+c+d+e, with:
     [0, b+c+e) black; a black and b white in [b+c+e, a+2b+c+e) with no
     internal pair; [a+2b+c+e, a+b+e+n) white; d black and c white in
-    [a+b+e+n, 2n) with no internal pair."""
-    assert min(a, b, c, d, e) >= 0
-    n = a + b + c + d + e
-    total = 2 * n
-    if c == 0 and d == 0:
-        colors, pairing = _unique_simple(a + b, a + e, b + e)
-        colors = [not col for col in colors]
-        return _shift(total, colors, pairing, b + e)
-    if c >= d:
-        # The last position pairs with the first; peel them off.
-        inner_colors, inner_pairing = _unique_general(a, b, c - 1, d, e)
-        colors = [True] + inner_colors + [False]
-        pairing = [total - 1] + [q + 1 for q in inner_pairing] + [0]
-        return colors, pairing
-    colors, pairing = _unique_general(b, a, d, c, e)
-    return _reflect(total, colors, pairing, total - 1 - c - d)
+    [a+b+e+n, 2n) with no internal pair.
+
+    Read from position 0, the solution is ten blocks of sizes c, e, b, b,
+    a, a, e, d, d, c and colors B, B, B, W, B, W, W, W, B, W.  Each block
+    is joined to the other block of its letter by a rainbow of nested
+    pairs: the first block opens them and the second closes them.
+
+    >>> _unique_general(1, 1, 1, 1, 0)
+    ([True, True, False, True, False, False, True, False], [7, 2, 1, 4, 3, 6, 5, 0])
+    """
+    size = {"a": a, "b": b, "c": c, "d": d, "e": e}
+    colors: list[bool] = []
+    pairing = [0] * (2 * sum(size.values()))
+    # The letters nest like brackets, c(e(bb)(aa)e)(dd)c, so one stack of
+    # open positions serves every rainbow.
+    opened: list[int] = []
+    seen = set()
+    for letter, color in zip("cebbaaeddc", "BBBWBWWWBW"):
+        for _ in range(size[letter]):
+            p = len(colors)
+            colors.append(color == "B")
+            if letter in seen:
+                q = opened.pop()
+                pairing[p], pairing[q] = q, p
+            else:
+                opened.append(p)
+        seen.add(letter)
+    return colors, pairing
 
 
 def unique_matching_general(
     a: int, b: int, c: int, d: int, e: int
-) -> tuple[CircularColoring, NonCrossingMatching]:
+) -> tuple[Coloring, NonCrossingMatching]:
     """The unique coloring and compatible matching on the 0-based circular
     positions, n = a + b + c + d + e, with [0, b+c+e) black; a blacks and b
     whites in [b+c+e, a+2b+c+e) with no internal pair; [a+2b+c+e, a+b+e+n)
     white; d blacks and c whites in [a+b+e+n, 2n) with no internal pair.
 
     >>> col, m = unique_matching_general(0, 1, 1, 0, 0)
-    >>> col.colors, m.pairing
-    ('BBWW', (3, 2, 1, 0))
+    >>> format_coloring(col), m.pairing
+    ('I={1,2} J={1,2}', (3, 2, 1, 0))
     """
     if min(a, b, c, d, e) < 0:
         raise PreconditionError("zone sizes must be non-negative")
     n = a + b + c + d + e
     colors, pairing = _unique_general(a, b, c, d, e)
     m = _matching(n, tuple(pairing))
-    col = CircularColoring(n, "".join(BLACK if x else WHITE for x in colors))
+    col = Coloring.from_circle(n, colors)
     assert is_compatible(m, col)
     return col, m
 
@@ -291,10 +231,8 @@ def _pull_back(
     new_pairing = [0] * total
     for p in range(total):
         new_pairing[phi(p)] = phi(pairing[p])
-    circ = CircularColoring(
-        n, "".join(BLACK if colors[phi(p)] else WHITE for p in range(total))
-    )
-    return circ.to_ij(), _matching(n, tuple(new_pairing))
+    col = Coloring.from_circle(n, [colors[phi(p)] for p in range(total)])
+    return col, _matching(n, tuple(new_pairing))
 
 
 def unique_matching_case1(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -34,6 +35,35 @@ from .tl import _theta_rows, all_matchings, beta_inv
 
 Coeff = int | Fraction
 Matrix = tuple[tuple[Fraction, ...], ...]
+
+
+def _integer(x) -> int:
+    """Read an integer from JSON: an int, an integer string, or a float of
+    integral value; a fractional or non-finite number is a ValueError."""
+    if isinstance(x, float) and not x.is_integer():
+        raise ValueError(f"not an integer: {x!r}")
+    return int(x)
+
+
+_RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?")
+
+
+def _rational(x) -> Fraction:
+    """Read an exact rational: an int, a Fraction, or a string "p" or "p/q";
+    anything else, and q = 0, is a ValueError.
+
+    >>> _rational("-2/4"), _rational(3)
+    (Fraction(-1, 2), Fraction(3, 1))
+    """
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return Fraction(x)
+    match = _RATIONAL.fullmatch(x.strip()) if isinstance(x, str) else None
+    if match is None:
+        raise ValueError(f"not a rational p or p/q: {x!r}")
+    p, q = match.groups()
+    if q is not None and int(q) == 0:
+        raise ValueError(f"zero denominator in {x!r}")
+    return Fraction(int(p), int(q or 1))
 
 
 def _normalize_coeff(c: Coeff) -> Coeff:
@@ -97,7 +127,7 @@ class SkewShape:
     def from_json(cls, data: Mapping) -> SkewShape:
         """Read the JSON form; a document of the wrong shape is a ValueError."""
         try:
-            n = int(data["n"])
+            n = _integer(data["n"])
             lam = _pad_bounds(n, data["lambda"])
             mu = _pad_bounds(n, data.get("mu", []))
         except TypeError as exc:
@@ -106,7 +136,7 @@ class SkewShape:
 
 
 def _pad_bounds(n: int, values: Iterable[int]) -> tuple[int, ...]:
-    out = [int(v) for v in values]
+    out = [_integer(v) for v in values]
     if len(out) > n:
         raise ValueError(f"more than {n} row bounds given")
     return tuple(out + [0] * (n - len(out)))
@@ -246,12 +276,14 @@ class Immanant:
     def from_json(cls, data: Mapping) -> Immanant:
         """Read the JSON form; a document of the wrong shape is a ValueError."""
         try:
-            n = int(data["n"])
-            coeffs = {
-                parse_perm(str(term["perm"])): Fraction(str(term["coeff"]))
-                for term in data["terms"]
-            }
-        except (TypeError, ZeroDivisionError) as exc:
+            n = _integer(data["n"])
+            coeffs = {}
+            for term in data["terms"]:
+                # to_json writes the one permutation of S_0 as "".
+                text = str(term["perm"])
+                u = () if n == 0 and text == "" else parse_perm(text)
+                coeffs[u] = _rational(term["coeff"])
+        except TypeError as exc:
             raise ValueError(f"not an immanant document: {exc}") from None
         return cls(n, coeffs)
 
@@ -327,9 +359,7 @@ def subset_sign(I: Iterable[int]) -> int:
 def as_matrix(rows: Sequence[Sequence]) -> Matrix:
     """Coerce nested sequences of ints / Fractions / "p/q" strings into a
     square matrix of Fractions."""
-    out = tuple(
-        tuple(Fraction(str(x)) for x in row) for row in rows
-    )
+    out = tuple(tuple(_rational(x) for x in row) for row in rows)
     n = len(out)
     if any(len(row) != n for row in out):
         raise ValueError("matrix must be square")
@@ -340,7 +370,7 @@ def parse_matrix(text: str) -> Matrix:
     """Parse a JSON array of arrays of rational strings."""
     try:
         return as_matrix(json.loads(text))
-    except (TypeError, ZeroDivisionError) as exc:
+    except TypeError as exc:
         raise ValueError(f"not a matrix document: {exc}") from None
 
 

@@ -174,10 +174,11 @@ def test_rect_cm_expansion_anchors():
         classify.rect_cm_expansion((2, 3, 1, 4))  # not in normal form
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 4))
 def test_rect_cm_expansion_contract(n):
     """The rectangle expansion reproduces the hull percent immanant, hence
-    sign(w) times the Temperley-Lieb immanant."""
+    sign(w) times the Temperley-Lieb immanant; suites A10 and A1 check the
+    same at n = 4..6."""
     imms = immanant.all_tl_immanants(n)
     for w in perm.avoiding_321(n):
         if not perm.avoids(w, (1, 3, 2, 4), (2, 1, 4, 3)):
@@ -253,9 +254,9 @@ def test_failed_validation_raises(monkeypatch):
 
 def test_json_readers_roundtrip():
     """Every JSON emitter against its reader, for every 321-avoiding w with
-    1 <= n <= 5; classify_2143 applies to 2143 and seven w at n = 5."""
+    n <= 5; classify_2143 applies to 2143 and seven w at n = 5."""
     classified = 0
-    for n in range(1, 6):
+    for n in range(6):
         for w in perm.avoiding_321(n):
             d = classify.decompose(w)
             assert classify.Decomposition.from_json(d.to_json()) == d

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from tlimm import cli, immanant, perm, render, tl
+from tlimm import cli, immanant, perm, render, tl, verify
 
 
 def run(capsys, *argv):
@@ -103,6 +103,16 @@ def test_verify_jobs(capsys):
     assert code == 0 and "A1 n=4" in out
 
 
+def test_verify_failure_prints_rerun_command(capsys, monkeypatch):
+    failure = verify.Failure("claim", "w", "1", "2")
+    monkeypatch.setitem(
+        verify.SUITES, "A7", lambda n: verify.VerificationReport("A7", n, 3, [failure], 0.0)
+    )
+    code, out = run(capsys, "verify", "--suite", "A7", "--n", "6")
+    assert code == cli.EXIT_MISMATCH
+    assert out.splitlines().count("  rerun: tlimm verify --suite A7 --n 6") == 1
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--suite", "A1", "--n", "-1"], "error: n must be non-negative, got -1"),
     (["--suite", "A1", "--n", "3", "--jobs", "0"], "error: --jobs must be at least 1, got 0"),
@@ -147,6 +157,15 @@ def test_render_crossing_matching_is_parse_error():
     (["eval", "f", "x"], {"f": '{"n": 1, "terms": [{"perm": "1", "coeff": "1/0"}]}',
                           "x": "[[1]]"}, cli.EXIT_PARSE),
     (["eval", "f", "x"], {"f": '{"n": 1, "terms": []}', "x": '[["1/0"]]'}, cli.EXIT_PARSE),
+    (["render", "shape", '{"n": 1e400, "lambda": []}'], {}, cli.EXIT_PARSE),
+    (["eval", "f", "x"], {"f": '{"n": 1e400, "terms": []}', "x": "[[1]]"}, cli.EXIT_PARSE),
+    (["render", "shape", '{"n": 2, "lambda": [1.5]}'], {}, cli.EXIT_PARSE),
+    (["eval", "f", "x"], {"f": '{"n": 1, "terms": [{"perm": "1", "coeff": "1e999999999"}]}',
+                          "x": "[[1]]"}, cli.EXIT_PARSE),
+    (["eval", "f", "x"], {"f": '{"n": 1, "terms": []}', "x": '[["1e999999999"]]'},
+     cli.EXIT_PARSE),
+    (["eval", "f", "x"], {"f": '{"n": 1, "terms": [{"perm": "", "coeff": "1"}]}',
+                          "x": "[[1]]"}, cli.EXIT_PARSE),
 ])
 def test_bad_input_exit_code_without_traceback(argv, files, code, tmp_path):
     for name, text in files.items():

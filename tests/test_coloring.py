@@ -13,10 +13,12 @@ def test_coloring_text_roundtrip():
 
 def test_circular_conversion():
     c = coloring.make_coloring(2, [1], [1])
-    circ = c.circular()
     # positions read 1, 2, 2', 1'
-    assert circ.colors == "BWBW"
-    assert circ.to_ij() == c
+    colors = [True, False, True, False]
+    assert [c.is_black_position(p) for p in range(4)] == colors
+    assert coloring.Coloring.from_circle(2, colors) == c
+    with pytest.raises(ValueError):
+        coloring.Coloring.from_circle(2, colors[:3])
 
 
 def test_is_compatible():
@@ -85,7 +87,7 @@ def test_has_internal_pairing():
 
 def test_unique_matching_general_rainbow():
     col, m = coloring.unique_matching_general(0, 3, 3, 0, 0)
-    assert col.colors == "BBBBBBWWWWWW"
+    assert col == coloring.make_coloring(6, range(1, 7), range(1, 7))
     assert m.pairing == tuple(11 - p for p in range(12))
 
 
