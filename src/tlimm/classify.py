@@ -26,6 +26,7 @@ from .errors import PreconditionError, VerificationError
 from .immanant import (
     Immanant,
     SkewShape,
+    _integer,
     from_cells,
     hull,
     lies_in,
@@ -95,11 +96,12 @@ CaseParams = Case1 | Case2
 
 
 def case_params_from_json(data: dict) -> CaseParams:
+    """Read the JSON form; every block length must be an integer."""
     variant = data.get("variant")
     if variant == "case1":
-        return Case1(data["a"], data["b"], data["e"], data["c"], data["d"])
+        return Case1(*(_integer(data[k]) for k in "abecd"))
     if variant == "case2":
-        return Case2(data["a"], data["e"], data["b"], data["c"], data["f"], data["d"])
+        return Case2(*(_integer(data[k]) for k in "aebcfd"))
     raise ValueError(f"unknown case variant {variant!r}")
 
 
@@ -127,7 +129,7 @@ class Decomposition:
             return cls("none", 0, ())
         return cls(
             data["kind"],
-            int(data["sign"]),
+            _integer(data["sign"]),
             tuple(SkewShape.from_json(s) for s in data["shapes"]),
         )
 
@@ -408,7 +410,8 @@ def _second_shape(params: Case1) -> SkewShape:
             (range(1, n - d + 1), range(1, 2)),
             (range(1, 2), range(1, n - c + 1)),
         ])
-    assert params.d == 1
+    if params.d != 1:
+        raise VerificationError(f"{params}: with a = 1, b or d must be 1")
     # The doubled coefficients here are exactly those with u(1) > n-c and
     # u(n) <= b, so the removals are the thin row strips 1 x (n-c) in the
     # upper-left and 1 x (n-b) in the lower-right.
@@ -442,21 +445,25 @@ def decompose(w: Perm, validate: bool | None = None) -> Decomposition:
         result = Decomposition("one", sign(w), (hull(w),))
     else:
         params = classify_2143(w)
-        assert isinstance(params, Case1)
+        # Case 2 contains 24153 or 31524, and a Case 1 w that avoids the
+        # forbidden patterns has a = 1 or c = 1.
+        if not isinstance(params, Case1) or 1 not in (params.a, params.c):
+            raise VerificationError(f"{w} avoids the forbidden patterns but has {params}")
         if params.a == 1:
             shapes = (hull(w), _second_shape(params))
         else:
             # c = 1: transport the a = 1 construction through the
             # anti-transpose symmetry w -> w0 . w^{-1} . w0.
-            assert params.c == 1
             mirror = conjugate_by_longest(inverse(w))
             mirror_params = classify_2143(mirror)
-            assert isinstance(mirror_params, Case1) and mirror_params.a == 1
+            if not isinstance(mirror_params, Case1) or mirror_params.a != 1:
+                raise VerificationError(f"mirror {mirror} of {w} has {mirror_params}")
             shapes = tuple(
                 s.anti_transpose()
                 for s in (hull(mirror), _second_shape(mirror_params))
             )
-            assert shapes[0] == hull(w)
+            if shapes[0] != hull(w):
+                raise VerificationError(f"mirrored hull {shapes[0]} is not hull({w})")
         result = Decomposition("two", sign(w), shapes)
     if validate:
         total = Immanant(n, {})

@@ -20,6 +20,23 @@ EXIT_PRECONDITION = 3
 EXIT_MISMATCH = 4
 
 
+def _one_line(message) -> str:
+    return " ".join(str(message).splitlines())
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a usage error on one line, as every
+    other error is reported."""
+
+    def error(self, message):
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {_one_line(message)}\n")
+
+
+def _fail(exc: Exception, code: int) -> int:
+    print(f"error: {_one_line(exc)}", file=sys.stderr)
+    return code
+
+
 def _emit(data) -> None:
     print(json.dumps(data, indent=None, separators=(", ", ": ")))
 
@@ -168,7 +185,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tlimm",
         description="Temperley-Lieb immanants, percent immanants and their "
         "classification, in exact arithmetic.",
@@ -237,14 +254,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        return _fail(exc, EXIT_PRECONDITION)
     except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+        return _fail(exc, EXIT_MISMATCH)
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail(exc, EXIT_PARSE)
 
 
 if __name__ == "__main__":

@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import re
+from array import array
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import limits
-from .errors import PreconditionError
+from .errors import PreconditionError, VerificationError
 from .perm import (
     Perm,
     adjacent_1324_pairs,
@@ -29,6 +31,7 @@ from .perm import (
     inverse,
     is_321_avoiding,
     parse_perm,
+    perm_index,
     sign,
 )
 from .tl import _theta_rows, all_matchings, beta_inv
@@ -39,10 +42,14 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 
 def _integer(x) -> int:
     """Read an integer from JSON: an int, an integer string, or a float of
-    integral value; a fractional or non-finite number is a ValueError."""
+    integral value; a fractional or non-finite number, or a value of
+    another type, is a ValueError."""
     if isinstance(x, float) and not x.is_integer():
         raise ValueError(f"not an integer: {x!r}")
-    return int(x)
+    try:
+        return int(x)
+    except TypeError:
+        raise ValueError(f"not an integer: {x!r}") from None
 
 
 _RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?")
@@ -136,6 +143,8 @@ class SkewShape:
 
 
 def _pad_bounds(n: int, values: Iterable[int]) -> tuple[int, ...]:
+    # n sizes the padding, so it is held to the cap before anything is built.
+    limits.check_limit(n, limits.max_n(), "skew shape")
     out = [_integer(v) for v in values]
     if len(out) > n:
         raise ValueError(f"more than {n} row bounds given")
@@ -312,25 +321,47 @@ def percent_immanant(shape: SkewShape) -> Immanant:
 
 def tl_immanant(w: Perm) -> Immanant:
     """The Temperley-Lieb immanant of a 321-avoiding w: the coefficient of u
-    is the coefficient of beta(w) in theta(u)."""
+    is the coefficient of beta(w) in theta(u).  A new Immanant, read from
+    the stored column of w."""
     if not is_321_avoiding(w):
         raise PreconditionError(f"{w} contains the pattern 321")
-    return Immanant(len(w), all_tl_immanants(len(w))[w].coeffs)
+    n = len(w)
+    column = all_tl_immanants(n)[w]
+    # The column holds ints indexed by S_n, so the constructor's per-term
+    # checks are not run again; compress keeps the u with f_w(u) != 0.
+    f = Immanant.__new__(Immanant)
+    f.n = n
+    f.coeffs = dict(zip(itertools.compress(perm_index(n).perms, column),
+                        filter(None, column)))
+    return f
 
 
 @functools.lru_cache(maxsize=4)
-def all_tl_immanants(n: int) -> dict[Perm, Immanant]:
-    """The Temperley-Lieb immanants of every 321-avoiding w in S_n, filled
-    in place from one weak-order pass over the theta rows; the one stored
-    table of the coefficients f_w(u).  The entries are shared: copy one
-    before changing it."""
+def all_tl_immanants(n: int) -> dict[Perm, array]:
+    """The coefficients f_w(u) of every 321-avoiding w in S_n, the one
+    stored table of them: column ``[w]`` is an ``array('b')`` whose entry
+    ``r`` is f_w(u) for the u of rank r in :func:`tlimm.perm.perm_index`.
+    Filled from one weak-order pass over the theta rows.  The columns are
+    shared: do not change them.
+
+    >>> all_tl_immanants(2)[(2, 1)].tolist()
+    [0, 1]
+    """
     limits.check_limit(n, limits.theta_max_n(), "theta table")
+    rank = perm_index(n).rank
     matchings = all_matchings(n)
-    columns = [Immanant(n, {}) for _ in matchings]
+    columns = [array("b", bytes(len(rank))) for _ in matchings]
     for u, row in _theta_rows(n):
+        r = rank[u]
         for k, c in row.items():
-            columns[k].coeffs[u] = c
-    return {beta_inv(m): f for m, f in zip(matchings, columns)}
+            try:
+                columns[k][r] = c
+            except OverflowError:
+                raise VerificationError(
+                    f"f_w(u) = {c} at n={n}, w={format_perm(beta_inv(matchings[k]))}, "
+                    f"u={format_perm(u)} does not fit the signed-byte store"
+                ) from None
+    return {beta_inv(m): col for m, col in zip(matchings, columns)}
 
 
 def cm_immanant(n: int, I: Iterable[int], J: Iterable[int]) -> Immanant:

@@ -4,7 +4,8 @@ Everything in this package is exact and exhaustive, so costs grow like n!.
 Two caps keep accidental huge runs from happening: a general cap for
 operations that enumerate S_n (default 8) and a tighter cap for building
 full Temperley-Lieb expansion tables (default 7, since the table for S_n
-holds every nonzero f_w(u), 943 584 of them at n = 7).
+holds f_w(u) for every 321-avoiding w and every u, 2 162 160 entries at
+n = 7).
 
 The environment variable TLIMM_MAX_N overrides both caps.
 """

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import limits
 from .errors import PreconditionError
@@ -80,6 +80,26 @@ def identity(n: int) -> Perm:
 def all_perms(n: int) -> Iterator[Perm]:
     """All of S_n in lexicographic order."""
     return itertools.permutations(range(1, n + 1))
+
+
+class PermIndex(NamedTuple):
+    """S_n in the order of :func:`all_perms`, and the rank of each
+    permutation in that order."""
+
+    perms: tuple[Perm, ...]
+    rank: dict[Perm, int]
+
+
+@functools.lru_cache(maxsize=4)
+def perm_index(n: int) -> PermIndex:
+    """The index of S_n that rank-indexed tables share.
+
+    >>> perm_index(3).rank[(2, 1, 3)]
+    2
+    """
+    limits.check_limit(n, limits.max_n(), "permutation index")
+    perms = tuple(all_perms(n))
+    return PermIndex(perms, {u: r for r, u in enumerate(perms)})
 
 
 def _check_same_size(v: Perm, w: Perm) -> None:

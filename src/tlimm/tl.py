@@ -23,7 +23,7 @@ import math
 from typing import Iterator
 
 from . import limits
-from .errors import PreconditionError
+from .errors import PreconditionError, VerificationError
 from .perm import (
     Perm,
     is_321_avoiding,
@@ -352,7 +352,8 @@ def beta(w: Perm) -> NonCrossingMatching:
     m = identity_matching(len(w))
     for i in reduced_word(w):
         m, loops = _attach_generator(m, i)
-        assert loops == 0
+        if loops:
+            raise VerificationError(f"t_{i} closes a loop in the product for {w}")
     return m
 
 

@@ -101,9 +101,8 @@ def _applicable_two_case(n: int) -> list[Perm]:
 def suite_a1(n: int) -> Iterator[_Check]:
     """Single-percent classification: tl_immanant(w) equals
     sign(w) * percent(hull(w)) exactly when w avoids 1324 and 2143."""
-    imms = immanant.all_tl_immanants(n)
     for w in perm.avoiding_321(n):
-        lhs = imms[w]
+        lhs = immanant.tl_immanant(w)
         rhs = immanant.percent_immanant(immanant.hull(w)).scaled(perm.sign(w))
         yield ("one-percent iff avoids 1324 and 2143", perm.format_perm(w),
                perm.avoids(w, PATTERN_1324, PATTERN_2143), lhs == rhs)
@@ -114,11 +113,11 @@ def suite_a2(n: int) -> Iterator[_Check]:
     """Two-percent classification: decompose(w) is non-none iff w avoids the
     five forbidden patterns iff tl_immanant(w) is 1324-sign-alternating, and
     the produced shape sum matches exactly."""
-    imms = immanant.all_tl_immanants(n)
     for w in perm.avoiding_321(n):
         d = classify.decompose(w, validate=False)
         ok_patterns = classify.avoids_main_patterns(w)
-        alternating = immanant.is_1324_sign_alternating(imms[w])
+        f = immanant.tl_immanant(w)
+        alternating = immanant.is_1324_sign_alternating(f)
         yield ("decomposable iff avoids forbidden patterns", perm.format_perm(w),
                ok_patterns, d.kind != "none")
         yield ("decomposable iff sign-alternating", perm.format_perm(w),
@@ -128,7 +127,7 @@ def suite_a2(n: int) -> Iterator[_Check]:
             for s in d.shapes:
                 total = total + immanant.percent_immanant(s)
             yield ("shape sum equals signed immanant", perm.format_perm(w),
-                   imms[w].scaled(d.sign), total)
+                   f.scaled(d.sign), total)
 
 
 # How many (w, u) pairs A3 draws at n >= 7.
@@ -140,6 +139,7 @@ def suite_a3(n: int, seed: int = 20_433) -> Iterator[_Check]:
     """Closed-form coefficients agree with the Temperley-Lieb expansion:
     exhaustive for n <= 6, sampled at n = 7."""
     imms = immanant.all_tl_immanants(n)
+    rank = perm.perm_index(n).rank
     applicable = [w for w in perm.avoiding_321(n) if perm.avoids(w, PATTERN_1324)]
     # Which pairs a seed draws depends on this (length, u) order.
     universe = sorted(perm.all_perms(n), key=lambda u: (perm.length(u), u))
@@ -156,14 +156,13 @@ def suite_a3(n: int, seed: int = 20_433) -> Iterator[_Check]:
         )
     for w, u in pairs:
         yield (claim, f"w={perm.format_perm(w)} u={perm.format_perm(u)}",
-               imms[w].coeff(u), classify.closed_form_coeff(w, u))
+               imms[w][rank[u]], classify.closed_form_coeff(w, u))
 
 
 @_suite("A4")
 def suite_a4(n: int) -> Iterator[_Check]:
     """Complementary minors expand into compatible Temperley-Lieb immanants:
     (-1)^(s(I)+s(J)) CM_{I,J} = sum of Imm_w over compatible w."""
-    imms = immanant.all_tl_immanants(n)
     for k in range(n + 1):
         for I in itertools.combinations(range(1, n + 1), k):
             for J in itertools.combinations(range(1, n + 1), k):
@@ -172,26 +171,29 @@ def suite_a4(n: int) -> Iterator[_Check]:
                 )
                 rhs = immanant.zero_immanant(n)
                 for w in coloring.compatible_permutations(coloring.make_coloring(n, I, J)):
-                    rhs = rhs + imms[w]
+                    rhs = rhs + immanant.tl_immanant(w)
                 yield ("signed CM equals compatible immanant sum",
                        f"I={set(I) or '{}'} J={set(J) or '{}'}", lhs, rhs)
 
 
 @_suite("A5")
 def suite_a5(n: int) -> Iterator[_Check]:
-    """Coefficient symmetry: f_w(u) = f_{w^-1}(u^-1) = f_{w0 w w0}(w0 u w0)."""
+    """Coefficient symmetry: f_w(u) = f_{w^-1}(u^-1) = f_{w0 w w0}(w0 u w0),
+    read from the rank-indexed columns."""
     imms = immanant.all_tl_immanants(n)
+    perms, rank = perm.perm_index(n)
+    inverse_rank = [rank[perm.inverse(u)] for u in perms]
+    conjugate_rank = [rank[perm.conjugate_by_longest(u)] for u in perms]
     for w in perm.avoiding_321(n):
         fw = imms[w]
         fwi = imms[perm.inverse(w)]
         fwc = imms[perm.conjugate_by_longest(w)]
-        for u in perm.all_perms(n):
-            value = fw.coeff(u)
+        for r, u in enumerate(perms):
+            value = fw[r]
             witness = f"w={perm.format_perm(w)} u={perm.format_perm(u)}"
-            yield ("f is inverse-symmetric", witness,
-                   value, fwi.coeff(perm.inverse(u)))
+            yield ("f is inverse-symmetric", witness, value, fwi[inverse_rank[r]])
             yield ("f is w0-conjugation-symmetric", witness,
-                   value, fwc.coeff(perm.conjugate_by_longest(u)))
+                   value, fwc[conjugate_rank[r]])
 
 
 @_suite("A6")
@@ -404,18 +406,18 @@ def suite_a9(n: int, seed: int = 94_711) -> Iterator[_Check]:
 def suite_a10(n: int) -> Iterator[_Check]:
     """Complementary-minor expansions reproduce the immanants exactly, and
     the 0/1 witness matrix separates percent from Temperley-Lieb values."""
-    imms = immanant.all_tl_immanants(n)
     applicable = _applicable_two_case(n)
     for w in applicable:
         total = immanant.zero_immanant(n)
         for s, I, J in classify.cm_expansion(w):
             total = total + immanant.cm_immanant(n, I, J).scaled(s)
         yield ("signed CM expansion equals the immanant", perm.format_perm(w),
-               imms[w], total.scaled(perm.sign(w)))
+               immanant.tl_immanant(w), total.scaled(perm.sign(w)))
     for w in perm.avoiding_321(n):
         if not perm.avoids(w, PATTERN_1324, PATTERN_2143):
             continue
-        if w[0] != 1 and w[0] != w[-1] + 1:
+        # The rectangle expansion needs w(1) = 1 or w(1) = w(n) + 1, so n >= 1.
+        if not w or (w[0] != 1 and w[0] != w[-1] + 1):
             continue
         total = immanant.zero_immanant(n)
         for I, J in classify.rect_cm_expansion(w):
@@ -427,7 +429,7 @@ def suite_a10(n: int) -> Iterator[_Check]:
         yield ("witness matrix: hull percent immanant is +-1", perm.format_perm(w),
                1, abs(immanant.evaluate(immanant.percent_immanant(immanant.hull(w)), X)))
         yield ("witness matrix: Temperley-Lieb immanant vanishes", perm.format_perm(w),
-               Fraction(0), immanant.evaluate(imms[w], X))
+               Fraction(0), immanant.evaluate(immanant.tl_immanant(w), X))
 
 
 SUITES: dict[str, Callable[..., VerificationReport]] = {

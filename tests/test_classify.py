@@ -179,7 +179,6 @@ def test_rect_cm_expansion_contract(n):
     """The rectangle expansion reproduces the hull percent immanant, hence
     sign(w) times the Temperley-Lieb immanant; suites A10 and A1 check the
     same at n = 4..6."""
-    imms = immanant.all_tl_immanants(n)
     for w in perm.avoiding_321(n):
         if not perm.avoids(w, (1, 3, 2, 4), (2, 1, 4, 3)):
             continue
@@ -189,7 +188,7 @@ def test_rect_cm_expansion_contract(n):
         for I, J in classify.rect_cm_expansion(w):
             total = total + immanant.cm_immanant(n, I, J)
         assert total == immanant.percent_immanant(immanant.hull(w))
-        assert total == imms[w].scaled(perm.sign(w))
+        assert total == immanant.tl_immanant(w).scaled(perm.sign(w))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -232,11 +231,12 @@ def test_decompose_anchors():
 def test_decompose_full(n):
     """Soundness and completeness of the one/two/none trichotomy, with the
     shape sums validated inside decompose."""
-    imms = immanant.all_tl_immanants(n)
     for w in perm.avoiding_321(n):
         d = classify.decompose(w)  # validates for n <= 6
         assert (d.kind != "none") == classify.avoids_main_patterns(w)
-        assert (d.kind != "none") == immanant.is_1324_sign_alternating(imms[w])
+        assert (d.kind != "none") == immanant.is_1324_sign_alternating(
+            immanant.tl_immanant(w)
+        )
         if d.kind == "one":
             assert d.shapes == (immanant.hull(w),)
         if d.kind == "two":
@@ -250,6 +250,27 @@ def test_failed_validation_raises(monkeypatch):
     with pytest.raises(VerificationError):
         classify.decompose((2, 1, 4, 3), validate=True)
     assert cli.main(["decompose", "2143"]) == cli.EXIT_MISMATCH
+
+
+def test_decompose_rejects_impossible_case_parameters(monkeypatch):
+    # 2143 avoids the forbidden patterns, so Case 2 parameters, or Case 1
+    # with neither a nor c equal to 1, cannot be right.
+    for params in (classify.Case2(1, 1, 1, 1, 0, 1), classify.Case1(2, 1, 0, 2, 1)):
+        monkeypatch.setattr(classify, "classify_2143", lambda w: params)
+        with pytest.raises(VerificationError, match="avoids the forbidden patterns"):
+            classify.decompose((2, 1, 4, 3), validate=False)
+
+
+def test_json_readers_reject_non_integers():
+    shape = immanant.hull((2, 1, 4, 3)).to_json()
+    with pytest.raises(ValueError, match="not an integer"):
+        classify.Decomposition.from_json({"kind": "two", "sign": 1.5, "shapes": [shape]})
+    params = classify.classify_2143((2, 4, 1, 5, 3)).to_json()
+    for key in ("a", "f"):
+        with pytest.raises(ValueError):
+            classify.case_params_from_json({**params, key: "x"})
+    with pytest.raises(ValueError, match="not an integer"):
+        classify.case_params_from_json({**params, "b": None})
 
 
 def test_json_readers_roundtrip():

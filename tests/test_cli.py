@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlimm import cli, immanant, perm, render, tl, verify
 
@@ -96,6 +101,8 @@ def test_verify_cli(capsys):
     code, out = run(capsys, "verify", "--suite", "A6", "--n", "5")
     assert code == 0
     assert "A6 n=5" in out and "0 failures" in out
+    code, out = run(capsys, "verify", "--suite", "A10", "--n", "0")
+    assert code == 0 and "A10 n=0: 0 checks, ok" in out
 
 
 def test_verify_jobs(capsys):
@@ -166,6 +173,8 @@ def test_render_crossing_matching_is_parse_error():
      cli.EXIT_PARSE),
     (["eval", "f", "x"], {"f": '{"n": 1, "terms": [{"perm": "", "coeff": "1"}]}',
                           "x": "[[1]]"}, cli.EXIT_PARSE),
+    (["render", "shape", '{"n": 100000000000000000000, "lambda": []}'], {},
+     cli.EXIT_PRECONDITION),
 ])
 def test_bad_input_exit_code_without_traceback(argv, files, code, tmp_path):
     for name, text in files.items():
@@ -201,3 +210,122 @@ def test_output_determinism(capsys):
     _, a = run(capsys, "immanant", "214365")
     _, b = run(capsys, "immanant", "214365")
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: every subcommand on arbitrary text and JSON arguments, in process.
+
+
+def _is_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+junk = st.text(max_size=12)
+# Integers come from a small range so that no fuzzed call runs a large
+# computation; other text given where an integer goes must not read as one.
+small_int = st.integers(-3, 5).map(str) | junk.filter(lambda t: not _is_int(t))
+perm_text = st.integers(1, 6).flatmap(
+    lambda n: st.permutations(range(1, n + 1))
+).map(perm.format_perm) | junk
+vertex = st.tuples(st.integers(0, 5), st.booleans()).map(
+    lambda v: f"{v[0]}'" if v[1] else str(v[0])
+)
+matching_text = st.lists(st.tuples(vertex, vertex), max_size=4).map(
+    lambda pairs: " ".join(f"{a}-{b}" for a, b in pairs)
+)
+json_value = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4) | st.sampled_from(["1/2", "1/0", "-3", "2143"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "lambda", "mu", "terms", "perm", "coeff"]),
+                      inner, max_size=4),
+    max_leaves=12,
+)
+shape_doc = st.fixed_dictionaries(
+    {"n": st.integers(-1, 8) | json_value,
+     "lambda": st.lists(st.integers(-1, 9), max_size=9) | json_value},
+    optional={"mu": st.lists(st.integers(-1, 9), max_size=9) | json_value},
+)
+term = st.fixed_dictionaries({"perm": perm_text | json_value,
+                              "coeff": st.integers(-5, 5) | json_value})
+immanant_doc = st.fixed_dictionaries(
+    {"n": st.integers(0, 6) | json_value, "terms": st.lists(term, max_size=4) | json_value}
+)
+matrix_doc = st.integers(0, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3) | json_value, min_size=n, max_size=n),
+                       min_size=n, max_size=n)
+) | json_value
+# "@" makes render read a file; the fuzz passes files to eval only.
+shape_text = st.one_of(shape_doc.map(json.dumps), json_value.map(json.dumps), junk).filter(
+    lambda t: not t.startswith("@")
+)
+
+
+def _option(name: str, values) -> st.SearchStrategy:
+    return st.lists(st.tuples(st.just(name), values), max_size=1).map(
+        lambda found: [x for pair in found for x in pair]
+    )
+
+
+def _argv(*parts) -> st.SearchStrategy:
+    return st.tuples(*parts).map(
+        lambda drawn: [x for part in drawn for x in (part if isinstance(part, list) else [part])]
+    )
+
+
+COMMANDS = {
+    "coeff": _argv(perm_text, perm_text,
+                   _option("--method", st.sampled_from(["oracle", "formula", "both"]) | junk)),
+    "immanant": _argv(perm_text, _option("--format", st.sampled_from(["json", "table"]) | junk)),
+    "hull": _argv(perm_text),
+    "ncm": _argv(perm_text),
+    "classify": _argv(perm_text),
+    "decompose": _argv(perm_text),
+    "expand": _argv(perm_text),
+    "classes": _argv(small_int),
+    "eval": _argv(st.one_of(immanant_doc.map(json.dumps), json_value.map(json.dumps), junk),
+                  st.one_of(matrix_doc.map(json.dumps), junk)),
+    "render": st.one_of(
+        _argv(st.just("ncm"), matching_text | perm_text),
+        _argv(st.just("hull"), perm_text),
+        _argv(st.just("shape"), shape_text),
+        _argv(junk, junk),
+    ).flatmap(lambda argv: _argv(st.just(argv),
+                                 _option("--format", st.sampled_from(["ascii", "svg"]) | junk))),
+    # --n is always given, so no call runs the suites at their default sizes.
+    "verify": _argv(_option("--suite", st.sampled_from(["all", *verify.SUITES]) | junk),
+                    st.just("--n"), st.integers(-2, 3).map(str) | junk.filter(lambda t: not _is_int(t)),
+                    _option("--jobs", st.sampled_from(["1", "0", "-1"]) | junk.filter(
+                        lambda t: not _is_int(t)))),
+}
+
+
+def _run_in_process(argv: list[str]) -> tuple[object, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz(command, data):
+    argv = [command, *data.draw(COMMANDS[command])]
+    with tempfile.TemporaryDirectory() as tmp:
+        if command == "eval":
+            for i, text in enumerate(argv[1:3], start=1):
+                path = Path(tmp, f"arg{i}.json")
+                path.write_text(text, encoding="utf-8", errors="surrogatepass")
+                argv[i] = str(path)
+        code, err = _run_in_process(argv)
+    assert code in (0, cli.EXIT_PARSE, cli.EXIT_PRECONDITION, cli.EXIT_MISMATCH), (argv, err)
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == (0 if code == 0 else 1), (argv, err)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from tlimm import immanant, perm, tl
-from tlimm.errors import LimitError, PreconditionError
+from tlimm.errors import LimitError, PreconditionError, VerificationError
 
 
 def test_skew_shape_validation():
@@ -96,13 +96,30 @@ def test_tl_immanant_anchors():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_all_tl_immanants_match_f_coeff(n):
-    # The stored table against the single-shot theta(u), which does not
-    # go through the weak-order pass.
+    # Each stored column, entry by rank, against the single-shot theta(u),
+    # which does not go through the weak-order pass.
     imms = immanant.all_tl_immanants(n)
-    for u in perm.all_perms(n):
-        row = tl.theta(u)
-        for w in perm.avoiding_321(n):
-            assert imms[w].coeff(u) == row.coeff(tl.beta(w))
+    rows = [tl.theta(u) for u in perm.all_perms(n)]
+    for w in perm.avoiding_321(n):
+        target = tl.beta(w)
+        assert imms[w].tolist() == [row.coeff(target) for row in rows]
+
+
+def test_store_rejects_coefficient_beyond_a_byte(monkeypatch):
+    rows = [((1, 2), {1: 1}), ((2, 1), {0: 200, 1: -1})]
+    monkeypatch.setattr(immanant, "_theta_rows", lambda n: iter(rows))
+    with pytest.raises(VerificationError, match=r"200 at n=2, w=21, u=21"):
+        immanant.all_tl_immanants.__wrapped__(2)
+
+
+def test_tl_immanant_is_a_copy():
+    w = (2, 1, 4, 3)
+    column = immanant.all_tl_immanants(4)[w].tolist()
+    f = immanant.tl_immanant(w)
+    f.coeffs[(4, 3, 2, 1)] = 99
+    f.coeffs.clear()
+    assert immanant.all_tl_immanants(4)[w].tolist() == column
+    assert immanant.tl_immanant(w).coeff((4, 3, 2, 1)) == 2
 
 
 def test_cm_immanant():
@@ -179,10 +196,10 @@ def test_witness_matrix():
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_transforms(n):
-    imms = immanant.all_tl_immanants(n)
     for w in perm.avoiding_321(n):
-        assert immanant.s_transform(imms[w]) == imms[perm.inverse(w)]
-        assert immanant.t_transform(imms[w]) == imms[perm.conjugate_by_longest(w)]
+        f = immanant.tl_immanant(w)
+        assert immanant.s_transform(f) == immanant.tl_immanant(perm.inverse(w))
+        assert immanant.t_transform(f) == immanant.tl_immanant(perm.conjugate_by_longest(w))
     for w in perm.all_perms(n):
         f = immanant.percent_immanant(immanant.hull(w))
         assert immanant.s_transform(f) == immanant.percent_immanant(

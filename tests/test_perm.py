@@ -199,3 +199,10 @@ def test_adjacent_pairs_match_predicate(n):
         for w2 in perm.all_perms(n):
             if perm.is_1324_adjacent(w, w2):
                 assert frozenset((w, w2)) in listed
+
+
+def test_perm_index_order():
+    for n in range(9):
+        perms, rank = perm.perm_index(n)
+        assert perms == tuple(perm.all_perms(n))
+        assert [rank[u] for u in perms] == list(range(len(perms)))

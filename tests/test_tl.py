@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlimm import perm, tl, verify
-from tlimm.errors import LimitError, PreconditionError
+from tlimm.errors import LimitError, PreconditionError, VerificationError
 
 from oracles import beta_lookup, brute_all_matchings
 
@@ -45,8 +45,10 @@ def test_validation_survives_python_O():
     script = """
 from tlimm import classify, coloring, immanant, perm, tl
 from tlimm.errors import PreconditionError, VerificationError
+second_shape = classify._second_shape
 classify._second_shape = lambda params: immanant.full_square(params.n)
-for build, args, error in ((tl.NonCrossingMatching, (2, (2, 3, 0, 1)), ValueError),
+for build, args, error in ((second_shape, (classify.Case1(1, 2, 0, 1, 2),), VerificationError),
+                           (tl.NonCrossingMatching, (2, (2, 3, 0, 1)), ValueError),
                            (coloring.make_coloring, (2, [5], [1]), ValueError),
                            (classify.decompose, ((2, 1, 4, 3), True), VerificationError),
                            (perm.right_mult_gen, ((1, 2, 3), 0), PreconditionError),
@@ -80,6 +82,12 @@ def test_beta_anchor():
     assert tl.beta(perm.identity(4)) == tl.identity_matching(4)
     with pytest.raises(PreconditionError):
         tl.beta((3, 2, 1))
+
+
+def test_beta_rejects_a_closed_loop(monkeypatch):
+    monkeypatch.setattr(tl, "_attach_generator", lambda m, i: (m, 1))
+    with pytest.raises(VerificationError, match="t_1 closes a loop"):
+        tl.beta((2, 1))
 
 
 def test_theta_anchors():
