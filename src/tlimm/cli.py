@@ -119,7 +119,7 @@ def cmd_classes(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    f = immanant.Immanant.from_json(json.loads(Path(args.immanant).read_text()))
+    f = immanant.Immanant.from_json(immanant._load_json(Path(args.immanant).read_text()))
     X = immanant.parse_matrix(Path(args.matrix).read_text())
     print(immanant.evaluate(f, X))
     return 0
@@ -128,7 +128,7 @@ def cmd_eval(args) -> int:
 def _load_shape(spec: str) -> immanant.SkewShape:
     if spec.startswith("@"):
         spec = Path(spec[1:]).read_text()
-    return immanant.SkewShape.from_json(json.loads(spec))
+    return immanant.SkewShape.from_json(immanant._load_json(spec))
 
 
 def cmd_render(args) -> int:

@@ -397,10 +397,19 @@ def as_matrix(rows: Sequence[Sequence]) -> Matrix:
     return out
 
 
+def _load_json(text: str):
+    """json.loads, with a document nested too deeply for the parser a
+    ValueError like any other malformed document."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON document nested too deeply") from None
+
+
 def parse_matrix(text: str) -> Matrix:
     """Parse a JSON array of arrays of rational strings."""
     try:
-        return as_matrix(json.loads(text))
+        return as_matrix(_load_json(text))
     except TypeError as exc:
         raise ValueError(f"not a matrix document: {exc}") from None
 

@@ -175,6 +175,8 @@ def test_render_crossing_matching_is_parse_error():
                           "x": "[[1]]"}, cli.EXIT_PARSE),
     (["render", "shape", '{"n": 100000000000000000000, "lambda": []}'], {},
      cli.EXIT_PRECONDITION),
+    (["eval", "f", "x"], {"f": "[" * 100_000 + "]" * 100_000, "x": "[[1]]"}, cli.EXIT_PARSE),
+    (["eval", "f", "x"], {"f": '{"n": 1, "terms": []}', "x": "[" * 100_000}, cli.EXIT_PARSE),
 ])
 def test_bad_input_exit_code_without_traceback(argv, files, code, tmp_path):
     for name, text in files.items():
@@ -225,9 +227,9 @@ def _is_int(text: str) -> bool:
 
 
 junk = st.text(max_size=12)
-# Integers come from a small range so that no fuzzed call runs a large
+# Integers come from small ranges so that no fuzzed call runs a large
 # computation; other text given where an integer goes must not read as one.
-small_int = st.integers(-3, 5).map(str) | junk.filter(lambda t: not _is_int(t))
+non_int = junk.filter(lambda t: not _is_int(t))
 perm_text = st.integers(1, 6).flatmap(
     lambda n: st.permutations(range(1, n + 1))
 ).map(perm.format_perm) | junk
@@ -259,7 +261,7 @@ matrix_doc = st.integers(0, 4).flatmap(
     lambda n: st.lists(st.lists(st.integers(-3, 3) | json_value, min_size=n, max_size=n),
                        min_size=n, max_size=n)
 ) | json_value
-# "@" makes render read a file; the fuzz passes files to eval only.
+# render reads the file named after a leading "@"; only eval gets files.
 shape_text = st.one_of(shape_doc.map(json.dumps), json_value.map(json.dumps), junk).filter(
     lambda t: not t.startswith("@")
 )
@@ -286,7 +288,7 @@ COMMANDS = {
     "classify": _argv(perm_text),
     "decompose": _argv(perm_text),
     "expand": _argv(perm_text),
-    "classes": _argv(small_int),
+    "classes": _argv(st.integers(-3, 5).map(str) | non_int),
     "eval": _argv(st.one_of(immanant_doc.map(json.dumps), json_value.map(json.dumps), junk),
                   st.one_of(matrix_doc.map(json.dumps), junk)),
     "render": st.one_of(
@@ -298,9 +300,8 @@ COMMANDS = {
                                  _option("--format", st.sampled_from(["ascii", "svg"]) | junk))),
     # --n is always given, so no call runs the suites at their default sizes.
     "verify": _argv(_option("--suite", st.sampled_from(["all", *verify.SUITES]) | junk),
-                    st.just("--n"), st.integers(-2, 3).map(str) | junk.filter(lambda t: not _is_int(t)),
-                    _option("--jobs", st.sampled_from(["1", "0", "-1"]) | junk.filter(
-                        lambda t: not _is_int(t)))),
+                    st.just("--n"), st.integers(-2, 3).map(str) | non_int,
+                    _option("--jobs", st.sampled_from(["1", "0", "-1"]) | non_int)),
 }
 
 
