@@ -3,8 +3,10 @@ tlimm: Temperley-Lieb immanants and percent immanants in exact arithmetic.
 
 The package computes, classifies, and exhaustively verifies:
 
-* the Temperley-Lieb algebra TL_n(2) on non-crossing matchings, the map
-  theta(s_i) = t_i - 1 and the coefficients f_w(u) (:mod:`tlimm.tl`);
+* non-crossing matchings, the matching beta(w) of a 321-avoiding w, the
+  image theta(u) of a permutation in the Temperley-Lieb algebra TL_n(2)
+  under theta(s_i) = t_i - 1, and the coefficients f_w(u) of beta(w) in
+  theta(u) (:mod:`tlimm.tl`);
 * percent immanants of skew shapes, hulls, complementary minors, and the
   1324-sign-alternation test for membership in their span
   (:mod:`tlimm.immanant`);
@@ -31,14 +33,12 @@ from .classify import (
     corner_params,
     decompose,
     rect_cm_expansion,
-    reduce_to_special,
 )
 from .coloring import (
     Coloring,
     canonical_coloring,
     make_coloring,
     compatible_permutations,
-    has_internal_pairing,
     is_compatible,
     unique_matching_case1,
     unique_matching_case2,
@@ -57,27 +57,20 @@ from .immanant import (
     percent_basis_decompose,
     percent_immanant,
     related_classes,
-    s_transform,
-    shape_leq,
     skew_shape,
-    t_transform,
     tl_immanant,
 )
 from .perm import (
     Perm,
-    block_structure,
-    bruhat_leq,
     compose,
     contains_pattern,
     format_perm,
     identity,
     inverse,
-    is_1324_adjacent,
     length,
     longest_word,
     parse_perm,
     reduced_word,
-    restriction,
     sign,
 )
 from .tl import (

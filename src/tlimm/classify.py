@@ -367,27 +367,6 @@ def rect_cm_expansion(w: Perm) -> list[tuple[frozenset[int], frozenset[int]]]:
     return out
 
 
-def reduce_to_special(w: Perm) -> tuple[Perm, tuple[str, ...]]:
-    """Transform w (avoiding 321, 1324 and 2143) into the normal form with
-    w(1) = 1 or w(1) = w(n) + 1, recording the transforms applied:
-    "S" is inversion, "T" is conjugation by the longest word.
-
-    >>> reduce_to_special((3, 1, 4, 2))
-    ((3, 1, 4, 2), ())
-    """
-    if not (is_321_avoiding(w) and avoids(w, PATTERN_1324, PATTERN_2143)):
-        raise PreconditionError(f"{w} must avoid 321, 1324 and 2143")
-    n = len(w)
-    if w[0] == 1:
-        return w, ()
-    if w[n - 1] == n:
-        return conjugate_by_longest(w), ("T",)
-    if w[0] > w[n - 1]:
-        # 321-avoidance forces w(1) = w(n) + 1 here.
-        return w, ()
-    return inverse(w), ("S",)
-
-
 # ---------------------------------------------------------------------------
 # The one-or-two percent immanant decomposition
 

@@ -26,9 +26,7 @@ from .tl import (
     all_matchings,
     beta,
     beta_inv,
-    parse_vertex,
     vertex_of_position,
-    vertex_position,
     _matching,
 )
 
@@ -81,25 +79,6 @@ def format_coloring(c: Coloring) -> str:
     return f"I={fmt(c.blacks)} J={fmt(c.primed_whites)}"
 
 
-def parse_coloring(text: str) -> Coloring:
-    """Parse "I={1,4} J={1,4}"; n is taken as the largest label mentioned
-    unless given explicitly as a leading "n=<k>" token."""
-    n = 0
-    sets: dict[str, frozenset[int]] = {}
-    for token in text.split():
-        name, _, body = token.partition("=")
-        if name == "n":
-            n = int(body)
-            continue
-        body = body.strip("{}")
-        values = frozenset(int(x) for x in body.split(",") if x)
-        sets[name] = values
-    if "I" not in sets or "J" not in sets:
-        raise ValueError(f"cannot parse coloring from {text!r}")
-    n = max([n, *sets["I"], *sets["J"]])
-    return Coloring(n, sets["I"], sets["J"])
-
-
 def is_compatible(m: NonCrossingMatching, c: Coloring) -> bool:
     """True iff every pair of m joins a black vertex to a white one."""
     if m.n != c.n:
@@ -137,24 +116,6 @@ def canonical_coloring(w: Perm) -> Coloring:
             blacks.add(i)
             primed_whites.add(x)
     return Coloring(len(w), frozenset(blacks), frozenset(primed_whites))
-
-
-def has_internal_pairing(m: NonCrossingMatching, vertices: Iterable) -> bool:
-    """True iff some pair of m has both endpoints in the given vertex set.
-
-    Vertices may be ints (unprimed labels), strings like "3'", or
-    (label, primed) tuples.
-    """
-    positions = set()
-    for v in vertices:
-        if isinstance(v, int):
-            positions.add(vertex_position(m.n, v, False))
-        elif isinstance(v, str):
-            positions.add(vertex_position(m.n, *parse_vertex(v)))
-        else:
-            label, primed = v
-            positions.add(vertex_position(m.n, label, primed))
-    return any(p in positions and q in positions for p, q in m.pairs())
 
 
 # ---------------------------------------------------------------------------

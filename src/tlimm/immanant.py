@@ -26,7 +26,6 @@ from .perm import (
     Perm,
     adjacent_1324_pairs,
     all_perms,
-    conjugate_by_longest,
     format_perm,
     inverse,
     is_321_avoiding,
@@ -116,17 +115,6 @@ class SkewShape:
             n, {(n + 1 - j, n + 1 - i) for i, j in self.cells()}
         )
 
-    def rotate(self) -> SkewShape:
-        """Rotate 180 degrees about the center of the box."""
-        n = self.n
-        return from_cells(
-            n, {(n + 1 - i, n + 1 - j) for i, j in self.cells()}
-        )
-
-    def transpose(self) -> SkewShape:
-        n = self.n
-        return from_cells(n, {(j, i) for i, j in self.cells()})
-
     def to_json(self) -> dict:
         return {"n": self.n, "lambda": list(self.lam), "mu": list(self.mu)}
 
@@ -186,10 +174,6 @@ def from_cells(n: int, cells: Iterable[tuple[int, int]]) -> SkewShape:
     return SkewShape(n, tuple(lam), tuple(mu))
 
 
-def full_square(n: int) -> SkewShape:
-    return SkewShape(n, (n,) * n, (0,) * n)
-
-
 def hull(w: Perm) -> SkewShape:
     """The minimal skew shape through all points (i, w(i)): row i spans from
     the running minimum of w on [1, i] to the suffix maximum on [i, n].
@@ -219,20 +203,14 @@ def lies_in(u: Perm, shape: SkewShape) -> bool:
     return all(shape.mu[i] < x <= shape.lam[i] for i, x in enumerate(u))
 
 
-def shape_leq(s1: SkewShape, s2: SkewShape) -> bool:
-    """Cellwise containment of s1 in s2."""
-    if s1.n != s2.n:
-        raise PreconditionError(f"box size mismatch: {s1.n} vs {s2.n}")
-    return s1.cells() <= s2.cells()
-
-
 # ---------------------------------------------------------------------------
 # Immanants
 
 
 @dataclasses.dataclass
 class Immanant:
-    """A sparse exact map S_n -> coefficients; zero coefficients dropped."""
+    """A sparse exact map S_n -> coefficients; zero coefficients dropped.
+    The dataclass compares n and coeffs."""
 
     n: int
     coeffs: dict[Perm, Coeff]
@@ -250,16 +228,6 @@ class Immanant:
     def coeff(self, u: Perm) -> Coeff:
         return self.coeffs.get(tuple(u), 0)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Immanant)
-            and self.n == other.n
-            and self.coeffs == other.coeffs
-        )
-
     def __add__(self, other: Immanant) -> Immanant:
         if self.n != other.n:
             raise PreconditionError(f"size mismatch: {self.n} vs {other.n}")
@@ -267,9 +235,6 @@ class Immanant:
         for u, c in other.coeffs.items():
             coeffs[u] = coeffs.get(u, 0) + c
         return Immanant(self.n, coeffs)
-
-    def __sub__(self, other: Immanant) -> Immanant:
-        return self + other.scaled(-1)
 
     def scaled(self, c: Coeff) -> Immanant:
         return Immanant(self.n, {u: c * v for u, v in self.coeffs.items()})
@@ -291,6 +256,8 @@ class Immanant:
                 # to_json writes the one permutation of S_0 as "".
                 text = str(term["perm"])
                 u = () if n == 0 and text == "" else parse_perm(text)
+                if u in coeffs:
+                    raise ValueError(f"permutation {format_perm(u)!r} is listed twice")
                 coeffs[u] = _rational(term["coeff"])
         except TypeError as exc:
             raise ValueError(f"not an immanant document: {exc}") from None
@@ -452,19 +419,7 @@ def witness_matrix(w: Perm) -> tuple[tuple[int, ...], ...]:
 
 
 # ---------------------------------------------------------------------------
-# Symmetries and the span of percent immanants
-
-
-def s_transform(f: Immanant) -> Immanant:
-    """Move the coefficient of u to u^{-1}."""
-    return Immanant(f.n, {inverse(u): c for u, c in f.coeffs.items()})
-
-
-def t_transform(f: Immanant) -> Immanant:
-    """Move the coefficient of u to w0.u.w0."""
-    return Immanant(
-        f.n, {conjugate_by_longest(u): c for u, c in f.coeffs.items()}
-    )
+# The span of percent immanants
 
 
 def is_1324_sign_alternating(f: Immanant) -> bool:

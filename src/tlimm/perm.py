@@ -20,9 +20,6 @@ from .errors import PreconditionError
 
 Perm = tuple[int, ...]
 
-# Blocks of a permutation: pairs (value_rank, length), in position order.
-BlockStructure = tuple[tuple[int, int], ...]
-
 
 def is_perm(seq: Sequence[int]) -> bool:
     """Return True if seq is a rearrangement of 1..n where n = len(seq)."""
@@ -134,9 +131,11 @@ def longest_word(n: int) -> Perm:
 
     >>> longest_word(4)
     (4, 3, 2, 1)
+    >>> longest_word(0)
+    ()
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
     return tuple(range(n, 0, -1))
 
 
@@ -201,32 +200,6 @@ def reduced_word(w: Perm) -> tuple[int, ...]:
     return tuple(reversed(swaps))
 
 
-def compose_word(n: int, word: Iterable[int]) -> Perm:
-    """Multiply out a word in the generators, left to right."""
-    result = identity(n)
-    for i in word:
-        result = right_mult_gen(result, i)
-    return result
-
-
-def restriction(w: Perm, positions: Iterable[int]) -> Perm:
-    """The pattern of w on a set of positions, rank-compressed to a permutation.
-
-    >>> restriction((3, 1, 5, 2, 4), {2, 4, 5})
-    (1, 2, 3)
-    >>> restriction((5, 6, 1, 2, 3, 7, 8, 4), {1, 2, 3})
-    (2, 3, 1)
-    """
-    pos = sorted(set(positions))
-    if not pos:
-        raise PreconditionError("restriction to an empty position set")
-    if pos[0] < 1 or pos[-1] > len(w):
-        raise PreconditionError(f"positions {pos} out of range for n={len(w)}")
-    values = [w[p - 1] for p in pos]
-    order = sorted(values)
-    return tuple(order.index(v) + 1 for v in values)
-
-
 @functools.lru_cache(maxsize=1 << 16)
 def contains_pattern(w: Perm, v: Perm) -> bool:
     """True iff some set of positions of w carries the pattern v.
@@ -278,76 +251,11 @@ def avoiding_321(n: int) -> tuple[Perm, ...]:
     return tuple(w for w in all_perms(n) if is_321_avoiding(w))
 
 
-def rank_table(w: Perm) -> list[list[int]]:
-    """r[i][j] = |w([1,i]) intersected with [1,j]| for 0 <= i, j <= n."""
-    n = len(w)
-    r = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            r[i][j] = r[i - 1][j] + (1 if w[i - 1] <= j else 0)
-    return r
-
-
-def bruhat_leq(u: Perm, v: Perm) -> bool:
-    """Bruhat order via the rank comparison: u <= v iff every rank of u
-    dominates the corresponding rank of v.
-
-    >>> bruhat_leq((1, 4, 2, 3), (2, 4, 3, 1))
-    True
-    >>> bruhat_leq((2, 1, 4, 3), (1, 2, 3, 4))
-    False
-    """
-    _check_same_size(u, v)
-    ru, rv = rank_table(u), rank_table(v)
-    n = len(u)
-    return all(ru[i][j] >= rv[i][j] for i in range(1, n + 1) for j in range(1, n + 1))
-
-
-def block_structure(w: Perm) -> BlockStructure:
-    """The coarsest decomposition of the one-line notation into maximal runs
-    of consecutive ascending integers, as (value_rank, length) pairs.
-
-    >>> block_structure((5, 6, 1, 2, 3, 7, 8, 4))
-    ((3, 2), (1, 3), (4, 2), (2, 1))
-    """
-    runs: list[tuple[int, int]] = []  # (starting value, length)
-    i = 0
-    while i < len(w):
-        j = i
-        while j + 1 < len(w) and w[j + 1] == w[j] + 1:
-            j += 1
-        runs.append((w[i], j - i + 1))
-        i = j + 1
-    by_value = sorted(start for start, _ in runs)
-    return tuple((by_value.index(start) + 1, size) for start, size in runs)
-
-
-def is_1324_adjacent(w: Perm, w2: Perm) -> bool:
-    """True iff w and w2 differ by swapping two values that sit in the middle
-    of a common increasing frame: positions c < a < b < d with the values at
-    c and d below and above both swapped values.
-
-    >>> is_1324_adjacent((1, 4, 2, 3, 5), (1, 3, 2, 4, 5))
-    True
-    >>> is_1324_adjacent((2, 1, 4, 3), (2, 4, 1, 3))
-    False
-    """
-    _check_same_size(w, w2)
-    diff = [i for i in range(len(w)) if w[i] != w2[i]]
-    if len(diff) != 2:
-        return False
-    a, b = diff
-    if w[a] != w2[b] or w[b] != w2[a]:
-        return False
-    lo, hi = min(w[a], w[b]), max(w[a], w[b])
-    return any(w[c] < lo for c in range(a)) and any(
-        w[d] > hi for d in range(b + 1, len(w))
-    )
-
-
 @functools.lru_cache(maxsize=8)
 def adjacent_1324_pairs(n: int) -> tuple[tuple[Perm, Perm], ...]:
-    """Every unordered 1324-adjacent pair in S_n, once each.
+    """Every unordered 1324-adjacent pair in S_n, once each: w and w2
+    differ by swapping the values at positions a < b, and some c < a and
+    d > b hold values below and above both swapped values.
 
     Each pair is listed from the side with the increasing middle.
     """

@@ -7,12 +7,14 @@ at circular position 2n+1-i, so the circle reads 1, 2, ..., n, n', ..., 1'.
 Internally a matching is an involution ``pairing`` on 0-based circular
 positions, exactly as a balanced bracket sequence.
 
-Products glue two diagrams along a shared boundary and multiply the
-coefficient by 2 for every closed loop formed.  The gluing orientation is a
+The package multiplies only on the right by a generator: m . t_i is a
+local surgery on m's unprimed boundary at labels i, i+1, and a closed loop
+multiplies the coefficient by 2.  The orientation of that product is a
 convention; the one used here is pinned by the test anchor
 ``beta((2,3,4,1)) == parse_matching("1-3' 2-4' 3-4 1'-2'")`` and is the one
 under which every ``beta(w)`` is compatible with the black/white coloring of
-w (see :mod:`tlimm.coloring`).
+w (see :mod:`tlimm.coloring`).  A :class:`TLElement` is a linear
+combination of diagrams, as ``theta`` returns it.
 """
 
 from __future__ import annotations
@@ -83,11 +85,6 @@ class NonCrossingMatching:
         return tuple(
             (p, q) for p, q in enumerate(self.pairing) if p < q
         )
-
-    def partner_of(self, label: int, primed: bool) -> tuple[int, bool]:
-        """The (label, primed) vertex paired with the given one."""
-        q = self.pairing[vertex_position(self.n, label, primed)]
-        return vertex_of_position(self.n, q)
 
 
 def vertex_position(n: int, label: int, primed: bool) -> int:
@@ -178,56 +175,6 @@ def generator(n: int, i: int) -> NonCrossingMatching:
     return _matching(n, tuple(pairing))
 
 
-def glue(x: NonCrossingMatching, y: NonCrossingMatching) -> tuple[NonCrossingMatching, int]:
-    """The diagram product x.y and the number of closed loops formed.
-
-    The surviving unprimed boundary is y's, the surviving primed boundary is
-    x's; y's primed vertex j' is identified with x's unprimed vertex j.
-    """
-    if x.n != y.n:
-        raise PreconditionError(f"size mismatch: {x.n} vs {y.n}")
-    n = x.n
-    total = 2 * n
-    result = [-1] * total
-    seen_mid = [False] * n  # indexed by x's unprimed position
-
-    def walk(on_x: bool, pos: int) -> int:
-        while True:
-            if on_x:
-                pos = x.pairing[pos]
-                if pos >= n:
-                    return pos
-                seen_mid[pos] = True
-                on_x, pos = False, total - 1 - pos
-            else:
-                pos = y.pairing[pos]
-                if pos < n:
-                    return pos
-                mid = total - 1 - pos
-                seen_mid[mid] = True
-                on_x, pos = True, mid
-
-    for start in range(total):
-        if result[start] != -1:
-            continue
-        end = walk(start >= n, start)
-        result[start], result[end] = end, start
-
-    loops = 0
-    for mid in range(n):
-        if seen_mid[mid]:
-            continue
-        loops += 1
-        pos = mid
-        while not seen_mid[pos]:
-            seen_mid[pos] = True
-            other = x.pairing[pos]
-            seen_mid[other] = True
-            pos = total - 1 - y.pairing[total - 1 - other]
-
-    return _matching(n, tuple(result)), loops
-
-
 def _attach_generator(m: NonCrossingMatching, i: int) -> tuple[NonCrossingMatching, int]:
     """m . t_i, a local surgery on m's unprimed boundary at labels i, i+1."""
     p, q = i - 1, i
@@ -242,7 +189,8 @@ def _attach_generator(m: NonCrossingMatching, i: int) -> tuple[NonCrossingMatchi
 
 @dataclasses.dataclass
 class TLElement:
-    """An exact-integer linear combination of non-crossing matchings."""
+    """An exact-integer linear combination of non-crossing matchings; the
+    dataclass compares n and terms."""
 
     n: int
     terms: dict[NonCrossingMatching, int]
@@ -260,52 +208,8 @@ class TLElement:
     def one(cls, n: int) -> TLElement:
         return cls(n, {identity_matching(n): 1})
 
-    @classmethod
-    def from_matching(cls, m: NonCrossingMatching) -> TLElement:
-        return cls(m.n, {m: 1})
-
     def coeff(self, m: NonCrossingMatching) -> int:
         return self.terms.get(m, 0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TLElement)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other: TLElement) -> TLElement:
-        if self.n != other.n:
-            raise PreconditionError(f"size mismatch: {self.n} vs {other.n}")
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, 0) + c
-        return TLElement(self.n, terms)
-
-    def __neg__(self) -> TLElement:
-        return TLElement(self.n, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: TLElement) -> TLElement:
-        return self + (-other)
-
-    def scaled(self, c: int) -> TLElement:
-        return TLElement(self.n, {m: c * v for m, v in self.terms.items()})
-
-    def __mul__(self, other: TLElement) -> TLElement:
-        """Bilinear extension of diagram gluing, with loops worth 2 each."""
-        if not isinstance(other, TLElement):
-            return NotImplemented
-        if self.n != other.n:
-            raise PreconditionError(f"size mismatch: {self.n} vs {other.n}")
-        terms: dict[NonCrossingMatching, int] = {}
-        for mx, cx in self.terms.items():
-            for my, cy in other.terms.items():
-                m, loops = glue(mx, my)
-                terms[m] = terms.get(m, 0) + cx * cy * (1 << loops)
-        return TLElement(self.n, terms)
 
     def _times_theta_gen(self, i: int) -> TLElement:
         """self . (t_i - 1), via the local surgery."""
@@ -316,11 +220,6 @@ class TLElement:
         for m, c in self.terms.items():
             terms[m] = terms.get(m, 0) - c
         return TLElement(self.n, terms)
-
-
-def t(n: int, i: int) -> TLElement:
-    """The generator t_i as an element."""
-    return TLElement.from_matching(generator(n, i))
 
 
 def theta(u: Perm) -> TLElement:

@@ -1,9 +1,11 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here is deliberately naive: plain subset scans, enumeration of
-all perfect matchings with a quadratic crossing check, and dictionary
-lookups built by exhaustive enumeration.  The library must agree with these
-on every desk-scale input.
+all perfect matchings with a quadratic crossing check, dictionary lookups
+built by exhaustive enumeration, Bruhat order by rank matrices, and the
+Temperley-Lieb product by walking glued diagrams.  The library must agree
+with these on every desk-scale input.  Only public names of tlimm are used
+here, so an oracle shares no private code with what it checks.
 """
 
 from __future__ import annotations
@@ -74,3 +76,129 @@ def brute_bruhat_leq(u, v) -> bool:
                 ):
                     return True
     return False
+
+
+def compose_word(n: int, word) -> tuple[int, ...]:
+    """Multiply out a word in the generators s_i, left to right."""
+    result = perm.identity(n)
+    for i in word:
+        result = perm.right_mult_gen(result, i)
+    return result
+
+
+def restriction(w, positions) -> tuple[int, ...]:
+    """The pattern of w on a non-empty set of positions, rank-compressed to
+    a permutation."""
+    values = [w[p - 1] for p in sorted(set(positions))]
+    order = sorted(values)
+    return tuple(order.index(v) + 1 for v in values)
+
+
+def block_structure(w) -> tuple[tuple[int, int], ...]:
+    """The maximal runs of consecutive ascending values of w, in position
+    order, as (rank of the run's first value among the runs, length)."""
+    runs: list[tuple[int, int]] = []  # (starting value, length)
+    i = 0
+    while i < len(w):
+        j = i
+        while j + 1 < len(w) and w[j + 1] == w[j] + 1:
+            j += 1
+        runs.append((w[i], j - i + 1))
+        i = j + 1
+    by_value = sorted(start for start, _ in runs)
+    return tuple((by_value.index(start) + 1, size) for start, size in runs)
+
+
+def rank_table(w) -> list[list[int]]:
+    """r[i][j] = |w([1,i]) intersected with [1,j]| for 0 <= i, j <= n."""
+    n = len(w)
+    r = [[0] * (n + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            r[i][j] = r[i - 1][j] + (1 if w[i - 1] <= j else 0)
+    return r
+
+
+def bruhat_leq(u, v) -> bool:
+    """Bruhat order by the rank comparison: u <= v iff every rank of u
+    dominates the corresponding rank of v."""
+    ru, rv = rank_table(u), rank_table(v)
+    n = len(u)
+    return all(ru[i][j] >= rv[i][j] for i in range(1, n + 1) for j in range(1, n + 1))
+
+
+def is_1324_adjacent(w, w2) -> bool:
+    """True iff w and w2 differ by swapping two values that sit in the middle
+    of a common increasing frame: positions c < a < b < d with the values at
+    c and d below and above both swapped values."""
+    diff = [i for i in range(len(w)) if w[i] != w2[i]]
+    if len(diff) != 2:
+        return False
+    a, b = diff
+    if w[a] != w2[b] or w[b] != w2[a]:
+        return False
+    lo, hi = min(w[a], w[b]), max(w[a], w[b])
+    return any(w[c] < lo for c in range(a)) and any(
+        w[d] > hi for d in range(b + 1, len(w))
+    )
+
+
+def glue(x, y):
+    """The diagram product x.y of two matchings and the number of closed
+    loops formed, by walking paths through the glued diagram.
+
+    The surviving unprimed boundary is y's, the surviving primed boundary is
+    x's; y's primed vertex j' is identified with x's unprimed vertex j.
+    """
+    n = x.n
+    total = 2 * n
+    result = [-1] * total
+    seen_mid = [False] * n  # indexed by x's unprimed position
+
+    def walk(on_x: bool, pos: int) -> int:
+        while True:
+            if on_x:
+                pos = x.pairing[pos]
+                if pos >= n:
+                    return pos
+                seen_mid[pos] = True
+                on_x, pos = False, total - 1 - pos
+            else:
+                pos = y.pairing[pos]
+                if pos < n:
+                    return pos
+                mid = total - 1 - pos
+                seen_mid[mid] = True
+                on_x, pos = True, mid
+
+    for start in range(total):
+        if result[start] != -1:
+            continue
+        end = walk(start >= n, start)
+        result[start], result[end] = end, start
+
+    loops = 0
+    for mid in range(n):
+        if seen_mid[mid]:
+            continue
+        loops += 1
+        pos = mid
+        while not seen_mid[pos]:
+            seen_mid[pos] = True
+            other = x.pairing[pos]
+            seen_mid[other] = True
+            pos = total - 1 - y.pairing[total - 1 - other]
+
+    return tl.NonCrossingMatching(n, tuple(result)), loops
+
+
+def tl_product(x: dict, y: dict) -> dict:
+    """The product of two {matching: coeff} combinations in TL_n(2): the
+    bilinear extension of glue, each closed loop worth 2; zero terms are
+    dropped."""
+    terms: dict = {}
+    for mx, cx in x.items():
+        for my, cy in y.items():
+            m, loops = glue(mx, my)
+            terms[m] = terms.get(m, 0) + cx * cy * 2**loops
+    return {m: c for m, c in terms.items() if c}

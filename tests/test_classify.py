@@ -3,6 +3,8 @@ import pytest
 from tlimm import classify, cli, immanant, perm
 from tlimm.errors import PreconditionError, VerificationError
 
+from oracles import block_structure
+
 
 def test_corner_params():
     assert classify.corner_params((2, 1, 4, 3)) == (1, 1, 1, 1)
@@ -69,11 +71,11 @@ def test_classify_round_trip(n):
         w = classify.build_case1(a, b, e, c, d)
         assert classify.classify_2143(w) == params
         if e:
-            assert perm.block_structure(w) == (
+            assert block_structure(w) == (
                 (2, a), (1, b), (3, e), (5, c), (4, d),
             )
         else:
-            assert perm.block_structure(w) == ((2, a), (1, b), (4, c), (3, d))
+            assert block_structure(w) == ((2, a), (1, b), (4, c), (3, d))
     for a, e, b, c, f, d in _case2_tuples(n):
         params = classify.Case2(a, e, b, c, f, d)
         assert classify.classify_2143(classify.build_case2(*dataclass_args(params))) == params
@@ -191,33 +193,9 @@ def test_rect_cm_expansion_contract(n):
         assert total == immanant.tl_immanant(w).scaled(perm.sign(w))
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_reduce_to_special(n):
-    for w in perm.avoiding_321(n):
-        if not perm.avoids(w, (1, 3, 2, 4), (2, 1, 4, 3)):
-            continue
-        reduced, transforms = classify.reduce_to_special(w)
-        assert len(transforms) <= 2
-        assert reduced[0] == 1 or reduced[0] == reduced[-1] + 1
-        current = w
-        for t in transforms:
-            current = (
-                perm.inverse(current) if t == "S" else perm.conjugate_by_longest(current)
-            )
-        assert current == reduced
-
-
-def test_reduce_to_special_anchors():
-    assert classify.reduce_to_special((3, 1, 4, 2)) == ((3, 1, 4, 2), ())
-    w = (2, 3, 1, 4)  # w(n) = n, w(1) != 1
-    reduced, transforms = classify.reduce_to_special(w)
-    assert transforms == ("T",) and reduced == perm.conjugate_by_longest(w)
-    assert reduced[0] == 1
-
-
 def test_decompose_anchors():
     d = classify.decompose(perm.identity(4))
-    assert d.kind == "one" and d.shapes == (immanant.full_square(4),)
+    assert d.kind == "one" and d.shapes == (immanant.skew_shape(4, (4,) * 4),)
     d = classify.decompose((2, 1, 4, 3))
     assert d.kind == "two" and d.sign == 1
     assert d.shapes[0] == immanant.skew_shape(4, (4, 4, 4, 3), (1, 0, 0, 0))
@@ -245,7 +223,8 @@ def test_decompose_full(n):
 
 def test_failed_validation_raises(monkeypatch):
     monkeypatch.setattr(
-        classify, "_second_shape", lambda params: immanant.full_square(params.n)
+        classify, "_second_shape",
+        lambda params: immanant.skew_shape(params.n, (params.n,) * params.n),
     )
     with pytest.raises(VerificationError):
         classify.decompose((2, 1, 4, 3), validate=True)

@@ -103,6 +103,10 @@ def test_verify_cli(capsys):
     assert "A6 n=5" in out and "0 failures" in out
     code, out = run(capsys, "verify", "--suite", "A10", "--n", "0")
     assert code == 0 and "A10 n=0: 0 checks, ok" in out
+    code, out = run(capsys, "verify", "--suite", "A8", "--n", "0")
+    assert code == 0 and "A8 n=0: 0 checks, ok" in out
+    code, out = run(capsys, "verify", "--suite", "all", "--n", "0")
+    assert code == 0 and out.count(" n=0: ") == len(verify.SUITES)
 
 
 def test_verify_jobs(capsys):
@@ -177,6 +181,9 @@ def test_render_crossing_matching_is_parse_error():
      cli.EXIT_PRECONDITION),
     (["eval", "f", "x"], {"f": "[" * 100_000 + "]" * 100_000, "x": "[[1]]"}, cli.EXIT_PARSE),
     (["eval", "f", "x"], {"f": '{"n": 1, "terms": []}', "x": "[" * 100_000}, cli.EXIT_PARSE),
+    (["eval", "f", "x"], {"f": '{"n": 2, "terms": [{"perm": "12", "coeff": "1"}, '
+                               '{"perm": "12", "coeff": "5"}, {"perm": "21", "coeff": "-1"}]}',
+                          "x": "[[1, 0], [0, 1]]"}, cli.EXIT_PARSE),
 ])
 def test_bad_input_exit_code_without_traceback(argv, files, code, tmp_path):
     for name, text in files.items():

@@ -4,11 +4,11 @@ from tlimm import coloring, perm, tl, verify
 from tlimm.errors import PreconditionError
 
 
-def test_coloring_text_roundtrip():
-    c = coloring.make_coloring(4, [1, 4], [1, 4])
+def test_coloring_text():
+    # The text form is written only; no reader parses it back.
+    c = coloring.make_coloring(4, [4, 1], [1, 4])
     assert coloring.format_coloring(c) == "I={1,4} J={1,4}"
-    assert coloring.parse_coloring("I={1,4} J={1,4}") == c
-    assert coloring.parse_coloring("n=3 I={} J={}") == coloring.make_coloring(3, [], [])
+    assert coloring.format_coloring(coloring.make_coloring(3, [], [])) == "I={} J={}"
 
 
 def test_circular_conversion():
@@ -72,17 +72,6 @@ def test_canonical_coloring_law(n):
                 label, _ = tl.vertex_of_position(n, pos)
                 labels[c.is_black_position(pos)] = label
             assert labels[True] <= labels[False]
-
-
-def test_has_internal_pairing():
-    assert coloring.has_internal_pairing(tl.beta((2, 1)), {1, 2})
-    assert not coloring.has_internal_pairing(tl.beta((1, 2, 3)), {1, 2, 3})
-    assert not coloring.has_internal_pairing(tl.beta((2, 3, 4, 1)), {1, 2})
-    assert coloring.has_internal_pairing(tl.beta((2, 3, 4, 1)), {3, 4})
-    assert coloring.has_internal_pairing(tl.beta((2, 3, 4, 1)), ["1'", "2'"])
-    assert coloring.has_internal_pairing(
-        tl.beta((2, 3, 4, 1)), [(1, True), (2, True)]
-    )
 
 
 def test_unique_matching_general_rainbow():

@@ -8,6 +8,13 @@ import pytest
 from tlimm import immanant, perm, tl
 from tlimm.errors import LimitError, PreconditionError, VerificationError
 
+from oracles import restriction
+
+
+def box(n):
+    """The whole n x n box, whose percent immanant is the determinant."""
+    return immanant.skew_shape(n, (n,) * n)
+
 
 def test_skew_shape_validation():
     immanant.skew_shape(5, (5, 5, 3, 2, 2), (2, 1))
@@ -20,7 +27,7 @@ def test_skew_shape_validation():
 
 
 def test_hull_anchors():
-    assert immanant.hull(perm.identity(4)) == immanant.full_square(4)
+    assert immanant.hull(perm.identity(4)) == box(4)
     assert immanant.hull((2, 1, 4, 3)) == immanant.skew_shape(
         4, (4, 4, 4, 3), (1, 0, 0, 0)
     )
@@ -34,27 +41,25 @@ def test_lies_in_and_shape_leq():
     assert not immanant.lies_in((3, 4, 5, 1, 2), shape)  # row 3 needs <= 3
     for w in perm.all_perms(4):
         assert immanant.lies_in(w, immanant.hull(w))
-        assert immanant.lies_in(w, immanant.full_square(4))
-        assert immanant.shape_leq(immanant.hull(w), immanant.full_square(4))
+        assert immanant.lies_in(w, box(4))
+        assert immanant.hull(w).cells() <= box(4).cells()
     assert not immanant.lies_in((1, 2, 3, 4), immanant.hull((2, 1, 4, 3)))
-    assert not immanant.shape_leq(
-        immanant.hull((2, 1, 4, 3)), immanant.hull((2, 3, 4, 1))
-    )
+    assert not immanant.hull((2, 1, 4, 3)).cells() <= immanant.hull((2, 3, 4, 1)).cells()
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_engulfing(n):
-    """lies_in(w, s) iff shape_leq(hull(w), s)."""
+    """lies_in(w, s) iff the cells of hull(w) lie in s."""
     shapes = {immanant.hull(w) for w in perm.all_perms(n)}
-    shapes.add(immanant.full_square(n))
+    shapes.add(box(n))
     for w in perm.all_perms(n):
-        hw = immanant.hull(w)
+        hw = immanant.hull(w).cells()
         for s in shapes:
-            assert immanant.lies_in(w, s) == immanant.shape_leq(hw, s)
+            assert immanant.lies_in(w, s) == (hw <= s.cells())
 
 
 def test_percent_immanant():
-    det = immanant.percent_immanant(immanant.full_square(3))
+    det = immanant.percent_immanant(box(3))
     assert det == immanant.determinant_immanant(3)
     f = immanant.percent_immanant(immanant.hull((2, 1, 4, 3)))
     assert f.coeff((2, 1, 4, 3)) == 1
@@ -78,7 +83,7 @@ def test_bigtableau_antidiagonal_and_alternation(n):
             shape = immanant.SkewShape(n, lam, mu)
             f = immanant.percent_immanant(shape)
             assert immanant.is_1324_sign_alternating(f)
-            if not f.is_zero():
+            if f.coeffs:
                 assert all(
                     shape.contains_cell(i, n + 1 - i) for i in range(1, n + 1)
                 )
@@ -146,9 +151,9 @@ def test_cm_sign_law(n):
                         assert f.coeff(u) == 0
                         continue
                     # product of the signs of the two flattened blocks
-                    inside = perm.restriction(u, I) if I else ()
+                    inside = restriction(u, I) if I else ()
                     comp = tuple(sorted(set(range(1, n + 1)) - set(I)))
-                    outside = perm.restriction(u, comp) if comp else ()
+                    outside = restriction(u, comp) if comp else ()
                     prod = (perm.sign(inside) if inside else 1) * (
                         perm.sign(outside) if outside else 1
                     )
@@ -157,7 +162,7 @@ def test_cm_sign_law(n):
 
 def test_immanant_arithmetic_and_json():
     f = immanant.tl_immanant((2, 1, 4, 3))
-    assert (f + f.scaled(-1)).is_zero()
+    assert f + f.scaled(-1) == immanant.zero_immanant(4)
     g = immanant.Immanant.from_json(f.to_json())
     assert f == g
     round_trip = json.loads(json.dumps(f.to_json()))
@@ -194,36 +199,32 @@ def test_witness_matrix():
     assert immanant.evaluate(immanant.tl_immanant((2, 1, 4, 3)), X) == 0
 
 
+def moved(f, move):
+    """The immanant with the coefficient of u moved to move(u)."""
+    return immanant.Immanant(f.n, {move(u): c for u, c in f.coeffs.items()})
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_transforms(n):
-    for w in perm.avoiding_321(n):
-        f = immanant.tl_immanant(w)
-        assert immanant.s_transform(f) == immanant.tl_immanant(perm.inverse(w))
-        assert immanant.t_transform(f) == immanant.tl_immanant(perm.conjugate_by_longest(w))
+    """Hull percent immanants are carried to each other by u -> u^-1 and
+    u -> w0 u w0; suite A5 checks the same symmetries of the Temperley-Lieb
+    immanants."""
     for w in perm.all_perms(n):
         f = immanant.percent_immanant(immanant.hull(w))
-        assert immanant.s_transform(f) == immanant.percent_immanant(
+        assert moved(f, perm.inverse) == immanant.percent_immanant(
             immanant.hull(perm.inverse(w))
         )
-        assert immanant.t_transform(f) == immanant.percent_immanant(
+        assert moved(f, perm.conjugate_by_longest) == immanant.percent_immanant(
             immanant.hull(perm.conjugate_by_longest(w))
         )
-        assert immanant.s_transform(immanant.s_transform(f)) == f
-        assert immanant.t_transform(immanant.t_transform(f)) == f
 
 
 def test_shape_transforms_match_immanant_transforms():
+    anti = lambda u: perm.conjugate_by_longest(perm.inverse(u))
     for w in perm.all_perms(4):
         shape = immanant.hull(w)
-        assert immanant.percent_immanant(shape.transpose()) == immanant.s_transform(
-            immanant.percent_immanant(shape)
-        )
-        assert immanant.percent_immanant(shape.rotate()) == immanant.t_transform(
-            immanant.percent_immanant(shape)
-        )
-        anti = shape.anti_transpose()
-        assert immanant.percent_immanant(anti) == immanant.s_transform(
-            immanant.t_transform(immanant.percent_immanant(shape))
+        assert immanant.percent_immanant(shape.anti_transpose()) == moved(
+            immanant.percent_immanant(shape), anti
         )
 
 
