@@ -26,7 +26,6 @@ from .errors import PreconditionError, VerificationError
 from .immanant import (
     Immanant,
     SkewShape,
-    _integer,
     from_cells,
     hull,
     lies_in,
@@ -95,16 +94,6 @@ class Case2:
 CaseParams = Case1 | Case2
 
 
-def case_params_from_json(data: dict) -> CaseParams:
-    """Read the JSON form; every block length must be an integer."""
-    variant = data.get("variant")
-    if variant == "case1":
-        return Case1(*(_integer(data[k]) for k in "abecd"))
-    if variant == "case2":
-        return Case2(*(_integer(data[k]) for k in "aebcfd"))
-    raise ValueError(f"unknown case variant {variant!r}")
-
-
 @dataclasses.dataclass(frozen=True)
 class Decomposition:
     """sign(w) * Imm_w written as a sum of percent immanants, when possible;
@@ -122,16 +111,6 @@ class Decomposition:
             "sign": self.sign,
             "shapes": [s.to_json() for s in self.shapes],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> Decomposition:
-        if data["kind"] == "none":
-            return cls("none", 0, ())
-        return cls(
-            data["kind"],
-            _integer(data["sign"]),
-            tuple(SkewShape.from_json(s) for s in data["shapes"]),
-        )
 
 
 def corner_params(w: Perm) -> tuple[int, int, int, int]:

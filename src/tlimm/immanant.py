@@ -251,11 +251,15 @@ class Immanant:
         """Read the JSON form; a document of the wrong shape is a ValueError."""
         try:
             n = _integer(data["n"])
+            if n < 0:
+                raise ValueError(f"immanant size must be non-negative, got {n}")
             coeffs = {}
             for term in data["terms"]:
                 # to_json writes the one permutation of S_0 as "".
                 text = str(term["perm"])
                 u = () if n == 0 and text == "" else parse_perm(text)
+                if len(u) != n:
+                    raise ValueError(f"permutation {text!r} is not in S_{n}")
                 if u in coeffs:
                     raise ValueError(f"permutation {format_perm(u)!r} is listed twice")
                 coeffs[u] = _rational(term["coeff"])

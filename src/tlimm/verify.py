@@ -1,14 +1,15 @@
 """
 Exhaustive verification suites.
 
-Each suite checks one exact identity over a whole desk-scale range.  A
-suite is written as a generator of checks, ``(claim, witness, expected,
-actual)`` tuples; the ``@_suite`` runner counts them, records a
-:class:`Failure` (claim, witness input and the expected/actual values) for
-each check whose two values differ, and times the whole stream, so
-``suite_aN(n)`` returns a :class:`VerificationReport`.  Suites A1-A10 are
-the acceptance gate; ``run_suite`` runs one suite at one size and
-``DEFAULT_SIZES`` holds the per-suite size ranges.
+Each suite checks one exact identity over a whole desk-scale range.  It is
+a generator of ``(claim, witness, expected, actual)`` checks, declared once
+by ``@_suite(name, sizes)``, which enters it in ``SUITES`` and its default
+sizes in ``DEFAULT_SIZES``.  A witness is data: a permutation, a string or
+a dict of labelled parts such as ``{"w": w, "u": u}``.  The runner counts
+the checks, records a :class:`Failure` (claim, rendered witness, ``repr``
+of both values) only for a check whose two values differ, and times the
+stream, so ``suite_aN(n)`` returns a :class:`VerificationReport`.  Suites
+A1-A10 are the acceptance gate; ``run_suite`` runs one suite at one size.
 """
 
 from __future__ import annotations
@@ -63,13 +64,31 @@ class VerificationReport:
         }
 
 
-# (claim, witness, expected, actual)
-_Check = tuple[str, str, object, object]
+# (claim, witness, expected, actual); the witness is rendered by _render.
+_Check = tuple[str, object, object, object]
+
+# Filled by @_suite, in declaration order.
+SUITES: dict[str, Callable[..., VerificationReport]] = {}
+DEFAULT_SIZES: dict[str, tuple[int, ...]] = {}
 
 
-def _suite(name: str):
-    """Make a generator of checks into the suite ``name``: the result runs
-    the generator and returns its report."""
+def _render(witness: object) -> str:
+    """The text of a witness: a permutation in compact form, a dict as
+    ``label=text`` pairs, anything else by ``str``.
+
+    >>> _render({"w": (2, 1, 4, 3), "u": ()}), _render("n=3")
+    ('w=2143 u=', 'n=3')
+    """
+    if isinstance(witness, dict):
+        return " ".join(f"{label}={_render(part)}" for label, part in witness.items())
+    if isinstance(witness, tuple):
+        return perm.format_perm(witness)
+    return str(witness)
+
+
+def _suite(name: str, sizes: tuple[int, ...]):
+    """Make a generator of checks into the suite ``name``, run by default at
+    ``sizes``: the result runs the generator and returns its report."""
 
     def decorate(checks: Callable[..., Iterator[_Check]]) -> Callable[..., VerificationReport]:
         @functools.wraps(checks)
@@ -80,9 +99,13 @@ def _suite(name: str):
             for claim, witness, expected, actual in checks(n, **kwargs):
                 count += 1
                 if expected != actual:
-                    failures.append(Failure(claim, witness, repr(expected), repr(actual)))
+                    failures.append(
+                        Failure(claim, _render(witness), repr(expected), repr(actual))
+                    )
             return VerificationReport(name, n, count, failures, time.perf_counter() - start)
 
+        SUITES[name] = run
+        DEFAULT_SIZES[name] = sizes
         return run
 
     return decorate
@@ -97,18 +120,18 @@ def _applicable_two_case(n: int) -> list[Perm]:
     ]
 
 
-@_suite("A1")
+@_suite("A1", (3, 4, 5, 6))
 def suite_a1(n: int) -> Iterator[_Check]:
     """Single-percent classification: tl_immanant(w) equals
     sign(w) * percent(hull(w)) exactly when w avoids 1324 and 2143."""
     for w in perm.avoiding_321(n):
         lhs = immanant.tl_immanant(w)
         rhs = immanant.percent_immanant(immanant.hull(w)).scaled(perm.sign(w))
-        yield ("one-percent iff avoids 1324 and 2143", perm.format_perm(w),
+        yield ("one-percent iff avoids 1324 and 2143", w,
                perm.avoids(w, PATTERN_1324, PATTERN_2143), lhs == rhs)
 
 
-@_suite("A2")
+@_suite("A2", (3, 4, 5, 6))
 def suite_a2(n: int) -> Iterator[_Check]:
     """Two-percent classification: decompose(w) is non-none iff w avoids the
     five forbidden patterns iff tl_immanant(w) is 1324-sign-alternating, and
@@ -118,15 +141,15 @@ def suite_a2(n: int) -> Iterator[_Check]:
         ok_patterns = classify.avoids_main_patterns(w)
         f = immanant.tl_immanant(w)
         alternating = immanant.is_1324_sign_alternating(f)
-        yield ("decomposable iff avoids forbidden patterns", perm.format_perm(w),
+        yield ("decomposable iff avoids forbidden patterns", w,
                ok_patterns, d.kind != "none")
-        yield ("decomposable iff sign-alternating", perm.format_perm(w),
+        yield ("decomposable iff sign-alternating", w,
                ok_patterns, alternating)
         if d.kind != "none":
             total = immanant.zero_immanant(n)
             for s in d.shapes:
                 total = total + immanant.percent_immanant(s)
-            yield ("shape sum equals signed immanant", perm.format_perm(w),
+            yield ("shape sum equals signed immanant", w,
                    f.scaled(d.sign), total)
 
 
@@ -134,7 +157,7 @@ def suite_a2(n: int) -> Iterator[_Check]:
 _A3_SAMPLES = 100_000
 
 
-@_suite("A3")
+@_suite("A3", (3, 4, 5, 6, 7))
 def suite_a3(n: int, seed: int = 20_433) -> Iterator[_Check]:
     """Closed-form coefficients agree with the Temperley-Lieb expansion:
     exhaustive for n <= 6, sampled at n = 7."""
@@ -155,11 +178,11 @@ def suite_a3(n: int, seed: int = 20_433) -> Iterator[_Check]:
             for _ in range(_A3_SAMPLES)
         )
     for w, u in pairs:
-        yield (claim, f"w={perm.format_perm(w)} u={perm.format_perm(u)}",
+        yield (claim, {"w": w, "u": u},
                imms[w][rank[u]], classify.closed_form_coeff(w, u))
 
 
-@_suite("A4")
+@_suite("A4", (2, 3, 4, 5))
 def suite_a4(n: int) -> Iterator[_Check]:
     """Complementary minors expand into compatible Temperley-Lieb immanants:
     (-1)^(s(I)+s(J)) CM_{I,J} = sum of Imm_w over compatible w."""
@@ -176,7 +199,7 @@ def suite_a4(n: int) -> Iterator[_Check]:
                        f"I={set(I) or '{}'} J={set(J) or '{}'}", lhs, rhs)
 
 
-@_suite("A5")
+@_suite("A5", (2, 3, 4, 5))
 def suite_a5(n: int) -> Iterator[_Check]:
     """Coefficient symmetry: f_w(u) = f_{w^-1}(u^-1) = f_{w0 w w0}(w0 u w0),
     read from the rank-indexed columns."""
@@ -190,25 +213,25 @@ def suite_a5(n: int) -> Iterator[_Check]:
         fwc = imms[perm.conjugate_by_longest(w)]
         for r, u in enumerate(perms):
             value = fw[r]
-            witness = f"w={perm.format_perm(w)} u={perm.format_perm(u)}"
+            witness = {"w": w, "u": u}
             yield ("f is inverse-symmetric", witness, value, fwi[inverse_rank[r]])
             yield ("f is w0-conjugation-symmetric", witness,
                    value, fwc[conjugate_rank[r]])
 
 
-@_suite("A6")
+@_suite("A6", (1, 2, 3, 4, 5, 6, 7, 8))
 def suite_a6(n: int) -> Iterator[_Check]:
     """The matching bijection: 321-avoiding permutations, non-crossing
     matchings and the Catalan number all agree, with beta a bijection."""
     avoiders = perm.avoiding_321(n)
     matchings = tl.all_matchings(n)
-    yield ("Catalan many avoiders", f"n={n}", tl.catalan(n), len(avoiders))
-    yield ("Catalan many matchings", f"n={n}", tl.catalan(n), len(matchings))
+    yield ("Catalan many avoiders", {"n": n}, tl.catalan(n), len(avoiders))
+    yield ("Catalan many matchings", {"n": n}, tl.catalan(n), len(matchings))
     images = {tl.beta(w) for w in avoiders}
-    yield ("beta is injective", f"n={n}", len(avoiders), len(images))
-    yield ("beta is onto the matchings", f"n={n}", set(matchings), images)
+    yield ("beta is injective", {"n": n}, len(avoiders), len(images))
+    yield ("beta is onto the matchings", {"n": n}, set(matchings), images)
     for w in avoiders:
-        yield ("beta round trip", perm.format_perm(w), w, tl.beta_inv(tl.beta(w)))
+        yield ("beta round trip", w, w, tl.beta_inv(tl.beta(w)))
 
 
 # (positions, blacks, whites, sealed): the zone holds exactly that many black
@@ -323,7 +346,7 @@ def _compositions(total: int, parts: int, minima: tuple[int, ...]) -> Iterable[t
             yield (first,) + rest
 
 
-@_suite("A7")
+@_suite("A7", (2, 3, 4, 5, 6))
 def suite_a7(n: int) -> Iterator[_Check]:
     """Unique-matching constructions match brute force: every zone-condition
     instance has exactly one (coloring, matching) solution and it is the
@@ -352,14 +375,14 @@ def suite_a7(n: int) -> Iterator[_Check]:
                        tl.beta(build(**params)), m)
 
 
-@_suite("A8")
+@_suite("A8", (4, 5, 6, 7))
 def suite_a8(n: int) -> Iterator[_Check]:
     """Anti-diagonal coefficients: the closed form matches |f_w(w0)|, with
     the two fixed anchors at n = 4 and n = 6."""
     w0 = perm.longest_word(n)
     expansion = tl.theta(w0)
     for w in _applicable_two_case(n):
-        yield ("closed form matches |f_w(w0)|", perm.format_perm(w),
+        yield ("closed form matches |f_w(w0)|", w,
                abs(expansion.coeff(tl.beta(w))), classify.antidiag_coeff(w))
     if n == 4:
         yield ("anchor f_2143(4321)", "2143",
@@ -369,7 +392,7 @@ def suite_a8(n: int) -> Iterator[_Check]:
                3, abs(tl.f_coeff((2, 3, 1, 5, 6, 4), (6, 5, 4, 3, 2, 1))))
 
 
-@_suite("A9")
+@_suite("A9", (2, 3, 4, 5, 6))
 def suite_a9(n: int, seed: int = 94_711) -> Iterator[_Check]:
     """1324-relatedness classes coincide with hull fibers, and random span
     elements decompose and reconstruct exactly (n <= 5)."""
@@ -377,7 +400,7 @@ def suite_a9(n: int, seed: int = 94_711) -> Iterator[_Check]:
     fibers: dict[immanant.SkewShape, set[Perm]] = {}
     for w in perm.all_perms(n):
         fibers.setdefault(immanant.hull(w), set()).add(w)
-    yield ("classes equal hull fibers", f"n={n}",
+    yield ("classes equal hull fibers", {"n": n},
            {frozenset(v) for v in fibers.values()}, {frozenset(c) for c in classes})
     if n <= 5:
         rng = random.Random(seed + n)
@@ -399,10 +422,10 @@ def suite_a9(n: int, seed: int = 94_711) -> Iterator[_Check]:
                 members = next(cl for cl in classes if rep in cl)
                 rebuilt = rebuilt + immanant.class_indicator(n, members).scaled(c)
             yield ("span element reconstructs from class decomposition",
-                   f"n={n} trial={trial}", f, rebuilt)
+                   {"n": n, "trial": trial}, f, rebuilt)
 
 
-@_suite("A10")
+@_suite("A10", (4, 5, 6))
 def suite_a10(n: int) -> Iterator[_Check]:
     """Complementary-minor expansions reproduce the immanants exactly, and
     the 0/1 witness matrix separates percent from Temperley-Lieb values."""
@@ -411,7 +434,7 @@ def suite_a10(n: int) -> Iterator[_Check]:
         total = immanant.zero_immanant(n)
         for s, I, J in classify.cm_expansion(w):
             total = total + immanant.cm_immanant(n, I, J).scaled(s)
-        yield ("signed CM expansion equals the immanant", perm.format_perm(w),
+        yield ("signed CM expansion equals the immanant", w,
                immanant.tl_immanant(w), total.scaled(perm.sign(w)))
     for w in perm.avoiding_321(n):
         if not perm.avoids(w, PATTERN_1324, PATTERN_2143):
@@ -423,40 +446,13 @@ def suite_a10(n: int) -> Iterator[_Check]:
         for I, J in classify.rect_cm_expansion(w):
             total = total + immanant.cm_immanant(n, I, J)
         yield ("rectangle CM expansion equals the hull percent immanant",
-               perm.format_perm(w), immanant.percent_immanant(immanant.hull(w)), total)
+               w, immanant.percent_immanant(immanant.hull(w)), total)
     for w in applicable:
         X = immanant.witness_matrix(w)
-        yield ("witness matrix: hull percent immanant is +-1", perm.format_perm(w),
+        yield ("witness matrix: hull percent immanant is +-1", w,
                1, abs(immanant.evaluate(immanant.percent_immanant(immanant.hull(w)), X)))
-        yield ("witness matrix: Temperley-Lieb immanant vanishes", perm.format_perm(w),
+        yield ("witness matrix: Temperley-Lieb immanant vanishes", w,
                Fraction(0), immanant.evaluate(immanant.tl_immanant(w), X))
-
-
-SUITES: dict[str, Callable[..., VerificationReport]] = {
-    "A1": suite_a1,
-    "A2": suite_a2,
-    "A3": suite_a3,
-    "A4": suite_a4,
-    "A5": suite_a5,
-    "A6": suite_a6,
-    "A7": suite_a7,
-    "A8": suite_a8,
-    "A9": suite_a9,
-    "A10": suite_a10,
-}
-
-DEFAULT_SIZES: dict[str, tuple[int, ...]] = {
-    "A1": (3, 4, 5, 6),
-    "A2": (3, 4, 5, 6),
-    "A3": (3, 4, 5, 6, 7),
-    "A4": (2, 3, 4, 5),
-    "A5": (2, 3, 4, 5),
-    "A6": (1, 2, 3, 4, 5, 6, 7, 8),
-    "A7": (2, 3, 4, 5, 6),
-    "A8": (4, 5, 6, 7),
-    "A9": (2, 3, 4, 5, 6),
-    "A10": (4, 5, 6),
-}
 
 
 def run_suite(suite: str, n: int) -> VerificationReport:

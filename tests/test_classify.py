@@ -240,37 +240,15 @@ def test_decompose_rejects_impossible_case_parameters(monkeypatch):
             classify.decompose((2, 1, 4, 3), validate=False)
 
 
-def test_json_readers_reject_non_integers():
-    shape = immanant.hull((2, 1, 4, 3)).to_json()
-    with pytest.raises(ValueError, match="not an integer"):
-        classify.Decomposition.from_json({"kind": "two", "sign": 1.5, "shapes": [shape]})
-    params = classify.classify_2143((2, 4, 1, 5, 3)).to_json()
-    for key in ("a", "f"):
-        with pytest.raises(ValueError):
-            classify.case_params_from_json({**params, key: "x"})
-    with pytest.raises(ValueError, match="not an integer"):
-        classify.case_params_from_json({**params, "b": None})
-
-
 def test_json_readers_roundtrip():
-    """Every JSON emitter against its reader, for every 321-avoiding w with
-    n <= 5; classify_2143 applies to 2143 and seven w at n = 5."""
-    classified = 0
+    """The skew shape and immanant readers against their emitters, for every
+    321-avoiding w with n <= 5."""
     for n in range(6):
         for w in perm.avoiding_321(n):
-            d = classify.decompose(w)
-            assert classify.Decomposition.from_json(d.to_json()) == d
             shape = immanant.hull(w)
             assert immanant.SkewShape.from_json(shape.to_json()) == shape
             f = immanant.tl_immanant(w)
             assert immanant.Immanant.from_json(f.to_json()) == f
-            if perm.avoids(w, classify.PATTERN_1324) and not perm.avoids(
-                w, classify.PATTERN_2143
-            ):
-                p = classify.classify_2143(w)
-                assert classify.case_params_from_json(p.to_json()) == p
-                classified += 1
-    assert classified == 8
 
 
 def test_decompose_json():

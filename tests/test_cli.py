@@ -184,6 +184,9 @@ def test_render_crossing_matching_is_parse_error():
     (["eval", "f", "x"], {"f": '{"n": 2, "terms": [{"perm": "12", "coeff": "1"}, '
                                '{"perm": "12", "coeff": "5"}, {"perm": "21", "coeff": "-1"}]}',
                           "x": "[[1, 0], [0, 1]]"}, cli.EXIT_PARSE),
+    (["eval", "f", "x"], {"f": '{"n": 2, "terms": [{"perm": "1", "coeff": "1"}]}',
+                          "x": "[[1, 0], [0, 1]]"}, cli.EXIT_PARSE),
+    (["eval", "f", "x"], {"f": '{"n": -1, "terms": []}', "x": "[]"}, cli.EXIT_PARSE),
 ])
 def test_bad_input_exit_code_without_traceback(argv, files, code, tmp_path):
     for name, text in files.items():
