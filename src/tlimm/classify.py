@@ -26,7 +26,6 @@ from .errors import PreconditionError, VerificationError
 from .immanant import (
     Immanant,
     SkewShape,
-    from_cells,
     hull,
     lies_in,
     percent_immanant,
@@ -35,7 +34,6 @@ from .immanant import (
 from .perm import (
     Perm,
     avoids,
-    conjugate_by_longest,
     inverse,
     is_321_avoiding,
     sign,
@@ -254,7 +252,7 @@ def closed_form_coeff(w: Perm, u: Perm) -> int:
         if any(u[i - 1] > n - c for i in range(n + 1 - d, n + 1)):
             return 0
         A = sum(1 for i in range(1, a + 1) if u[i - 1] > n - c)
-        B = sum(1 for j in range(1, b + 1) if inverse(u)[j - 1] > n - d)
+        B = sum(1 for i in range(n - d + 1, n + 1) if u[i - 1] <= b)
         return sign(w) * sign(u) * _binomial(A, B)
     a, e, b, c, f, d = (
         params.a, params.e, params.b, params.c, params.f, params.d,
@@ -350,33 +348,33 @@ def rect_cm_expansion(w: Perm) -> list[tuple[frozenset[int], frozenset[int]]]:
 # The one-or-two percent immanant decomposition
 
 
-def _remove_rects(n: int, rects: list[tuple[range, range]]) -> SkewShape:
-    cells = {(i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
-    for rows, cols in rects:
-        cells -= {(i, j) for i in rows for j in cols}
-    return from_cells(n, cells)
-
-
 def _second_shape(params: Case1) -> SkewShape:
-    """The companion shape of the two-term decomposition, for a = 1."""
-    n, b, c, d = params.n, params.b, params.c, params.d
-    if params.b == 1:
-        # Remove the d x c lower-right rectangle and the (n-d) x 1 and
-        # 1 x (n-c) upper-left rectangles.
-        return _remove_rects(n, [
-            (range(n - d + 1, n + 1), range(n - c + 1, n + 1)),
-            (range(1, n - d + 1), range(1, 2)),
-            (range(1, 2), range(1, n - c + 1)),
-        ])
-    if params.d != 1:
-        raise VerificationError(f"{params}: with a = 1, b or d must be 1")
-    # The doubled coefficients here are exactly those with u(1) > n-c and
-    # u(n) <= b, so the removals are the thin row strips 1 x (n-c) in the
-    # upper-left and 1 x (n-b) in the lower-right.
-    return _remove_rects(n, [
-        (range(n, n + 1), range(b + 1, n + 1)),
-        (range(1, 2), range(1, n - c + 1)),
-    ])
+    """The companion shape of the two-term decomposition of a Case 1 w with
+    a = 1 or c = 1, as row bounds; x^k is k copies of x, and the first row
+    whose branch matches wins:
+
+    branch        lam                     mu
+    a = 1, b = 1  n^(n-d), (n-c)^d        n-c, 1^(n-d-1), 0^d
+    a = 1, d = 1  n^(n-1), b              n-c, 0^(n-1)
+    c = 1, d = 1  n^a, (n-1)^(n-a-1), b   b^a, 0^(n-a)
+    c = 1, b = 1  n^a, (n-1)^(n-a)        1^(n-d), 0^d
+    """
+    n, a, b, c, d = params.n, params.a, params.b, params.c, params.d
+    if a == 1 and b == 1:
+        lam = (n,) * (n - d) + (n - c,) * d
+        mu = (n - c,) + (1,) * (n - d - 1) + (0,) * d
+    elif a == 1 and d == 1:
+        lam = (n,) * (n - 1) + (b,)
+        mu = (n - c,) + (0,) * (n - 1)
+    elif c == 1 and d == 1:
+        lam = (n,) * a + (n - 1,) * (n - a - 1) + (b,)
+        mu = (b,) * a + (0,) * (n - a)
+    elif c == 1 and b == 1:
+        lam = (n,) * a + (n - 1,) * (n - a)
+        mu = (1,) * (n - d) + (0,) * d
+    else:
+        raise VerificationError(f"{params}: needs a = 1 or c = 1, and b = 1 or d = 1")
+    return SkewShape(n, lam, mu)
 
 
 def decompose(w: Perm, validate: bool | None = None) -> Decomposition:
@@ -407,22 +405,7 @@ def decompose(w: Perm, validate: bool | None = None) -> Decomposition:
         # forbidden patterns has a = 1 or c = 1.
         if not isinstance(params, Case1) or 1 not in (params.a, params.c):
             raise VerificationError(f"{w} avoids the forbidden patterns but has {params}")
-        if params.a == 1:
-            shapes = (hull(w), _second_shape(params))
-        else:
-            # c = 1: transport the a = 1 construction through the
-            # anti-transpose symmetry w -> w0 . w^{-1} . w0.
-            mirror = conjugate_by_longest(inverse(w))
-            mirror_params = classify_2143(mirror)
-            if not isinstance(mirror_params, Case1) or mirror_params.a != 1:
-                raise VerificationError(f"mirror {mirror} of {w} has {mirror_params}")
-            shapes = tuple(
-                s.anti_transpose()
-                for s in (hull(mirror), _second_shape(mirror_params))
-            )
-            if shapes[0] != hull(w):
-                raise VerificationError(f"mirrored hull {shapes[0]} is not hull({w})")
-        result = Decomposition("two", sign(w), shapes)
+        result = Decomposition("two", sign(w), (hull(w), _second_shape(params)))
     if validate:
         total = Immanant(n, {})
         for s in result.shapes:

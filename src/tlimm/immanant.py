@@ -101,20 +101,6 @@ class SkewShape:
         """True iff the cell in row i, column j (1-based) is in the shape."""
         return self.mu[i - 1] < j <= self.lam[i - 1]
 
-    def cells(self) -> frozenset[tuple[int, int]]:
-        return frozenset(
-            (i, j)
-            for i in range(1, self.n + 1)
-            for j in range(self.mu[i - 1] + 1, self.lam[i - 1] + 1)
-        )
-
-    def anti_transpose(self) -> SkewShape:
-        """Reflect across the anti-diagonal: (i, j) -> (n+1-j, n+1-i)."""
-        n = self.n
-        return from_cells(
-            n, {(n + 1 - j, n + 1 - i) for i, j in self.cells()}
-        )
-
     def to_json(self) -> dict:
         return {"n": self.n, "lambda": list(self.lam), "mu": list(self.mu)}
 
@@ -146,32 +132,6 @@ def skew_shape(n: int, lam: Sequence[int], mu: Sequence[int] = ()) -> SkewShape:
     False
     """
     return SkewShape(n, _pad_bounds(n, lam), _pad_bounds(n, mu))
-
-
-def from_cells(n: int, cells: Iterable[tuple[int, int]]) -> SkewShape:
-    """Rebuild the lam/mu bounds from a cell set; each row must be a
-    contiguous run and the resulting bounds monotone."""
-    rows: dict[int, list[int]] = {}
-    for i, j in cells:
-        rows.setdefault(i, []).append(j)
-    lam: list[int | None] = [None] * n
-    mu: list[int | None] = [None] * n
-    for i in range(1, n + 1):
-        cols = sorted(rows.get(i, []))
-        if not cols:
-            continue
-        if cols != list(range(cols[0], cols[-1] + 1)):
-            raise ValueError(f"row {i} is not contiguous: {cols}")
-        lam[i - 1] = cols[-1]
-        mu[i - 1] = cols[0] - 1
-    # Empty rows carry no cells; pin their bounds to the largest bound below
-    # so the constructor's monotonicity check decides validity.
-    running = 0
-    for i in range(n - 1, -1, -1):
-        if lam[i] is None:
-            lam[i] = mu[i] = running
-        running = max(running, lam[i])
-    return SkewShape(n, tuple(lam), tuple(mu))
 
 
 def hull(w: Perm) -> SkewShape:

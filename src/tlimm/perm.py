@@ -145,15 +145,6 @@ def conjugate_by_longest(w: Perm) -> Perm:
     return tuple(n + 1 - w[n - 1 - i] for i in range(n))
 
 
-def transposition(n: int, i: int, j: int) -> Perm:
-    """The transposition (i j) in S_n."""
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise PreconditionError(f"transposition ({i} {j}) is not in S_{n}")
-    word = list(range(1, n + 1))
-    word[i - 1], word[j - 1] = word[j - 1], word[i - 1]
-    return tuple(word)
-
-
 def length(w: Perm) -> int:
     """Coxeter length = number of inversions.
 

@@ -60,6 +60,13 @@ def beta_lookup(n: int):
     return table
 
 
+def transposition(n: int, i: int, j: int) -> tuple[int, ...]:
+    """The transposition (i j) in S_n, for 1 <= i, j <= n."""
+    word = list(range(1, n + 1))
+    word[i - 1], word[j - 1] = word[j - 1], word[i - 1]
+    return tuple(word)
+
+
 def brute_bruhat_leq(u, v) -> bool:
     """Bruhat order by greedy chains of length-increasing transpositions."""
     if u == v:
@@ -70,12 +77,23 @@ def brute_bruhat_leq(u, v) -> bool:
     for i in range(1, n):
         for j in range(i + 1, n + 1):
             if u[i - 1] < u[j - 1]:
-                bigger = perm.compose(u, perm.transposition(n, i, j))
+                bigger = perm.compose(u, transposition(n, i, j))
                 if perm.length(bigger) == perm.length(u) + 1 and brute_bruhat_leq(
                     bigger, v
                 ):
                     return True
     return False
+
+
+def cells(shape) -> frozenset[tuple[int, int]]:
+    """The cells (i, j) of a skew shape, read off contains_cell."""
+    n = shape.n
+    return frozenset(
+        (i, j)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        if shape.contains_cell(i, j)
+    )
 
 
 def compose_word(n: int, word) -> tuple[int, ...]:

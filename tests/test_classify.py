@@ -3,7 +3,7 @@ import pytest
 from tlimm import classify, cli, immanant, perm
 from tlimm.errors import PreconditionError, VerificationError
 
-from oracles import block_structure
+from oracles import block_structure, cells
 
 
 def test_corner_params():
@@ -200,6 +200,14 @@ def test_decompose_anchors():
     assert d.kind == "two" and d.sign == 1
     assert d.shapes[0] == immanant.skew_shape(4, (4, 4, 4, 3), (1, 0, 0, 0))
     assert d.shapes[1] == immanant.skew_shape(4, (4, 4, 4, 3), (3, 1, 1, 0))
+    # One w per row of _second_shape's table after 2143 (a = b = 1): a = 1
+    # with d = 1, then c = 1 with d = 1, then c = 1 with b = 1.
+    for w, lam, mu in (
+        ((3, 1, 2, 5, 4), (5, 5, 5, 5, 2), (4, 0, 0, 0, 0)),
+        ((2, 3, 1, 5, 4), (5, 5, 4, 4, 1), (1, 1, 0, 0, 0)),
+        ((2, 3, 1, 6, 4, 5), (6, 6, 5, 5, 5, 5), (1, 1, 1, 1, 0, 0)),
+    ):
+        assert classify.decompose(w).shapes[1] == immanant.SkewShape(len(w), lam, mu)
     assert classify.decompose((2, 4, 1, 5, 3)).kind == "none"
     with pytest.raises(PreconditionError):
         classify.decompose((3, 2, 1))
@@ -219,6 +227,30 @@ def test_decompose_full(n):
             assert d.shapes == (immanant.hull(w),)
         if d.kind == "two":
             assert len(d.shapes) == 2 and d.shapes[0] == immanant.hull(w)
+
+
+def test_c1_shapes_are_anti_transposed_a1_shapes():
+    """For c = 1 and a != 1, the shapes of w are those of its mirror
+    w0 . w^-1 . w0 reflected across the anti-diagonal; when a = c = 1 the
+    table keeps the a = 1 shape and the symmetry does not hold."""
+    def anti_transposed(shape):
+        n = shape.n
+        return {(n + 1 - j, n + 1 - i) for i, j in cells(shape)}
+
+    seen = 0
+    for n in range(4, 8):
+        for w in perm.avoiding_321(n):
+            if not classify.avoids_main_patterns(w) or perm.avoids(w, classify.PATTERN_2143):
+                continue
+            params = classify.classify_2143(w)
+            if params.c != 1 or params.a == 1:
+                continue
+            mirror = perm.conjugate_by_longest(perm.inverse(w))
+            shapes = classify.decompose(w, validate=False).shapes
+            mirror_shapes = classify.decompose(mirror, validate=False).shapes
+            assert [cells(s) for s in shapes] == [anti_transposed(s) for s in mirror_shapes]
+            seen += 1
+    assert seen
 
 
 def test_failed_validation_raises(monkeypatch):

@@ -1,4 +1,5 @@
 import doctest
+from pathlib import Path
 
 import pytest
 
@@ -10,4 +11,10 @@ from tlimm import classify, coloring, immanant, limits, perm, render, tl, verify
 )
 def test_doctests(module):
     failures, _ = doctest.testmod(module)
+    assert failures == 0
+
+
+def test_readme_quick_tour():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    failures, _ = doctest.testfile(str(readme), module_relative=False)
     assert failures == 0

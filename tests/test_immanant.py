@@ -8,7 +8,7 @@ import pytest
 from tlimm import immanant, perm, tl
 from tlimm.errors import LimitError, PreconditionError, VerificationError
 
-from oracles import restriction
+from oracles import cells, restriction
 
 
 def box(n):
@@ -42,9 +42,9 @@ def test_lies_in_and_shape_leq():
     for w in perm.all_perms(4):
         assert immanant.lies_in(w, immanant.hull(w))
         assert immanant.lies_in(w, box(4))
-        assert immanant.hull(w).cells() <= box(4).cells()
+        assert cells(immanant.hull(w)) <= cells(box(4))
     assert not immanant.lies_in((1, 2, 3, 4), immanant.hull((2, 1, 4, 3)))
-    assert not immanant.hull((2, 1, 4, 3)).cells() <= immanant.hull((2, 3, 4, 1)).cells()
+    assert not cells(immanant.hull((2, 1, 4, 3))) <= cells(immanant.hull((2, 3, 4, 1)))
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -53,9 +53,9 @@ def test_engulfing(n):
     shapes = {immanant.hull(w) for w in perm.all_perms(n)}
     shapes.add(box(n))
     for w in perm.all_perms(n):
-        hw = immanant.hull(w).cells()
+        hw = cells(immanant.hull(w))
         for s in shapes:
-            assert immanant.lies_in(w, s) == (hw <= s.cells())
+            assert immanant.lies_in(w, s) == (hw <= cells(s))
 
 
 def test_percent_immanant():
@@ -216,15 +216,6 @@ def test_transforms(n):
         )
         assert moved(f, perm.conjugate_by_longest) == immanant.percent_immanant(
             immanant.hull(perm.conjugate_by_longest(w))
-        )
-
-
-def test_shape_transforms_match_immanant_transforms():
-    anti = lambda u: perm.conjugate_by_longest(perm.inverse(u))
-    for w in perm.all_perms(4):
-        shape = immanant.hull(w)
-        assert immanant.percent_immanant(shape.anti_transpose()) == moved(
-            immanant.percent_immanant(shape), anti
         )
 
 
