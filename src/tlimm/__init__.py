@@ -28,6 +28,7 @@ from .classify import (
     build_case1,
     build_case2,
     classify_2143,
+    closed_form,
     closed_form_coeff,
     cm_expansion,
     corner_params,

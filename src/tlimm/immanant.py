@@ -18,7 +18,7 @@ import json
 import re
 from array import array
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import limits
 from .errors import PreconditionError, VerificationError
@@ -232,22 +232,78 @@ def zero_immanant(n: int) -> Immanant:
     return Immanant(n, {})
 
 
+def _unchecked(n: int, coeffs: dict[Perm, int]) -> Immanant:
+    """An Immanant over nonzero int coefficients keyed by members of S_n,
+    so the constructor's per-term checks are not run again."""
+    f = Immanant.__new__(Immanant)
+    f.n = n
+    f.coeffs = coeffs
+    return f
+
+
+def _place(rows: Sequence[Iterable[int]]) -> Iterator[tuple[Perm, int]]:
+    """Every u in S_n with u(i) in ``rows[i - 1]`` for each row i, paired
+    with sign(u), in lexicographic order.  Values are placed row by row
+    from a bitmask of the values used so far, and the sign comes from the
+    inversions each placed value makes with the larger values above it.
+
+    >>> list(_place([(1, 2, 3), (1, 2), (3,)]))
+    [((1, 2, 3), 1), ((2, 1, 3), -1)]
+    """
+    n = len(rows)
+    if n == 0:
+        yield (), 1
+        return
+    allowed = [sum(1 << x for x in set(row)) for row in rows]
+    word = [0] * n
+    # Per row: the values still to try, the values used above it, and the
+    # parity of the inversions among the rows above it.
+    untried = [allowed[0]] + [0] * (n - 1)
+    used = [0] * n
+    odd = [0] * n
+    i = 0
+    while i >= 0:
+        left = untried[i]
+        if not left:
+            i -= 1
+            continue
+        bit = left & -left
+        untried[i] = left ^ bit
+        x = bit.bit_length() - 1
+        word[i] = x
+        parity = odd[i] ^ ((used[i] >> x).bit_count() & 1)
+        if i == n - 1:
+            yield tuple(word), -1 if parity else 1
+        else:
+            i += 1
+            used[i] = used[i - 1] | bit
+            odd[i] = parity
+            untried[i] = allowed[i] & ~used[i]
+
+
+def _check_size(n: int, what: str) -> None:
+    if n < 0:
+        raise PreconditionError(f"n must be non-negative, got {n}")
+    limits.check_limit(n, limits.max_n(), what)
+
+
 def determinant_immanant(n: int) -> Immanant:
-    limits.check_limit(n, limits.max_n(), "determinant immanant")
-    return Immanant(n, {u: sign(u) for u in all_perms(n)})
+    _check_size(n, "determinant immanant")
+    return _unchecked(n, dict(_place([range(1, n + 1)] * n)))
 
 
 def percent_immanant(shape: SkewShape) -> Immanant:
-    """Signed indicator of the permutations lying in the shape.
+    """Signed indicator of the permutations lying in the shape: row i takes
+    a value in (mu_i, lam_i].
 
     >>> percent_immanant(hull((2, 1, 4, 3))).coeff((2, 1, 4, 3))
     1
     """
     n = shape.n
     limits.check_limit(n, limits.max_n(), "percent immanant")
-    return Immanant(
-        n, {u: sign(u) for u in all_perms(n) if lies_in(u, shape)}
-    )
+    return _unchecked(n, dict(_place(
+        [range(m + 1, l + 1) for m, l in zip(shape.mu, shape.lam)]
+    )))
 
 
 def tl_immanant(w: Perm) -> Immanant:
@@ -258,13 +314,9 @@ def tl_immanant(w: Perm) -> Immanant:
         raise PreconditionError(f"{w} contains the pattern 321")
     n = len(w)
     column = all_tl_immanants(n)[w]
-    # The column holds ints indexed by S_n, so the constructor's per-term
-    # checks are not run again; compress keeps the u with f_w(u) != 0.
-    f = Immanant.__new__(Immanant)
-    f.n = n
-    f.coeffs = dict(zip(itertools.compress(perm_index(n).perms, column),
-                        filter(None, column)))
-    return f
+    # compress keeps the u with f_w(u) != 0.
+    return _unchecked(n, dict(zip(itertools.compress(perm_index(n).perms, column),
+                                  filter(None, column))))
 
 
 @functools.lru_cache(maxsize=4)
@@ -297,16 +349,25 @@ def all_tl_immanants(n: int) -> dict[Perm, array]:
 
 def cm_immanant(n: int, I: Iterable[int], J: Iterable[int]) -> Immanant:
     """The complementary-minor immanant: sign(u) on permutations with
-    u(I) = J, zero elsewhere."""
+    u(I) = J, zero elsewhere.  The rows in I take values in J, the other
+    rows the values outside J.
+
+    >>> cm_immanant(3, {1}, {3}).coeffs
+    {(3, 1, 2): 1, (3, 2, 1): -1}
+    """
     I, J = frozenset(I), frozenset(J)
     if len(I) != len(J):
         raise PreconditionError(f"|I| = {len(I)} but |J| = {len(J)}")
-    limits.check_limit(n, limits.max_n(), "complementary minor")
-    coeffs = {}
-    for u in all_perms(n):
-        if {u[i - 1] for i in I} == J:
-            coeffs[u] = sign(u)
-    return Immanant(n, coeffs)
+    _check_size(n, "complementary minor")
+    if not I | J <= set(range(1, n + 1)):
+        raise PreconditionError(
+            f"I and J must lie in 1..{n}, got I = {sorted(I)}, J = {sorted(J)}"
+        )
+    inside = sorted(J)
+    outside = sorted(set(range(1, n + 1)) - J)
+    return _unchecked(n, dict(_place(
+        [inside if i in I else outside for i in range(1, n + 1)]
+    )))
 
 
 def subset_sign(I: Iterable[int]) -> int:
@@ -394,8 +455,9 @@ def is_1324_sign_alternating(f: Immanant) -> bool:
 
 
 def find_alternation_violation(f: Immanant) -> tuple[Perm, Perm] | None:
+    coeffs = f.coeffs
     for w, w2 in adjacent_1324_pairs(f.n):
-        if f.coeff(w) != -f.coeff(w2):
+        if coeffs.get(w, 0) != -coeffs.get(w2, 0):
             return w, w2
     return None
 

@@ -227,11 +227,22 @@ def avoids(w: Perm, *patterns: Perm) -> bool:
     )
 
 
-PATTERN_321 = (3, 2, 1)
-
-
 def is_321_avoiding(w: Perm) -> bool:
-    return avoids(w, PATTERN_321)
+    """True iff w avoids 321, in one pass: the entries that are not
+    left-to-right maxima must increase.
+
+    >>> is_321_avoiding((3, 1, 5, 2, 4)), is_321_avoiding((4, 1, 3, 2))
+    (True, False)
+    """
+    top = low = 0
+    for x in w:
+        if x > top:
+            top = x
+        elif x > low:
+            low = x
+        else:
+            return False
+    return True
 
 
 @functools.lru_cache(maxsize=16)

@@ -177,9 +177,9 @@ def suite_a3(n: int, seed: int = 20_433) -> Iterator[_Check]:
              universe[rng.randrange(len(universe))])
             for _ in range(_A3_SAMPLES)
         )
+    forms = {w: classify.closed_form(w) for w in applicable}
     for w, u in pairs:
-        yield (claim, {"w": w, "u": u},
-               imms[w][rank[u]], classify.closed_form_coeff(w, u))
+        yield (claim, {"w": w, "u": u}, imms[w][rank[u]], forms[w](u))
 
 
 @_suite("A4", (2, 3, 4, 5))

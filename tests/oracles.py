@@ -96,6 +96,38 @@ def cells(shape) -> frozenset[tuple[int, int]]:
     )
 
 
+def inversion_sign(u) -> int:
+    """(-1)^(number of inversions), counted pair by pair."""
+    inversions = sum(
+        1 for i, j in itertools.combinations(range(len(u)), 2) if u[i] > u[j]
+    )
+    return -1 if inversions % 2 else 1
+
+
+def brute_percent_immanant(shape) -> dict:
+    """{u: sign(u)} for the u in S_n, in lexicographic order, whose every
+    point (i, u(i)) is a cell of the shape: a filter over all of S_n."""
+    n = shape.n
+    # cell[i - 1][j - 1] is True iff (i, j) is a cell of the shape.
+    cell = [[shape.contains_cell(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    return {
+        u: inversion_sign(u)
+        for u in itertools.permutations(range(1, n + 1))
+        if all(cell[i][x - 1] for i, x in enumerate(u))
+    }
+
+
+def brute_cm_immanant(n: int, I, J) -> dict:
+    """{u: sign(u)} for the u in S_n, in lexicographic order, with
+    u(I) = J: a filter over all of S_n."""
+    J = set(J)
+    return {
+        u: inversion_sign(u)
+        for u in itertools.permutations(range(1, n + 1))
+        if {u[i - 1] for i in I} == J
+    }
+
+
 def compose_word(n: int, word) -> tuple[int, ...]:
     """Multiply out a word in the generators s_i, left to right."""
     result = perm.identity(n)

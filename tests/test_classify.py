@@ -122,6 +122,17 @@ def test_closed_form_anchors():
         classify.closed_form_coeff((3, 2, 1), (1, 2, 3))
 
 
+def test_closed_form_preconditions():
+    for w in [(3, 2, 1), (1, 3, 2, 4), (2, 1, 5, 4, 3)]:
+        with pytest.raises(PreconditionError):
+            classify.closed_form(w)
+    for w in [(1, 2, 3), (2, 1, 4, 3), (2, 4, 1, 5, 3)]:
+        f = classify.closed_form(w)
+        for u in [(), perm.identity(len(w) - 1), perm.identity(len(w) + 1)]:
+            with pytest.raises(PreconditionError, match="size mismatch"):
+                f(u)
+
+
 def test_antidiag_anchors():
     assert classify.antidiag_coeff((2, 1, 4, 3)) == 2
     assert classify.antidiag_coeff((2, 3, 1, 5, 6, 4)) == 3

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import random
@@ -5,15 +6,27 @@ from fractions import Fraction
 
 import pytest
 
-from tlimm import immanant, perm, tl
+from tlimm import classify, immanant, perm, tl
 from tlimm.errors import LimitError, PreconditionError, VerificationError
 
-from oracles import cells, restriction
+from oracles import brute_cm_immanant, brute_percent_immanant, cells, restriction
 
 
 def box(n):
     """The whole n x n box, whose percent immanant is the determinant."""
     return immanant.skew_shape(n, (n,) * n)
+
+
+def box_shapes(n):
+    """Every skew shape in the n x n box."""
+    bounds = [
+        tuple(v) for v in itertools.product(range(n + 1), repeat=n)
+        if all(v[i] >= v[i + 1] for i in range(n - 1))
+    ]
+    for lam in bounds:
+        for mu in bounds:
+            if all(m <= l for l, m in zip(lam, mu)):
+                yield immanant.SkewShape(n, lam, mu)
 
 
 def test_skew_shape_validation():
@@ -72,21 +85,65 @@ def test_bigtableau_antidiagonal_and_alternation(n):
     """Over every shape in the n x n box: a nonzero percent immanant's shape
     holds the whole anti-diagonal, and every percent immanant alternates in
     sign across 1324-adjacent pairs."""
-    bounds = [
-        tuple(v) for v in itertools.product(range(n + 1), repeat=n)
-        if all(v[i] >= v[i + 1] for i in range(n - 1))
-    ]
-    for lam in bounds:
-        for mu in bounds:
-            if any(m > l for l, m in zip(lam, mu)):
-                continue
-            shape = immanant.SkewShape(n, lam, mu)
-            f = immanant.percent_immanant(shape)
-            assert immanant.is_1324_sign_alternating(f)
-            if f.coeffs:
-                assert all(
-                    shape.contains_cell(i, n + 1 - i) for i in range(1, n + 1)
-                )
+    for shape in box_shapes(n):
+        f = immanant.percent_immanant(shape)
+        assert immanant.is_1324_sign_alternating(f)
+        if f.coeffs:
+            assert all(
+                shape.contains_cell(i, n + 1 - i) for i in range(1, n + 1)
+            )
+
+
+def terms(f):
+    """The coefficients of f in their dict order."""
+    return list(f.coeffs.items())
+
+
+@pytest.mark.parametrize("n", range(0, 5))
+def test_placement_matches_filter_on_box_shapes(n):
+    for shape in box_shapes(n):
+        expected = list(brute_percent_immanant(shape).items())
+        assert terms(immanant.percent_immanant(shape)) == expected, shape
+    assert terms(immanant.determinant_immanant(n)) == list(
+        brute_percent_immanant(box(n)).items())
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_placement_matches_filter_on_hulls_and_decompose_shapes(n):
+    shapes = set()
+    for w in perm.avoiding_321(n):
+        shapes.add(immanant.hull(w))
+        shapes.update(classify.decompose(w, validate=False).shapes)
+    for shape in sorted(shapes, key=lambda s: (s.lam, s.mu)):
+        expected = list(brute_percent_immanant(shape).items())
+        assert terms(immanant.percent_immanant(shape)) == expected, shape
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_cm_placement_matches_filter(n):
+    for k in range(n + 1):
+        for I in itertools.combinations(range(1, n + 1), k):
+            for J in itertools.combinations(range(1, n + 1), k):
+                assert terms(immanant.cm_immanant(n, I, J)) == list(
+                    brute_cm_immanant(n, I, J).items()), (I, J)
+
+
+def test_signed_indicators_leave_no_cycle():
+    # The results must be freed by reference counting alone: a kernel that
+    # recursed through a nested closure would leave a cycle per call.
+    w = (2, 3, 1, 5, 6, 4)
+    immanant.percent_immanant(immanant.hull(w))
+    immanant.cm_immanant(6, {1, 2}, {3, 4})
+    gc.collect()
+    gc.disable()
+    try:
+        for v in perm.avoiding_321(6):
+            immanant.percent_immanant(immanant.hull(v))
+        immanant.cm_immanant(6, {1, 2}, {3, 4})
+        immanant.determinant_immanant(5)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_tl_immanant_anchors():
@@ -135,6 +192,18 @@ def test_cm_immanant():
     assert f.coeff((1, 4, 2, 3)) == 0
     with pytest.raises(PreconditionError):
         immanant.cm_immanant(3, {1}, {1, 2})
+
+
+@pytest.mark.parametrize("n, I, J", [
+    (3, {0}, {1}),  # would read u[-1], the row of 3
+    (3, {4}, {1}),
+    (3, {1}, {4}),
+    (3, {1}, {0}),
+    (-1, (), ()),
+])
+def test_cm_immanant_rejects_indices_outside_1_to_n(n, I, J):
+    with pytest.raises(PreconditionError):
+        immanant.cm_immanant(n, I, J)
 
 
 @pytest.mark.parametrize("n", range(1, 5))

@@ -85,6 +85,13 @@ def test_contains_pattern_anchors():
         perm.contains_pattern((2, 1), (2, 1, 3))
 
 
+@pytest.mark.parametrize("n", range(0, 9))
+def test_321_scan_against_subset_scan(n):
+    for w in perm.all_perms(n):
+        assert perm.is_321_avoiding(w) == (
+            not brute_contains_pattern(w, (3, 2, 1))), w
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_contains_pattern_against_subset_scan(n):
     patterns = [(1,), (2, 1), (3, 2, 1), (1, 3, 2, 4), (2, 1, 4, 3), (2, 4, 1, 5, 3)]

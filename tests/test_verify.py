@@ -12,7 +12,7 @@ def test_suites_are_declared_once():
 
 
 def test_dict_witness_text(monkeypatch):
-    monkeypatch.setattr(classify, "closed_form_coeff", lambda w, u: 99)
+    monkeypatch.setattr(classify, "closed_form", lambda w: lambda u: 99)
     first = verify.suite_a3(3).failures[0]
     assert (first.claim, first.witness, first.expected, first.actual) == (
         "closed form equals expansion coefficient", "w=123 u=123", "1", "99")
