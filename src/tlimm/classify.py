@@ -228,7 +228,7 @@ def closed_form(w: Perm) -> Callable[[Perm], int]:
     """The coefficient u -> f_w(u) of x_u in Imm_w, in closed form, for w
     avoiding 321 and 1324.  The pattern checks, sign(w) and the row or
     block bounds are derived here, once per w; the returned function makes
-    only the comparisons on u.
+    only the comparisons on u, and rejects a u of another length.
 
     >>> f = closed_form((2, 1, 4, 3))
     >>> f((2, 1, 3, 4)), f((4, 3, 2, 1))
