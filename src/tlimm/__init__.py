@@ -6,7 +6,8 @@ The package computes, classifies, and exhaustively verifies:
 * non-crossing matchings, the matching beta(w) of a 321-avoiding w, the
   image theta(u) of a permutation in the Temperley-Lieb algebra TL_n(2)
   under theta(s_i) = t_i - 1, and the coefficients f_w(u) of beta(w) in
-  theta(u) (:mod:`tlimm.tl`);
+  theta(u), all multiplied over one table of generator steps
+  (:mod:`tlimm.tl`);
 * percent immanants of skew shapes, hulls, complementary minors, and the
   1324-sign-alternation test for membership in their span
   (:mod:`tlimm.immanant`);
@@ -50,7 +51,6 @@ from .immanant import (
     Immanant,
     SkewShape,
     cm_immanant,
-    determinant_immanant,
     evaluate,
     hull,
     is_1324_sign_alternating,

@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import operator
 import re
 from array import array
 from fractions import Fraction
@@ -176,14 +177,11 @@ class Immanant:
     coeffs: dict[Perm, Coeff]
 
     def __init__(self, n: int, coeffs: Mapping[Perm, Coeff]):
-        self.n = n
-        self.coeffs = {}
-        for u, c in coeffs.items():
+        for u in coeffs:
             if len(u) != n:
                 raise PreconditionError(f"permutation {u} in immanant of size {n}")
-            c = _normalize_coeff(c)
-            if c:
-                self.coeffs[u] = c
+        self.n = n
+        self.coeffs = _nonzero(coeffs)
 
     def coeff(self, u: Perm) -> Coeff:
         return self.coeffs.get(tuple(u), 0)
@@ -194,10 +192,10 @@ class Immanant:
         coeffs = dict(self.coeffs)
         for u, c in other.coeffs.items():
             coeffs[u] = coeffs.get(u, 0) + c
-        return Immanant(self.n, coeffs)
+        return _unchecked(self.n, _nonzero(coeffs))
 
     def scaled(self, c: Coeff) -> Immanant:
-        return Immanant(self.n, {u: c * v for u, v in self.coeffs.items()})
+        return _unchecked(self.n, _nonzero({u: c * v for u, v in self.coeffs.items()}))
 
     def to_json(self) -> dict:
         terms = [
@@ -232,9 +230,19 @@ def zero_immanant(n: int) -> Immanant:
     return Immanant(n, {})
 
 
-def _unchecked(n: int, coeffs: dict[Perm, int]) -> Immanant:
-    """An Immanant over nonzero int coefficients keyed by members of S_n,
-    so the constructor's per-term checks are not run again."""
+def _nonzero(coeffs: Mapping[Perm, Coeff]) -> dict[Perm, Coeff]:
+    """The coefficients normalized, with the zeros dropped.  Plain ints are
+    already normal, so only a mapping holding another type is normalized
+    term by term."""
+    values = coeffs.values()
+    if not set(map(type, values)) <= {int}:
+        values = map(_normalize_coeff, values)
+    return dict(filter(operator.itemgetter(1), zip(coeffs, values)))
+
+
+def _unchecked(n: int, coeffs: dict[Perm, Coeff]) -> Immanant:
+    """An Immanant over nonzero normalized coefficients keyed by members of
+    S_n, so the constructor's per-term checks are not run again."""
     f = Immanant.__new__(Immanant)
     f.n = n
     f.coeffs = coeffs
@@ -279,17 +287,6 @@ def _place(rows: Sequence[Iterable[int]]) -> Iterator[tuple[Perm, int]]:
             used[i] = used[i - 1] | bit
             odd[i] = parity
             untried[i] = allowed[i] & ~used[i]
-
-
-def _check_size(n: int, what: str) -> None:
-    if n < 0:
-        raise PreconditionError(f"n must be non-negative, got {n}")
-    limits.check_limit(n, limits.max_n(), what)
-
-
-def determinant_immanant(n: int) -> Immanant:
-    _check_size(n, "determinant immanant")
-    return _unchecked(n, dict(_place([range(1, n + 1)] * n)))
 
 
 def percent_immanant(shape: SkewShape) -> Immanant:
@@ -358,7 +355,9 @@ def cm_immanant(n: int, I: Iterable[int], J: Iterable[int]) -> Immanant:
     I, J = frozenset(I), frozenset(J)
     if len(I) != len(J):
         raise PreconditionError(f"|I| = {len(I)} but |J| = {len(J)}")
-    _check_size(n, "complementary minor")
+    if n < 0:
+        raise PreconditionError(f"n must be non-negative, got {n}")
+    limits.check_limit(n, limits.max_n(), "complementary minor")
     if not I | J <= set(range(1, n + 1)):
         raise PreconditionError(
             f"I and J must lie in 1..{n}, got I = {sorted(I)}, J = {sorted(J)}"
@@ -409,7 +408,7 @@ def parse_matrix(text: str) -> Matrix:
 def evaluate(f: Immanant, matrix: Sequence[Sequence]) -> Fraction:
     """sum_u f(u) * prod_i X[i, u(i)], exactly.
 
-    >>> evaluate(determinant_immanant(2), [[1, 2], [3, 4]])
+    >>> evaluate(cm_immanant(2, (), ()), [[1, 2], [3, 4]])
     Fraction(-2, 1)
     """
     X = as_matrix(matrix)

@@ -9,12 +9,14 @@ positions, exactly as a balanced bracket sequence.
 
 The package multiplies only on the right by a generator: m . t_i is a
 local surgery on m's unprimed boundary at labels i, i+1, and a closed loop
-multiplies the coefficient by 2.  The orientation of that product is a
+multiplies the coefficient by 2.  ``_steps(n)`` tabulates that surgery,
+and theta is multiplied out over the table one row step at a time
+(:func:`_row_times_theta_gen`).  The orientation of that product is a
 convention; the one used here is pinned by the test anchor
 ``beta((2,3,4,1)) == parse_matching("1-3' 2-4' 3-4 1'-2'")`` and is the one
 under which every ``beta(w)`` is compatible with the black/white coloring of
-w (see :mod:`tlimm.coloring`).  A :class:`TLElement` is a linear
-combination of diagrams, as ``theta`` returns it.
+w (see :mod:`tlimm.coloring`).  A :class:`TLElement`, the value ``theta``
+returns, is a linear combination of diagrams with no arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -98,18 +100,6 @@ def vertex_of_position(n: int, p: int) -> tuple[int, bool]:
     return (p + 1, False) if p < n else (2 * n - p, True)
 
 
-def parse_vertex(token: str) -> tuple[int, bool]:
-    """Parse "3" or "3'" into (label, primed)."""
-    token = token.strip()
-    primed = token.endswith("'")
-    label = int(token.rstrip("'"))
-    return label, primed
-
-
-def format_vertex(label: int, primed: bool) -> str:
-    return f"{label}'" if primed else str(label)
-
-
 def format_matching(m: NonCrossingMatching) -> str:
     """Space-separated pairs, e.g. "1-3' 2-4' 3-4 1'-2'".
 
@@ -125,7 +115,8 @@ def format_matching(m: NonCrossingMatching) -> str:
         shown.append(ends)
     shown.sort(key=lambda ends: (ends[0][1], ends[0][0]))
     return " ".join(
-        f"{format_vertex(*a)}-{format_vertex(*b)}" for a, b in shown
+        "-".join(f"{label}'" if primed else str(label) for label, primed in ends)
+        for ends in shown
     )
 
 
@@ -142,8 +133,9 @@ def parse_matching(text: str, n: int | None = None) -> NonCrossingMatching:
     pairing = [-1] * (2 * n)
     for token in tokens:
         left, _, right = token.partition("-")
-        p = vertex_position(n, *parse_vertex(left))
-        q = vertex_position(n, *parse_vertex(right))
+        # A vertex is a label, with an apostrophe when primed: "3" or "3'".
+        p, q = (vertex_position(n, int(v.rstrip("'")), v.endswith("'"))
+                for v in (left, right))
         pairing[p], pairing[q] = q, p
     if -1 in pairing:
         raise ValueError(f"not a perfect matching of 2n={2*n} vertices: {text!r}")
@@ -204,39 +196,8 @@ class TLElement:
             if c:
                 self.terms[m] = c
 
-    @classmethod
-    def one(cls, n: int) -> TLElement:
-        return cls(n, {identity_matching(n): 1})
-
     def coeff(self, m: NonCrossingMatching) -> int:
         return self.terms.get(m, 0)
-
-    def _times_theta_gen(self, i: int) -> TLElement:
-        """self . (t_i - 1), via the local surgery."""
-        terms: dict[NonCrossingMatching, int] = {}
-        for m, c in self.terms.items():
-            glued, loops = _attach_generator(m, i)
-            terms[glued] = terms.get(glued, 0) + c * (1 << loops)
-        for m, c in self.terms.items():
-            terms[m] = terms.get(m, 0) - c
-        return TLElement(self.n, terms)
-
-
-def theta(u: Perm) -> TLElement:
-    """The image of u under the algebra map s_i -> t_i - 1.
-
-    Computed as the left-to-right product of (t_i - 1) over a reduced word
-    of u; independent of the choice of word.
-
-    >>> theta((2, 1)).coeff(generator(2, 1))
-    1
-    >>> theta((2, 1)).coeff(identity_matching(2))
-    -1
-    """
-    elem = TLElement.one(len(u))
-    for i in reduced_word(u):
-        elem = elem._times_theta_gen(i)
-    return elem
 
 
 def beta(w: Perm) -> NonCrossingMatching:
@@ -319,14 +280,40 @@ def all_matchings(n: int) -> tuple[NonCrossingMatching, ...]:
     return tuple(out)
 
 
+# The table _steps(n) returns.
+_Steps = tuple[tuple[tuple[int, int], ...], ...]
+
+
 @functools.lru_cache(maxsize=16)
-def _steps(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+def _steps(n: int) -> _Steps:
     """steps[k][i-1] = (k', loops): matching k of all_matchings(n) times t_i
     is matching k' with that many closed loops."""
     matchings = all_matchings(n)
     index = {m: k for k, m in enumerate(matchings)}
     products = [[_attach_generator(m, i) for i in range(1, n)] for m in matchings]
     return tuple(tuple((index[g], loops) for g, loops in row) for row in products)
+
+
+def _row_times_theta_gen(steps: _Steps, row: dict[int, int], d: int) -> dict[int, int]:
+    """row . (t_d - 1) for a row {index in all_matchings(n): coeff}, read
+    off the step table; zero terms are dropped."""
+    terms: dict[int, int] = {}
+    for k, c in row.items():
+        glued, loops = steps[k][d - 1]
+        terms[glued] = terms.get(glued, 0) + (c << loops)
+        terms[k] = terms.get(k, 0) - c
+    return {k: c for k, c in terms.items() if c}
+
+
+def _identity_row(steps: _Steps) -> dict[int, int]:
+    # The identity matching comes last in all_matchings(n).
+    return {len(steps) - 1: 1}
+
+
+def _element(n: int, row: dict[int, int]) -> TLElement:
+    """The TLElement of a row {index in all_matchings(n): coeff}."""
+    matchings = all_matchings(n)
+    return TLElement(n, {matchings[k]: c for k, c in row.items()})
 
 
 def _theta_rows(n: int) -> Iterator[tuple[Perm, dict[int, int]]]:
@@ -342,28 +329,40 @@ def _theta_rows(n: int) -> Iterator[tuple[Perm, dict[int, int]]]:
             child = right_mult_gen(u, d)
             if next((i for i in range(1, n) if child[i - 1] > child[i]), None) != d:
                 continue
-            terms: dict[int, int] = {}
-            for k, c in row.items():
-                glued, loops = steps[k][d - 1]
-                terms[glued] = terms.get(glued, 0) + (c << loops)
-                terms[k] = terms.get(k, 0) - c
-            yield from visit(child, {k: c for k, c in terms.items() if c})
+            yield from visit(child, _row_times_theta_gen(steps, row, d))
 
-    # The identity matching comes last in all_matchings(n).
-    yield from visit(tuple(range(1, n + 1)), {len(steps) - 1: 1})
+    yield from visit(tuple(range(1, n + 1)), _identity_row(steps))
+
+
+def theta(u: Perm) -> TLElement:
+    """The image of u under the algebra map s_i -> t_i - 1.
+
+    Computed as the left-to-right product of (t_i - 1) over a reduced word
+    of u, one row step at a time over ``_steps(n)``; independent of the
+    choice of word.  The step table covers all Catalan(n) matchings, so n is
+    held to the whole-S_n cap of :mod:`tlimm.limits`.
+
+    >>> theta((2, 1)).coeff(generator(2, 1))
+    1
+    >>> theta((2, 1)).coeff(identity_matching(2))
+    -1
+    """
+    n = len(u)
+    limits.check_limit(n, limits.max_n(), "theta")
+    steps = _steps(n)
+    row = _identity_row(steps)
+    for d in reduced_word(u):
+        row = _row_times_theta_gen(steps, row, d)
+    return _element(n, row)
 
 
 def theta_table(n: int) -> dict[Perm, TLElement]:
     """theta(u) for every u in S_n, built along the weak order so each entry
-    costs a single generator multiplication.  Not cached: the Temperley-Lieb
-    immanants of :func:`tlimm.immanant.all_tl_immanants` are the stored form
-    of these coefficients."""
+    costs a single row step.  Not cached: the Temperley-Lieb immanants of
+    :func:`tlimm.immanant.all_tl_immanants` are the stored form of these
+    coefficients."""
     limits.check_limit(n, limits.theta_max_n(), "theta table")
-    matchings = all_matchings(n)
-    return {
-        u: TLElement(n, {matchings[k]: c for k, c in row.items()})
-        for u, row in _theta_rows(n)
-    }
+    return {u: _element(n, row) for u, row in _theta_rows(n)}
 
 
 def f_coeff(w: Perm, u: Perm) -> int:

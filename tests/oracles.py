@@ -117,6 +117,11 @@ def brute_percent_immanant(shape) -> dict:
     }
 
 
+def determinant(n: int) -> dict:
+    """{u: sign(u)} over all of S_n, in lexicographic order."""
+    return {u: perm.sign(u) for u in perm.all_perms(n)}
+
+
 def brute_cm_immanant(n: int, I, J) -> dict:
     """{u: sign(u)} for the u in S_n, in lexicographic order, with
     u(I) = J: a filter over all of S_n."""

@@ -85,7 +85,7 @@ def test_classes(capsys):
 
 
 def test_eval(tmp_path, capsys):
-    f = immanant.determinant_immanant(2)
+    f = immanant.cm_immanant(2, (), ())
     imm_file = tmp_path / "imm.json"
     imm_file.write_text(json.dumps(f.to_json()))
     mat_file = tmp_path / "mat.json"
@@ -187,6 +187,7 @@ def test_render_crossing_matching_is_parse_error():
     (["eval", "f", "x"], {"f": '{"n": 2, "terms": [{"perm": "1", "coeff": "1"}]}',
                           "x": "[[1, 0], [0, 1]]"}, cli.EXIT_PARSE),
     (["eval", "f", "x"], {"f": '{"n": -1, "terms": []}', "x": "[]"}, cli.EXIT_PARSE),
+    (["coeff", "213456789", "213456789"], {}, cli.EXIT_PRECONDITION),
 ])
 def test_bad_input_exit_code_without_traceback(argv, files, code, tmp_path):
     for name, text in files.items():

@@ -4,11 +4,11 @@ from tlimm import coloring, perm, tl, verify
 from tlimm.errors import PreconditionError
 
 
-def test_coloring_text():
-    # The text form is written only; no reader parses it back.
+def test_make_coloring():
     c = coloring.make_coloring(4, [4, 1], [1, 4])
-    assert coloring.format_coloring(c) == "I={1,4} J={1,4}"
-    assert coloring.format_coloring(coloring.make_coloring(3, [], [])) == "I={} J={}"
+    assert (c.blacks, c.primed_whites) == (frozenset({1, 4}), frozenset({1, 4}))
+    empty = coloring.make_coloring(3, [], [])
+    assert (empty.blacks, empty.primed_whites) == (frozenset(), frozenset())
 
 
 def test_circular_conversion():

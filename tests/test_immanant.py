@@ -9,7 +9,13 @@ import pytest
 from tlimm import classify, immanant, perm, tl
 from tlimm.errors import LimitError, PreconditionError, VerificationError
 
-from oracles import brute_cm_immanant, brute_percent_immanant, cells, restriction
+from oracles import (
+    brute_cm_immanant,
+    brute_percent_immanant,
+    cells,
+    determinant,
+    restriction,
+)
 
 
 def box(n):
@@ -73,7 +79,7 @@ def test_engulfing(n):
 
 def test_percent_immanant():
     det = immanant.percent_immanant(box(3))
-    assert det == immanant.determinant_immanant(3)
+    assert det.coeffs == determinant(3)
     f = immanant.percent_immanant(immanant.hull((2, 1, 4, 3)))
     assert f.coeff((2, 1, 4, 3)) == 1
     shape = immanant.skew_shape(5, (5, 5, 3, 2, 2), (2, 1))
@@ -104,8 +110,7 @@ def test_placement_matches_filter_on_box_shapes(n):
     for shape in box_shapes(n):
         expected = list(brute_percent_immanant(shape).items())
         assert terms(immanant.percent_immanant(shape)) == expected, shape
-    assert terms(immanant.determinant_immanant(n)) == list(
-        brute_percent_immanant(box(n)).items())
+    assert terms(immanant.cm_immanant(n, (), ())) == list(determinant(n).items())
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -140,7 +145,7 @@ def test_signed_indicators_leave_no_cycle():
         for v in perm.avoiding_321(6):
             immanant.percent_immanant(immanant.hull(v))
         immanant.cm_immanant(6, {1, 2}, {3, 4})
-        immanant.determinant_immanant(5)
+        immanant.cm_immanant(5, (), ())
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -151,7 +156,7 @@ def test_tl_immanant_anchors():
     assert f.coeff((2, 1)) == 1 and f.coeff((1, 2)) == 0
     assert immanant.tl_immanant((2, 1, 4, 3)).coeff((4, 3, 2, 1)) == 2
     for n in range(1, 6):
-        assert immanant.tl_immanant(perm.identity(n)) == immanant.determinant_immanant(n)
+        assert immanant.tl_immanant(perm.identity(n)).coeffs == determinant(n)
     with pytest.raises(PreconditionError):
         immanant.tl_immanant((3, 2, 1))
 
@@ -185,7 +190,7 @@ def test_tl_immanant_is_a_copy():
 
 
 def test_cm_immanant():
-    assert immanant.cm_immanant(3, (), ()) == immanant.determinant_immanant(3)
+    assert immanant.cm_immanant(3, (), ()).coeffs == determinant(3)
     f = immanant.cm_immanant(4, {1}, {4})
     assert f.coeff((4, 1, 2, 3)) == -1
     assert f.coeff((4, 1, 3, 2)) == 1
@@ -240,12 +245,27 @@ def test_immanant_arithmetic_and_json():
     assert immanant.Immanant.from_json(h.to_json()) == h
 
 
-def test_evaluate():
-    assert immanant.evaluate(immanant.determinant_immanant(3), [[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
-    X = immanant.parse_matrix('[["1/2", "1"], ["1", "2"]]')
-    assert immanant.evaluate(immanant.determinant_immanant(2), X) == 0
+def test_immanant_sums_normalize_and_drop_zeros():
+    f = immanant.tl_immanant((2, 1, 4, 3))
+    half = f.scaled(Fraction(1, 2))
+    for g in (half + half, half.scaled(2)):
+        assert g == f and {type(c) for c in g.coeffs.values()} == {int}
+    assert f.scaled(0).coeffs == {} and (f + f.scaled(-1)).coeffs == {}
+    made = immanant.Immanant(2, {(1, 2): Fraction(2), (2, 1): Fraction(0)})
+    assert made.coeffs == {(1, 2): 2} and type(made.coeffs[(1, 2)]) is int
     with pytest.raises(PreconditionError):
-        immanant.evaluate(immanant.determinant_immanant(2), [[1]])
+        f + immanant.tl_immanant((2, 1))
+    with pytest.raises(PreconditionError):
+        immanant.Immanant(2, {(1, 2, 3): 1})
+
+
+def test_evaluate():
+    det3, det2 = (immanant.Immanant(n, determinant(n)) for n in (3, 2))
+    assert immanant.evaluate(det3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
+    X = immanant.parse_matrix('[["1/2", "1"], ["1", "2"]]')
+    assert immanant.evaluate(det2, X) == 0
+    with pytest.raises(PreconditionError):
+        immanant.evaluate(det2, [[1]])
 
 
 @pytest.mark.parametrize("n", (4, 5))
@@ -294,7 +314,7 @@ def test_sign_alternation():
             assert immanant.is_1324_sign_alternating(
                 immanant.percent_immanant(immanant.hull(w))
             )
-    assert immanant.is_1324_sign_alternating(immanant.determinant_immanant(4))
+    assert immanant.is_1324_sign_alternating(immanant.Immanant(4, determinant(4)))
     assert not immanant.is_1324_sign_alternating(immanant.tl_immanant((2, 4, 1, 5, 3)))
 
 
@@ -331,9 +351,9 @@ def test_percent_basis_decompose():
 def test_limits(monkeypatch):
     monkeypatch.setenv("TLIMM_MAX_N", "4")
     with pytest.raises(LimitError):
-        immanant.determinant_immanant(5)
+        immanant.cm_immanant(5, (), ())
     monkeypatch.delenv("TLIMM_MAX_N")
     with pytest.raises(LimitError):
-        immanant.determinant_immanant(9)
+        immanant.cm_immanant(9, (), ())
     with pytest.raises(LimitError):
         immanant.tl_immanant(perm.identity(8))

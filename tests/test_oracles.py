@@ -32,9 +32,9 @@ def test_private_uses_are_found():
         "from tlimm import tl\n"
         "from tlimm.tl import _steps\n"
         "tl._matching(1, (1, 0))\n"
-        "tl.TLElement.one(1)._times_theta_gen(1)\n"
+        "tl.theta((1,))._terms\n"
         "tl.__name__\n"
     )
     assert sorted(private_uses(source)) == [
-        "line 2: _steps", "line 3: _matching", "line 4: _times_theta_gen",
+        "line 2: _steps", "line 3: _matching", "line 4: _terms",
     ]

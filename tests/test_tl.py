@@ -89,7 +89,8 @@ def test_beta_rejects_a_closed_loop(monkeypatch):
 
 
 def test_theta_anchors():
-    assert tl.theta(perm.identity(3)) == tl.TLElement.one(3)
+    assert tl.theta(perm.identity(3)).terms == {tl.identity_matching(3): 1}
+    assert tl.theta(()).terms == {tl.identity_matching(0): 1}
     assert tl.theta((2, 1)).terms == {tl.generator(2, 1): 1, tl.identity_matching(2): -1}
     # theta(s1 s2 s1) = t1 + t2 - t1 t2 - t2 t1 - 1
     t1, t2 = tl.generator(3, 1), tl.generator(3, 2)
@@ -97,6 +98,34 @@ def test_theta_anchors():
     assert tl.theta((3, 2, 1)).terms == {
         t1: 1, t2: 1, t12: -1, t21: -1, tl.identity_matching(3): -1,
     }
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_theta_matches_glued_product(n):
+    """theta(u) against the product of the factors t_i - 1 over a reduced
+    word of u, taken by the gluing oracle, which shares no code with the
+    step table."""
+    one = tl.identity_matching(n)
+    for u in perm.all_perms(n):
+        expected = {one: 1}
+        for i in perm.reduced_word(u):
+            expected = tl_product(expected, {tl.generator(n, i): 1, one: -1})
+        assert tl.theta(u).terms == expected, u
+
+
+def test_theta_and_f_coeff_limit(monkeypatch):
+    """theta walks the step table of all Catalan(n) matchings, so it is
+    held to the whole-S_n cap."""
+    u = (2, 1, 3, 4, 5, 6, 7, 8, 9)
+    monkeypatch.delenv("TLIMM_MAX_N", raising=False)
+    with pytest.raises(LimitError):
+        tl.theta(u)
+    with pytest.raises(LimitError):
+        tl.f_coeff(u, u)
+    monkeypatch.setenv("TLIMM_MAX_N", "9")
+    assert tl.theta(u).terms == {tl.generator(9, 1): 1, tl.identity_matching(9): -1}
+    assert tl.f_coeff(u, u) == 1
+    tl._steps.cache_clear()  # the n = 9 table is not kept for later tests
 
 
 @pytest.mark.parametrize("n", range(1, 5))
