@@ -15,11 +15,12 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import operator
 import re
 from array import array
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import limits
 from .errors import PreconditionError, VerificationError
@@ -249,44 +250,134 @@ def _unchecked(n: int, coeffs: dict[Perm, Coeff]) -> Immanant:
     return f
 
 
-def _place(rows: Sequence[Iterable[int]]) -> Iterator[tuple[Perm, int]]:
-    """Every u in S_n with u(i) in ``rows[i - 1]`` for each row i, paired
-    with sign(u), in lexicographic order.  Values are placed row by row
-    from a bitmask of the values used so far, and the sign comes from the
-    inversions each placed value makes with the larger values above it.
+# ---------------------------------------------------------------------------
+# Packed columns
+#
+# A packed column is one int over S_n, read in 32-bit lanes: lane r, bits
+# 32r to 32r + 31, holds value + _BIAS for the u of rank r in
+# perm_index(n).  While every lane stays in [0, 2^32), the int is the sum
+# of (value_r + _BIAS) * 2^(32r) and nothing else, so a sum of k columns
+# less (k - 1) * _BIAS in every lane packs the sum of their values, and
+# == compares every value at once, all in exact integer arithmetic.
 
-    >>> list(_place([(1, 2, 3), (1, 2), (3,)]))
-    [((1, 2, 3), 1), ((2, 1, 3), -1)]
+_LANE = 32
+_BIAS = 1 << (_LANE - 1)
+# A store column or a signed indicator has values in [-128, 127], so a sum
+# of k of them lies in [-128k, 127k], inside the lane range [-_BIAS, _BIAS)
+# for every k <= _BIAS / 128 = 2^24.
+MAX_TERMS = _BIAS // 128
+
+
+class _Basis(NamedTuple):
+    rows: tuple[bytes, ...]  # rows[i]: lane r has perms[r][i] in its low byte
+    one: int  # 1 in every lane
+    odd: int  # 1 in the lanes of odd permutations
+    bias: int  # _BIAS in every lane: the packed zero column
+
+
+@functools.lru_cache(maxsize=4)
+def _basis(n: int) -> _Basis:
+    limits.check_limit(n, limits.max_n(), "packed columns")
+    perms = perm_index(n).perms
+    width = _LANE // 8
+
+    def lanes(low_bytes: Iterable[int]) -> bytes:
+        out = bytearray(width * len(perms))
+        out[::width] = bytes(low_bytes)
+        return bytes(out)
+
+    one = int.from_bytes(lanes([1] * len(perms)), "little")
+    odd = int.from_bytes(lanes(sign(u) < 0 for u in perms), "little")
+    return _Basis(tuple(map(lanes, zip(*perms))), one, odd, one * _BIAS)
+
+
+def _indicator(n: int, rows: Sequence[Iterable[int]]) -> int:
+    """The packed 0/1 column of the u in S_n with u(i) in ``rows[i - 1]``
+    for every row i: each row's values are turned into 0 or 1 by one
+    translate table, and the rows are ANDed."""
+    basis = _basis(n)
+    ind = basis.one
+    for values, allowed in zip(basis.rows, rows):
+        table = bytearray(256)
+        for x in allowed:
+            table[x] = 1
+        ind &= int.from_bytes(values.translate(table), "little")
+    return ind
+
+
+def _signed(n: int, ind: int) -> int:
+    """The signed indicator sign(u) * ind(u), packed."""
+    basis = _basis(n)
+    return ind - 2 * (ind & basis.odd) + basis.bias
+
+
+def pack_column(n: int, values: Iterable[int]) -> int:
+    """The packed column of rank-indexed integer values over S_n, such as a
+    store column of :func:`all_tl_immanants`; a value outside the lane
+    range [-2^31, 2^31) is a VerificationError.
+
+    >>> unpack_column(2, pack_column(2, [3, -1])).coeffs
+    {(1, 2): 3, (2, 1): -1}
     """
-    n = len(rows)
-    if n == 0:
-        yield (), 1
-        return
-    allowed = [sum(1 << x for x in set(row)) for row in rows]
-    word = [0] * n
-    # Per row: the values still to try, the values used above it, and the
-    # parity of the inversions among the rows above it.
-    untried = [allowed[0]] + [0] * (n - 1)
-    used = [0] * n
-    odd = [0] * n
-    i = 0
-    while i >= 0:
-        left = untried[i]
-        if not left:
-            i -= 1
-            continue
-        bit = left & -left
-        untried[i] = left ^ bit
-        x = bit.bit_length() - 1
-        word[i] = x
-        parity = odd[i] ^ ((used[i] >> x).bit_count() & 1)
-        if i == n - 1:
-            yield tuple(word), -1 if parity else 1
-        else:
-            i += 1
-            used[i] = used[i - 1] | bit
-            odd[i] = parity
-            untried[i] = allowed[i] & ~used[i]
+    try:
+        lanes = array("i", values)
+    except OverflowError:
+        raise VerificationError(f"a value does not fit a {_LANE}-bit lane") from None
+    # Flipping the top bit of a two's complement lane adds _BIAS to it.
+    return int.from_bytes(lanes.tobytes(), "little") ^ _basis(n).bias
+
+
+def unpack_column(n: int, column: int) -> Immanant:
+    """The sparse Immanant that a packed column holds."""
+    lanes = array("i")
+    lanes.frombytes((column ^ _basis(n).bias).to_bytes(
+        lanes.itemsize * len(perm_index(n).perms), "little"))
+    return _sparse(n, lanes)
+
+
+def sum_columns(n: int, columns: Sequence[int]) -> int:
+    """The packed sum of columns whose values are signed bytes, as store
+    columns and signed indicators are; more than :data:`MAX_TERMS` of them
+    could overflow a lane, and are a VerificationError.
+
+    >>> unpack_column(2, sum_columns(2, [pack_column(2, [1, 2])] * 3)).coeffs
+    {(1, 2): 3, (2, 1): 6}
+    """
+    if len(columns) > MAX_TERMS:
+        raise VerificationError(
+            f"a sum of {len(columns)} columns could overflow a {_LANE}-bit lane")
+    return sum(columns) - (len(columns) - 1) * _basis(n).bias
+
+
+def times_sign(n: int, column: int, s: int) -> int:
+    """The packed column times s = +-1."""
+    return column if s > 0 else 2 * _basis(n).bias - column
+
+
+class Column(NamedTuple):
+    """A packed column of S_n as a check's value: equal to another iff
+    their n and lanes are, and shown as the sparse Immanant it holds."""
+
+    n: int
+    lanes: int
+
+    def __repr__(self) -> str:
+        return repr(unpack_column(self.n, self.lanes))
+
+
+def _sparse(n: int, values: Sequence[Coeff]) -> Immanant:
+    """The Immanant of rank-indexed values over S_n; compress keeps the u
+    with a nonzero value."""
+    return _unchecked(n, dict(zip(itertools.compress(perm_index(n).perms, values),
+                                  filter(None, values))))
+
+
+def percent_column(shape: SkewShape) -> int:
+    """The packed percent immanant of a shape: sign(u) on the u whose row i
+    takes a value in (mu_i, lam_i], zero elsewhere."""
+    limits.check_limit(shape.n, limits.max_n(), "percent immanant")
+    rows = [range(m + 1, l + 1) for m, l in zip(shape.mu, shape.lam)]
+    return _signed(shape.n, _indicator(shape.n, rows))
 
 
 def percent_immanant(shape: SkewShape) -> Immanant:
@@ -296,11 +387,7 @@ def percent_immanant(shape: SkewShape) -> Immanant:
     >>> percent_immanant(hull((2, 1, 4, 3))).coeff((2, 1, 4, 3))
     1
     """
-    n = shape.n
-    limits.check_limit(n, limits.max_n(), "percent immanant")
-    return _unchecked(n, dict(_place(
-        [range(m + 1, l + 1) for m, l in zip(shape.mu, shape.lam)]
-    )))
+    return unpack_column(shape.n, percent_column(shape))
 
 
 def tl_immanant(w: Perm) -> Immanant:
@@ -309,11 +396,7 @@ def tl_immanant(w: Perm) -> Immanant:
     the stored column of w."""
     if not is_321_avoiding(w):
         raise PreconditionError(f"{w} contains the pattern 321")
-    n = len(w)
-    column = all_tl_immanants(n)[w]
-    # compress keeps the u with f_w(u) != 0.
-    return _unchecked(n, dict(zip(itertools.compress(perm_index(n).perms, column),
-                                  filter(None, column))))
+    return _sparse(len(w), all_tl_immanants(len(w))[w])
 
 
 @functools.lru_cache(maxsize=4)
@@ -344,14 +427,10 @@ def all_tl_immanants(n: int) -> dict[Perm, array]:
     return {beta_inv(m): col for m, col in zip(matchings, columns)}
 
 
-def cm_immanant(n: int, I: Iterable[int], J: Iterable[int]) -> Immanant:
-    """The complementary-minor immanant: sign(u) on permutations with
+def cm_column(n: int, I: Iterable[int], J: Iterable[int]) -> int:
+    """The packed complementary-minor immanant: sign(u) on the u with
     u(I) = J, zero elsewhere.  The rows in I take values in J, the other
-    rows the values outside J.
-
-    >>> cm_immanant(3, {1}, {3}).coeffs
-    {(3, 1, 2): 1, (3, 2, 1): -1}
-    """
+    rows the values outside J."""
     I, J = frozenset(I), frozenset(J)
     if len(I) != len(J):
         raise PreconditionError(f"|I| = {len(I)} but |J| = {len(J)}")
@@ -362,11 +441,17 @@ def cm_immanant(n: int, I: Iterable[int], J: Iterable[int]) -> Immanant:
         raise PreconditionError(
             f"I and J must lie in 1..{n}, got I = {sorted(I)}, J = {sorted(J)}"
         )
-    inside = sorted(J)
-    outside = sorted(set(range(1, n + 1)) - J)
-    return _unchecked(n, dict(_place(
-        [inside if i in I else outside for i in range(1, n + 1)]
-    )))
+    outside = set(range(1, n + 1)) - J
+    return _signed(n, _indicator(n, [J if i in I else outside for i in range(1, n + 1)]))
+
+
+def cm_immanant(n: int, I: Iterable[int], J: Iterable[int]) -> Immanant:
+    """The complementary-minor immanant of :func:`cm_column`, sparse.
+
+    >>> cm_immanant(3, {1}, {3}).coeffs
+    {(3, 1, 2): 1, (3, 2, 1): -1}
+    """
+    return unpack_column(n, cm_column(n, I, J))
 
 
 def subset_sign(I: Iterable[int]) -> int:
@@ -406,7 +491,9 @@ def parse_matrix(text: str) -> Matrix:
 
 
 def evaluate(f: Immanant, matrix: Sequence[Sequence]) -> Fraction:
-    """sum_u f(u) * prod_i X[i, u(i)], exactly.
+    """sum_u f(u) * prod_i X[i, u(i)], exactly.  Row i is scaled by the lcm
+    d_i of its denominators and f by the lcm d of its own, so every product
+    is an integer, and the sum is divided by d * d_1 * ... * d_n once.
 
     >>> evaluate(cm_immanant(2, (), ()), [[1, 2], [3, 4]])
     Fraction(-2, 1)
@@ -414,15 +501,16 @@ def evaluate(f: Immanant, matrix: Sequence[Sequence]) -> Fraction:
     X = as_matrix(matrix)
     if len(X) != f.n:
         raise PreconditionError(f"size mismatch: matrix {len(X)} vs immanant {f.n}")
-    total = Fraction(0)
-    for u, c in f.coeffs.items():
-        prod = Fraction(1)
-        for i, x in enumerate(u):
-            prod *= X[i][x - 1]
-            if not prod:
-                break
-        total += c * prod
-    return total
+    scales = [math.lcm(*(x.denominator for x in row)) for row in X]
+    # A leading 0 lets row[x] read column x.
+    rows = [(0, *(x.numerator * (d // x.denominator) for x in row))
+            for row, d in zip(X, scales)]
+    d = math.lcm(*(c.denominator for c in f.coeffs.values()))
+    total = sum(
+        math.prod(map(operator.getitem, rows, u), start=c.numerator * (d // c.denominator))
+        for u, c in f.coeffs.items()
+    )
+    return Fraction(total, d * math.prod(scales))
 
 
 def witness_matrix(w: Perm) -> tuple[tuple[int, ...], ...]:
@@ -451,6 +539,35 @@ def is_1324_sign_alternating(f: Immanant) -> bool:
     membership test for the span of the percent immanants."""
     limits.check_limit(f.n, limits.max_n(), "sign-alternation check")
     return find_alternation_violation(f) is None
+
+
+@functools.lru_cache(maxsize=8)
+def _adjacent_gathers(n: int) -> tuple[Callable, Callable]:
+    """Two gathers over a rank-indexed column: the values at the first and
+    at the second permutation of every 1324-adjacent pair, as tuples."""
+    rank = perm_index(n).rank
+    pairs = adjacent_1324_pairs(n)
+
+    def gather(side: int) -> Callable:
+        ranks = [rank[pair[side]] for pair in pairs]
+        if len(ranks) > 1:
+            return operator.itemgetter(*ranks)
+        # itemgetter needs a rank, and returns a lone value for one rank.
+        return lambda column: tuple(column[r] for r in ranks)
+
+    return gather(0), gather(1)
+
+
+def column_alternates(n: int, column: Sequence[int]) -> bool:
+    """True iff the rank-indexed column f, such as a store column of
+    :func:`all_tl_immanants`, has f(w) + f(w') = 0 on every 1324-adjacent
+    pair: :func:`is_1324_sign_alternating` by two gathers.
+
+    >>> column_alternates(4, all_tl_immanants(4)[(1, 3, 2, 4)])
+    False
+    """
+    left, right = _adjacent_gathers(n)
+    return not any(map(operator.add, left(column), right(column)))
 
 
 def find_alternation_violation(f: Immanant) -> tuple[Perm, Perm] | None:

@@ -151,13 +151,18 @@ def length(w: Perm) -> int:
     >>> length((2, 1, 4, 3))
     2
     """
-    n = len(w)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+    # Each value is counted against the larger values seen before it, read
+    # from a bitmask of the values seen so far.
+    seen = inversions = 0
+    for x in w:
+        inversions += (seen >> x).bit_count()
+        seen |= 1 << x
+    return inversions
 
 
 def sign(w: Perm) -> int:
     """(-1)^length(w)."""
-    return -1 if length(w) % 2 else 1
+    return -1 if length(w) & 1 else 1
 
 
 def right_mult_gen(w: Perm, i: int) -> Perm:

@@ -124,9 +124,10 @@ def _applicable_two_case(n: int) -> list[Perm]:
 def suite_a1(n: int) -> Iterator[_Check]:
     """Single-percent classification: tl_immanant(w) equals
     sign(w) * percent(hull(w)) exactly when w avoids 1324 and 2143."""
+    store = immanant.all_tl_immanants(n)
     for w in perm.avoiding_321(n):
-        lhs = immanant.tl_immanant(w)
-        rhs = immanant.percent_immanant(immanant.hull(w)).scaled(perm.sign(w))
+        lhs = immanant.pack_column(n, store[w])
+        rhs = immanant.times_sign(n, immanant.percent_column(immanant.hull(w)), perm.sign(w))
         yield ("one-percent iff avoids 1324 and 2143", w,
                perm.avoids(w, PATTERN_1324, PATTERN_2143), lhs == rhs)
 
@@ -136,21 +137,20 @@ def suite_a2(n: int) -> Iterator[_Check]:
     """Two-percent classification: decompose(w) is non-none iff w avoids the
     five forbidden patterns iff tl_immanant(w) is 1324-sign-alternating, and
     the produced shape sum matches exactly."""
+    store = immanant.all_tl_immanants(n)
     for w in perm.avoiding_321(n):
         d = classify.decompose(w, validate=False)
         ok_patterns = classify.avoids_main_patterns(w)
-        f = immanant.tl_immanant(w)
-        alternating = immanant.is_1324_sign_alternating(f)
         yield ("decomposable iff avoids forbidden patterns", w,
                ok_patterns, d.kind != "none")
         yield ("decomposable iff sign-alternating", w,
-               ok_patterns, alternating)
+               ok_patterns, immanant.column_alternates(n, store[w]))
         if d.kind != "none":
-            total = immanant.zero_immanant(n)
-            for s in d.shapes:
-                total = total + immanant.percent_immanant(s)
+            f = immanant.pack_column(n, store[w])
+            total = immanant.sum_columns(n, [immanant.percent_column(s) for s in d.shapes])
             yield ("shape sum equals signed immanant", w,
-                   f.scaled(d.sign), total)
+                   immanant.Column(n, immanant.times_sign(n, f, d.sign)),
+                   immanant.Column(n, total))
 
 
 # How many (w, u) pairs A3 draws at n >= 7.
@@ -186,17 +186,19 @@ def suite_a3(n: int, seed: int = 20_433) -> Iterator[_Check]:
 def suite_a4(n: int) -> Iterator[_Check]:
     """Complementary minors expand into compatible Temperley-Lieb immanants:
     (-1)^(s(I)+s(J)) CM_{I,J} = sum of Imm_w over compatible w."""
+    store = {w: immanant.pack_column(n, col) for w, col in immanant.all_tl_immanants(n).items()}
     for k in range(n + 1):
         for I in itertools.combinations(range(1, n + 1), k):
             for J in itertools.combinations(range(1, n + 1), k):
-                lhs = immanant.cm_immanant(n, I, J).scaled(
-                    immanant.subset_sign(I) * immanant.subset_sign(J)
-                )
-                rhs = immanant.zero_immanant(n)
-                for w in coloring.compatible_permutations(coloring.make_coloring(n, I, J)):
-                    rhs = rhs + immanant.tl_immanant(w)
+                lhs = immanant.times_sign(n, immanant.cm_column(n, I, J),
+                                          immanant.subset_sign(I) * immanant.subset_sign(J))
+                rhs = immanant.sum_columns(n, [
+                    store[w] for w in
+                    coloring.compatible_permutations(coloring.make_coloring(n, I, J))
+                ])
                 yield ("signed CM equals compatible immanant sum",
-                       f"I={set(I) or '{}'} J={set(J) or '{}'}", lhs, rhs)
+                       f"I={set(I) or '{}'} J={set(J) or '{}'}",
+                       immanant.Column(n, lhs), immanant.Column(n, rhs))
 
 
 @_suite("A5", (2, 3, 4, 5))
@@ -430,23 +432,27 @@ def suite_a10(n: int) -> Iterator[_Check]:
     """Complementary-minor expansions reproduce the immanants exactly, and
     the 0/1 witness matrix separates percent from Temperley-Lieb values."""
     applicable = _applicable_two_case(n)
+    store = immanant.all_tl_immanants(n)
     for w in applicable:
-        total = immanant.zero_immanant(n)
-        for s, I, J in classify.cm_expansion(w):
-            total = total + immanant.cm_immanant(n, I, J).scaled(s)
+        total = immanant.sum_columns(n, [
+            immanant.times_sign(n, immanant.cm_column(n, I, J), s)
+            for s, I, J in classify.cm_expansion(w)
+        ])
         yield ("signed CM expansion equals the immanant", w,
-               immanant.tl_immanant(w), total.scaled(perm.sign(w)))
+               immanant.Column(n, immanant.pack_column(n, store[w])),
+               immanant.Column(n, immanant.times_sign(n, total, perm.sign(w))))
     for w in perm.avoiding_321(n):
         if not perm.avoids(w, PATTERN_1324, PATTERN_2143):
             continue
         # The rectangle expansion needs w(1) = 1 or w(1) = w(n) + 1, so n >= 1.
         if not w or (w[0] != 1 and w[0] != w[-1] + 1):
             continue
-        total = immanant.zero_immanant(n)
-        for I, J in classify.rect_cm_expansion(w):
-            total = total + immanant.cm_immanant(n, I, J)
-        yield ("rectangle CM expansion equals the hull percent immanant",
-               w, immanant.percent_immanant(immanant.hull(w)), total)
+        total = immanant.sum_columns(n, [
+            immanant.cm_column(n, I, J) for I, J in classify.rect_cm_expansion(w)
+        ])
+        yield ("rectangle CM expansion equals the hull percent immanant", w,
+               immanant.Column(n, immanant.percent_column(immanant.hull(w))),
+               immanant.Column(n, total))
     for w in applicable:
         X = immanant.witness_matrix(w)
         yield ("witness matrix: hull percent immanant is +-1", w,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from fractions import Fraction
 
 from tlimm import perm, tl
 
@@ -96,12 +97,14 @@ def cells(shape) -> frozenset[tuple[int, int]]:
     )
 
 
+def inversions(u) -> int:
+    """The number of inversions, counted pair by pair."""
+    return sum(1 for i, j in itertools.combinations(range(len(u)), 2) if u[i] > u[j])
+
+
 def inversion_sign(u) -> int:
-    """(-1)^(number of inversions), counted pair by pair."""
-    inversions = sum(
-        1 for i, j in itertools.combinations(range(len(u)), 2) if u[i] > u[j]
-    )
-    return -1 if inversions % 2 else 1
+    """(-1)^(number of inversions)."""
+    return -1 if inversions(u) % 2 else 1
 
 
 def brute_percent_immanant(shape) -> dict:
@@ -119,7 +122,7 @@ def brute_percent_immanant(shape) -> dict:
 
 def determinant(n: int) -> dict:
     """{u: sign(u)} over all of S_n, in lexicographic order."""
-    return {u: perm.sign(u) for u in perm.all_perms(n)}
+    return {u: inversion_sign(u) for u in itertools.permutations(range(1, n + 1))}
 
 
 def brute_cm_immanant(n: int, I, J) -> dict:
@@ -131,6 +134,17 @@ def brute_cm_immanant(n: int, I, J) -> dict:
         for u in itertools.permutations(range(1, n + 1))
         if {u[i - 1] for i in I} == J
     }
+
+
+def evaluate(f, matrix) -> Fraction:
+    """sum_u f(u) prod_i X[i][u(i)], one Fraction product at a time."""
+    total = Fraction(0)
+    for u, c in f.coeffs.items():
+        prod = Fraction(c)
+        for i, x in enumerate(u):
+            prod *= Fraction(matrix[i][x - 1])
+        total += prod
+    return total
 
 
 def compose_word(n: int, word) -> tuple[int, ...]:

@@ -16,6 +16,7 @@ from oracles import (
     determinant,
     restriction,
 )
+import oracles
 
 
 def box(n):
@@ -131,6 +132,38 @@ def test_cm_placement_matches_filter(n):
             for J in itertools.combinations(range(1, n + 1), k):
                 assert terms(immanant.cm_immanant(n, I, J)) == list(
                     brute_cm_immanant(n, I, J).items()), (I, J)
+
+
+def test_packed_lanes_hold_their_range():
+    n, low, high = 3, -(2**31), 2**31 - 1
+    values = [low, high, 0, -1, 1, 127]
+    column = immanant.pack_column(n, values)
+    assert immanant.unpack_column(n, column).coeffs == {
+        u: v for u, v in zip(perm.all_perms(n), values) if v}
+    for outside in (low - 1, high + 1):
+        with pytest.raises(VerificationError):
+            immanant.pack_column(n, [outside, 0, 0, 0, 0, 0])
+    # Sums reach both ends of a lane exactly.
+    a = immanant.pack_column(n, [-(2**30), 2**30 - 1, 5, -5, -128, 127])
+    b = immanant.pack_column(n, [-(2**30), 2**30, -5, 5, -128, 127])
+    assert immanant.unpack_column(n, immanant.sum_columns(n, [a, b])).coeffs == {
+        (1, 2, 3): low, (1, 3, 2): high, (3, 1, 2): -256, (3, 2, 1): 254}
+    assert immanant.unpack_column(n, immanant.times_sign(n, b, -1)).coeffs == {
+        (1, 2, 3): 2**30, (1, 3, 2): -(2**30), (2, 1, 3): 5, (2, 3, 1): -5,
+        (3, 1, 2): 128, (3, 2, 1): -127}
+    # The docstring's bound: 2^24 signed-byte terms stay inside a lane.
+    assert immanant.MAX_TERMS == 2**24
+    assert -128 * immanant.MAX_TERMS >= low and 127 * immanant.MAX_TERMS <= high
+    assert immanant.sum_columns(n, []) == immanant.pack_column(n, [0] * 6)
+    with pytest.raises(VerificationError):
+        immanant.sum_columns(n, range(immanant.MAX_TERMS + 1))
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_gathered_alternation_matches_pairwise(n):
+    for w, column in immanant.all_tl_immanants(n).items():
+        pairwise = immanant.find_alternation_violation(immanant.tl_immanant(w)) is None
+        assert immanant.column_alternates(n, column) == pairwise, w
 
 
 def test_signed_indicators_leave_no_cycle():
@@ -266,6 +299,27 @@ def test_evaluate():
     assert immanant.evaluate(det2, X) == 0
     with pytest.raises(PreconditionError):
         immanant.evaluate(det2, [[1]])
+
+
+def test_evaluate_matches_fraction_oracle():
+    rng = random.Random(20_418)
+    assert immanant.evaluate(immanant.Immanant(0, {(): Fraction(3, 2)}), []) == Fraction(3, 2)
+    for n in range(0, 6):
+        universe = list(perm.all_perms(n))
+        for trial in range(6):
+            f = immanant.Immanant(n, {
+                u: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                for u in rng.sample(universe, rng.randint(0, len(universe)))
+            })
+            X = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+                 for _ in range(n)]
+            if n and trial % 3 == 0:
+                X[rng.randrange(n)] = [0] * n
+            assert immanant.evaluate(f, X) == oracles.evaluate(f, X), (n, trial)
+        if n:
+            w = perm.avoiding_321(n)[-1]
+            f = immanant.tl_immanant(w)
+            assert immanant.evaluate(f, X) == oracles.evaluate(f, X)
 
 
 @pytest.mark.parametrize("n", (4, 5))

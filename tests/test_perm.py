@@ -11,6 +11,8 @@ from oracles import (
     brute_contains_pattern,
     bruhat_leq,
     compose_word,
+    inversion_sign,
+    inversions,
     is_1324_adjacent,
     restriction,
     transposition,
@@ -53,6 +55,12 @@ def test_longest_word_and_length():
     assert perm.sign((2, 1, 4, 3)) == 1
     assert perm.length(perm.identity(5)) == 0
     assert perm.sign(perm.longest_word(4)) == 1
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_length_and_sign_match_pair_counts(n):
+    for w in perm.all_perms(n):
+        assert (perm.length(w), perm.sign(w)) == (inversions(w), inversion_sign(w)), w
 
 
 @pytest.mark.parametrize("n", range(1, 7))

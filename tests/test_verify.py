@@ -1,6 +1,16 @@
-"""The suite registry, and the text of a failing check's witness."""
+"""The suite registry, and the text of a failing check's witness and values."""
 
-from tlimm import classify, immanant, verify
+from array import array
+
+from tlimm import classify, immanant, perm, verify
+
+from oracles import determinant
+
+
+def zero_store(n):
+    """A store of f_w(u) that holds 0 for every w and u."""
+    size = len(perm.perm_index(n).perms)
+    return {w: array("b", bytes(size)) for w in perm.avoiding_321(n)}
 
 
 def test_suites_are_declared_once():
@@ -19,11 +29,25 @@ def test_dict_witness_text(monkeypatch):
 
 
 def test_permutation_witness_text(monkeypatch):
-    monkeypatch.setattr(immanant, "tl_immanant", lambda w: immanant.zero_immanant(len(w)))
+    monkeypatch.setattr(immanant, "all_tl_immanants", zero_store)
     assert [f.witness for f in verify.suite_a1(0).failures] == [""]
     assert [f.witness for f in verify.suite_a1(3).failures] == [
         "123", "132", "213", "231", "312"]
     assert verify.suite_a1(3).failures[0].claim == "one-percent iff avoids 1324 and 2143"
+
+
+def test_packed_values_render_as_sparse_terms(monkeypatch):
+    tl_2143 = repr(immanant.tl_immanant((2, 1, 4, 3)))
+    monkeypatch.setattr(immanant, "all_tl_immanants", zero_store)
+    zero = [repr(immanant.zero_immanant(n)) for n in range(5)]
+    a2 = next(f for f in verify.suite_a2(3).failures if f.claim.startswith("shape sum"))
+    assert (a2.witness, a2.expected, a2.actual) == ("123", zero[3], repr(
+        immanant.Immanant(3, determinant(3))))
+    a4 = verify.suite_a4(2).failures[0]
+    assert (a4.witness, a4.expected, a4.actual) == (
+        "I={} J={}", repr(immanant.Immanant(2, determinant(2))), zero[2])
+    a10 = verify.suite_a10(4).failures[0]
+    assert (a10.witness, a10.expected, a10.actual) == ("2143", zero[4], tl_2143)
 
 
 def test_string_witness_text(monkeypatch):
