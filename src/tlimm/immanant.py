@@ -262,9 +262,7 @@ def _unchecked(n: int, coeffs: dict[Perm, Coeff]) -> Immanant:
 
 _LANE = 32
 _BIAS = 1 << (_LANE - 1)
-# A store column or a signed indicator has values in [-128, 127], so a sum
-# of k of them lies in [-128k, 127k], inside the lane range [-_BIAS, _BIAS)
-# for every k <= _BIAS / 128 = 2^24.
+# The most terms sum_columns adds; its docstring proves the bound.
 MAX_TERMS = _BIAS // 128
 
 
@@ -337,8 +335,10 @@ def unpack_column(n: int, column: int) -> Immanant:
 
 def sum_columns(n: int, columns: Sequence[int]) -> int:
     """The packed sum of columns whose values are signed bytes, as store
-    columns and signed indicators are; more than :data:`MAX_TERMS` of them
-    could overflow a lane, and are a VerificationError.
+    columns and signed indicators, negated or not, are.  A sum of k
+    values in [-128, 127] lies in [-128k, 127k], inside the lane range
+    [-2^31, 2^31) for every k <= 2^31 / 128 = 2^24 = :data:`MAX_TERMS`, so
+    no lane overflows; more terms are a VerificationError.
 
     >>> unpack_column(2, sum_columns(2, [pack_column(2, [1, 2])] * 3)).coeffs
     {(1, 2): 3, (2, 1): 6}
