@@ -16,6 +16,7 @@ it searches every (coloring, matching) pair that meets the zone conditions.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import warnings
 from typing import Iterable, Sequence
 
@@ -69,13 +70,26 @@ def make_coloring(n: int, I: Iterable[int], J: Iterable[int]) -> Coloring:
     return Coloring(n, frozenset(I), frozenset(J))
 
 
+def _black_mask(c: Coloring) -> int:
+    """The black circular positions of c as one int: bit p is set iff
+    position p is black.  Unprimed i sits at position i - 1 and primed j
+    at 2n - j; a primed vertex is black unless it is listed white."""
+    unprimed = sum(1 << (i - 1) for i in c.blacks)
+    primed_whites = sum(1 << (2 * c.n - j) for j in c.primed_whites)
+    return unprimed | ((((1 << c.n) - 1) << c.n) & ~primed_whites)
+
+
+def _joins_colors(black: int, pairs: Iterable[tuple[int, int]]) -> bool:
+    """True iff each pair (p, q) joins a black position to a white one,
+    the black positions given as the bits of ``black``."""
+    return all(((black >> p) ^ (black >> q)) & 1 for p, q in pairs)
+
+
 def is_compatible(m: NonCrossingMatching, c: Coloring) -> bool:
     """True iff every pair of m joins a black vertex to a white one."""
     if m.n != c.n:
         raise PreconditionError(f"size mismatch: {m.n} vs {c.n}")
-    return all(
-        c.is_black_position(p) != c.is_black_position(q) for p, q in m.pairs()
-    )
+    return _joins_colors(_black_mask(c), m.pairs())
 
 
 def compatible_permutations(c: Coloring) -> frozenset[Perm]:
@@ -86,9 +100,14 @@ def compatible_permutations(c: Coloring) -> frozenset[Perm]:
             f"{len(c.primed_whites)} primed whites; no compatible matching exists"
         )
         return frozenset()
-    return frozenset(
-        beta_inv(m) for m in all_matchings(c.n) if is_compatible(m, c)
-    )
+    black = _black_mask(c)
+    return frozenset(w for w, pairs in _matching_pairs(c.n) if _joins_colors(black, pairs))
+
+
+@functools.lru_cache(maxsize=4)
+def _matching_pairs(n: int) -> tuple[tuple[Perm, tuple[tuple[int, int], ...]], ...]:
+    """(beta_inv(m), m.pairs()) for every matching m of all_matchings(n)."""
+    return tuple((beta_inv(m), m.pairs()) for m in all_matchings(n))
 
 
 def canonical_coloring(w: Perm) -> Coloring:

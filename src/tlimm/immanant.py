@@ -35,7 +35,7 @@ from .perm import (
     perm_index,
     sign,
 )
-from .tl import _theta_rows, all_matchings, beta_inv
+from .tl import _theta_columns, all_matchings, beta_inv
 
 Coeff = int | Fraction
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -404,27 +404,14 @@ def all_tl_immanants(n: int) -> dict[Perm, array]:
     """The coefficients f_w(u) of every 321-avoiding w in S_n, the one
     stored table of them: column ``[w]`` is an ``array('b')`` whose entry
     ``r`` is f_w(u) for the u of rank r in :func:`tlimm.perm.perm_index`.
-    Filled from one weak-order pass over the theta rows.  The columns are
-    shared: do not change them.
+    Filled by the level-order pass :func:`tlimm.tl._theta_columns`.  The
+    columns are shared: do not change them.
 
     >>> all_tl_immanants(2)[(2, 1)].tolist()
     [0, 1]
     """
     limits.check_limit(n, limits.theta_max_n(), "theta table")
-    rank = perm_index(n).rank
-    matchings = all_matchings(n)
-    columns = [array("b", bytes(len(rank))) for _ in matchings]
-    for u, row in _theta_rows(n):
-        r = rank[u]
-        for k, c in row.items():
-            try:
-                columns[k][r] = c
-            except OverflowError:
-                raise VerificationError(
-                    f"f_w(u) = {c} at n={n}, w={format_perm(beta_inv(matchings[k]))}, "
-                    f"u={format_perm(u)} does not fit the signed-byte store"
-                ) from None
-    return {beta_inv(m): col for m, col in zip(matchings, columns)}
+    return {beta_inv(m): col for m, col in zip(all_matchings(n), _theta_columns(n))}
 
 
 def cm_column(n: int, I: Iterable[int], J: Iterable[int]) -> int:

@@ -9,28 +9,38 @@ positions, exactly as a balanced bracket sequence.
 
 The package multiplies only on the right by a generator: m . t_i is a
 local surgery on m's unprimed boundary at labels i, i+1, and a closed loop
-multiplies the coefficient by 2.  ``_steps(n)`` tabulates that surgery,
-and theta is multiplied out over the table one row step at a time
-(:func:`_row_times_theta_gen`).  The orientation of that product is a
-convention; the one used here is pinned by the test anchor
-``beta((2,3,4,1)) == parse_matching("1-3' 2-4' 3-4 1'-2'")`` and is the one
-under which every ``beta(w)`` is compatible with the black/white coloring of
-w (see :mod:`tlimm.coloring`).  A :class:`TLElement`, the value ``theta``
-returns, is a linear combination of diagrams with no arithmetic of its own.
+multiplies the coefficient by 2.  ``_steps(n)`` tabulates that surgery.
+Theta is multiplied out over the table in two ways that share nothing but
+the table: ``theta(u)`` one row step at a time over a reduced word
+(:func:`_row_times_theta_gen`), and every theta(u) of S_n at once, level
+by level in length over whole columns of big-int lanes
+(:func:`_theta_columns`, which the store and ``theta_table`` read).  The
+orientation of that product is a convention; the one used here is pinned by
+the test anchor ``beta((2,3,4,1)) == parse_matching("1-3' 2-4' 3-4 1'-2'")``
+and is the one under which every ``beta(w)`` is compatible with the
+black/white coloring of w (see :mod:`tlimm.coloring`).  A
+:class:`TLElement`, the value ``theta`` returns, is a linear combination of
+diagrams with no arithmetic of its own.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
+import operator
+from array import array
 from typing import Iterator
 
 from . import limits
 from .errors import PreconditionError, VerificationError
 from .perm import (
     Perm,
+    format_perm,
     is_321_avoiding,
+    length,
+    perm_index,
     reduced_word,
     right_mult_gen,
 )
@@ -316,22 +326,109 @@ def _element(n: int, row: dict[int, int]) -> TLElement:
     return TLElement(n, {matchings[k]: c for k, c in row.items()})
 
 
-def _theta_rows(n: int) -> Iterator[tuple[Perm, dict[int, int]]]:
-    """theta(u) for every u in S_n as {index in all_matchings(n): coeff},
-    depth first along the weak order: each u != e is theta(u s_d) (t_d - 1)
-    for the first descent d of u, so only the rows on the current path are
-    held.  A yielded row must not be changed."""
+# While _theta_columns multiplies out one group of S_n, a column's values
+# on that group sit in one int of 16-bit lanes; the store itself keeps
+# value + _BYTE_BIAS in one unsigned byte per permutation.
+_BYTE_BIAS = 128
+_UNBIAS = bytes(x ^ _BYTE_BIAS for x in range(256))
+
+
+def _gatherer(positions: list[int]):
+    """A function taking a sequence to the tuple of its items at positions;
+    ``operator.itemgetter`` of one position returns the item, not a 1-tuple."""
+    if len(positions) == 1:
+        p = positions[0]
+        return lambda seq: (seq[p],)
+    return operator.itemgetter(*positions)
+
+
+def _theta_columns(n: int) -> list[array]:
+    """theta(u) for every u in S_n as columns: column k, for matching k of
+    all_matchings(n), is an ``array('b')`` whose entry r is the coefficient
+    of that matching in theta(u), u of rank r in :func:`tlimm.perm.perm_index`.
+    A coefficient outside a signed byte is a VerificationError naming n, w,
+    u and the value.
+
+    Each u != e is theta(u s_d) (t_d - 1), d the first descent of u, and
+    u s_d is one shorter than u.  Internally S_n is ordered by (length,
+    first descent, rank), so the u of one length and first descent form a
+    contiguous group whose parents u s_d all lie on the level below.  For
+    a group, every column that is nonzero somewhere on that level is
+    gathered at the parents into one int of 16-bit lanes v_k', and the
+    group's slice of column k is the sum of (v_k' << loops) over the k'
+    that t_d takes to k, less v_k: a few big-int adds per column, not a
+    dict update per term.  At the end one gather per column puts it back
+    into rank order.
+    """
     steps = _steps(n)
-
-    def visit(u: Perm, row: dict[int, int]) -> Iterator[tuple[Perm, dict[int, int]]]:
-        yield u, row
-        for d in range(1, n):
-            child = right_mult_gen(u, d)
-            if next((i for i in range(1, n) if child[i - 1] > child[i]), None) != d:
+    matchings = all_matchings(n)
+    perms = perm_index(n).perms
+    rank = perm_index(n).rank
+    size = len(perms)
+    lengths = list(map(length, perms))
+    descents = [next((i for i in range(1, n) if u[i - 1] > u[i]), 0) for u in perms]
+    # A stable sort keeps rank order within each group.
+    order = sorted(range(size), key=lambda r: (lengths[r], descents[r]))
+    position = [0] * size
+    for i, r in enumerate(order):
+        position[r] = i
+    columns = [bytearray([_BYTE_BIAS]) * size for _ in matchings]
+    # theta(e) is the identity matching, which comes last in all_matchings(n).
+    columns[-1][0] += 1
+    below: set[int] = {len(matchings) - 1}  # columns nonzero on the level below
+    level: set[int] = set()
+    start, depth = 1, 1
+    for (ell, d), group in itertools.groupby(order[1:], key=lambda r: (lengths[r], descents[r])):
+        if ell != depth:
+            below, level, depth = level, set(), ell
+        members = list(group)
+        size_g = len(members)
+        gather = _gatherer([position[rank[right_mult_gen(perms[r], d)]] for r in members])
+        one = int.from_bytes(b"\x01\x00" * size_g, "little")
+        zero = _BYTE_BIAS * one
+        lanes = bytearray(2 * size_g)
+        sums: dict[int, int] = {}
+        for k in below:
+            lanes[::2] = bytes(gather(columns[k]))
+            v = int.from_bytes(lanes, "little") - zero
+            glued, loops = steps[k][d - 1]
+            sums[glued] = sums.get(glued, 0) + (v << loops)
+            sums[k] = sums.get(k, 0) - v
+        # The check below is exact.  A lane of v holds a stored value in
+        # [-128, 127].  Matching k is k' t_d only if k has the cup d-(d+1):
+        # then k' is k itself, with one loop, or joins d and d+1 to the two
+        # ends of one of the other n - 1 chords of k, either way round.  So
+        # lane i of sums[k] is x_i, a sum of those values whose coefficients
+        # (2 for k itself, 1 for each other k', and -1 for v_k) add up to at
+        # most 2n + 1 in absolute value: |x_i| <= 128 (2n + 1) < 2^15 for
+        # n < 127.  sums[k] + zero is the sum of (x_i + 128) 2^(16 i).  If
+        # it lies in [0, 2^(16 size_g)) with no high byte of a lane set, its
+        # base-2^16 digits y_i lie in [0, 256), and since
+        # |x_i + 128 - y_i| < 2^16, y_i = x_i + 128: every x_i is a signed
+        # byte.  Signed bytes x_i, in turn, give such an int.
+        top = 1 << (16 * size_g)
+        high = 0xFF00 * one
+        for k, v in sums.items():
+            v += zero
+            if v == zero:
                 continue
-            yield from visit(child, _row_times_theta_gen(steps, row, d))
-
-    yield from visit(tuple(range(1, n + 1)), _identity_row(steps))
+            if not 0 <= v < top or v & high:
+                # The same bound makes x_i + 2^15 an unsigned 16-bit digit.
+                digits = (v + ((1 << 15) - _BYTE_BIAS) * one).to_bytes(2 * size_g, "little")
+                c, u = next((x - (1 << 15), perms[r]) for x, r in zip(array("H", digits), members)
+                            if not -_BYTE_BIAS <= x - (1 << 15) < _BYTE_BIAS)
+                raise VerificationError(
+                    f"f_w(u) = {c} at n={n}, w={format_perm(beta_inv(matchings[k]))}, "
+                    f"u={format_perm(u)} does not fit the signed-byte store")
+            columns[k][start:start + size_g] = v.to_bytes(2 * size_g, "little")[::2]
+            level.add(k)
+        start += size_g
+    to_rank = _gatherer(position)
+    out = []
+    for k in range(len(columns)):
+        out.append(array("b", bytes(to_rank(columns[k])).translate(_UNBIAS)))
+        columns[k] = None  # each internal column is freed once converted
+    return out
 
 
 def theta(u: Perm) -> TLElement:
@@ -357,12 +454,20 @@ def theta(u: Perm) -> TLElement:
 
 
 def theta_table(n: int) -> dict[Perm, TLElement]:
-    """theta(u) for every u in S_n, built along the weak order so each entry
-    costs a single row step.  Not cached: the Temperley-Lieb immanants of
-    :func:`tlimm.immanant.all_tl_immanants` are the stored form of these
-    coefficients."""
+    """theta(u) for every u in S_n, the transpose of the columns that
+    :func:`tlimm.immanant.all_tl_immanants` stores.  Not cached: those
+    columns are the stored form of these coefficients."""
     limits.check_limit(n, limits.theta_max_n(), "theta table")
-    return {u: _element(n, row) for u, row in _theta_rows(n)}
+    perms = perm_index(n).perms
+    rows = [{} for _ in perms]
+    for m, column in zip(all_matchings(n), _theta_columns(n)):
+        for r in itertools.compress(range(len(perms)), column):
+            rows[r][m] = column[r]
+    table = {}
+    for r, u in enumerate(perms):
+        table[u] = TLElement(n, rows[r])
+        rows[r] = None  # each row is freed once it is copied
+    return table
 
 
 def f_coeff(w: Perm, u: Perm) -> int:

@@ -61,6 +61,25 @@ def beta_lookup(n: int):
     return table
 
 
+def brute_compatible_permutations(c) -> frozenset:
+    """The 321-avoiding w such that every pair of beta(w), read as vertex
+    labels off its text form, joins a black vertex to a white one: an
+    unprimed i is black iff i is in c.blacks, a primed j' is white iff j is
+    in c.primed_whites."""
+
+    def black(vertex: str) -> bool:
+        label = int(vertex.rstrip("'"))
+        if vertex.endswith("'"):
+            return label not in c.primed_whites
+        return label in c.blacks
+
+    return frozenset(
+        w for m, w in beta_lookup(c.n).items()
+        if all(black(a) != black(b)
+               for a, b in (pair.split("-") for pair in tl.format_matching(m).split()))
+    )
+
+
 def transposition(n: int, i: int, j: int) -> tuple[int, ...]:
     """The transposition (i j) in S_n, for 1 <= i, j <= n."""
     word = list(range(1, n + 1))

@@ -1,7 +1,11 @@
+import itertools
+
 import pytest
 
 from tlimm import coloring, perm, tl, verify
 from tlimm.errors import PreconditionError
+
+from oracles import beta_lookup, brute_compatible_permutations
 
 
 def test_make_coloring():
@@ -46,6 +50,26 @@ def test_compatible_permutations():
         assert coloring.compatible_permutations(
             coloring.make_coloring(2, [1], [])
         ) == frozenset()
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_compatible_permutations_match_oracle(n):
+    # is_compatible and compatible_permutations for every coloring (I, J).
+    # With |I| != |J| no perfect matching joins black to white, and
+    # compatible_permutations warns.
+    subsets = [S for k in range(n + 1) for S in itertools.combinations(range(1, n + 1), k)]
+    for I in subsets:
+        for J in subsets:
+            c = coloring.make_coloring(n, I, J)
+            expected = brute_compatible_permutations(c)
+            assert {w for m, w in beta_lookup(n).items()
+                    if coloring.is_compatible(m, c)} == expected, (I, J)
+            if len(I) == len(J):
+                assert coloring.compatible_permutations(c) == expected, (I, J)
+            else:
+                assert expected == frozenset()
+                with pytest.warns(UserWarning):
+                    assert coloring.compatible_permutations(c) == frozenset()
 
 
 def test_canonical_coloring():

@@ -194,10 +194,11 @@ def test_tl_immanant_anchors():
         immanant.tl_immanant((3, 2, 1))
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(0, 7))
 def test_all_tl_immanants_match_f_coeff(n):
     # Each stored column, entry by rank, against the single-shot theta(u),
-    # which does not go through the weak-order pass.
+    # which does not go through the level-order pass.  n = 0 and 1 have
+    # only the identity; n = 2 has a one-member group.
     imms = immanant.all_tl_immanants(n)
     rows = [tl.theta(u) for u in perm.all_perms(n)]
     for w in perm.avoiding_321(n):
@@ -206,9 +207,11 @@ def test_all_tl_immanants_match_f_coeff(n):
 
 
 def test_store_rejects_coefficient_beyond_a_byte(monkeypatch):
-    rows = [((1, 2), {1: 1}), ((2, 1), {0: 200, 1: -1})]
-    monkeypatch.setattr(immanant, "_theta_rows", lambda n: iter(rows))
-    with pytest.raises(VerificationError, match=r"200 at n=2, w=21, u=21"):
+    # At n = 2 the identity matching (index 1) times t_1 is t_1 (index 0);
+    # a loop count of 8 on that step makes f_21(21) = 2^8.
+    steps = (tl._steps(2)[0], ((0, 8),))
+    monkeypatch.setattr(tl, "_steps", lambda n: steps)
+    with pytest.raises(VerificationError, match=r"256 at n=2, w=21, u=21"):
         immanant.all_tl_immanants.__wrapped__(2)
 
 
