@@ -25,11 +25,13 @@ from typing import Callable
 
 from .errors import PreconditionError, VerificationError
 from .immanant import (
-    Immanant,
+    Column,
     SkewShape,
+    all_tl_immanants,
     hull,
-    percent_immanant,
-    tl_immanant,
+    pack_column,
+    percent_column,
+    sum_columns,
 )
 from .perm import (
     Perm,
@@ -415,13 +417,29 @@ def _second_shape(params: Case1) -> SkewShape:
     return SkewShape(n, lam, mu)
 
 
+def shape_sum_columns(w: Perm, d: Decomposition) -> tuple[Column, Column]:
+    """The two sides of "the shapes of d sum to sign(w) * Imm_w", packed:
+    d.sign times the stored column of w, and the sum of the percent columns
+    of d's shapes.  :func:`decompose`'s validation and suite A2 compare
+    them.
+
+    >>> expected, actual = shape_sum_columns((1, 2), decompose((1, 2)))
+    >>> expected == actual, actual
+    (True, Immanant(n=2, coeffs={(1, 2): 1, (2, 1): -1}))
+    """
+    n = len(w)
+    signed = d.sign * pack_column(n, all_tl_immanants(n)[w])
+    total = sum_columns([percent_column(s) for s in d.shapes])
+    return Column(n, signed), Column(n, total)
+
+
 def decompose(w: Perm, validate: bool | None = None) -> Decomposition:
     """Write sign(w) * Imm_w as a sum of at most two percent immanants, or
     report that no combination of percent immanants equals Imm_w.
 
-    With validate (default: on for n <= 6) the shape sum is checked
-    coefficientwise against the Temperley-Lieb immanant; a mismatch raises
-    VerificationError.
+    With validate (default: on for n <= 6) the shape sum is compared, as
+    packed columns, with the stored Temperley-Lieb immanant by
+    :func:`shape_sum_columns`; a mismatch raises VerificationError.
 
     >>> decompose((1, 2, 3, 4)).kind
     'one'
@@ -445,9 +463,7 @@ def decompose(w: Perm, validate: bool | None = None) -> Decomposition:
             raise VerificationError(f"{w} avoids the forbidden patterns but has {params}")
         result = Decomposition("two", sign(w), (hull(w), _second_shape(params)))
     if validate:
-        total = Immanant(n, {})
-        for s in result.shapes:
-            total = total + percent_immanant(s)
-        if total != tl_immanant(w).scaled(result.sign):
+        expected, actual = shape_sum_columns(w, result)
+        if expected != actual:
             raise VerificationError(f"decomposition of {w} failed validation")
     return result

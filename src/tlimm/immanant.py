@@ -29,6 +29,7 @@ from .perm import (
     adjacent_1324_pairs,
     all_perms,
     format_perm,
+    gatherer,
     inverse,
     is_321_avoiding,
     parse_perm,
@@ -253,24 +254,21 @@ def _unchecked(n: int, coeffs: dict[Perm, Coeff]) -> Immanant:
 # ---------------------------------------------------------------------------
 # Packed columns
 #
-# A packed column is one int over S_n, read in 32-bit lanes: lane r, bits
-# 32r to 32r + 31, holds value + _BIAS for the u of rank r in
-# perm_index(n).  While every lane stays in [0, 2^32), the int is the sum
-# of (value_r + _BIAS) * 2^(32r) and nothing else, so a sum of k columns
-# less (k - 1) * _BIAS in every lane packs the sum of their values, and
-# == compares every value at once, all in exact integer arithmetic.
+# A packed column is one int over S_n, the sum of f(u_r) * 2^(32r) over the
+# ranks r of perm_index(n): a signed 32-bit lane per u.  While every value
+# lies in [-2^31, 2^31), the int determines them all, and since the packing
+# is linear, +, unary -, s * column, sum and == act on every value at once,
+# all in exact integer arithmetic.  The zero column is 0.
 
 _LANE = 32
-_BIAS = 1 << (_LANE - 1)
 # The most terms sum_columns adds; its docstring proves the bound.
-MAX_TERMS = _BIAS // 128
+MAX_TERMS = (1 << (_LANE - 1)) // 128
 
 
 class _Basis(NamedTuple):
     rows: tuple[bytes, ...]  # rows[i]: lane r has perms[r][i] in its low byte
     one: int  # 1 in every lane
     odd: int  # 1 in the lanes of odd permutations
-    bias: int  # _BIAS in every lane: the packed zero column
 
 
 @functools.lru_cache(maxsize=4)
@@ -286,7 +284,7 @@ def _basis(n: int) -> _Basis:
 
     one = int.from_bytes(lanes([1] * len(perms)), "little")
     odd = int.from_bytes(lanes(sign(u) < 0 for u in perms), "little")
-    return _Basis(tuple(map(lanes, zip(*perms))), one, odd, one * _BIAS)
+    return _Basis(tuple(map(lanes, zip(*perms))), one, odd)
 
 
 def _indicator(n: int, rows: Sequence[Iterable[int]]) -> int:
@@ -305,8 +303,7 @@ def _indicator(n: int, rows: Sequence[Iterable[int]]) -> int:
 
 def _signed(n: int, ind: int) -> int:
     """The signed indicator sign(u) * ind(u), packed."""
-    basis = _basis(n)
-    return ind - 2 * (ind & basis.odd) + basis.bias
+    return ind - 2 * (ind & _basis(n).odd)
 
 
 def pack_column(n: int, values: Iterable[int]) -> int:
@@ -321,37 +318,34 @@ def pack_column(n: int, values: Iterable[int]) -> int:
         lanes = array("i", values)
     except OverflowError:
         raise VerificationError(f"a value does not fit a {_LANE}-bit lane") from None
-    # Flipping the top bit of a two's complement lane adds _BIAS to it.
-    return int.from_bytes(lanes.tobytes(), "little") ^ _basis(n).bias
+    # Flipping the top bit of a two's complement lane adds 2^31 to its value.
+    top = _basis(n).one << (_LANE - 1)
+    return (int.from_bytes(lanes.tobytes(), "little") ^ top) - top
 
 
 def unpack_column(n: int, column: int) -> Immanant:
     """The sparse Immanant that a packed column holds."""
+    top = _basis(n).one << (_LANE - 1)
     lanes = array("i")
-    lanes.frombytes((column ^ _basis(n).bias).to_bytes(
+    lanes.frombytes(((column + top) ^ top).to_bytes(
         lanes.itemsize * len(perm_index(n).perms), "little"))
     return _sparse(n, lanes)
 
 
-def sum_columns(n: int, columns: Sequence[int]) -> int:
+def sum_columns(columns: Sequence[int]) -> int:
     """The packed sum of columns whose values are signed bytes, as store
-    columns and signed indicators, negated or not, are.  A sum of k
-    values in [-128, 127] lies in [-128k, 127k], inside the lane range
+    columns, and signed indicators negated or not, are.  A sum of k values
+    in [-128, 127] lies in [-128k, 127k], inside the lane range
     [-2^31, 2^31) for every k <= 2^31 / 128 = 2^24 = :data:`MAX_TERMS`, so
     no lane overflows; more terms are a VerificationError.
 
-    >>> unpack_column(2, sum_columns(2, [pack_column(2, [1, 2])] * 3)).coeffs
-    {(1, 2): 3, (2, 1): 6}
+    >>> unpack_column(2, sum_columns([pack_column(2, [1, -2])] * 3)).coeffs
+    {(1, 2): 3, (2, 1): -6}
     """
     if len(columns) > MAX_TERMS:
         raise VerificationError(
             f"a sum of {len(columns)} columns could overflow a {_LANE}-bit lane")
-    return sum(columns) - (len(columns) - 1) * _basis(n).bias
-
-
-def times_sign(n: int, column: int, s: int) -> int:
-    """The packed column times s = +-1."""
-    return column if s > 0 else 2 * _basis(n).bias - column
+    return sum(columns)
 
 
 class Column(NamedTuple):
@@ -521,11 +515,17 @@ def witness_matrix(w: Perm) -> tuple[tuple[int, ...], ...]:
 # The span of percent immanants
 
 
+def _dense(f: Immanant) -> list[Coeff]:
+    """The coefficients of f listed by rank in :func:`perm_index`, zeros
+    included; a scan of all of S_n, so n is held to the whole-S_n cap."""
+    limits.check_limit(f.n, limits.max_n(), "sign-alternation check")
+    return list(map(f.coeffs.get, perm_index(f.n).perms, itertools.repeat(0)))
+
+
 def is_1324_sign_alternating(f: Immanant) -> bool:
     """True iff f(w) = -f(w') on every 1324-adjacent pair; exactly the
     membership test for the span of the percent immanants."""
-    limits.check_limit(f.n, limits.max_n(), "sign-alternation check")
-    return find_alternation_violation(f) is None
+    return alternation_violation(f.n, _dense(f)) is None
 
 
 @functools.lru_cache(maxsize=8)
@@ -534,35 +534,22 @@ def _adjacent_gathers(n: int) -> tuple[Callable, Callable]:
     at the second permutation of every 1324-adjacent pair, as tuples."""
     rank = perm_index(n).rank
     pairs = adjacent_1324_pairs(n)
-
-    def gather(side: int) -> Callable:
-        ranks = [rank[pair[side]] for pair in pairs]
-        if len(ranks) > 1:
-            return operator.itemgetter(*ranks)
-        # itemgetter needs a rank, and returns a lone value for one rank.
-        return lambda column: tuple(column[r] for r in ranks)
-
-    return gather(0), gather(1)
+    return tuple(gatherer([rank[pair[side]] for pair in pairs]) for side in (0, 1))
 
 
-def column_alternates(n: int, column: Sequence[int]) -> bool:
-    """True iff the rank-indexed column f, such as a store column of
-    :func:`all_tl_immanants`, has f(w) + f(w') = 0 on every 1324-adjacent
-    pair: :func:`is_1324_sign_alternating` by two gathers.
+def alternation_violation(n: int, column: Sequence[Coeff]) -> tuple[Perm, Perm] | None:
+    """The first 1324-adjacent pair (w, w') in :func:`adjacent_1324_pairs`
+    order with f(w) + f(w') != 0, for the rank-indexed column f, such as a
+    store column of :func:`all_tl_immanants`; None when f is
+    1324-sign-alternating.  Two gathers read both sides of every pair, and
+    compress keeps the pairs whose sum is nonzero.
 
-    >>> column_alternates(4, all_tl_immanants(4)[(1, 3, 2, 4)])
-    False
+    >>> alternation_violation(4, all_tl_immanants(4)[(1, 3, 2, 4)])
+    ((1, 2, 3, 4), (1, 3, 2, 4))
     """
     left, right = _adjacent_gathers(n)
-    return not any(map(operator.add, left(column), right(column)))
-
-
-def find_alternation_violation(f: Immanant) -> tuple[Perm, Perm] | None:
-    coeffs = f.coeffs
-    for w, w2 in adjacent_1324_pairs(f.n):
-        if coeffs.get(w, 0) != -coeffs.get(w2, 0):
-            return w, w2
-    return None
+    sums = map(operator.add, left(column), right(column))
+    return next(itertools.compress(adjacent_1324_pairs(n), sums), None)
 
 
 @functools.lru_cache(maxsize=8)
@@ -603,7 +590,7 @@ def percent_basis_decompose(f: Immanant) -> list[tuple[Perm, Coeff]]:
     >>> percent_basis_decompose(zero_immanant(3))
     []
     """
-    violation = find_alternation_violation(f)
+    violation = alternation_violation(f.n, _dense(f))
     if violation is not None:
         w, w2 = violation
         raise PreconditionError(

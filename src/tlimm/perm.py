@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable, Iterator, NamedTuple, Sequence
+import operator
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import limits
 from .errors import PreconditionError
@@ -97,6 +98,19 @@ def perm_index(n: int) -> PermIndex:
     limits.check_limit(n, limits.max_n(), "permutation index")
     perms = tuple(all_perms(n))
     return PermIndex(perms, {u: r for r, u in enumerate(perms)})
+
+
+def gatherer(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """A function taking a sequence, such as a rank-indexed column, to the
+    tuple of its items at positions, for any number of positions:
+    ``operator.itemgetter`` needs one, and returns the bare item for one.
+
+    >>> gatherer([2, 0])("abc"), gatherer([1])("abc"), gatherer([])("abc")
+    (('c', 'a'), ('b',), ())
+    """
+    if len(positions) > 1:
+        return operator.itemgetter(*positions)
+    return lambda seq: tuple(seq[p] for p in positions)
 
 
 def _check_same_size(v: Perm, w: Perm) -> None:
@@ -264,21 +278,15 @@ def adjacent_1324_pairs(n: int) -> tuple[tuple[Perm, Perm], ...]:
     differ by swapping the values at positions a < b, and some c < a and
     d > b hold values below and above both swapped values.
 
-    Each pair is listed from the side with the increasing middle.
+    Each pair is listed from the side with the increasing middle.  A scan
+    of all of S_n, so n is held to the whole-S_n cap.
     """
+    limits.check_limit(n, limits.max_n(), "1324-adjacent pairs")
     pairs = []
     for w in all_perms(n):
-        prefix_min = []
-        m = n + 1
-        for x in w:
-            prefix_min.append(m)
-            m = min(m, x)
-        suffix_max = []
-        m = 0
-        for x in reversed(w):
-            suffix_max.append(m)
-            m = max(m, x)
-        suffix_max.reverse()
+        # The least value before position a, and the greatest after b.
+        prefix_min = list(itertools.accumulate(w, min, initial=n + 1))
+        suffix_max = list(itertools.accumulate(reversed(w), max, initial=0))[n - 1::-1]
         for a in range(n):
             if prefix_min[a] >= w[a]:
                 continue

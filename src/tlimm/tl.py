@@ -29,7 +29,6 @@ import dataclasses
 import functools
 import itertools
 import math
-import operator
 from array import array
 from typing import Iterator
 
@@ -38,6 +37,7 @@ from .errors import PreconditionError, VerificationError
 from .perm import (
     Perm,
     format_perm,
+    gatherer,
     is_321_avoiding,
     length,
     perm_index,
@@ -333,15 +333,6 @@ _BYTE_BIAS = 128
 _UNBIAS = bytes(x ^ _BYTE_BIAS for x in range(256))
 
 
-def _gatherer(positions: list[int]):
-    """A function taking a sequence to the tuple of its items at positions;
-    ``operator.itemgetter`` of one position returns the item, not a 1-tuple."""
-    if len(positions) == 1:
-        p = positions[0]
-        return lambda seq: (seq[p],)
-    return operator.itemgetter(*positions)
-
-
 def _theta_columns(n: int) -> list[array]:
     """theta(u) for every u in S_n as columns: column k, for matching k of
     all_matchings(n), is an ``array('b')`` whose entry r is the coefficient
@@ -383,7 +374,7 @@ def _theta_columns(n: int) -> list[array]:
             below, level, depth = level, set(), ell
         members = list(group)
         size_g = len(members)
-        gather = _gatherer([position[rank[right_mult_gen(perms[r], d)]] for r in members])
+        gather = gatherer([position[rank[right_mult_gen(perms[r], d)]] for r in members])
         one = int.from_bytes(b"\x01\x00" * size_g, "little")
         zero = _BYTE_BIAS * one
         lanes = bytearray(2 * size_g)
@@ -423,7 +414,7 @@ def _theta_columns(n: int) -> list[array]:
             columns[k][start:start + size_g] = v.to_bytes(2 * size_g, "little")[::2]
             level.add(k)
         start += size_g
-    to_rank = _gatherer(position)
+    to_rank = gatherer(position)
     out = []
     for k in range(len(columns)):
         out.append(array("b", bytes(to_rank(columns[k])).translate(_UNBIAS)))

@@ -127,7 +127,7 @@ def suite_a1(n: int) -> Iterator[_Check]:
     store = immanant.all_tl_immanants(n)
     for w in perm.avoiding_321(n):
         lhs = immanant.pack_column(n, store[w])
-        rhs = immanant.times_sign(n, immanant.percent_column(immanant.hull(w)), perm.sign(w))
+        rhs = perm.sign(w) * immanant.percent_column(immanant.hull(w))
         yield ("one-percent iff avoids 1324 and 2143", w,
                perm.avoids(w, PATTERN_1324, PATTERN_2143), lhs == rhs)
 
@@ -144,13 +144,9 @@ def suite_a2(n: int) -> Iterator[_Check]:
         yield ("decomposable iff avoids forbidden patterns", w,
                ok_patterns, d.kind != "none")
         yield ("decomposable iff sign-alternating", w,
-               ok_patterns, immanant.column_alternates(n, store[w]))
+               ok_patterns, immanant.alternation_violation(n, store[w]) is None)
         if d.kind != "none":
-            f = immanant.pack_column(n, store[w])
-            total = immanant.sum_columns(n, [immanant.percent_column(s) for s in d.shapes])
-            yield ("shape sum equals signed immanant", w,
-                   immanant.Column(n, immanant.times_sign(n, f, d.sign)),
-                   immanant.Column(n, total))
+            yield ("shape sum equals signed immanant", w, *classify.shape_sum_columns(w, d))
 
 
 # How many (w, u) pairs A3 draws at n >= 7.
@@ -190,9 +186,9 @@ def suite_a4(n: int) -> Iterator[_Check]:
     for k in range(n + 1):
         for I in itertools.combinations(range(1, n + 1), k):
             for J in itertools.combinations(range(1, n + 1), k):
-                lhs = immanant.times_sign(n, immanant.cm_column(n, I, J),
-                                          immanant.subset_sign(I) * immanant.subset_sign(J))
-                rhs = immanant.sum_columns(n, [
+                lhs = (immanant.subset_sign(I) * immanant.subset_sign(J)
+                       * immanant.cm_column(n, I, J))
+                rhs = immanant.sum_columns([
                     store[w] for w in
                     coloring.compatible_permutations(coloring.make_coloring(n, I, J))
                 ])
@@ -434,20 +430,19 @@ def suite_a10(n: int) -> Iterator[_Check]:
     applicable = _applicable_two_case(n)
     store = immanant.all_tl_immanants(n)
     for w in applicable:
-        total = immanant.sum_columns(n, [
-            immanant.times_sign(n, immanant.cm_column(n, I, J), s)
-            for s, I, J in classify.cm_expansion(w)
+        total = immanant.sum_columns([
+            s * immanant.cm_column(n, I, J) for s, I, J in classify.cm_expansion(w)
         ])
         yield ("signed CM expansion equals the immanant", w,
                immanant.Column(n, immanant.pack_column(n, store[w])),
-               immanant.Column(n, immanant.times_sign(n, total, perm.sign(w))))
+               immanant.Column(n, perm.sign(w) * total))
     for w in perm.avoiding_321(n):
         if not perm.avoids(w, PATTERN_1324, PATTERN_2143):
             continue
         # The rectangle expansion needs w(1) = 1 or w(1) = w(n) + 1, so n >= 1.
         if not w or (w[0] != 1 and w[0] != w[-1] + 1):
             continue
-        total = immanant.sum_columns(n, [
+        total = immanant.sum_columns([
             immanant.cm_column(n, I, J) for I, J in classify.rect_cm_expansion(w)
         ])
         yield ("rectangle CM expansion equals the hull percent immanant", w,

@@ -231,6 +231,17 @@ def is_1324_adjacent(w, w2) -> bool:
     )
 
 
+def find_alternation_violation(f):
+    """The first 1324-adjacent pair (w, w2) of perm.adjacent_1324_pairs with
+    f(w) != -f(w2), read pair by pair from f's coefficient dict; None when
+    there is none."""
+    coeffs = f.coeffs
+    for w, w2 in perm.adjacent_1324_pairs(f.n):
+        if coeffs.get(w, 0) != -coeffs.get(w2, 0):
+            return w, w2
+    return None
+
+
 def glue(x, y):
     """The diagram product x.y of two matchings and the number of closed
     loops formed, by walking paths through the glued diagram.

@@ -1,6 +1,6 @@
 import pytest
 
-from tlimm import classify, cli, immanant, perm
+from tlimm import classify, cli, immanant, perm, verify
 from tlimm.errors import PreconditionError, VerificationError
 
 from oracles import block_structure, cells
@@ -226,14 +226,17 @@ def test_decompose_anchors():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_decompose_full(n):
-    """Soundness and completeness of the one/two/none trichotomy, with the
-    shape sums validated inside decompose."""
+    """The first shape of a decomposition is hull(w), the only one for kind
+    "one".  The trichotomy and the validated shape sums are asserted here
+    only below the sizes at which suite A2 checks them."""
+    below_a2 = n < min(verify.DEFAULT_SIZES["A2"])
     for w in perm.avoiding_321(n):
-        d = classify.decompose(w)  # validates for n <= 6
-        assert (d.kind != "none") == classify.avoids_main_patterns(w)
-        assert (d.kind != "none") == immanant.is_1324_sign_alternating(
-            immanant.tl_immanant(w)
-        )
+        d = classify.decompose(w, validate=below_a2)
+        if below_a2:
+            assert (d.kind != "none") == classify.avoids_main_patterns(w)
+            assert (d.kind != "none") == immanant.is_1324_sign_alternating(
+                immanant.tl_immanant(w)
+            )
         if d.kind == "one":
             assert d.shapes == (immanant.hull(w),)
         if d.kind == "two":
@@ -272,6 +275,16 @@ def test_failed_validation_raises(monkeypatch):
     with pytest.raises(VerificationError):
         classify.decompose((2, 1, 4, 3), validate=True)
     assert cli.main(["decompose", "2143"]) == cli.EXIT_MISMATCH
+
+
+def test_one_shape_sum_check_has_two_readers(monkeypatch):
+    # decompose's validation and suite A2 compare the same shape_sum_columns.
+    monkeypatch.setattr(classify, "percent_column", lambda shape: 0)
+    with pytest.raises(VerificationError):
+        classify.decompose((2, 1, 4, 3))
+    failures = verify.suite_a2(4).failures
+    assert failures
+    assert {f.claim for f in failures} == {"shape sum equals signed immanant"}
 
 
 def test_decompose_rejects_impossible_case_parameters(monkeypatch):

@@ -146,24 +146,24 @@ def test_packed_lanes_hold_their_range():
     # Sums reach both ends of a lane exactly.
     a = immanant.pack_column(n, [-(2**30), 2**30 - 1, 5, -5, -128, 127])
     b = immanant.pack_column(n, [-(2**30), 2**30, -5, 5, -128, 127])
-    assert immanant.unpack_column(n, immanant.sum_columns(n, [a, b])).coeffs == {
+    assert immanant.unpack_column(n, immanant.sum_columns([a, b])).coeffs == {
         (1, 2, 3): low, (1, 3, 2): high, (3, 1, 2): -256, (3, 2, 1): 254}
-    assert immanant.unpack_column(n, immanant.times_sign(n, b, -1)).coeffs == {
+    assert immanant.unpack_column(n, -b).coeffs == {
         (1, 2, 3): 2**30, (1, 3, 2): -(2**30), (2, 1, 3): 5, (2, 3, 1): -5,
         (3, 1, 2): 128, (3, 2, 1): -127}
     # The docstring's bound: 2^24 signed-byte terms stay inside a lane.
     assert immanant.MAX_TERMS == 2**24
     assert -128 * immanant.MAX_TERMS >= low and 127 * immanant.MAX_TERMS <= high
-    assert immanant.sum_columns(n, []) == immanant.pack_column(n, [0] * 6)
+    assert immanant.sum_columns([]) == 0 == immanant.pack_column(n, [0] * 6)
     with pytest.raises(VerificationError):
-        immanant.sum_columns(n, range(immanant.MAX_TERMS + 1))
+        immanant.sum_columns(range(immanant.MAX_TERMS + 1))
 
 
 @pytest.mark.parametrize("n", range(0, 7))
 def test_gathered_alternation_matches_pairwise(n):
     for w, column in immanant.all_tl_immanants(n).items():
-        pairwise = immanant.find_alternation_violation(immanant.tl_immanant(w)) is None
-        assert immanant.column_alternates(n, column) == pairwise, w
+        pairwise = oracles.find_alternation_violation(immanant.tl_immanant(w))
+        assert immanant.alternation_violation(n, column) == pairwise, w
 
 
 def test_signed_indicators_leave_no_cycle():
@@ -403,6 +403,18 @@ def test_percent_basis_decompose():
     assert rebuilt == f
     with pytest.raises(PreconditionError):
         immanant.percent_basis_decompose(immanant.tl_immanant((2, 4, 1, 5, 3)))
+
+
+def test_alternation_scans_are_capped(monkeypatch):
+    # __wrapped__ reaches the scan past the pairs already cached.
+    monkeypatch.setenv("TLIMM_MAX_N", "4")
+    with pytest.raises(LimitError):
+        perm.adjacent_1324_pairs.__wrapped__(5)
+    with pytest.raises(LimitError):
+        immanant.percent_basis_decompose(immanant.Immanant(5, {}))
+    monkeypatch.delenv("TLIMM_MAX_N")
+    with pytest.raises(LimitError):
+        immanant.percent_basis_decompose(immanant.Immanant(10, {}))
 
 
 def test_limits(monkeypatch):

@@ -39,6 +39,7 @@ def test_permutation_witness_text(monkeypatch):
 def test_packed_values_render_as_sparse_terms(monkeypatch):
     tl_2143 = repr(immanant.tl_immanant((2, 1, 4, 3)))
     monkeypatch.setattr(immanant, "all_tl_immanants", zero_store)
+    monkeypatch.setattr(classify, "all_tl_immanants", zero_store)
     zero = [repr(immanant.zero_immanant(n)) for n in range(5)]
     a2 = next(f for f in verify.suite_a2(3).failures if f.claim.startswith("shape sum"))
     assert (a2.witness, a2.expected, a2.actual) == ("123", zero[3], repr(
