@@ -29,6 +29,7 @@ from .immanant import (
     SkewShape,
     all_tl_immanants,
     hull,
+    lies_in,
     pack_column,
     percent_column,
     sum_columns,
@@ -179,15 +180,6 @@ def build_case2(a: int, e: int, b: int, c: int, f: int, d: int) -> Perm:
     return tuple(word)
 
 
-def _check_classifiable(w: Perm) -> None:
-    if not is_321_avoiding(w):
-        raise PreconditionError(f"{w} contains the pattern 321")
-    if not avoids(w, PATTERN_1324):
-        raise PreconditionError(f"{w} contains the pattern 1324")
-    if avoids(w, PATTERN_2143):
-        raise PreconditionError(f"{w} avoids the pattern 2143")
-
-
 def classify_2143(w: Perm) -> CaseParams:
     """Case parameters of a permutation avoiding 321 and 1324 and
     containing 2143.
@@ -197,7 +189,12 @@ def classify_2143(w: Perm) -> CaseParams:
     >>> classify_2143((2, 4, 1, 5, 3))
     Case2(a=1, e=1, b=1, c=1, f=0, d=1)
     """
-    _check_classifiable(w)
+    if not is_321_avoiding(w):
+        raise PreconditionError(f"{w} contains the pattern 321")
+    if not avoids(w, PATTERN_1324):
+        raise PreconditionError(f"{w} contains the pattern 1324")
+    if avoids(w, PATTERN_2143):
+        raise PreconditionError(f"{w} avoids the pattern 2143")
     n = len(w)
     ap, bp, cp, dp = corner_params(w)
     if ap + bp + cp + dp <= n:
@@ -226,11 +223,33 @@ def _binomial(a: int, b: int) -> int:
     return math.comb(a + b, a)
 
 
+def _weight(params: CaseParams) -> Callable[[Perm], int]:
+    """u -> the binomial weight of f_w(u) on hull(w), for a w with these
+    case parameters.  Case 1: A counts rows 1..a valued above n-c, B rows
+    n-d+1..n valued at most b.  Case 2: of the b+c rows after a+e, A is c
+    less those valued above b+f+a+d, B is b less those valued at most b+f."""
+    if isinstance(params, Case1):
+        a, b, tail, top = params.a, params.b, params.n - params.d, params.n - params.c
+        return lambda u: _binomial(sum(1 for x in u[:a] if x > top),
+                                   sum(1 for x in u[tail:] if x <= b))
+    a, e, b, c = params.a, params.e, params.b, params.c
+    low, high = b + params.f, b + params.f + a + params.d
+
+    def case2(u: Perm) -> int:
+        mid = u[a + e:a + e + b + c]
+        return _binomial(c - sum(1 for x in mid if x > high),
+                         b - sum(1 for x in mid if x <= low))
+
+    return case2
+
+
 def closed_form(w: Perm) -> Callable[[Perm], int]:
     """The coefficient u -> f_w(u) of x_u in Imm_w, in closed form, for w
-    avoiding 321 and 1324.  The pattern checks, sign(w) and the row or
-    block bounds are derived here, once per w; the returned function makes
-    only the comparisons on u, and rejects a u of another length.
+    avoiding 321 and 1324: sign(w) * sign(u) * weight(u) on the u that lie
+    in hull(w), and 0 elsewhere.  The weight is 1 when w avoids 2143 and
+    otherwise the binomial of :func:`classify_2143`'s parameters.  The
+    pattern checks, sign(w), hull(w) and the weight are derived here, once
+    per w; :func:`tlimm.immanant.lies_in` rejects a u of another length.
 
     >>> f = closed_form((2, 1, 4, 3))
     >>> f((2, 1, 3, 4)), f((4, 3, 2, 1))
@@ -240,59 +259,13 @@ def closed_form(w: Perm) -> Callable[[Perm], int]:
         raise PreconditionError(f"{w} contains the pattern 321")
     if not avoids(w, PATTERN_1324):
         raise PreconditionError(f"{w} contains the pattern 1324")
-    n = len(w)
-    sw = sign(w)
+    sw, shape = sign(w), hull(w)
+    weight = (lambda u: 1) if avoids(w, PATTERN_2143) else _weight(classify_2143(w))
 
-    def check_size(u: Perm) -> None:
-        if len(u) != n:
-            raise PreconditionError(f"size mismatch: {n} vs {len(u)}")
+    def coeff(u: Perm) -> int:
+        return sw * sign(u) * weight(u) if lies_in(u, shape) else 0
 
-    if avoids(w, PATTERN_2143):
-        # Single-percent regime: the immanant is the signed indicator of
-        # the hull.
-        shape = hull(w)
-        mu, lam = shape.mu, shape.lam
-
-        def indicator(u: Perm) -> int:
-            check_size(u)
-            if all(m < x <= l for m, x, l in zip(mu, u, lam)):
-                return sw * sign(u)
-            return 0
-
-        return indicator
-    params = classify_2143(w)
-    if isinstance(params, Case1):
-        a, b, c, d = params.a, params.b, params.c, params.d
-        top = n - c
-
-        def case1(u: Perm) -> int:
-            # Rows 1..a take no value <= b, rows n-d+1..n no value > n-c.
-            check_size(u)
-            head, tail = u[:a], u[n - d:]
-            if min(head) <= b or max(tail) > top:
-                return 0
-            A = sum(1 for x in head if x > top)
-            B = sum(1 for x in tail if x <= b)
-            return sw * sign(u) * _binomial(A, B)
-
-        return case1
-    a, e, b, c, f, d = (
-        params.a, params.e, params.b, params.c, params.f, params.d,
-    )
-    low, high = b + f, b + f + a + d
-
-    def case2(u: Perm) -> int:
-        # Rows 1..a+e take no value <= b+f, rows after a+e+b+c no value
-        # > b+f+a+d; the b+c middle rows set the binomial.
-        check_size(u)
-        if min(u[:a + e]) <= low or max(u[a + e + b + c:]) > high:
-            return 0
-        mid = u[a + e:a + e + b + c]
-        A = c - sum(1 for x in mid if x > high)
-        B = b - sum(1 for x in mid if x <= low)
-        return sw * sign(u) * _binomial(A, B)
-
-    return case2
+    return coeff
 
 
 def closed_form_coeff(w: Perm, u: Perm) -> int:

@@ -163,7 +163,7 @@ def lies_in(u: Perm, shape: SkewShape) -> bool:
     """True iff every point (i, u(i)) is a cell of the shape."""
     if len(u) != shape.n:
         raise PreconditionError(f"size mismatch: {len(u)} vs {shape.n}")
-    return all(shape.mu[i] < x <= shape.lam[i] for i, x in enumerate(u))
+    return all(map(operator.lt, shape.mu, u)) and all(map(operator.le, u, shape.lam))
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +271,8 @@ class _Basis(NamedTuple):
     odd: int  # 1 in the lanes of odd permutations
 
 
-@functools.lru_cache(maxsize=4)
+@limits.capped_cache(limits.max_n, "packed columns", maxsize=4)
 def _basis(n: int) -> _Basis:
-    limits.check_limit(n, limits.max_n(), "packed columns")
     perms = perm_index(n).perms
     width = _LANE // 8
 
@@ -393,7 +392,7 @@ def tl_immanant(w: Perm) -> Immanant:
     return _sparse(len(w), all_tl_immanants(len(w))[w])
 
 
-@functools.lru_cache(maxsize=4)
+@limits.capped_cache(limits.theta_max_n, "theta table", maxsize=4)
 def all_tl_immanants(n: int) -> dict[Perm, array]:
     """The coefficients f_w(u) of every 321-avoiding w in S_n, the one
     stored table of them: column ``[w]`` is an ``array('b')`` whose entry
@@ -404,7 +403,6 @@ def all_tl_immanants(n: int) -> dict[Perm, array]:
     >>> all_tl_immanants(2)[(2, 1)].tolist()
     [0, 1]
     """
-    limits.check_limit(n, limits.theta_max_n(), "theta table")
     return {beta_inv(m): col for m, col in zip(all_matchings(n), _theta_columns(n))}
 
 
@@ -552,11 +550,10 @@ def alternation_violation(n: int, column: Sequence[Coeff]) -> tuple[Perm, Perm] 
     return next(itertools.compress(adjacent_1324_pairs(n), sums), None)
 
 
-@functools.lru_cache(maxsize=8)
+@limits.capped_cache(limits.max_n, "1324-relatedness classes", maxsize=8)
 def related_classes(n: int) -> tuple[tuple[Perm, ...], ...]:
     """The partition of S_n by the transitive closure of 1324-adjacency,
     each class sorted, classes ordered by their minimum."""
-    limits.check_limit(n, limits.max_n(), "1324-relatedness classes")
     parent: dict[Perm, Perm] = {u: u for u in all_perms(n)}
 
     def find(u: Perm) -> Perm:

@@ -10,7 +10,9 @@ n = 7).
 The environment variable TLIMM_MAX_N overrides both caps.
 """
 
+import functools
 import os
+from typing import Callable
 
 from .errors import LimitError
 
@@ -46,3 +48,21 @@ def check_limit(n: int, limit: int, what: str) -> None:
             f"{what} requested for n={n}, above the configured cap {limit} "
             "(set TLIMM_MAX_N to override)"
         )
+
+
+def capped_cache(cap: Callable[[], int], what: str, maxsize: int) -> Callable:
+    """``functools.lru_cache(maxsize)`` for a function of n, with n held to
+    ``cap()`` before the cache is looked up, so a size cached under a higher
+    cap is still refused once the cap is lowered."""
+
+    def decorate(fn: Callable) -> Callable:
+        cached = functools.lru_cache(maxsize=maxsize)(fn)
+
+        @functools.wraps(fn)
+        def capped(n: int):
+            check_limit(n, cap(), what)
+            return cached(n)
+
+        return capped
+
+    return decorate

@@ -88,14 +88,13 @@ class PermIndex(NamedTuple):
     rank: dict[Perm, int]
 
 
-@functools.lru_cache(maxsize=4)
+@limits.capped_cache(limits.max_n, "permutation index", maxsize=4)
 def perm_index(n: int) -> PermIndex:
     """The index of S_n that rank-indexed tables share.
 
     >>> perm_index(3).rank[(2, 1, 3)]
     2
     """
-    limits.check_limit(n, limits.max_n(), "permutation index")
     perms = tuple(all_perms(n))
     return PermIndex(perms, {u: r for r, u in enumerate(perms)})
 
@@ -264,15 +263,14 @@ def is_321_avoiding(w: Perm) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=16)
+@limits.capped_cache(limits.max_n, "321-avoiding permutations", maxsize=16)
 def avoiding_321(n: int) -> tuple[Perm, ...]:
     """All 321-avoiding permutations of [n], lexicographically sorted; a
     scan of all of S_n, so n is held to the whole-S_n cap."""
-    limits.check_limit(n, limits.max_n(), "321-avoiding permutations")
     return tuple(w for w in all_perms(n) if is_321_avoiding(w))
 
 
-@functools.lru_cache(maxsize=8)
+@limits.capped_cache(limits.max_n, "1324-adjacent pairs", maxsize=8)
 def adjacent_1324_pairs(n: int) -> tuple[tuple[Perm, Perm], ...]:
     """Every unordered 1324-adjacent pair in S_n, once each: w and w2
     differ by swapping the values at positions a < b, and some c < a and
@@ -281,7 +279,6 @@ def adjacent_1324_pairs(n: int) -> tuple[tuple[Perm, Perm], ...]:
     Each pair is listed from the side with the increasing middle.  A scan
     of all of S_n, so n is held to the whole-S_n cap.
     """
-    limits.check_limit(n, limits.max_n(), "1324-adjacent pairs")
     pairs = []
     for w in all_perms(n):
         # The least value before position a, and the greatest after b.

@@ -124,12 +124,11 @@ def _applicable_two_case(n: int) -> list[Perm]:
 def suite_a1(n: int) -> Iterator[_Check]:
     """Single-percent classification: tl_immanant(w) equals
     sign(w) * percent(hull(w)) exactly when w avoids 1324 and 2143."""
-    store = immanant.all_tl_immanants(n)
     for w in perm.avoiding_321(n):
-        lhs = immanant.pack_column(n, store[w])
-        rhs = perm.sign(w) * immanant.percent_column(immanant.hull(w))
+        one = classify.Decomposition("one", perm.sign(w), (immanant.hull(w),))
+        expected, actual = classify.shape_sum_columns(w, one)
         yield ("one-percent iff avoids 1324 and 2143", w,
-               perm.avoids(w, PATTERN_1324, PATTERN_2143), lhs == rhs)
+               perm.avoids(w, PATTERN_1324, PATTERN_2143), expected == actual)
 
 
 @_suite("A2", (3, 4, 5, 6))

@@ -1,6 +1,6 @@
 import pytest
 
-from tlimm import classify, cli, immanant, perm, verify
+from tlimm import classify, cli, immanant, perm, tl, verify
 from tlimm.errors import PreconditionError, VerificationError
 
 from oracles import block_structure, cells
@@ -118,8 +118,43 @@ def test_closed_form_anchors():
     assert classify.closed_form_coeff((2, 1, 4, 3), (2, 1, 4, 3)) == 1
     assert classify.closed_form_coeff((2, 1, 4, 3), (2, 1, 3, 4)) == 0
     assert classify.closed_form_coeff((2, 1, 4, 3), (4, 3, 2, 1)) == 2
+    # Case 2 and the single-percent regime; the values are tl.f_coeff's.
+    anchors = {
+        ((2, 4, 1, 5, 3), (5, 4, 3, 2, 1)): 2,
+        ((2, 4, 1, 5, 3), (5, 4, 2, 3, 1)): -2,
+        ((2, 4, 1, 5, 3), (2, 4, 1, 5, 3)): 1,
+        ((2, 4, 1, 5, 3), (2, 3, 4, 5, 1)): 0,
+        ((2, 4, 1, 5, 3), (1, 2, 3, 4, 5)): 0,
+        ((2, 4, 1, 3), (2, 4, 1, 3)): 1,
+        ((2, 4, 1, 3), (4, 3, 2, 1)): -1,
+        ((2, 4, 1, 3), (2, 1, 4, 3)): 0,
+    }
+    for (w, u), value in anchors.items():
+        assert classify.closed_form_coeff(w, u) == value == tl.f_coeff(w, u), (w, u)
     with pytest.raises(PreconditionError):
         classify.closed_form_coeff((3, 2, 1), (1, 2, 3))
+
+
+def test_hull_is_the_case_block_bounds():
+    """hull(w), the rows the closed form reads, is the block bounds of w's
+    case for every w at n <= 8 that avoids 321 and 1324 and contains 2143;
+    x^k is k copies of x.  Case 1: lam = n^(n-d) (n-c)^d, mu = b^a 0^(n-a).
+    Case 2: lam = n^(a+e+b+c) (b+f+a+d)^(f+d), mu = (b+f)^(a+e) 0^(n-a-e)."""
+    count = 0
+    for n in range(1, 9):
+        for w in perm.avoiding_321(n):
+            if not perm.avoids(w, (1, 3, 2, 4)) or perm.avoids(w, (2, 1, 4, 3)):
+                continue
+            p = classify.classify_2143(w)
+            if isinstance(p, classify.Case1):
+                lam = (n,) * (n - p.d) + (n - p.c,) * p.d
+                mu = (p.b,) * p.a + (0,) * (n - p.a)
+            else:
+                lam = (n,) * (n - p.f - p.d) + (p.b + p.f + p.a + p.d,) * (p.f + p.d)
+                mu = (p.b + p.f,) * (p.a + p.e) + (0,) * (n - p.a - p.e)
+            assert immanant.hull(w) == immanant.SkewShape(n, lam, mu), w
+            count += 1
+    assert count == 266
 
 
 def test_closed_form_preconditions():

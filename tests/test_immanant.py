@@ -405,11 +405,23 @@ def test_percent_basis_decompose():
         immanant.percent_basis_decompose(immanant.tl_immanant((2, 4, 1, 5, 3)))
 
 
-def test_alternation_scans_are_capped(monkeypatch):
-    # __wrapped__ reaches the scan past the pairs already cached.
+@pytest.mark.parametrize("fn", [
+    perm.perm_index, perm.avoiding_321, perm.adjacent_1324_pairs,
+    immanant.related_classes, immanant.all_tl_immanants,
+], ids=lambda fn: fn.__name__)
+def test_caps_hold_for_cached_sizes(monkeypatch, fn):
+    """A size cached under the default cap is refused once the cap is
+    lowered below it: the cap is checked before the cache."""
+    fn(5)
     monkeypatch.setenv("TLIMM_MAX_N", "4")
     with pytest.raises(LimitError):
-        perm.adjacent_1324_pairs.__wrapped__(5)
+        fn(5)
+
+
+def test_alternation_scans_are_capped(monkeypatch):
+    monkeypatch.setenv("TLIMM_MAX_N", "4")
+    with pytest.raises(LimitError):
+        perm.adjacent_1324_pairs(5)
     with pytest.raises(LimitError):
         immanant.percent_basis_decompose(immanant.Immanant(5, {}))
     monkeypatch.delenv("TLIMM_MAX_N")

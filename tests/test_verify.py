@@ -29,7 +29,7 @@ def test_dict_witness_text(monkeypatch):
 
 
 def test_permutation_witness_text(monkeypatch):
-    monkeypatch.setattr(immanant, "all_tl_immanants", zero_store)
+    monkeypatch.setattr(classify, "all_tl_immanants", zero_store)
     assert [f.witness for f in verify.suite_a1(0).failures] == [""]
     assert [f.witness for f in verify.suite_a1(3).failures] == [
         "123", "132", "213", "231", "312"]
