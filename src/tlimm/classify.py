@@ -27,7 +27,6 @@ from .errors import PreconditionError, VerificationError
 from .immanant import (
     Column,
     SkewShape,
-    all_tl_immanants,
     hull,
     lies_in,
     pack_column,
@@ -41,6 +40,7 @@ from .perm import (
     is_321_avoiding,
     sign,
 )
+from .tl import all_tl_immanants
 
 PATTERN_1324 = (1, 3, 2, 4)
 PATTERN_2143 = (2, 1, 4, 3)

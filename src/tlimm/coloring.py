@@ -16,10 +16,10 @@ it searches every (coloring, matching) pair that meets the zone conditions.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import warnings
 from typing import Iterable, Sequence
 
+from . import limits
 from .errors import PreconditionError
 from .perm import Perm, is_321_avoiding
 from .tl import (
@@ -104,7 +104,7 @@ def compatible_permutations(c: Coloring) -> frozenset[Perm]:
     return frozenset(w for w, pairs in _matching_pairs(c.n) if _joins_colors(black, pairs))
 
 
-@functools.lru_cache(maxsize=4)
+@limits.capped_cache(limits.max_n, "matching pairs", maxsize=4)
 def _matching_pairs(n: int) -> tuple[tuple[Perm, tuple[tuple[int, int], ...]], ...]:
     """(beta_inv(m), m.pairs()) for every matching m of all_matchings(n)."""
     return tuple((beta_inv(m), m.pairs()) for m in all_matchings(n))

@@ -36,7 +36,7 @@ from .perm import (
     perm_index,
     sign,
 )
-from .tl import _theta_columns, all_matchings, beta_inv
+from .tl import all_tl_immanants
 
 Coeff = int | Fraction
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -390,20 +390,6 @@ def tl_immanant(w: Perm) -> Immanant:
     if not is_321_avoiding(w):
         raise PreconditionError(f"{w} contains the pattern 321")
     return _sparse(len(w), all_tl_immanants(len(w))[w])
-
-
-@limits.capped_cache(limits.theta_max_n, "theta table", maxsize=4)
-def all_tl_immanants(n: int) -> dict[Perm, array]:
-    """The coefficients f_w(u) of every 321-avoiding w in S_n, the one
-    stored table of them: column ``[w]`` is an ``array('b')`` whose entry
-    ``r`` is f_w(u) for the u of rank r in :func:`tlimm.perm.perm_index`.
-    Filled by the level-order pass :func:`tlimm.tl._theta_columns`.  The
-    columns are shared: do not change them.
-
-    >>> all_tl_immanants(2)[(2, 1)].tolist()
-    [0, 1]
-    """
-    return {beta_inv(m): col for m, col in zip(all_matchings(n), _theta_columns(n))}
 
 
 def cm_column(n: int, I: Iterable[int], J: Iterable[int]) -> int:

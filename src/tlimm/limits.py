@@ -53,7 +53,8 @@ def check_limit(n: int, limit: int, what: str) -> None:
 def capped_cache(cap: Callable[[], int], what: str, maxsize: int) -> Callable:
     """``functools.lru_cache(maxsize)`` for a function of n, with n held to
     ``cap()`` before the cache is looked up, so a size cached under a higher
-    cap is still refused once the cap is lowered."""
+    cap is still refused once the cap is lowered.  ``cache_info`` and
+    ``cache_clear`` are the lru cache's own."""
 
     def decorate(fn: Callable) -> Callable:
         cached = functools.lru_cache(maxsize=maxsize)(fn)
@@ -63,6 +64,8 @@ def capped_cache(cap: Callable[[], int], what: str, maxsize: int) -> Callable:
             check_limit(n, cap(), what)
             return cached(n)
 
+        capped.cache_info = cached.cache_info
+        capped.cache_clear = cached.cache_clear
         return capped
 
     return decorate

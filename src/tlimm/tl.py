@@ -14,13 +14,13 @@ Theta is multiplied out over the table in two ways that share nothing but
 the table: ``theta(u)`` one row step at a time over a reduced word
 (:func:`_row_times_theta_gen`), and every theta(u) of S_n at once, level
 by level in length over whole columns of big-int lanes
-(:func:`_theta_columns`, which the store and ``theta_table`` read).  The
-orientation of that product is a convention; the one used here is pinned by
-the test anchor ``beta((2,3,4,1)) == parse_matching("1-3' 2-4' 3-4 1'-2'")``
+(:func:`_theta_columns`, which fills the store :func:`all_tl_immanants`).
+The orientation of that product is a convention; the one used here is pinned
+by the test anchor ``beta((2,3,4,1)) == parse_matching("1-3' 2-4' 3-4 1'-2'")``
 and is the one under which every ``beta(w)`` is compatible with the
-black/white coloring of w (see :mod:`tlimm.coloring`).  A
-:class:`TLElement`, the value ``theta`` returns, is a linear combination of
-diagrams with no arithmetic of its own.
+black/white coloring of w (see :mod:`tlimm.coloring`).  A theta row is
+worked on as ``{index in all_matchings(n): coeff}`` and handed out as
+``{NonCrossingMatching: coeff}``.
 """
 
 from __future__ import annotations
@@ -191,23 +191,11 @@ def _attach_generator(m: NonCrossingMatching, i: int) -> tuple[NonCrossingMatchi
 
 @dataclasses.dataclass
 class TLElement:
-    """An exact-integer linear combination of non-crossing matchings; the
-    dataclass compares n and terms."""
+    """One entry of :func:`theta_table`: theta(u) in TL_n as its nonzero
+    terms {matching: coeff}."""
 
     n: int
     terms: dict[NonCrossingMatching, int]
-
-    def __init__(self, n: int, terms: dict[NonCrossingMatching, int]):
-        self.n = n
-        self.terms = {}
-        for m, c in terms.items():
-            if m.n != n:
-                raise PreconditionError(f"diagram size {m.n} in TL element of size {n}")
-            if c:
-                self.terms[m] = c
-
-    def coeff(self, m: NonCrossingMatching) -> int:
-        return self.terms.get(m, 0)
 
 
 def beta(w: Perm) -> NonCrossingMatching:
@@ -266,7 +254,7 @@ def beta_inv(m: NonCrossingMatching) -> Perm:
     return tuple(word)
 
 
-@functools.lru_cache(maxsize=16)
+@limits.capped_cache(limits.max_n, "non-crossing matchings", maxsize=16)
 def all_matchings(n: int) -> tuple[NonCrossingMatching, ...]:
     """All Catalan(n) non-crossing matchings of 2n vertices."""
     out = []
@@ -294,13 +282,18 @@ def all_matchings(n: int) -> tuple[NonCrossingMatching, ...]:
 _Steps = tuple[tuple[tuple[int, int], ...], ...]
 
 
-@functools.lru_cache(maxsize=16)
+@limits.capped_cache(limits.max_n, "matching index", maxsize=16)
+def _matching_index(n: int) -> dict[NonCrossingMatching, int]:
+    """The index of each matching in all_matchings(n)."""
+    return {m: k for k, m in enumerate(all_matchings(n))}
+
+
+@limits.capped_cache(limits.max_n, "Temperley-Lieb step table", maxsize=16)
 def _steps(n: int) -> _Steps:
     """steps[k][i-1] = (k', loops): matching k of all_matchings(n) times t_i
     is matching k' with that many closed loops."""
-    matchings = all_matchings(n)
-    index = {m: k for k, m in enumerate(matchings)}
-    products = [[_attach_generator(m, i) for i in range(1, n)] for m in matchings]
+    index = _matching_index(n)
+    products = [[_attach_generator(m, i) for i in range(1, n)] for m in all_matchings(n)]
     return tuple(tuple((index[g], loops) for g, loops in row) for row in products)
 
 
@@ -315,15 +308,16 @@ def _row_times_theta_gen(steps: _Steps, row: dict[int, int], d: int) -> dict[int
     return {k: c for k, c in terms.items() if c}
 
 
-def _identity_row(steps: _Steps) -> dict[int, int]:
+def _theta_row(u: Perm) -> dict[int, int]:
+    """theta(u) as a row {index in all_matchings(n): coeff}: the
+    left-to-right product of (t_i - 1) over a reduced word of u, one row
+    step at a time over ``_steps(n)``."""
+    steps = _steps(len(u))
     # The identity matching comes last in all_matchings(n).
-    return {len(steps) - 1: 1}
-
-
-def _element(n: int, row: dict[int, int]) -> TLElement:
-    """The TLElement of a row {index in all_matchings(n): coeff}."""
-    matchings = all_matchings(n)
-    return TLElement(n, {matchings[k]: c for k, c in row.items()})
+    row = {len(steps) - 1: 1}
+    for d in reduced_word(u):
+        row = _row_times_theta_gen(steps, row, d)
+    return row
 
 
 # While _theta_columns multiplies out one group of S_n, a column's values
@@ -422,36 +416,40 @@ def _theta_columns(n: int) -> list[array]:
     return out
 
 
-def theta(u: Perm) -> TLElement:
-    """The image of u under the algebra map s_i -> t_i - 1.
+@limits.capped_cache(limits.theta_max_n, "theta table", maxsize=4)
+def all_tl_immanants(n: int) -> dict[Perm, array]:
+    """The coefficients f_w(u) of every 321-avoiding w in S_n, the one
+    stored table of them: column ``[w]`` is an ``array('b')`` whose entry
+    ``r`` is f_w(u) for the u of rank r in :func:`tlimm.perm.perm_index`.
+    Filled by the level-order pass :func:`_theta_columns`, with the columns
+    in all_matchings(n) order.  The columns are shared: do not change them.
 
-    Computed as the left-to-right product of (t_i - 1) over a reduced word
-    of u, one row step at a time over ``_steps(n)``; independent of the
-    choice of word.  The step table covers all Catalan(n) matchings, so n is
-    held to the whole-S_n cap of :mod:`tlimm.limits`.
-
-    >>> theta((2, 1)).coeff(generator(2, 1))
-    1
-    >>> theta((2, 1)).coeff(identity_matching(2))
-    -1
+    >>> all_tl_immanants(2)[(2, 1)].tolist()
+    [0, 1]
     """
-    n = len(u)
-    limits.check_limit(n, limits.max_n(), "theta")
-    steps = _steps(n)
-    row = _identity_row(steps)
-    for d in reduced_word(u):
-        row = _row_times_theta_gen(steps, row, d)
-    return _element(n, row)
+    return {beta_inv(m): col for m, col in zip(all_matchings(n), _theta_columns(n))}
+
+
+def theta(u: Perm) -> dict[NonCrossingMatching, int]:
+    """The image of u under the algebra map s_i -> t_i - 1, as its nonzero
+    terms {matching: coeff}; independent of the choice of reduced word.
+    The step table covers all Catalan(n) matchings, so n is held to the
+    whole-S_n cap of :mod:`tlimm.limits`.
+
+    >>> theta((2, 1))[generator(2, 1)], theta((2, 1))[identity_matching(2)]
+    (1, -1)
+    """
+    matchings = all_matchings(len(u))
+    return {matchings[k]: c for k, c in _theta_row(u).items()}
 
 
 def theta_table(n: int) -> dict[Perm, TLElement]:
-    """theta(u) for every u in S_n, the transpose of the columns that
-    :func:`tlimm.immanant.all_tl_immanants` stores.  Not cached: those
-    columns are the stored form of these coefficients."""
-    limits.check_limit(n, limits.theta_max_n(), "theta table")
+    """theta(u) for every u in S_n: the transpose of the store
+    :func:`all_tl_immanants`, built anew on each call."""
+    store = all_tl_immanants(n)
     perms = perm_index(n).perms
     rows = [{} for _ in perms]
-    for m, column in zip(all_matchings(n), _theta_columns(n)):
+    for m, column in zip(all_matchings(n), store.values()):
         for r in itertools.compress(range(len(perms)), column):
             rows[r][m] = column[r]
     table = {}
@@ -462,12 +460,13 @@ def theta_table(n: int) -> dict[Perm, TLElement]:
 
 
 def f_coeff(w: Perm, u: Perm) -> int:
-    """The coefficient of beta(w) in theta(u).
+    """The coefficient of beta(w) in theta(u), read off the row of theta(u)
+    at the index of beta(w).
 
     >>> f_coeff((2, 1, 4, 3), (4, 3, 2, 1))
     2
     """
     if len(w) != len(u):
         raise PreconditionError(f"size mismatch: {len(w)} vs {len(u)}")
-    return theta(u).coeff(beta(w))
-
+    k = _matching_index(len(w))[beta(w)]
+    return _theta_row(u).get(k, 0)

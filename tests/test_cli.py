@@ -188,6 +188,7 @@ def test_render_crossing_matching_is_parse_error():
                           "x": "[[1, 0], [0, 1]]"}, cli.EXIT_PARSE),
     (["eval", "f", "x"], {"f": '{"n": -1, "terms": []}', "x": "[]"}, cli.EXIT_PARSE),
     (["coeff", "213456789", "213456789"], {}, cli.EXIT_PRECONDITION),
+    (["verify", "--suite", "A7", "--n", "9"], {}, cli.EXIT_PRECONDITION),
 ])
 def test_bad_input_exit_code_without_traceback(argv, files, code, tmp_path):
     for name, text in files.items():

@@ -1,8 +1,11 @@
+import ast
 import gc
+import importlib
 import itertools
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -197,13 +200,17 @@ def test_tl_immanant_anchors():
 @pytest.mark.parametrize("n", range(0, 7))
 def test_all_tl_immanants_match_f_coeff(n):
     # Each stored column, entry by rank, against the single-shot theta(u),
-    # which does not go through the level-order pass.  n = 0 and 1 have
-    # only the identity; n = 2 has a one-member group.
+    # which does not go through the level-order pass, and to n = 5 against
+    # f_coeff's read of the theta row at the index of beta(w).  n = 0 and 1
+    # have only the identity; n = 2 has a one-member group.
     imms = immanant.all_tl_immanants(n)
-    rows = [tl.theta(u) for u in perm.all_perms(n)]
+    perms = perm.perm_index(n).perms
+    rows = [tl.theta(u) for u in perms]
     for w in perm.avoiding_321(n):
         target = tl.beta(w)
-        assert imms[w].tolist() == [row.coeff(target) for row in rows]
+        assert imms[w].tolist() == [row.get(target, 0) for row in rows]
+        if n <= 5:
+            assert imms[w].tolist() == [tl.f_coeff(w, u) for u in perms]
 
 
 def test_store_rejects_coefficient_beyond_a_byte(monkeypatch):
@@ -405,10 +412,37 @@ def test_percent_basis_decompose():
         immanant.percent_basis_decompose(immanant.tl_immanant((2, 4, 1, 5, 3)))
 
 
-@pytest.mark.parametrize("fn", [
-    perm.perm_index, perm.avoiding_321, perm.adjacent_1324_pairs,
-    immanant.related_classes, immanant.all_tl_immanants,
-], ids=lambda fn: fn.__name__)
+def capped_tables() -> list:
+    """Every function of tlimm decorated with ``limits.capped_cache``."""
+    out = []
+    for path in sorted(Path(tl.__file__).resolve().parent.glob("*.py")):
+        module = importlib.import_module(f"tlimm.{path.stem}")
+        out += [getattr(module, node.name) for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.FunctionDef)
+                and any(isinstance(d, ast.Call) and ast.unparse(d.func).endswith("capped_cache")
+                        for d in node.decorator_list)]
+    return out
+
+
+CAPPED_TABLES = capped_tables()
+
+
+def test_capped_tables_are_found():
+    assert {fn.__name__ for fn in CAPPED_TABLES} >= {
+        "perm_index", "all_matchings", "_steps", "all_tl_immanants", "_matching_pairs"}
+
+
+@pytest.mark.parametrize("fn", CAPPED_TABLES, ids=lambda fn: fn.__name__)
+def test_capped_table_cache_clear_rebuilds(fn):
+    first = fn(4)
+    fn.cache_clear()
+    assert fn.cache_info().currsize == 0
+    second = fn(4)
+    assert second is not first and second == first
+    assert fn.cache_info()[:2] == (0, 1)
+
+
+@pytest.mark.parametrize("fn", CAPPED_TABLES, ids=lambda fn: fn.__name__)
 def test_caps_hold_for_cached_sizes(monkeypatch, fn):
     """A size cached under the default cap is refused once the cap is
     lowered below it: the cap is checked before the cache."""
