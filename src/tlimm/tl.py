@@ -421,8 +421,8 @@ def all_tl_immanants(n: int) -> dict[Perm, array]:
     """The coefficients f_w(u) of every 321-avoiding w in S_n, the one
     stored table of them: column ``[w]`` is an ``array('b')`` whose entry
     ``r`` is f_w(u) for the u of rank r in :func:`tlimm.perm.perm_index`.
-    Filled by the level-order pass :func:`_theta_columns`, with the columns
-    in all_matchings(n) order.  The columns are shared: do not change them.
+    Filled by the level-order pass :func:`_theta_columns`.  The columns
+    are shared: do not change them.
 
     >>> all_tl_immanants(2)[(2, 1)].tolist()
     [0, 1]
@@ -449,7 +449,8 @@ def theta_table(n: int) -> dict[Perm, TLElement]:
     store = all_tl_immanants(n)
     perms = perm_index(n).perms
     rows = [{} for _ in perms]
-    for m, column in zip(all_matchings(n), store.values()):
+    for w, column in store.items():
+        m = beta(w)
         for r in itertools.compress(range(len(perms)), column):
             rows[r][m] = column[r]
     table = {}
