@@ -31,6 +31,7 @@ from .classify import (
     classify_2143,
     closed_form,
     closed_form_coeff,
+    closed_form_column,
     cm_expansion,
     corner_params,
     decompose,

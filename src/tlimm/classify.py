@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
+from array import array
 from itertools import combinations
 from typing import Callable
 
@@ -31,13 +33,17 @@ from .immanant import (
     lies_in,
     pack_column,
     percent_column,
+    row_tally,
+    signed_bytes,
     sum_columns,
 )
 from .perm import (
     Perm,
     avoids,
+    format_perm,
     inverse,
     is_321_avoiding,
+    perm_index,
     sign,
 )
 from .tl import all_tl_immanants
@@ -223,24 +229,42 @@ def _binomial(a: int, b: int) -> int:
     return math.comb(a + b, a)
 
 
-def _weight(params: CaseParams) -> Callable[[Perm], int]:
-    """u -> the binomial weight of f_w(u) on hull(w), for a w with these
-    case parameters.  Case 1: A counts rows 1..a valued above n-c, B rows
-    n-d+1..n valued at most b.  Case 2: of the b+c rows after a+e, A is c
-    less those valued above b+f+a+d, B is b less those valued at most b+f."""
+# (first, second, weight): the weight of f_w(u) is weight(A, B), where A
+# counts the rows i with u(i) in first[i - 1] and B those in second[i - 1].
+Tallies = tuple[list[range], list[range], Callable[[int, int], int]]
+
+
+def _tallies(params: CaseParams) -> Tallies:
+    """The binomial weight of f_w(u) on hull(w), for a w with these case
+    parameters, as two row tallies.  Case 1: A counts rows 1..a valued
+    above n-c, B rows n-d+1..n valued at most b, and the weight is
+    binomial(A, B).  Case 2: of the b+c rows after a+e, C counts those
+    valued above b+f+a+d and D those valued at most b+f, and the weight is
+    binomial(c - C, b - D)."""
+    n, none = params.n, range(0)
     if isinstance(params, Case1):
-        a, b, tail, top = params.a, params.b, params.n - params.d, params.n - params.c
-        return lambda u: _binomial(sum(1 for x in u[:a] if x > top),
-                                   sum(1 for x in u[tail:] if x <= b))
-    a, e, b, c = params.a, params.e, params.b, params.c
-    low, high = b + params.f, b + params.f + a + params.d
+        a, b, tail = params.a, params.b, n - params.d
+        above = range(n - params.c + 1, n + 1)
+        return ([above] * a + [none] * (n - a),
+                [none] * tail + [range(1, b + 1)] * params.d, _binomial)
+    skip, mid, b, c = params.a + params.e, params.b + params.c, params.b, params.c
+    low = b + params.f
+    high = range(low + params.a + params.d + 1, n + 1)
+    rest = [none] * (n - skip - mid)
+    return ([none] * skip + [high] * mid + rest,
+            [none] * skip + [range(1, low + 1)] * mid + rest,
+            lambda above, below: _binomial(c - above, b - below))
 
-    def case2(u: Perm) -> int:
-        mid = u[a + e:a + e + b + c]
-        return _binomial(c - sum(1 for x in mid if x > high),
-                         b - sum(1 for x in mid if x <= low))
 
-    return case2
+def _closed_form_parts(w: Perm) -> tuple[int, SkewShape, Tallies | None]:
+    """sign(w), hull(w) and the weight tallies of a w avoiding 321 and
+    1324; the tallies are None when w avoids 2143 and the weight is 1."""
+    if not is_321_avoiding(w):
+        raise PreconditionError(f"{w} contains the pattern 321")
+    if not avoids(w, PATTERN_1324):
+        raise PreconditionError(f"{w} contains the pattern 1324")
+    tallies = None if avoids(w, PATTERN_2143) else _tallies(classify_2143(w))
+    return sign(w), hull(w), tallies
 
 
 def closed_form(w: Perm) -> Callable[[Perm], int]:
@@ -250,22 +274,68 @@ def closed_form(w: Perm) -> Callable[[Perm], int]:
     otherwise the binomial of :func:`classify_2143`'s parameters.  The
     pattern checks, sign(w), hull(w) and the weight are derived here, once
     per w; :func:`tlimm.immanant.lies_in` rejects a u of another length.
+    :func:`closed_form_column` gives the same values for all of S_n.
 
     >>> f = closed_form((2, 1, 4, 3))
     >>> f((2, 1, 3, 4)), f((4, 3, 2, 1))
     (0, 2)
     """
-    if not is_321_avoiding(w):
-        raise PreconditionError(f"{w} contains the pattern 321")
-    if not avoids(w, PATTERN_1324):
-        raise PreconditionError(f"{w} contains the pattern 1324")
-    sw, shape = sign(w), hull(w)
-    weight = (lambda u: 1) if avoids(w, PATTERN_2143) else _weight(classify_2143(w))
+    sw, shape, tallies = _closed_form_parts(w)
 
     def coeff(u: Perm) -> int:
-        return sw * sign(u) * weight(u) if lies_in(u, shape) else 0
+        if not lies_in(u, shape):
+            return 0
+        if tallies is None:
+            return sw * sign(u)
+        first, second, weight = tallies
+        return sw * sign(u) * weight(sum(map(operator.contains, first, u)),
+                                     sum(map(operator.contains, second, u)))
 
     return coeff
+
+
+def closed_form_column(w: Perm) -> array:
+    """``closed_form(w)`` over all of S_n, with the layout of a store
+    column of :func:`all_tl_immanants`: an ``array('b')`` whose entry r is
+    f_w(u) for the u of rank r in :func:`tlimm.perm.perm_index`.  It is
+    built in byte lanes: the hull mask and, for a w containing 2143, the
+    lane byte A + 16 * B of the two weight tallies are row translates of
+    the index (:func:`tlimm.immanant.row_tally`), one translate by a
+    256-byte table of binomials turns that byte into the weight, and
+    :func:`tlimm.immanant.signed_bytes` signs it.  A weight above 127 is a
+    VerificationError, as it is for the store.
+
+    >>> closed_form_column((2, 1, 4, 3))[-1]
+    2
+    """
+    sw, shape, tallies = _closed_form_parts(w)
+    n = len(w)
+    # Each tally counts at most n rows, so below 16 the lane byte
+    # A + 16 * B determines A and B.
+    if n >= 16:
+        raise PreconditionError(f"closed-form columns need n < 16, got {n}")
+    size = len(perm_index(n).perms)
+    # The u in hull(w) have all n rows in range: 1 in their lanes when the
+    # weight is 1, else 0xFF, a mask for the weights.
+    inside = bytearray(256)
+    inside[n] = 1 if tallies is None else 0xFF
+    rows = [range(m + 1, l + 1) for m, l in zip(shape.mu, shape.lam)]
+    hull_lanes = row_tally(n, rows).to_bytes(size, "little").translate(inside)
+    if tallies is None:
+        return signed_bytes(n, sw, hull_lanes)
+    first, second, weight = tallies
+    # 128 stands for every weight that does not fit a signed byte.
+    table = bytes(min(weight(x % 16, x // 16), 128) for x in range(256))
+    lanes = (row_tally(n, first) + 16 * row_tally(n, second)).to_bytes(size, "little")
+    values = (int.from_bytes(lanes.translate(table), "little")
+              & int.from_bytes(hull_lanes, "little")).to_bytes(size, "little")
+    if 128 in values:
+        r = values.index(128)
+        raise VerificationError(
+            f"closed-form weight {weight(lanes[r] % 16, lanes[r] // 16)} at n={n}, "
+            f"w={format_perm(w)}, u={format_perm(perm_index(n).perms[r])} "
+            "does not fit a signed byte")
+    return signed_bytes(n, sw, values)
 
 
 def closed_form_coeff(w: Perm, u: Perm) -> int:

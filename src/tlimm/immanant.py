@@ -27,7 +27,6 @@ from .errors import PreconditionError, VerificationError
 from .perm import (
     Perm,
     adjacent_1324_pairs,
-    all_perms,
     format_perm,
     gatherer,
     inverse,
@@ -259,45 +258,63 @@ def _unchecked(n: int, coeffs: dict[Perm, Coeff]) -> Immanant:
 # lies in [-2^31, 2^31), the int determines them all, and since the packing
 # is linear, +, unary -, s * column, sum and == act on every value at once,
 # all in exact integer arithmetic.  The zero column is 0.
+#
+# A byte-lane column has one 8-bit lane per u instead, as the bytes of a
+# store column do.  Row translates, masks and tallies are built in byte
+# lanes, 4x smaller, and spread into 32-bit lanes only where columns are
+# summed.
 
 _LANE = 32
 # The most terms sum_columns adds; its docstring proves the bound.
 MAX_TERMS = (1 << (_LANE - 1)) // 128
+# _NEGATE[x] is -x as an unsigned byte: the two's complement of a byte lane.
+_NEGATE = bytes(-x & 0xFF for x in range(256))
 
 
 class _Basis(NamedTuple):
-    rows: tuple[bytes, ...]  # rows[i]: lane r has perms[r][i] in its low byte
-    one: int  # 1 in every lane
-    odd: int  # 1 in the lanes of odd permutations
+    rows: tuple[bytes, ...]  # rows[i][r] = perms[r][i]: one 8-bit lane per u
+    one: int  # 1 in every 32-bit lane
+    odd: int  # 1 in the 32-bit lanes of odd permutations
+    odd_bytes: int  # 0xFF in the 8-bit lanes of odd permutations
+
+
+def _spread(data: bytes) -> int:
+    """The packed column whose lane r holds the unsigned byte data[r]."""
+    width = _LANE // 8
+    lanes = bytearray(width * len(data))
+    lanes[::width] = data
+    return int.from_bytes(lanes, "little")
 
 
 @limits.capped_cache(limits.max_n, "packed columns", maxsize=4)
 def _basis(n: int) -> _Basis:
     perms = perm_index(n).perms
-    width = _LANE // 8
+    odd = bytes(sign(u) < 0 for u in perms)
+    return _Basis(tuple(map(bytes, zip(*perms))), _spread(b"\x01" * len(perms)),
+                  _spread(odd), 0xFF * int.from_bytes(odd, "little"))
 
-    def lanes(low_bytes: Iterable[int]) -> bytes:
-        out = bytearray(width * len(perms))
-        out[::width] = bytes(low_bytes)
-        return bytes(out)
 
-    one = int.from_bytes(lanes([1] * len(perms)), "little")
-    odd = int.from_bytes(lanes(sign(u) < 0 for u in perms), "little")
-    return _Basis(tuple(map(lanes, zip(*perms))), one, odd)
+def row_tally(n: int, rows: Sequence[Iterable[int]]) -> int:
+    """The byte-lane column, one 8-bit lane per rank of perm_index(n), whose
+    lane for u counts the rows i with u(i) in ``rows[i - 1]``: each row's
+    values are turned into 0 or 1 by one translate table, and the rows are
+    added.  A lane counts at most n <= 255 rows, so no lane carries."""
+    total = 0
+    for values, allowed in zip(_basis(n).rows, rows):
+        table = bytearray(256)
+        for x in allowed:
+            table[x] = 1
+        total += int.from_bytes(values.translate(table), "little")
+    return total
 
 
 def _indicator(n: int, rows: Sequence[Iterable[int]]) -> int:
     """The packed 0/1 column of the u in S_n with u(i) in ``rows[i - 1]``
-    for every row i: each row's values are turned into 0 or 1 by one
-    translate table, and the rows are ANDed."""
-    basis = _basis(n)
-    ind = basis.one
-    for values, allowed in zip(basis.rows, rows):
-        table = bytearray(256)
-        for x in allowed:
-            table[x] = 1
-        ind &= int.from_bytes(values.translate(table), "little")
-    return ind
+    for every row i: the lanes of :func:`row_tally` that count every row."""
+    every = bytearray(256)
+    every[len(rows)] = 1
+    size = len(perm_index(n).perms)
+    return _spread(row_tally(n, rows).to_bytes(size, "little").translate(every))
 
 
 def _signed(n: int, ind: int) -> int:
@@ -305,20 +322,39 @@ def _signed(n: int, ind: int) -> int:
     return ind - 2 * (ind & _basis(n).odd)
 
 
+def signed_bytes(n: int, s: int, values: bytes) -> array:
+    """The ``array('b')`` of s * sign(u_r) * values[r] over the ranks r of
+    perm_index(n), for s = +-1 and bytes values in [0, 127]: the lanes
+    whose sign is -1 take their value from one negating translate."""
+    basis = _basis(n)
+    flip = basis.odd_bytes if s > 0 else ~basis.odd_bytes
+    plus = int.from_bytes(values, "little")
+    minus = int.from_bytes(values.translate(_NEGATE), "little")
+    return array("b", (plus ^ ((plus ^ minus) & flip)).to_bytes(len(values), "little"))
+
+
 def pack_column(n: int, values: Iterable[int]) -> int:
     """The packed column of rank-indexed integer values over S_n, such as a
     store column of :func:`all_tl_immanants`; a value outside the lane
-    range [-2^31, 2^31) is a VerificationError.
+    range [-2^31, 2^31) is a VerificationError.  An ``array('b')`` is
+    packed from its bytes: each is spread into its lane unsigned, and a
+    byte with its high bit set stands for itself less 256.
 
     >>> unpack_column(2, pack_column(2, [3, -1])).coeffs
     {(1, 2): 3, (2, 1): -1}
+    >>> pack_column(2, array("b", [3, -1])) == pack_column(2, [3, -1])
+    True
     """
+    one = _basis(n).one
+    if isinstance(values, array) and values.typecode == "b":
+        unsigned = _spread(values.tobytes())
+        return unsigned - ((unsigned & (one << 7)) << 1)
     try:
         lanes = array("i", values)
     except OverflowError:
         raise VerificationError(f"a value does not fit a {_LANE}-bit lane") from None
     # Flipping the top bit of a two's complement lane adds 2^31 to its value.
-    top = _basis(n).one << (_LANE - 1)
+    top = one << (_LANE - 1)
     return (int.from_bytes(lanes.tobytes(), "little") ^ top) - top
 
 
@@ -525,22 +561,38 @@ def alternation_violation(n: int, column: Sequence[Coeff]) -> tuple[Perm, Perm] 
     """The first 1324-adjacent pair (w, w') in :func:`adjacent_1324_pairs`
     order with f(w) + f(w') != 0, for the rank-indexed column f, such as a
     store column of :func:`all_tl_immanants`; None when f is
-    1324-sign-alternating.  Two gathers read both sides of every pair, and
-    compress keeps the pairs whose sum is nonzero.
+    1324-sign-alternating.  Two gathers read both sides of every pair.  An
+    ``array('b')`` with no -128 is read in byte lanes: the right side is
+    gathered from its bytes negated by one translate, and the two sides
+    are compared as tuples.  Any other column, and the search for the
+    first violation, go by compress over the pairs whose values do not
+    cancel.
 
     >>> alternation_violation(4, all_tl_immanants(4)[(1, 3, 2, 4)])
     ((1, 2, 3, 4), (1, 3, 2, 4))
     """
+    pairs = adjacent_1324_pairs(n)
     left, right = _adjacent_gathers(n)
-    sums = map(operator.add, left(column), right(column))
-    return next(itertools.compress(adjacent_1324_pairs(n), sums), None)
+    data = column.tobytes() if isinstance(column, array) and column.typecode == "b" else None
+    # Without -128, f(w) + f(w') = 0 iff the byte of f(w) equals the byte
+    # of -f(w'), so the two gathered sides compare as tuples at C speed.
+    if data is not None and b"\x80" not in data:
+        lhs, rhs = left(data), right(data.translate(_NEGATE))
+        if lhs == rhs:
+            return None
+        violations = map(operator.ne, lhs, rhs)
+    else:
+        violations = map(operator.add, left(column), right(column))
+    return next(itertools.compress(pairs, violations), None)
 
 
 @limits.capped_cache(limits.max_n, "1324-relatedness classes", maxsize=8)
 def related_classes(n: int) -> tuple[tuple[Perm, ...], ...]:
     """The partition of S_n by the transitive closure of 1324-adjacency,
-    each class sorted, classes ordered by their minimum."""
-    parent: dict[Perm, Perm] = {u: u for u in all_perms(n)}
+    each class sorted, classes ordered by their minimum.  The classes hold
+    the permutations of :func:`perm_index`, not copies."""
+    perms = perm_index(n).perms
+    parent: dict[Perm, Perm] = {u: u for u in perms}
 
     def find(u: Perm) -> Perm:
         while parent[u] != u:
@@ -553,7 +605,7 @@ def related_classes(n: int) -> tuple[tuple[Perm, ...], ...]:
         if ra != rb:
             parent[rb] = ra
     groups: dict[Perm, list[Perm]] = {}
-    for u in all_perms(n):
+    for u in perms:
         groups.setdefault(find(u), []).append(u)
     return tuple(
         tuple(sorted(members)) for _, members in sorted(groups.items())

@@ -276,11 +276,13 @@ def adjacent_1324_pairs(n: int) -> tuple[tuple[Perm, Perm], ...]:
     differ by swapping the values at positions a < b, and some c < a and
     d > b hold values below and above both swapped values.
 
-    Each pair is listed from the side with the increasing middle.  A scan
-    of all of S_n, so n is held to the whole-S_n cap.
+    Each pair is listed from the side with the increasing middle, and
+    holds the permutations of :func:`perm_index`, not copies.  A scan of
+    all of S_n, so n is held to the whole-S_n cap.
     """
+    perms, rank = perm_index(n)
     pairs = []
-    for w in all_perms(n):
+    for w in perms:
         # The least value before position a, and the greatest after b.
         prefix_min = list(itertools.accumulate(w, min, initial=n + 1))
         suffix_max = list(itertools.accumulate(reversed(w), max, initial=0))[n - 1::-1]
@@ -291,5 +293,5 @@ def adjacent_1324_pairs(n: int) -> tuple[tuple[Perm, Perm], ...]:
                 if w[a] < w[b] and suffix_max[b] > w[b]:
                     other = list(w)
                     other[a], other[b] = other[b], other[a]
-                    pairs.append((w, tuple(other)))
+                    pairs.append((w, perms[rank[tuple(other)]]))
     return tuple(pairs)

@@ -161,11 +161,51 @@ def test_closed_form_preconditions():
     for w in [(3, 2, 1), (1, 3, 2, 4), (2, 1, 5, 4, 3)]:
         with pytest.raises(PreconditionError):
             classify.closed_form(w)
+        with pytest.raises(PreconditionError):
+            classify.closed_form_column(w)
+    # Two weight tallies share a lane byte only while each stays below 16.
+    with pytest.raises(PreconditionError, match="n < 16"):
+        classify.closed_form_column(perm.identity(16))
     for w in [(1, 2, 3), (2, 1, 4, 3), (2, 4, 1, 5, 3)]:
         f = classify.closed_form(w)
         for u in [(), perm.identity(len(w) - 1), perm.identity(len(w) + 1)]:
             with pytest.raises(PreconditionError, match="size mismatch"):
                 f(u)
+
+
+def closed_form_ws(n):
+    """The w of S_n that closed forms cover: avoiding 321 and 1324."""
+    return [w for w in perm.avoiding_321(n) if perm.avoids(w, classify.PATTERN_1324)]
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_closed_form_column_is_the_per_u_reader(n):
+    """Every entry of the byte-lane column is closed_form(w)(u), for every
+    applicable (w, u) at n <= 6."""
+    perms, rank = perm.perm_index(n)
+    for w in closed_form_ws(n):
+        column, f = classify.closed_form_column(w), classify.closed_form(w)
+        assert column.typecode == "b" and len(column) == len(perms)
+        assert all(column[rank[u]] == f(u) for u in perms), w
+
+
+def test_a3_catches_an_off_by_one_binomial(monkeypatch):
+    """A weight table one off fails A3 at n = 6, and only at the w whose
+    weight is a binomial: those that contain 2143."""
+    binomial = classify._binomial
+    monkeypatch.setattr(classify, "_binomial", lambda a, b: binomial(a + 1, b))
+    report = verify.suite_a3(6)
+    failed = {f.witness.split()[0] for f in report.failures}
+    assert failed and all(
+        not perm.avoids(perm.parse_perm(w[2:]), classify.PATTERN_2143) for w in failed)
+
+
+def test_closed_form_column_refuses_a_weight_outside_a_byte(monkeypatch):
+    monkeypatch.setattr(classify, "_binomial", lambda a, b: 128)
+    with pytest.raises(VerificationError, match="weight 128 at n=4, w=2143"):
+        classify.closed_form_column((2, 1, 4, 3))
+    # A w that avoids 2143 has weight 1 and reads no binomial.
+    assert classify.closed_form_column((2, 1, 3)).tolist() == [0, 0, 1, -1, -1, 1]
 
 
 def test_antidiag_anchors():

@@ -3,6 +3,7 @@ import gc
 import itertools
 import json
 import random
+from array import array
 from fractions import Fraction
 from pathlib import Path
 
@@ -161,11 +162,56 @@ def test_packed_lanes_hold_their_range():
         immanant.sum_columns(range(immanant.MAX_TERMS + 1))
 
 
-@pytest.mark.parametrize("n", range(0, 7))
+def stored_and_perturbed(n):
+    """Every store column of S_n, then each with one seeded entry moved by
+    a seeded nonzero amount inside a signed byte: violations at every
+    place a column can hold one."""
+    rng = random.Random(n)
+    for column in immanant.all_tl_immanants(n).values():
+        yield column
+        moved = array("b", column)
+        r = rng.randrange(len(moved))
+        moved[r] = rng.choice([x for x in range(-127, 128) if x != moved[r]])
+        yield moved
+
+
+@pytest.mark.parametrize("n", range(0, 8))
 def test_gathered_alternation_matches_pairwise(n):
-    for w, column in immanant.all_tl_immanants(n).items():
-        pairwise = oracles.find_alternation_violation(immanant.tl_immanant(w))
-        assert immanant.alternation_violation(n, column) == pairwise, w
+    """The byte path on an ``array('b')`` gives the generic path's answer
+    on the same values as a list, and the pair-by-pair oracle's."""
+    perms = perm.perm_index(n).perms
+    for column in stored_and_perturbed(n):
+        f = immanant.Immanant(n, dict(zip(perms, column)))
+        expected = oracles.find_alternation_violation(f)
+        assert immanant.alternation_violation(n, column) == expected
+        assert immanant.alternation_violation(n, column.tolist()) == expected
+
+
+def test_alternation_with_minus_128_takes_the_generic_path():
+    """-128 is its own negation as a byte, so a column holding it on both
+    sides of a pair is read by sums, where the pair does not cancel."""
+    first = perm.adjacent_1324_pairs(4)[0]
+    rank = perm.perm_index(4).rank
+    column = array("b", bytes(24))
+    for u in first:
+        column[rank[u]] = -128
+    assert immanant.alternation_violation(4, column) == first
+    column[rank[first[1]]] = 127
+    assert immanant.alternation_violation(4, column) == first == \
+        immanant.alternation_violation(4, column.tolist())
+    column[rank[first[1]]] = 0
+    column[rank[first[0]]] = 0
+    assert immanant.alternation_violation(4, column) is None
+
+
+def test_byte_lane_packing_matches_generic():
+    values = [-128, 127, 0, -1, 1, -127]
+    assert immanant.pack_column(3, array("b", values)) == immanant.pack_column(3, values)
+    assert immanant.unpack_column(3, immanant.pack_column(3, array("b", values))).coeffs == {
+        u: v for u, v in zip(perm.all_perms(3), values) if v}
+    for n in range(0, 7):
+        for column in immanant.all_tl_immanants(n).values():
+            assert immanant.pack_column(n, column) == immanant.pack_column(n, column.tolist())
 
 
 def test_signed_indicators_leave_no_cycle():
@@ -452,9 +498,14 @@ def test_caps_hold_for_cached_sizes(monkeypatch, fn):
 
 
 def test_alternation_scans_are_capped(monkeypatch):
+    # A store column takes the byte path, warmed here at the default cap.
+    column = immanant.all_tl_immanants(5)[perm.identity(5)]
+    assert immanant.alternation_violation(5, column) is None
     monkeypatch.setenv("TLIMM_MAX_N", "4")
     with pytest.raises(LimitError):
         perm.adjacent_1324_pairs(5)
+    with pytest.raises(LimitError):
+        immanant.alternation_violation(5, column)
     with pytest.raises(LimitError):
         immanant.percent_basis_decompose(immanant.Immanant(5, {}))
     monkeypatch.delenv("TLIMM_MAX_N")

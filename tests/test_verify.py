@@ -1,6 +1,9 @@
 """The suite registry, and the text of a failing check's witness and values."""
 
+import hashlib
 from array import array
+
+import pytest
 
 from tlimm import classify, immanant, perm, verify
 
@@ -22,7 +25,7 @@ def test_suites_are_declared_once():
 
 
 def test_dict_witness_text(monkeypatch):
-    monkeypatch.setattr(classify, "closed_form", lambda w: lambda u: 99)
+    monkeypatch.setattr(classify, "closed_form_column", lambda w: [99] * 6)
     first = verify.suite_a3(3).failures[0]
     assert (first.claim, first.witness, first.expected, first.actual) == (
         "closed form equals expansion coefficient", "w=123 u=123", "1", "99")
@@ -65,3 +68,24 @@ def test_passing_checks_render_no_witness(monkeypatch):
     monkeypatch.setattr(verify, "_render", render)
     report = verify.suite_a5(4)
     assert report.ok and report.checks == 672
+
+
+def stream_digest(suite, n):
+    """The check count and sha256 of a suite's whole check stream at n, one
+    line per check: claim, rendered witness and the repr of both values."""
+    digest, count = hashlib.sha256(), 0
+    for claim, witness, expected, actual in verify.SUITES[suite].__wrapped__(n):
+        digest.update(f"{claim}\t{verify._render(witness)}\t{expected!r}\t{actual!r}\n".encode())
+        count += 1
+    return count, digest.hexdigest()
+
+
+@pytest.mark.parametrize("suite, n, checks, digest", [
+    ("A3", 7, 100_000, "7cd96462e06a7174645a0d791c854d7f397a0afd01044a3188b629e7eeb43b35"),
+    ("A2", 6, 323, "742a68450832f3c595299db86eb8dda06286686f763e4e6d616ae9611fadc6e7"),
+], ids=["A3-7", "A2-6"])
+def test_check_streams_are_pinned(suite, n, checks, digest):
+    """A3's sampled stream at its default seed and A2's stream are pinned
+    check by check, so a kernel that changes a claim, a witness, a value
+    or the order, not only the count, fails here."""
+    assert stream_digest(suite, n) == (checks, digest)
