@@ -20,10 +20,19 @@ DEFAULT_MAX_N = 8
 DEFAULT_THETA_MAX_N = 7
 
 
+_NAME = "TLIMM_MAX_N"
+# The key of _NAME in the dict behind os.environ, which every change made
+# through os.environ updates.
+_ENCODED_NAME = os.environ.encodekey(_NAME)
+
+
 def _env_override() -> int | None:
-    raw = os.environ.get("TLIMM_MAX_N")
-    if raw is None:
+    # Every capped table checks its cap on every call.  With the variable
+    # unset, os.environ.get raises and catches two KeyErrors (about 1.5 us);
+    # a look at the dict behind it takes about 0.1 us.
+    if _ENCODED_NAME not in os.environ._data:
         return None
+    raw = os.environ[_NAME]
     try:
         return int(raw)
     except ValueError:

@@ -11,16 +11,15 @@ The package multiplies only on the right by a generator: m . t_i is a
 local surgery on m's unprimed boundary at labels i, i+1, and a closed loop
 multiplies the coefficient by 2.  ``_steps(n)`` tabulates that surgery.
 Theta is multiplied out over the table in two ways that share nothing but
-the table: ``theta(u)`` one row step at a time over a reduced word
-(:func:`_row_times_theta_gen`), and every theta(u) of S_n at once, level
-by level in length over whole columns of big-int lanes
-(:func:`_theta_columns`, which fills the store :func:`all_tl_immanants`).
-The orientation of that product is a convention; the one used here is pinned
+the table: ``theta(u)`` one row step at a time along a reduced word of u
+(:func:`_row_times_theta_gen`), and every theta(g) of S_n at once along the
+coset chain, one int of 16-bit lanes per matching holding a whole block of
+S_n (:func:`_theta_columns`, which fills the store :func:`all_tl_immanants`).
+The orientation of the product is a convention; the one used here is pinned
 by the test anchor ``beta((2,3,4,1)) == parse_matching("1-3' 2-4' 3-4 1'-2'")``
 and is the one under which every ``beta(w)`` is compatible with the
 black/white coloring of w (see :mod:`tlimm.coloring`).  A theta row is
-worked on as ``{index in all_matchings(n): coeff}`` and handed out as
-``{NonCrossingMatching: coeff}``.
+handed out as ``{NonCrossingMatching: coeff}``.
 """
 
 from __future__ import annotations
@@ -37,12 +36,10 @@ from .errors import PreconditionError, VerificationError
 from .perm import (
     Perm,
     format_perm,
-    gatherer,
+    inverse,
     is_321_avoiding,
-    length,
     perm_index,
     reduced_word,
-    right_mult_gen,
 )
 
 
@@ -79,6 +76,9 @@ class NonCrossingMatching:
 
     n: int
     pairing: tuple[int, ...]
+    # hash((n, pairing)), taken once: a frozen dataclass hashes the tuple
+    # anew on every lookup, and matchings key every theta row handed out.
+    _hash: int = dataclasses.field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.pairing) != 2 * self.n:
@@ -88,6 +88,10 @@ class NonCrossingMatching:
         # Paired circular positions always differ by an odd amount.
         if not all((p - q) % 2 == 1 for p, q in enumerate(self.pairing)):
             raise ValueError(f"pairing {self.pairing} joins positions of equal parity")
+        object.__setattr__(self, "_hash", hash((self.n, self.pairing)))
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"NonCrossingMatching({self.n}, {format_matching(self)!r})"
@@ -320,100 +324,86 @@ def _theta_row(u: Perm) -> dict[int, int]:
     return row
 
 
-# While _theta_columns multiplies out one group of S_n, a column's values
-# on that group sit in one int of 16-bit lanes; the store itself keeps
-# value + _BYTE_BIAS in one unsigned byte per permutation.
+# A lane of _theta_columns holds a signed byte plus _BYTE_BIAS.
 _BYTE_BIAS = 128
 _UNBIAS = bytes(x ^ _BYTE_BIAS for x in range(256))
 
 
 def _theta_columns(n: int) -> list[array]:
-    """theta(u) for every u in S_n as columns: column k, for matching k of
+    """theta(g) for every g in S_n as columns: column k, for matching k of
     all_matchings(n), is an ``array('b')`` whose entry r is the coefficient
-    of that matching in theta(u), u of rank r in :func:`tlimm.perm.perm_index`.
-    A coefficient outside a signed byte is a VerificationError naming n, w,
-    u and the value.
+    of that matching in theta(g), g^-1 of rank r in
+    :func:`tlimm.perm.perm_index`.  A coefficient outside a signed byte is a
+    VerificationError naming n, the value, and the w and u of the store entry
+    it would fill (see :func:`all_tl_immanants`).
 
-    Each u != e is theta(u s_d) (t_d - 1), d the first descent of u, and
-    u s_d is one shorter than u.  Internally S_n is ordered by (length,
-    first descent, rank), so the u of one length and first descent form a
-    contiguous group whose parents u s_d all lie on the level below.  For
-    a group, every column that is nonzero somewhere on that level is
-    gathered at the parents into one int of 16-bit lanes v_k', and the
-    group's slice of column k is the sum of (v_k' << loops) over the k'
-    that t_d takes to k, less v_k: a few big-int adds per column, not a
-    dict update per term.  At the end one gather per column puts it back
-    into rank order.
+    The pass walks the coset chain.  G_a, the permutations fixing 1..a-1,
+    is the disjoint union of the blocks G_{a+1} c_j, j = a..n, with
+    c_j = s_a s_{a+1} ... s_{j-1}; as c_{j+1} = c_j s_j, block j+1 of a
+    column is block j times (t_j - 1), all of G_{a+1} at once.  The blocks
+    run in order of j = g^-1(a), each in the order of G_{a+1}, so by
+    induction G_a, and in the end S_n = G_1, is in lexicographic order of
+    g^-1.
     """
     steps = _steps(n)
-    matchings = all_matchings(n)
-    perms = perm_index(n).perms
-    rank = perm_index(n).rank
-    size = len(perms)
-    lengths = list(map(length, perms))
-    descents = [next((i for i in range(1, n) if u[i - 1] > u[i]), 0) for u in perms]
-    # A stable sort keeps rank order within each group.
-    order = sorted(range(size), key=lambda r: (lengths[r], descents[r]))
-    position = [0] * size
-    for i, r in enumerate(order):
-        position[r] = i
-    columns = [bytearray([_BYTE_BIAS]) * size for _ in matchings]
-    # theta(e) is the identity matching, which comes last in all_matchings(n).
-    columns[-1][0] += 1
-    below: set[int] = {len(matchings) - 1}  # columns nonzero on the level below
-    level: set[int] = set()
-    start, depth = 1, 1
-    for (ell, d), group in itertools.groupby(order[1:], key=lambda r: (lengths[r], descents[r])):
-        if ell != depth:
-            below, level, depth = level, set(), ell
-        members = list(group)
-        size_g = len(members)
-        gather = gatherer([position[rank[right_mult_gen(perms[r], d)]] for r in members])
-        one = int.from_bytes(b"\x01\x00" * size_g, "little")
-        zero = _BYTE_BIAS * one
-        lanes = bytearray(2 * size_g)
-        sums: dict[int, int] = {}
-        for k in below:
-            lanes[::2] = bytes(gather(columns[k]))
-            v = int.from_bytes(lanes, "little") - zero
-            glued, loops = steps[k][d - 1]
-            sums[glued] = sums.get(glued, 0) + (v << loops)
-            sums[k] = sums.get(k, 0) - v
-        # The check below is exact.  A lane of v holds a stored value in
-        # [-128, 127].  Matching k is k' t_d only if k has the cup d-(d+1):
-        # then k' is k itself, with one loop, or joins d and d+1 to the two
-        # ends of one of the other n - 1 chords of k, either way round.  So
-        # lane i of sums[k] is x_i, a sum of those values whose coefficients
-        # (2 for k itself, 1 for each other k', and -1 for v_k) add up to at
-        # most 2n + 1 in absolute value: |x_i| <= 128 (2n + 1) < 2^15 for
-        # n < 127.  sums[k] + zero is the sum of (x_i + 128) 2^(16 i).  If
-        # it lies in [0, 2^(16 size_g)) with no high byte of a lane set, its
-        # base-2^16 digits y_i lie in [0, 256), and since
-        # |x_i + 128 - y_i| < 2^16, y_i = x_i + 128: every x_i is a signed
-        # byte.  Signed bytes x_i, in turn, give such an int.
-        top = 1 << (16 * size_g)
-        high = 0xFF00 * one
-        for k, v in sums.items():
-            v += zero
-            if v == zero:
-                continue
-            if not 0 <= v < top or v & high:
-                # The same bound makes x_i + 2^15 an unsigned 16-bit digit.
-                digits = (v + ((1 << 15) - _BYTE_BIAS) * one).to_bytes(2 * size_g, "little")
-                c, u = next((x - (1 << 15), perms[r]) for x, r in zip(array("H", digits), members)
-                            if not -_BYTE_BIAS <= x - (1 << 15) < _BYTE_BIAS)
-                raise VerificationError(
-                    f"f_w(u) = {c} at n={n}, w={format_perm(beta_inv(matchings[k]))}, "
-                    f"u={format_perm(u)} does not fit the signed-byte store")
-            columns[k][start:start + size_g] = v.to_bytes(2 * size_g, "little")[::2]
-            level.add(k)
-        start += size_g
-    to_rank = gatherer(position)
-    out = []
-    for k in range(len(columns)):
-        out.append(array("b", bytes(to_rank(columns[k])).translate(_UNBIAS)))
-        columns[k] = None  # each internal column is freed once converted
-    return out
+    columns = [array("b", bytes(math.factorial(n))) for _ in steps]
+    # theta(e), on G_n = {e} and at rank 0, is the identity matching, which
+    # comes last in all_matchings(n); for n < 2 that is all of S_n.
+    columns[-1][0] = 1
+    level = {len(steps) - 1: 1}
+    for a in range(n - 1, 0, -1):
+        lanes = math.factorial(n - a)
+        one = int.from_bytes(b"\x01\x00" * lanes, "little")
+        zero, top, high = _BYTE_BIAS * one, 1 << (16 * lanes), 0xFF00 * one
+        block, level = level, {}
+        for j in range(a, n + 1):
+            if j > a:
+                # block . (t_{j-1} - 1), each term freed once it is read.
+                sums: dict[int, int] = {}
+                while block:
+                    k, v = block.popitem()
+                    glued, loops = steps[k][j - 2]
+                    sums[glued] = sums.get(glued, 0) + (v << loops)
+                    sums[k] = sums.get(k, 0) - v
+                block = {k: v for k, v in sums.items() if v}
+            # The check is exact.  Every lane of the block multiplied passed
+            # it, so holds a signed byte.  k is k' t_{j-1} only if k has the
+            # cup (j-1)-j: then k' is k (one loop) or joins j-1 and j to the
+            # ends of one of k's other n - 1 chords, either way round.  So
+            # lane x_i of v sums bytes with coefficients (2, 1 each, and -1
+            # for k) of absolute sum at most 2n + 1: |x_i| <= 128 (2n + 1)
+            # < 2^15 for n < 127.  If v + zero, the sum of (x_i + 128)
+            # 2^(16 i), lies in [0, 2^(16 lanes)) with no high lane byte set,
+            # its base-2^16 digits y_i lie in [0, 256), and as
+            # |x_i + 128 - y_i| < 2^16, y_i = x_i + 128: every x_i is a
+            # signed byte.  Signed bytes x_i, in turn, give such an int.
+            start = (j - a) * lanes
+            for k, v in block.items():
+                biased = v + zero
+                if not 0 <= biased < top or biased & high:
+                    raise _overflow(n, a, start, k, biased + ((1 << 15) - _BYTE_BIAS) * one)
+                if a > 1:
+                    level[k] = level.get(k, 0) + (v << (16 * start))
+                else:
+                    signed = biased.to_bytes(2 * lanes, "little")[::2].translate(_UNBIAS)
+                    memoryview(columns[k]).cast("B")[start:start + lanes] = signed
+    return columns
+
+
+def _overflow(n: int, a: int, start: int, k: int, shifted: int) -> VerificationError:
+    """The error for the first lane outside a signed byte of column k's
+    block at lane start of G_a; lane i of shifted holds x_i + 2^15, an
+    unsigned 16-bit digit by the bound in :func:`_theta_columns`."""
+    digits = array("H", shifted.to_bytes(2 * math.factorial(n - a), "little"))
+    i, c = next((i, x - (1 << 15)) for i, x in enumerate(digits)
+                 if not -_BYTE_BIAS <= x - (1 << 15) < _BYTE_BIAS)
+    # Lane L of G_a holds theta(g) for the L-th g^-1 of G_a in lexicographic
+    # order, which the store keeps at w = beta_inv(m_k)^-1 and u = g^-1.
+    tail = next(itertools.islice(itertools.permutations(range(a, n + 1)), start + i, None))
+    u, w = tuple(range(1, a)) + tail, inverse(beta_inv(all_matchings(n)[k]))
+    return VerificationError(
+        f"f_w(u) = {c} at n={n}, w={format_perm(w)}, u={format_perm(u)} "
+        "does not fit the signed-byte store")
 
 
 @limits.capped_cache(limits.theta_max_n, "theta table", maxsize=4)
@@ -421,13 +411,22 @@ def all_tl_immanants(n: int) -> dict[Perm, array]:
     """The coefficients f_w(u) of every 321-avoiding w in S_n, the one
     stored table of them: column ``[w]`` is an ``array('b')`` whose entry
     ``r`` is f_w(u) for the u of rank r in :func:`tlimm.perm.perm_index`.
-    Filled by the level-order pass :func:`_theta_columns`.  The columns
-    are shared: do not change them.
+    The columns are shared: do not change them.
+
+    :func:`_theta_columns` gives the coefficient of m_k in theta(g) at the
+    rank of g^-1.  The flip * of a diagram, top to bottom, is an
+    anti-automorphism of TL_n that fixes every t_i, so theta(g^-1) =
+    theta(g)* and beta(w^-1) = beta(w)*; the coefficient of m_k in theta(g)
+    is that of m_k* in theta(g^-1), which is f_w(g^-1) for
+    w = beta_inv(m_k)^-1.  So column k is the column of that w, with no
+    gather.
 
     >>> all_tl_immanants(2)[(2, 1)].tolist()
     [0, 1]
     """
-    return {beta_inv(m): col for m, col in zip(all_matchings(n), _theta_columns(n))}
+    ws = [beta_inv(m) for m in all_matchings(n)]
+    columns = dict(zip(map(inverse, ws), _theta_columns(n)))
+    return {w: columns[w] for w in ws}
 
 
 def theta(u: Perm) -> dict[NonCrossingMatching, int]:

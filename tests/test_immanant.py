@@ -242,13 +242,16 @@ def test_tl_immanant_anchors():
         immanant.tl_immanant((3, 2, 1))
 
 
-@pytest.mark.parametrize("n", range(0, 7))
+@pytest.mark.parametrize("n", range(0, 8))
 def test_all_tl_immanants_match_f_coeff(n):
-    # Each stored column, entry by rank, against the single-shot theta(u),
-    # which does not go through the level-order pass, and to n = 5 against
-    # f_coeff's read of the theta row at the index of beta(w).  n = 0 and 1
-    # have only the identity; n = 2 has a one-member group.
+    # The keys come in a fixed order.  Each stored column, entry by rank,
+    # against the single-shot theta(u), which does not go through the coset
+    # chain, to n = 6, and to n = 5 against f_coeff's read of the theta row
+    # at the index of beta(w).  n = 0 and 1 have only the identity.
     imms = immanant.all_tl_immanants(n)
+    assert list(imms) == [tl.beta_inv(m) for m in tl.all_matchings(n)]
+    if n == 7:
+        return
     perms = perm.perm_index(n).perms
     rows = [tl.theta(u) for u in perms]
     for w in perm.avoiding_321(n):
@@ -260,11 +263,20 @@ def test_all_tl_immanants_match_f_coeff(n):
 
 def test_store_rejects_coefficient_beyond_a_byte(monkeypatch):
     # At n = 2 the identity matching (index 1) times t_1 is t_1 (index 0);
-    # a loop count of 8 on that step makes f_21(21) = 2^8.
-    steps = (tl._steps(2)[0], ((0, 8),))
-    monkeypatch.setattr(tl, "_steps", lambda n: steps)
-    with pytest.raises(VerificationError, match=r"256 at n=2, w=21, u=21"):
+    # a loop count of 8 on that step makes f_21(21) = 2^8.  At n = 3, t_2
+    # (index 3) times t_1 is sent to beta(231) (index 2) with 8 loops, so
+    # theta(s_2 s_1) = theta(312) holds 2^8 times beta(231).  The store
+    # keeps that at w = 231^-1 = 312 and u = 312^-1 = 231: a message naming
+    # w^-1 or u^-1 does not match.
+    assert tl.beta_inv(tl.all_matchings(3)[2]) == (2, 3, 1)
+    three = tl._steps(3)
+    patched = {2: (tl._steps(2)[0], ((0, 8),)),
+               3: three[:3] + (((2, 8), three[3][1]),) + three[4:]}
+    monkeypatch.setattr(tl, "_steps", patched.__getitem__)
+    with pytest.raises(VerificationError, match=r"256 at n=2, w=21, u=21 "):
         immanant.all_tl_immanants.__wrapped__(2)
+    with pytest.raises(VerificationError, match=r"256 at n=3, w=312, u=231 "):
+        immanant.all_tl_immanants.__wrapped__(3)
 
 
 def test_tl_immanant_is_a_copy():
@@ -522,3 +534,21 @@ def test_limits(monkeypatch):
         immanant.cm_immanant(9, (), ())
     with pytest.raises(LimitError):
         immanant.tl_immanant(perm.identity(8))
+
+
+def test_cap_changes_are_seen_on_the_next_cached_hit(monkeypatch):
+    """The variable is read on every call, set or unset, so a warmed cache
+    never hides a change to it."""
+    monkeypatch.delenv("TLIMM_MAX_N", raising=False)
+    index = perm.perm_index(7)
+    assert perm.perm_index(7) is index
+    monkeypatch.setenv("TLIMM_MAX_N", "6")
+    with pytest.raises(LimitError):
+        perm.perm_index(7)
+    monkeypatch.delenv("TLIMM_MAX_N")
+    assert perm.perm_index(7) is index
+    monkeypatch.setenv("TLIMM_MAX_N", "seven")
+    with pytest.raises(LimitError, match="must be an integer, got 'seven'"):
+        perm.perm_index(7)
+    monkeypatch.setenv("TLIMM_MAX_N", "7")
+    assert perm.perm_index(7) is index

@@ -38,6 +38,20 @@ def test_matching_validation():
         tl.NonCrossingMatching(2, (2, 3, 0, 1))  # crossing
 
 
+def test_equal_matchings_hash_equal():
+    """The hash is taken once, from (n, pairing); equality, repr and the
+    interning of _matching are as before."""
+    m = tl.parse_matching("1-3' 2-4' 3-4 1'-2'")
+    twin = tl.NonCrossingMatching(m.n, m.pairing)
+    assert twin == m and twin is not m and hash(twin) == hash(m) == hash((m.n, m.pairing))
+    assert repr(twin) == "NonCrossingMatching(4, \"1-3' 2-4' 3-4 1'-2'\")"
+    assert twin != tl.identity_matching(4)
+    interned = tl._matching(m.n, m.pairing)
+    assert interned is tl._matching(4, tuple(list(m.pairing))) is tl.beta((2, 3, 4, 1))
+    assert interned == m and interned is not m
+    assert len({twin: 1, m: 2, tl.identity_matching(4): 3}) == 2
+
+
 def test_validation_survives_python_O():
     """Input checks and the validation of results raise, so they still run
     when -O strips asserts; decompose is given a wrong second shape."""
@@ -169,13 +183,28 @@ def test_theta_table_agrees_with_single_shot():
 
 def test_theta_rows_match_the_store_sampled():
     """theta(u) for 200 seeded u of S_7 against the store columns; the
-    single-shot row product and the level-order pass share only _steps."""
+    single-shot row product and the coset chain share only _steps."""
     n = 7
     store = tl.all_tl_immanants(n)
     index = perm.perm_index(n)
     for u in random.Random(7).sample(index.perms, 200):
         r = index.rank[u]
         assert tl.theta(u) == {tl.beta(w): col[r] for w, col in store.items() if col[r]}, u
+
+
+def test_theta_rows_match_the_store_n8(monkeypatch):
+    """The n = 8 store, built above the default table cap, against 20
+    seeded single-shot theta(u); the 58 MB table is dropped afterwards."""
+    n = 8
+    monkeypatch.setenv("TLIMM_MAX_N", "8")
+    try:
+        store = tl.all_tl_immanants(n)
+        index = perm.perm_index(n)
+        for u in random.Random(n).sample(index.perms, 20):
+            r = index.rank[u]
+            assert tl.theta(u) == {tl.beta(w): col[r] for w, col in store.items() if col[r]}, u
+    finally:
+        tl.all_tl_immanants.cache_clear()
 
 
 def test_theta_table_limit(monkeypatch):
