@@ -2,14 +2,17 @@
 Exhaustive verification suites.
 
 Each suite checks one exact identity over a whole desk-scale range.  It is
-a generator of ``(claim, witness, expected, actual)`` checks, declared once
-by ``@_suite(name, sizes)``, which enters it in ``SUITES`` and its default
-sizes in ``DEFAULT_SIZES``.  A witness is data: a permutation, a string or
-a dict of labelled parts such as ``{"w": w, "u": u}``.  The runner counts
-the checks, records a :class:`Failure` (claim, rendered witness, ``repr``
-of both values) only for a check whose two values differ, and times the
-stream, so ``suite_aN(n)`` returns a :class:`VerificationReport`.  Suites
-A1-A10 are the acceptance gate; ``run_suite`` runs one suite at one size.
+a generator of ``(claim, witness, expected, actual)`` checks and of
+:class:`_Block` s of them, declared once by ``@_suite(name, sizes)``, which
+enters it in ``SUITES`` and its default sizes in ``DEFAULT_SIZES``.  A
+witness is data: a permutation, a string or a dict of labelled parts such as
+``{"w": w, "u": u}``.  The runner counts the checks, records a
+:class:`Failure` (claim, rendered witness, ``repr`` of both values) only for
+a check whose two values differ, and times the stream, so ``suite_aN(n)``
+returns a :class:`VerificationReport`.  A block whose whole-column verdict
+passes adds its count at once; any other block is run check by check, so a
+report is the same either way.  Suites A1-A10 are the acceptance gate;
+``run_suite`` runs one suite at one size.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import time
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from . import classify, coloring, immanant, perm, tl
+from . import classify, coloring, immanant, limits, perm, tl
 from .classify import PATTERN_1324, PATTERN_2143
 from .perm import Perm
 
@@ -67,6 +70,19 @@ class VerificationReport:
 # (claim, witness, expected, actual); the witness is rendered by _render.
 _Check = tuple[str, object, object, object]
 
+
+@dataclasses.dataclass(frozen=True)
+class _Block:
+    """``count`` checks settled by one verdict.  ``passes`` may be true only
+    if every check that ``expand()`` yields passes; ``expand()`` yields the
+    ``count`` checks in order, and the runner calls it only when ``passes``
+    is false."""
+
+    count: int
+    passes: bool
+    expand: Callable[[], Iterator[_Check]]
+
+
 # Filled by @_suite, in declaration order.
 SUITES: dict[str, Callable[..., VerificationReport]] = {}
 DEFAULT_SIZES: dict[str, tuple[int, ...]] = {}
@@ -90,18 +106,28 @@ def _suite(name: str, sizes: tuple[int, ...]):
     """Make a generator of checks into the suite ``name``, run by default at
     ``sizes``: the result runs the generator and returns its report."""
 
-    def decorate(checks: Callable[..., Iterator[_Check]]) -> Callable[..., VerificationReport]:
+    def decorate(
+        checks: Callable[..., Iterator[_Check | _Block]]
+    ) -> Callable[..., VerificationReport]:
         @functools.wraps(checks)
         def run(n: int, **kwargs) -> VerificationReport:
             count = 0
             failures: list[Failure] = []
             start = time.perf_counter()
-            for claim, witness, expected, actual in checks(n, **kwargs):
-                count += 1
-                if expected != actual:
-                    failures.append(
-                        Failure(claim, _render(witness), repr(expected), repr(actual))
-                    )
+            for item in checks(n, **kwargs):
+                if isinstance(item, _Block):
+                    if item.passes:
+                        count += item.count
+                        continue
+                    stream: Iterable[_Check] = item.expand()
+                else:
+                    stream = (item,)
+                for claim, witness, expected, actual in stream:
+                    count += 1
+                    if expected != actual:
+                        failures.append(
+                            Failure(claim, _render(witness), repr(expected), repr(actual))
+                        )
             return VerificationReport(name, n, count, failures, time.perf_counter() - start)
 
         SUITES[name] = run
@@ -153,29 +179,35 @@ _A3_SAMPLES = 100_000
 
 
 @_suite("A3", (3, 4, 5, 6, 7))
-def suite_a3(n: int, seed: int = 20_433) -> Iterator[_Check]:
+def suite_a3(n: int, seed: int = 20_433) -> Iterator[_Block]:
     """Closed-form coefficients agree with the Temperley-Lieb expansion:
-    exhaustive for n <= 6, sampled at n = 7."""
+    exhaustive for n <= 6, sampled at n = 7.  One block: equal whole
+    columns pass every pair, so only a failing run draws its pairs."""
     imms = immanant.all_tl_immanants(n)
     perms, rank = perm.perm_index(n)
     applicable = [w for w in perm.avoiding_321(n) if perm.avoids(w, PATTERN_1324)]
-    # Which pairs a seed draws depends on this (length, u) order.
-    universe = sorted(perms, key=lambda u: (perm.length(u), u))
-    claim = "closed form equals expansion coefficient"
-    if n <= 6:
-        pairs: Iterable[tuple[Perm, Perm]] = itertools.product(applicable, universe)
-    else:
-        claim += " (sampled)"
-        rng = random.Random(seed)
-        pairs = (
-            (applicable[rng.randrange(len(applicable))],
-             universe[rng.randrange(len(universe))])
-            for _ in range(_A3_SAMPLES)
-        )
     closed = {w: classify.closed_form_column(w) for w in applicable}
-    for w, u in pairs:
-        r = rank[u]
-        yield (claim, {"w": w, "u": u}, imms[w][r], closed[w][r])
+
+    def expand() -> Iterator[_Check]:
+        # Which pairs a seed draws depends on this (length, u) order.
+        universe = sorted(perms, key=lambda u: (perm.length(u), u))
+        claim = "closed form equals expansion coefficient"
+        if n <= 6:
+            pairs: Iterable[tuple[Perm, Perm]] = itertools.product(applicable, universe)
+        else:
+            claim += " (sampled)"
+            rng = random.Random(seed)
+            pairs = (
+                (applicable[rng.randrange(len(applicable))],
+                 universe[rng.randrange(len(universe))])
+                for _ in range(_A3_SAMPLES)
+            )
+        for w, u in pairs:
+            r = rank[u]
+            yield (claim, {"w": w, "u": u}, imms[w][r], closed[w][r])
+
+    yield _Block(len(applicable) * len(perms) if n <= 6 else _A3_SAMPLES,
+                 all(imms[w] == closed[w] for w in applicable), expand)
 
 
 @_suite("A4", (2, 3, 4, 5))
@@ -198,23 +230,31 @@ def suite_a4(n: int) -> Iterator[_Check]:
 
 
 @_suite("A5", (2, 3, 4, 5))
-def suite_a5(n: int) -> Iterator[_Check]:
+def suite_a5(n: int) -> Iterator[_Block]:
     """Coefficient symmetry: f_w(u) = f_{w^-1}(u^-1) = f_{w0 w w0}(w0 u w0),
-    read from the rank-indexed columns."""
+    read from the rank-indexed columns.  One block per w: its column against
+    the gathered columns of w^-1 and w0 w w0."""
     imms = immanant.all_tl_immanants(n)
     perms, rank = perm.perm_index(n)
     inverse_rank = [rank[perm.inverse(u)] for u in perms]
     conjugate_rank = [rank[perm.conjugate_by_longest(u)] for u in perms]
-    for w in perm.avoiding_321(n):
-        fw = imms[w]
-        fwi = imms[perm.inverse(w)]
-        fwc = imms[perm.conjugate_by_longest(w)]
+    inv, conj = perm.gatherer(inverse_rank), perm.gatherer(conjugate_rank)
+
+    def expand(w: Perm, fw, fwi, fwc) -> Iterator[_Check]:
         for r, u in enumerate(perms):
             value = fw[r]
             witness = {"w": w, "u": u}
             yield ("f is inverse-symmetric", witness, value, fwi[inverse_rank[r]])
             yield ("f is w0-conjugation-symmetric", witness,
                    value, fwc[conjugate_rank[r]])
+
+    for w in perm.avoiding_321(n):
+        fw = imms[w]
+        fwi = imms[perm.inverse(w)]
+        fwc = imms[perm.conjugate_by_longest(w)]
+        column = tuple(fw)
+        yield _Block(2 * len(perms), column == inv(fwi) and column == conj(fwc),
+                     functools.partial(expand, w, fw, fwi, fwc))
 
 
 @_suite("A6", (1, 2, 3, 4, 5, 6, 7, 8))
@@ -287,6 +327,15 @@ def _case2_zones(a: int, e: int, b: int, c: int, f: int, d: int) -> tuple[Zone, 
     )
 
 
+@limits.capped_cache(limits.max_n, "zone oracle matchings", maxsize=4)
+def _matching_pair_table(
+    n: int,
+) -> tuple[tuple[tl.NonCrossingMatching, tuple[tuple[int, int], ...]], ...]:
+    """(m, m.pairs()) for every matching m of all_matchings(n), so the zone
+    oracle reads each matching's pairs once per n, not once per instance."""
+    return tuple((m, m.pairs()) for m in tl.all_matchings(n))
+
+
 def _zone_solutions(
     n: int, zones: Sequence[Zone]
 ) -> list[tuple[tuple[bool, ...], tl.NonCrossingMatching]]:
@@ -317,9 +366,9 @@ def _zone_solutions(
     # Which matchings keep every pair out of the sealed zones does not
     # depend on the coloring, so that filter runs once.
     allowed = [
-        (m, m.pairs())
-        for m in tl.all_matchings(n)
-        if not any(p in sealed and sealed[p] == sealed.get(q) for p, q in m.pairs())
+        (m, pairs)
+        for m, pairs in _matching_pair_table(n)
+        if not any(p in sealed and sealed[p] == sealed.get(q) for p, q in pairs)
     ]
     out = []
     for choice in itertools.product(

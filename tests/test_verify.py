@@ -1,6 +1,7 @@
 """The suite registry, and the text of a failing check's witness and values."""
 
 import hashlib
+import random
 from array import array
 
 import pytest
@@ -62,19 +63,40 @@ def test_string_witness_text(monkeypatch):
 
 
 def test_passing_checks_render_no_witness(monkeypatch):
+    """Passing checks render no witness, and passing A3 at n = 7, settled
+    by its whole columns, draws no sample."""
     def render(witness):
         raise AssertionError(f"rendered {witness!r}")
 
+    def sampler(*args):
+        raise AssertionError("drew a sample")
+
     monkeypatch.setattr(verify, "_render", render)
-    report = verify.suite_a5(4)
-    assert report.ok and report.checks == 672
+    monkeypatch.setattr(random, "Random", sampler)
+    for suite, n, checks in (("A5", 4, 672), ("A5", 6, 190_080), ("A3", 7, 100_000)):
+        report = verify.SUITES[suite](n)
+        assert report.ok and report.checks == checks
+
+
+def expanded(suite, n, **kwargs):
+    """Every check of a suite at n, one by one: each block is expanded
+    whatever its verdict, and must expand to exactly its count."""
+    for item in verify.SUITES[suite].__wrapped__(n, **kwargs):
+        if isinstance(item, verify._Block):
+            count = 0
+            for check in item.expand():
+                count += 1
+                yield check
+            assert count == item.count
+        else:
+            yield item
 
 
 def stream_digest(suite, n):
     """The check count and sha256 of a suite's whole check stream at n, one
     line per check: claim, rendered witness and the repr of both values."""
     digest, count = hashlib.sha256(), 0
-    for claim, witness, expected, actual in verify.SUITES[suite].__wrapped__(n):
+    for claim, witness, expected, actual in expanded(suite, n):
         digest.update(f"{claim}\t{verify._render(witness)}\t{expected!r}\t{actual!r}\n".encode())
         count += 1
     return count, digest.hexdigest()
@@ -83,9 +105,122 @@ def stream_digest(suite, n):
 @pytest.mark.parametrize("suite, n, checks, digest", [
     ("A3", 7, 100_000, "7cd96462e06a7174645a0d791c854d7f397a0afd01044a3188b629e7eeb43b35"),
     ("A2", 6, 323, "742a68450832f3c595299db86eb8dda06286686f763e4e6d616ae9611fadc6e7"),
-], ids=["A3-7", "A2-6"])
+    ("A5", 5, 10_080, "a3e7f3b1fbb01ff102712b6b5cdbcc171dd23b4f5ce0702f246d3411d86338ee"),
+    ("A3", 6, 51_840, "64a2a0d0d1ca4041d377f660e693777a6392255a472d329423d3fe3fb19da9c8"),
+], ids=["A3-7", "A2-6", "A5-5", "A3-6"])
 def test_check_streams_are_pinned(suite, n, checks, digest):
-    """A3's sampled stream at its default seed and A2's stream are pinned
-    check by check, so a kernel that changes a claim, a witness, a value
-    or the order, not only the count, fails here."""
+    """A3's sampled stream at its default seed, A3's exhaustive stream, and
+    the streams of A2 and A5 are pinned check by check, with every block
+    expanded, so a kernel that changes a claim, a witness, a value or the
+    order, not only the count, fails here."""
     assert stream_digest(suite, n) == (checks, digest)
+
+
+# ---------------------------------------------------------------------------
+# Block verdicts are sound: a report taken with them is the report of the
+# same suite with every block expanded, passing or failing.
+
+
+def assert_report_is_expanded(suite, n):
+    """Run the suite at n and check its count and failures against the
+    expanded stream; return the report."""
+    checks, failures = 0, []
+    for claim, witness, expected, actual in expanded(suite, n):
+        checks += 1
+        if expected != actual:
+            failures.append(
+                verify.Failure(claim, verify._render(witness), repr(expected), repr(actual)))
+    report = verify.SUITES[suite](n)
+    assert (report.checks, report.failures) == (checks, failures)
+    return report
+
+
+def one_off(column, r):
+    """A copy of a byte column with entry r one off."""
+    column = array("b", column)
+    column[r] += 1 if column[r] < 127 else -1
+    return column
+
+
+def perturb_store(monkeypatch, n, w, r):
+    store = dict(immanant.all_tl_immanants(n))
+    store[w] = one_off(store[w], r)
+    real = immanant.all_tl_immanants
+    monkeypatch.setattr(immanant, "all_tl_immanants", lambda m: store if m == n else real(m))
+
+
+def perturb_closed(monkeypatch, n, w, r):
+    real = classify.closed_form_column
+    monkeypatch.setattr(classify, "closed_form_column",
+                        lambda v: one_off(real(v), r) if v == w else real(v))
+
+
+def a3_ws(n):
+    return [w for w in perm.avoiding_321(n) if perm.avoids(w, classify.PATTERN_1324)]
+
+
+def non_involution_rank(n, rng):
+    """The rank of a seeded u with u^-1 != u: an entry of any column there
+    meets a different entry under the inverse symmetry, so A5 sees it."""
+    perms, rank = perm.perm_index(n)
+    return rank[rng.choice([u for u in perms if perm.inverse(u) != u])]
+
+
+@pytest.mark.parametrize("suite, n", [("A3", n) for n in range(3, 8)]
+                         + [("A5", n) for n in range(2, 7)])
+def test_block_verdicts_match_the_expanded_stream(monkeypatch, suite, n):
+    """On the real store, a store with one seeded entry one off and (A3) a
+    closed column with one seeded entry one off, the report is the
+    expanded stream's, and the one-off entry fails it.  At the sampled
+    n = 7 only the real store runs here; the next test places the entry
+    inside and outside the sample."""
+    assert assert_report_is_expanded(suite, n).ok
+    if n > 6:
+        return
+    rng = random.Random(f"{suite}-{n}")
+    ws = a3_ws(n) if suite == "A3" else perm.avoiding_321(n)
+    w = rng.choice(ws)
+    r = non_involution_rank(n, rng) if n > 2 else 0
+    perturbations = [perturb_store] + ([perturb_closed] if suite == "A3" else [])
+    for perturb in perturbations:
+        with monkeypatch.context() as m:
+            perturb(m, n, w, r)
+            report = assert_report_is_expanded(suite, n)
+        # S_2 has no u with u^-1 != u, so no entry of A5 there meets another.
+        assert report.ok == (n == 2)
+
+
+@pytest.fixture(scope="module")
+def a3_sample():
+    """The (w, u) pairs that A3 draws at n = 7, in order."""
+    return [(c[1]["w"], c[1]["u"]) for c in expanded("A3", 7)]
+
+
+@pytest.mark.parametrize("perturb", [perturb_store, perturb_closed])
+def test_sampled_a3_fails_only_where_the_sample_reaches(monkeypatch, a3_sample, perturb):
+    """At n = 7 a one-off entry at a sampled (w, u) fails A3 as the
+    expanded stream does, and one at an unsampled pair passes all 100 000
+    checks, as the pair-by-pair suite did."""
+    perms, rank = perm.perm_index(7)
+    rng = random.Random(7)
+    hit = rng.choice(a3_sample)
+    drawn, ws = set(a3_sample), a3_ws(7)
+    miss = next(p for p in iter(lambda: (rng.choice(ws), rng.choice(perms)), None)
+                if p not in drawn)
+    for (w, u), ok in ((hit, False), (miss, True)):
+        with monkeypatch.context() as m:
+            perturb(m, 7, w, rank[u])
+            report = assert_report_is_expanded("A3", 7)
+        assert report.ok == ok and report.checks == 100_000
+
+
+@pytest.mark.parametrize("suite", ["A3", "A5"])
+def test_every_block_verdict_sees_its_own_column(monkeypatch, suite):
+    """At n = 5, each w's column in turn is one off at a seeded non-involution
+    u, and each report is the expanded stream's, so no w's verdict can
+    pass over its own column."""
+    n, rng = 5, random.Random(suite)
+    for w in (a3_ws(n) if suite == "A3" else perm.avoiding_321(n)):
+        with monkeypatch.context() as m:
+            perturb_store(m, n, w, non_involution_rank(n, rng))
+            assert not assert_report_is_expanded(suite, n).ok
