@@ -25,7 +25,7 @@ import time
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from . import classify, coloring, immanant, limits, perm, tl
+from . import classify, coloring, immanant, perm, tl
 from .classify import PATTERN_1324, PATTERN_2143
 from .perm import Perm
 
@@ -327,30 +327,26 @@ def _case2_zones(a: int, e: int, b: int, c: int, f: int, d: int) -> tuple[Zone, 
     )
 
 
-@limits.capped_cache(limits.max_n, "zone oracle matchings", maxsize=4)
-def _matching_pair_table(
-    n: int,
-) -> tuple[tuple[tl.NonCrossingMatching, tuple[tuple[int, int], ...]], ...]:
-    """(m, m.pairs()) for every matching m of all_matchings(n), so the zone
-    oracle reads each matching's pairs once per n, not once per instance."""
-    return tuple((m, m.pairs()) for m in tl.all_matchings(n))
-
-
 def _zone_solutions(
-    n: int, zones: Sequence[Zone]
+    matchings: Sequence[tuple[tl.NonCrossingMatching, tuple[tuple[int, int], ...]]],
+    zones: Sequence[Zone],
 ) -> list[tuple[tuple[bool, ...], tl.NonCrossingMatching]]:
     """Every (coloring, matching) on the 2n circular positions that meets
     the zones, which must partition the positions: each zone holds its
     counts of black (True) and white positions, every pair joins black to
     white, and no pair has both ends in one sealed zone.  Exhaustive: every
-    coloring that meets the counts is tried against every matching.
+    coloring that meets the counts is tried against every matching of
+    ``matchings``, which holds ``(m, m.pairs())`` for each matching m on n
+    strands, so the pairs are read once per n, not once per instance.
 
+    >>> matchings = [(m, m.pairs()) for m in tl.all_matchings(2)]
     >>> zones = _general_zones(1, 1, 0, 0, 0)
-    >>> _zone_solutions(2, zones)
+    >>> _zone_solutions(matchings, zones)
     [((True, False, True, False), NonCrossingMatching(2, "1-2 1'-2'"))]
-    >>> len(_zone_solutions(2, [(p, k, w, False) for p, k, w, _ in zones]))
+    >>> len(_zone_solutions(matchings, [(p, k, w, False) for p, k, w, _ in zones]))
     3
     """
+    n = len(matchings[0][1])
     covered = sorted(p for positions, _, _, _ in zones for p in positions)
     if covered != list(range(2 * n)):
         raise ValueError(f"zones do not partition the {2 * n} positions")
@@ -367,7 +363,7 @@ def _zone_solutions(
     # depend on the coloring, so that filter runs once.
     allowed = [
         (m, pairs)
-        for m, pairs in _matching_pair_table(n)
+        for m, pairs in matchings
         if not any(p in sealed and sealed[p] == sealed.get(q) for p, q in pairs)
     ]
     out = []
@@ -408,6 +404,7 @@ def suite_a7(n: int) -> Iterator[_Check]:
           if max(t[1], t[4]) >= 1),
          coloring.unique_matching_case2, _case2_zones, classify.build_case2),
     )
+    matchings = [(m, m.pairs()) for m in tl.all_matchings(n)]
     for family, names, instances, construct, zones, build in families:
         for sizes in instances:
             # By keyword, because build_case1 takes (a, b, e, c, d).
@@ -416,7 +413,7 @@ def suite_a7(n: int) -> Iterator[_Check]:
             col, m = construct(**params)
             colors = tuple(col.is_black_position(p) for p in range(2 * n))
             yield (f"{family} zone instance has the one constructed solution", witness,
-                   [(colors, m)], _zone_solutions(n, zones(**params)))
+                   [(colors, m)], _zone_solutions(matchings, zones(**params)))
             if build is not None:
                 yield (f"{family} matching is beta of the built permutation", witness,
                        tl.beta(build(**params)), m)

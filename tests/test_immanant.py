@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tlimm import classify, coloring, immanant, perm, tl, verify
+from tlimm import classify, coloring, immanant, perm, tl
 from tlimm.errors import LimitError, PreconditionError, VerificationError
 
 from oracles import (
@@ -473,7 +473,6 @@ CAPPED_TABLES = [
     perm.perm_index, perm.avoiding_321, perm.adjacent_1324_pairs,
     immanant.related_classes, immanant.all_tl_immanants, immanant._basis,
     tl.all_matchings, tl._matching_index, tl._steps, coloring._matching_pairs,
-    verify._matching_pair_table,
 ]
 
 

@@ -63,19 +63,37 @@ def test_string_witness_text(monkeypatch):
 
 
 def test_passing_checks_render_no_witness(monkeypatch):
-    """Passing checks render no witness, and passing A3 at n = 7, settled
-    by its whole columns, draws no sample."""
+    """Passing checks render no witness, whether they come one by one (A2,
+    A6), in a passing block (A5, A3) or in a failing block that is
+    expanded; and passing A3 at n = 7, settled by its whole columns, draws
+    no sample."""
     def render(witness):
         raise AssertionError(f"rendered {witness!r}")
 
     def sampler(*args):
         raise AssertionError("drew a sample")
 
-    monkeypatch.setattr(verify, "_render", render)
-    monkeypatch.setattr(random, "Random", sampler)
-    for suite, n, checks in (("A5", 4, 672), ("A5", 6, 190_080), ("A3", 7, 100_000)):
-        report = verify.SUITES[suite](n)
-        assert report.ok and report.checks == checks
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_render", render)
+        m.setattr(random, "Random", sampler)
+        for suite, n, checks in (("A2", 4, 41), ("A6", 5, 46), ("A5", 4, 672),
+                                 ("A5", 6, 190_080), ("A3", 7, 100_000)):
+            report = verify.SUITES[suite](n)
+            assert report.ok and report.checks == checks
+    # With one store entry one off, the blocks that read it are expanded and
+    # only their failing checks are rendered, once each, in stream order.
+    rendered = []
+    monkeypatch.setattr(verify, "_render", lambda witness: rendered.append(witness) or "seen")
+    rng = random.Random("render")
+    for suite, n, ws in (("A5", 4, perm.avoiding_321(4)), ("A3", 5, a3_ws(5))):
+        with monkeypatch.context() as m:
+            perturb_store(m, n, rng.choice(ws), non_involution_rank(n, rng))
+            failing = [witness for _, witness, expected, actual in expanded(suite, n)
+                       if expected != actual]
+            rendered.clear()
+            report = verify.SUITES[suite](n)
+        assert failing and rendered == failing
+        assert [f.witness for f in report.failures] == ["seen"] * len(failing)
 
 
 def expanded(suite, n, **kwargs):
