@@ -33,6 +33,7 @@ from .immanant import (
     lies_in,
     pack_column,
     percent_column,
+    row_mask,
     row_tally,
     signed_bytes,
     sum_columns,
@@ -298,12 +299,13 @@ def closed_form_column(w: Perm) -> array:
     """``closed_form(w)`` over all of S_n, with the layout of a store
     column of :func:`all_tl_immanants`: an ``array('b')`` whose entry r is
     f_w(u) for the u of rank r in :func:`tlimm.perm.perm_index`.  It is
-    built in byte lanes: the hull mask and, for a w containing 2143, the
-    lane byte A + 16 * B of the two weight tallies are row translates of
-    the index (:func:`tlimm.immanant.row_tally`), one translate by a
-    256-byte table of binomials turns that byte into the weight, and
-    :func:`tlimm.immanant.signed_bytes` signs it.  A weight above 127 is a
-    VerificationError, as it is for the store.
+    built in byte lanes: the hull mask is the
+    :func:`tlimm.immanant.row_mask` that percent columns are signed from,
+    and for a w containing 2143, the lane byte A + 16 * B of the two
+    weight tallies (:func:`tlimm.immanant.row_tally`) is turned into the
+    weight by one translate with a 256-byte table of binomials and kept on
+    the mask.  :func:`tlimm.immanant.signed_bytes` signs it.  A weight
+    above 127 is a VerificationError, as it is for the store.
 
     >>> closed_form_column((2, 1, 4, 3))[-1]
     2
@@ -314,21 +316,17 @@ def closed_form_column(w: Perm) -> array:
     # A + 16 * B determines A and B.
     if n >= 16:
         raise PreconditionError(f"closed-form columns need n < 16, got {n}")
-    size = len(perm_index(n).perms)
-    # The u in hull(w) have all n rows in range: 1 in their lanes when the
-    # weight is 1, else 0xFF, a mask for the weights.
-    inside = bytearray(256)
-    inside[n] = 1 if tallies is None else 0xFF
-    rows = [range(m + 1, l + 1) for m, l in zip(shape.mu, shape.lam)]
-    hull_lanes = row_tally(n, rows).to_bytes(size, "little").translate(inside)
+    inside = row_mask(n, [range(m + 1, l + 1) for m, l in zip(shape.mu, shape.lam)])
     if tallies is None:
-        return signed_bytes(n, sw, hull_lanes)
+        return signed_bytes(n, sw, inside)
     first, second, weight = tallies
+    size = len(inside)
     # 128 stands for every weight that does not fit a signed byte.
     table = bytes(min(weight(x % 16, x // 16), 128) for x in range(256))
     lanes = (row_tally(n, first) + 16 * row_tally(n, second)).to_bytes(size, "little")
+    # 0xFF times the 0/1 hull mask keeps the weights of the u in hull(w).
     values = (int.from_bytes(lanes.translate(table), "little")
-              & int.from_bytes(hull_lanes, "little")).to_bytes(size, "little")
+              & 0xFF * int.from_bytes(inside, "little")).to_bytes(size, "little")
     if 128 in values:
         r = values.index(128)
         raise VerificationError(
@@ -472,7 +470,7 @@ def shape_sum_columns(w: Perm, d: Decomposition) -> tuple[Column, Column]:
     """
     n = len(w)
     signed = d.sign * pack_column(n, all_tl_immanants(n)[w])
-    total = sum_columns([percent_column(s) for s in d.shapes])
+    total = sum_columns([pack_column(n, percent_column(s)) for s in d.shapes])
     return Column(n, signed), Column(n, total)
 
 

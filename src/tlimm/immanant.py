@@ -12,7 +12,6 @@ Skew shapes live inside the n x n box with (1, 1) the upper-left cell:
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import json
 import math
@@ -251,18 +250,19 @@ def _unchecked(n: int, coeffs: dict[Perm, Coeff]) -> Immanant:
 
 
 # ---------------------------------------------------------------------------
-# Packed columns
+# Columns
 #
-# A packed column is one int over S_n, the sum of f(u_r) * 2^(32r) over the
-# ranks r of perm_index(n): a signed 32-bit lane per u.  While every value
-# lies in [-2^31, 2^31), the int determines them all, and since the packing
-# is linear, +, unary -, s * column, sum and == act on every value at once,
-# all in exact integer arithmetic.  The zero column is 0.
+# A column lists one value per u in S_n, by the ranks r of perm_index(n).
+# Single columns are ``array('b')``, one signed byte per u: the store's
+# columns of f_w(u), the closed forms of classify, and the signed
+# indicators of percent and complementary-minor immanants.  They are built
+# in byte lanes, from row translates of a cached basis.
 #
-# A byte-lane column has one 8-bit lane per u instead, as the bytes of a
-# store column do.  Row translates, masks and tallies are built in byte
-# lanes, 4x smaller, and spread into 32-bit lanes only where columns are
-# summed.
+# A packed column is one int over S_n, the sum of f(u_r) * 2^(32r): a
+# signed 32-bit lane per u.  Only sums, and the columns compared with them,
+# are packed: pack_column spreads a byte column into the lanes, and since
+# the packing is linear, +, unary -, s * column, sum and == then act on
+# every value at once, in exact integer arithmetic.  The zero column is 0.
 
 _LANE = 32
 # The most terms sum_columns adds; its docstring proves the bound.
@@ -274,7 +274,6 @@ _NEGATE = bytes(-x & 0xFF for x in range(256))
 class _Basis(NamedTuple):
     rows: tuple[bytes, ...]  # rows[i][r] = perms[r][i]: one 8-bit lane per u
     one: int  # 1 in every 32-bit lane
-    odd: int  # 1 in the 32-bit lanes of odd permutations
     odd_bytes: int  # 0xFF in the 8-bit lanes of odd permutations
 
 
@@ -291,7 +290,7 @@ def _basis(n: int) -> _Basis:
     perms = perm_index(n).perms
     odd = bytes(sign(u) < 0 for u in perms)
     return _Basis(tuple(map(bytes, zip(*perms))), _spread(b"\x01" * len(perms)),
-                  _spread(odd), 0xFF * int.from_bytes(odd, "little"))
+                  0xFF * int.from_bytes(odd, "little"))
 
 
 def row_tally(n: int, rows: Sequence[Iterable[int]]) -> int:
@@ -308,24 +307,20 @@ def row_tally(n: int, rows: Sequence[Iterable[int]]) -> int:
     return total
 
 
-def _indicator(n: int, rows: Sequence[Iterable[int]]) -> int:
-    """The packed 0/1 column of the u in S_n with u(i) in ``rows[i - 1]``
-    for every row i: the lanes of :func:`row_tally` that count every row."""
+def row_mask(n: int, rows: Sequence[Iterable[int]]) -> bytes:
+    """One byte per rank of perm_index(n): 1 for the u with u(i) in
+    ``rows[i - 1]`` for every row i, else 0.  These are the lanes of
+    :func:`row_tally` that count every row, picked by one translate."""
     every = bytearray(256)
     every[len(rows)] = 1
-    size = len(perm_index(n).perms)
-    return _spread(row_tally(n, rows).to_bytes(size, "little").translate(every))
-
-
-def _signed(n: int, ind: int) -> int:
-    """The signed indicator sign(u) * ind(u), packed."""
-    return ind - 2 * (ind & _basis(n).odd)
+    return row_tally(n, rows).to_bytes(len(perm_index(n).perms), "little").translate(every)
 
 
 def signed_bytes(n: int, s: int, values: bytes) -> array:
     """The ``array('b')`` of s * sign(u_r) * values[r] over the ranks r of
     perm_index(n), for s = +-1 and bytes values in [0, 127]: the lanes
-    whose sign is -1 take their value from one negating translate."""
+    whose sign is -1 take their value from one negating translate.  On a
+    :func:`row_mask` it is the signed indicator of the u the mask holds."""
     basis = _basis(n)
     flip = basis.odd_bytes if s > 0 else ~basis.odd_bytes
     plus = int.from_bytes(values, "little")
@@ -333,29 +328,16 @@ def signed_bytes(n: int, s: int, values: bytes) -> array:
     return array("b", (plus ^ ((plus ^ minus) & flip)).to_bytes(len(values), "little"))
 
 
-def pack_column(n: int, values: Iterable[int]) -> int:
-    """The packed column of rank-indexed integer values over S_n, such as a
-    store column of :func:`all_tl_immanants`; a value outside the lane
-    range [-2^31, 2^31) is a VerificationError.  An ``array('b')`` is
-    packed from its bytes: each is spread into its lane unsigned, and a
-    byte with its high bit set stands for itself less 256.
+def pack_column(n: int, values: array) -> int:
+    """The packed column of an ``array('b')`` over S_n, such as a store
+    column of :func:`all_tl_immanants`: each byte is spread into its lane
+    unsigned, and a byte with its high bit set stands for itself less 256.
 
-    >>> unpack_column(2, pack_column(2, [3, -1])).coeffs
+    >>> unpack_column(2, pack_column(2, array("b", [3, -1]))).coeffs
     {(1, 2): 3, (2, 1): -1}
-    >>> pack_column(2, array("b", [3, -1])) == pack_column(2, [3, -1])
-    True
     """
-    one = _basis(n).one
-    if isinstance(values, array) and values.typecode == "b":
-        unsigned = _spread(values.tobytes())
-        return unsigned - ((unsigned & (one << 7)) << 1)
-    try:
-        lanes = array("i", values)
-    except OverflowError:
-        raise VerificationError(f"a value does not fit a {_LANE}-bit lane") from None
-    # Flipping the top bit of a two's complement lane adds 2^31 to its value.
-    top = one << (_LANE - 1)
-    return (int.from_bytes(lanes.tobytes(), "little") ^ top) - top
+    unsigned = _spread(values.tobytes())
+    return unsigned - ((unsigned & (_basis(n).one << 7)) << 1)
 
 
 def unpack_column(n: int, column: int) -> Immanant:
@@ -368,13 +350,14 @@ def unpack_column(n: int, column: int) -> Immanant:
 
 
 def sum_columns(columns: Sequence[int]) -> int:
-    """The packed sum of columns whose values are signed bytes, as store
-    columns, and signed indicators negated or not, are.  A sum of k values
-    in [-128, 127] lies in [-128k, 127k], inside the lane range
+    """The packed sum of columns whose values are signed bytes, as packed
+    store columns and signed indicators, negated or not, are.  A sum of k
+    values in [-128, 127] lies in [-128k, 127k], inside the lane range
     [-2^31, 2^31) for every k <= 2^31 / 128 = 2^24 = :data:`MAX_TERMS`, so
     no lane overflows; more terms are a VerificationError.
 
-    >>> unpack_column(2, sum_columns([pack_column(2, [1, -2])] * 3)).coeffs
+    >>> column = pack_column(2, array("b", [1, -2]))
+    >>> unpack_column(2, sum_columns([column] * 3)).coeffs
     {(1, 2): 3, (2, 1): -6}
     """
     if len(columns) > MAX_TERMS:
@@ -401,12 +384,13 @@ def _sparse(n: int, values: Sequence[Coeff]) -> Immanant:
                                   filter(None, values))))
 
 
-def percent_column(shape: SkewShape) -> int:
-    """The packed percent immanant of a shape: sign(u) on the u whose row i
-    takes a value in (mu_i, lam_i], zero elsewhere."""
+def percent_column(shape: SkewShape) -> array:
+    """The percent immanant of a shape as an ``array('b')`` by rank of
+    perm_index(n): sign(u) on the u whose row i takes a value in
+    (mu_i, lam_i], zero elsewhere."""
     limits.check_limit(shape.n, limits.max_n(), "percent immanant")
     rows = [range(m + 1, l + 1) for m, l in zip(shape.mu, shape.lam)]
-    return _signed(shape.n, _indicator(shape.n, rows))
+    return signed_bytes(shape.n, 1, row_mask(shape.n, rows))
 
 
 def percent_immanant(shape: SkewShape) -> Immanant:
@@ -416,7 +400,7 @@ def percent_immanant(shape: SkewShape) -> Immanant:
     >>> percent_immanant(hull((2, 1, 4, 3))).coeff((2, 1, 4, 3))
     1
     """
-    return unpack_column(shape.n, percent_column(shape))
+    return _sparse(shape.n, percent_column(shape))
 
 
 def tl_immanant(w: Perm) -> Immanant:
@@ -428,10 +412,10 @@ def tl_immanant(w: Perm) -> Immanant:
     return _sparse(len(w), all_tl_immanants(len(w))[w])
 
 
-def cm_column(n: int, I: Iterable[int], J: Iterable[int]) -> int:
-    """The packed complementary-minor immanant: sign(u) on the u with
-    u(I) = J, zero elsewhere.  The rows in I take values in J, the other
-    rows the values outside J."""
+def cm_column(n: int, I: Iterable[int], J: Iterable[int]) -> array:
+    """The complementary-minor immanant as an ``array('b')`` by rank of
+    perm_index(n): sign(u) on the u with u(I) = J, zero elsewhere.  The
+    rows in I take values in J, the other rows the values outside J."""
     I, J = frozenset(I), frozenset(J)
     if len(I) != len(J):
         raise PreconditionError(f"|I| = {len(I)} but |J| = {len(J)}")
@@ -443,7 +427,7 @@ def cm_column(n: int, I: Iterable[int], J: Iterable[int]) -> int:
             f"I and J must lie in 1..{n}, got I = {sorted(I)}, J = {sorted(J)}"
         )
     outside = set(range(1, n + 1)) - J
-    return _signed(n, _indicator(n, [J if i in I else outside for i in range(1, n + 1)]))
+    return signed_bytes(n, 1, row_mask(n, [J if i in I else outside for i in range(1, n + 1)]))
 
 
 def cm_immanant(n: int, I: Iterable[int], J: Iterable[int]) -> Immanant:
@@ -452,7 +436,7 @@ def cm_immanant(n: int, I: Iterable[int], J: Iterable[int]) -> Immanant:
     >>> cm_immanant(3, {1}, {3}).coeffs
     {(3, 1, 2): 1, (3, 2, 1): -1}
     """
-    return unpack_column(n, cm_column(n, I, J))
+    return _sparse(n, cm_column(n, I, J))
 
 
 def subset_sign(I: Iterable[int]) -> int:
@@ -548,7 +532,7 @@ def is_1324_sign_alternating(f: Immanant) -> bool:
     return alternation_violation(f.n, _dense(f)) is None
 
 
-@functools.lru_cache(maxsize=8)
+@limits.capped_cache(limits.max_n, "1324-adjacent gathers", maxsize=8)
 def _adjacent_gathers(n: int) -> tuple[Callable, Callable]:
     """Two gathers over a rank-indexed column: the values at the first and
     at the second permutation of every 1324-adjacent pair, as tuples."""

@@ -219,7 +219,7 @@ def suite_a4(n: int) -> Iterator[_Check]:
         for I in itertools.combinations(range(1, n + 1), k):
             for J in itertools.combinations(range(1, n + 1), k):
                 lhs = (immanant.subset_sign(I) * immanant.subset_sign(J)
-                       * immanant.cm_column(n, I, J))
+                       * immanant.pack_column(n, immanant.cm_column(n, I, J)))
                 rhs = immanant.sum_columns([
                     store[w] for w in
                     coloring.compatible_permutations(coloring.make_coloring(n, I, J))
@@ -477,7 +477,8 @@ def suite_a10(n: int) -> Iterator[_Check]:
     store = immanant.all_tl_immanants(n)
     for w in applicable:
         total = immanant.sum_columns([
-            s * immanant.cm_column(n, I, J) for s, I, J in classify.cm_expansion(w)
+            s * immanant.pack_column(n, immanant.cm_column(n, I, J))
+            for s, I, J in classify.cm_expansion(w)
         ])
         yield ("signed CM expansion equals the immanant", w,
                immanant.Column(n, immanant.pack_column(n, store[w])),
@@ -489,10 +490,12 @@ def suite_a10(n: int) -> Iterator[_Check]:
         if not w or (w[0] != 1 and w[0] != w[-1] + 1):
             continue
         total = immanant.sum_columns([
-            immanant.cm_column(n, I, J) for I, J in classify.rect_cm_expansion(w)
+            immanant.pack_column(n, immanant.cm_column(n, I, J))
+            for I, J in classify.rect_cm_expansion(w)
         ])
         yield ("rectangle CM expansion equals the hull percent immanant", w,
-               immanant.Column(n, immanant.percent_column(immanant.hull(w))),
+               immanant.Column(n, immanant.pack_column(
+                   n, immanant.percent_column(immanant.hull(w)))),
                immanant.Column(n, total))
     for w in applicable:
         X = immanant.witness_matrix(w)

@@ -155,6 +155,13 @@ def brute_cm_immanant(n: int, I, J) -> dict:
     }
 
 
+def packed(values) -> int:
+    """The packed column of rank-indexed values: value r times 2^(32r),
+    summed, so each value sits in its own 32-bit lane as a plain sum of
+    shifted ints."""
+    return sum(v << 32 * r for r, v in enumerate(values))
+
+
 def evaluate(f, matrix) -> Fraction:
     """sum_u f(u) prod_i X[i][u(i)], one Fraction product at a time."""
     total = Fraction(0)

@@ -1,3 +1,6 @@
+import math
+from array import array
+
 import pytest
 
 from tlimm import classify, cli, immanant, perm, tl, verify
@@ -354,7 +357,8 @@ def test_failed_validation_raises(monkeypatch):
 
 def test_one_shape_sum_check_has_two_readers(monkeypatch):
     # decompose's validation and suite A2 compare the same shape_sum_columns.
-    monkeypatch.setattr(classify, "percent_column", lambda shape: 0)
+    monkeypatch.setattr(classify, "percent_column",
+                        lambda shape: array("b", bytes(math.factorial(shape.n))))
     with pytest.raises(VerificationError):
         classify.decompose((2, 1, 4, 3))
     failures = verify.suite_a2(4).failures

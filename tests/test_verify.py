@@ -125,12 +125,15 @@ def stream_digest(suite, n):
     ("A2", 6, 323, "742a68450832f3c595299db86eb8dda06286686f763e4e6d616ae9611fadc6e7"),
     ("A5", 5, 10_080, "a3e7f3b1fbb01ff102712b6b5cdbcc171dd23b4f5ce0702f246d3411d86338ee"),
     ("A3", 6, 51_840, "64a2a0d0d1ca4041d377f660e693777a6392255a472d329423d3fe3fb19da9c8"),
-], ids=["A3-7", "A2-6", "A5-5", "A3-6"])
+    ("A1", 6, 132, "9af6220cb338e362b58c907ef7b38c52b48b7d3f5698c062a2406612ef66110c"),
+    ("A4", 5, 252, "afc993becf57941dcc07b8ebdbf8e31bbffa22a211253d57242a80849f30f652"),
+    ("A10", 6, 104, "1f483fee67907cd288f951563539d13d25c9cc2b48b9058967cae943e83dab0e"),
+], ids=["A3-7", "A2-6", "A5-5", "A3-6", "A1-6", "A4-5", "A10-6"])
 def test_check_streams_are_pinned(suite, n, checks, digest):
     """A3's sampled stream at its default seed, A3's exhaustive stream, and
-    the streams of A2 and A5 are pinned check by check, with every block
-    expanded, so a kernel that changes a claim, a witness, a value or the
-    order, not only the count, fails here."""
+    the streams of A1, A2, A4, A5 and A10 are pinned check by check, with
+    every block expanded, so a kernel that changes a claim, a witness, a
+    value or the order, not only the count, fails here."""
     assert stream_digest(suite, n) == (checks, digest)
 
 
