@@ -42,9 +42,9 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 
 def _integer(x) -> int:
     """Read an integer from JSON: an int, an integer string, or a float of
-    integral value; a fractional or non-finite number, or a value of
-    another type, is a ValueError."""
-    if isinstance(x, float) and not x.is_integer():
+    integral value; a boolean, a fractional or non-finite number, or a value
+    of another type, is a ValueError."""
+    if isinstance(x, bool) or isinstance(x, float) and not x.is_integer():
         raise ValueError(f"not an integer: {x!r}")
     try:
         return int(x)
@@ -118,7 +118,10 @@ class SkewShape:
 
 
 def _pad_bounds(n: int, values: Iterable[int]) -> tuple[int, ...]:
-    # n sizes the padding, so it is held to the cap before anything is built.
+    # n sizes the padding, so its sign and cap are checked before anything
+    # is built.
+    if n < 0:
+        raise ValueError(f"negative size n={n}")
     limits.check_limit(n, limits.max_n(), "skew shape")
     out = [_integer(v) for v in values]
     if len(out) > n:

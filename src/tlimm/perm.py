@@ -178,15 +178,6 @@ def sign(w: Perm) -> int:
     return -1 if length(w) & 1 else 1
 
 
-def right_mult_gen(w: Perm, i: int) -> Perm:
-    """w . s_i: swap the entries in positions i and i+1 (1-based)."""
-    if not 1 <= i < len(w):
-        raise PreconditionError(f"no generator s_{i} in S_{len(w)}")
-    word = list(w)
-    word[i - 1], word[i] = word[i], word[i - 1]
-    return tuple(word)
-
-
 def reduced_word(w: Perm) -> tuple[int, ...]:
     """A reduced word (i_1, ..., i_k) with s_{i_1} . s_{i_2} ... s_{i_k} = w.
 

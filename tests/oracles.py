@@ -175,10 +175,10 @@ def evaluate(f, matrix) -> Fraction:
 
 def compose_word(n: int, word) -> tuple[int, ...]:
     """Multiply out a word in the generators s_i, left to right."""
-    result = perm.identity(n)
+    result = list(range(1, n + 1))
     for i in word:
-        result = perm.right_mult_gen(result, i)
-    return result
+        result[i - 1], result[i] = result[i], result[i - 1]
+    return tuple(result)
 
 
 def restriction(w, positions) -> tuple[int, ...]:

@@ -189,6 +189,10 @@ def test_render_crossing_matching_is_parse_error():
     (["eval", "f", "x"], {"f": '{"n": -1, "terms": []}', "x": "[]"}, cli.EXIT_PARSE),
     (["coeff", "213456789", "213456789"], {}, cli.EXIT_PRECONDITION),
     (["verify", "--suite", "A7", "--n", "9"], {}, cli.EXIT_PRECONDITION),
+    (["render", "shape", '{"n": true, "lambda": [true]}'], {}, cli.EXIT_PARSE),
+    (["render", "shape", '{"n": 2, "lambda": [2, 2], "mu": [false]}'], {}, cli.EXIT_PARSE),
+    (["eval", "f", "x"], {"f": '{"n": true, "terms": []}', "x": "[[1]]"}, cli.EXIT_PARSE),
+    (["render", "shape", '{"n": -1, "lambda": []}'], {}, cli.EXIT_PARSE),
 ])
 def test_bad_input_exit_code_without_traceback(argv, files, code, tmp_path):
     for name, text in files.items():

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -50,6 +51,16 @@ def test_compatible_permutations():
         assert coloring.compatible_permutations(
             coloring.make_coloring(2, [1], [])
         ) == frozenset()
+    assert coloring.compatible_permutations(coloring.Coloring(3, {1}, {1})) == got
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_compatibility_table_keys_every_balanced_coloring(n):
+    """Each matching is compatible with 2^n colorings, and together they
+    cover every (I, J) with |I| = |J|: C(2n, n) keys and no other."""
+    table = coloring._compatibility_table(n)
+    assert len(table) == math.comb(2 * n, n)
+    assert all(len(I) == len(J) and I | J <= set(range(1, n + 1)) for I, J in table)
 
 
 @pytest.mark.parametrize("n", range(0, 6))

@@ -47,6 +47,10 @@ def test_skew_shape_validation():
         immanant.SkewShape(3, (3, 2, 1), (3, 3, 0))  # mu above lam
     with pytest.raises(ValueError):
         immanant.skew_shape(2, (3, 1))  # out of the box
+    with pytest.raises(ValueError, match="negative size n=-1"):
+        immanant.skew_shape(-1, ())
+    with pytest.raises(ValueError, match="not an integer: True"):
+        immanant.skew_shape(1, (True,))
 
 
 def test_hull_anchors():
@@ -489,7 +493,7 @@ CAPPED_TABLES = [
     perm.perm_index, perm.avoiding_321, perm.adjacent_1324_pairs,
     immanant.related_classes, immanant.all_tl_immanants, immanant._basis,
     immanant._adjacent_gathers,
-    tl.all_matchings, tl._matching_index, tl._steps, coloring._matching_pairs,
+    tl.all_matchings, tl._matching_index, tl._steps, coloring._compatibility_table,
 ]
 
 

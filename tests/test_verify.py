@@ -128,7 +128,8 @@ def stream_digest(suite, n):
     ("A1", 6, 132, "9af6220cb338e362b58c907ef7b38c52b48b7d3f5698c062a2406612ef66110c"),
     ("A4", 5, 252, "afc993becf57941dcc07b8ebdbf8e31bbffa22a211253d57242a80849f30f652"),
     ("A10", 6, 104, "1f483fee67907cd288f951563539d13d25c9cc2b48b9058967cae943e83dab0e"),
-], ids=["A3-7", "A2-6", "A5-5", "A3-6", "A1-6", "A4-5", "A10-6"])
+    ("A4", 6, 924, "f032df765acaa896f81dfa23798238496ee17fbfe561da2ec1c4c546b393d448"),
+], ids=["A3-7", "A2-6", "A5-5", "A3-6", "A1-6", "A4-5", "A10-6", "A4-6"])
 def test_check_streams_are_pinned(suite, n, checks, digest):
     """A3's sampled stream at its default seed, A3's exhaustive stream, and
     the streams of A1, A2, A4, A5 and A10 are pinned check by check, with
