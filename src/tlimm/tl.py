@@ -10,11 +10,26 @@ positions, exactly as a balanced bracket sequence.
 The package multiplies only on the right by a generator: m . t_i is a
 local surgery on m's unprimed boundary at labels i, i+1, and a closed loop
 multiplies the coefficient by 2.  ``_steps(n)`` tabulates that surgery.
-Theta is multiplied out over the table in two ways that share nothing but
-the table: ``theta(u)`` one row step at a time along a reduced word of u
-(:func:`_row_times_theta_gen`), and every theta(g) of S_n at once along the
-coset chain, one int of 16-bit lanes per matching holding a whole block of
-S_n (:func:`_theta_columns`, which fills the store :func:`all_tl_immanants`).
+Theta is multiplied out over the table by three readers: ``theta(u)`` one
+row step at a time along a reduced word of u (:func:`_row_times_theta_gen`);
+``f_coeff(w, u)``, one coefficient, from such a row over the front of the
+word and a dual row over its back (:func:`_dual_times_theta_gen`); and
+every theta(g) of S_n at once along the coset chain, one int of 16-bit lanes
+per matching holding a whole block of S_n (:func:`_theta_columns`, which
+fills the store :func:`all_tl_immanants`).  The coset chain shares nothing
+with the other two but the table.
+
+The dual step is the transpose of the row step.  For Y a product of
+factors (t_d - 1) over the back of the word, let dual_Y[k] be the
+coefficient of beta(w) in m_k . Y, for matching m_k of all_matchings(n); as
+m_k . t_d = 2^loops_k m_{g_k} with (g_k, loops_k) = steps[k][d-1],
+dual_{(t_d - 1) Y}[k] = (dual_Y[g_k] << loops_k) - dual_Y[k].  So the
+coefficient of beta(w) in theta(u) is sum_k row[k] dual[k] wherever the
+two meet.  An entry can be nonzero only if k or g_k is a key of dual_Y; the
+table :func:`_step_preimages` lists the k with g_k = j != k for each j, so
+it only picks which entries to compute, and every value is read off
+``_steps``.
+
 The orientation of the product is a convention; the one used here is pinned
 by the test anchor ``beta((2,3,4,1)) == parse_matching("1-3' 2-4' 3-4 1'-2'")``
 and is the one under which every ``beta(w)`` is compatible with the
@@ -312,6 +327,61 @@ def _row_times_theta_gen(steps: _Steps, row: dict[int, int], d: int) -> dict[int
     return {k: c for k, c in terms.items() if c}
 
 
+# The table _step_preimages(n) returns: (offsets, index) per generator.
+_Preimages = tuple[tuple[array, array], ...]
+
+
+@limits.capped_cache(limits.max_n, "Temperley-Lieb step preimages", maxsize=16)
+def _step_preimages(n: int) -> _Preimages:
+    """For each t_d, the k of all_matchings(n) that ``_steps(n)`` sends to
+    another matching j, grouped by j: they are ``index[offsets[j]:
+    offsets[j+1]]``, in increasing order, for ``(offsets, index) =
+    _step_preimages(n)[d-1]``.  One count of each group and one fill;
+    ``'I'``, as ``'H'`` would overflow at n >= 12."""
+    steps = _steps(n)
+    size = len(steps)
+    table = []
+    for col in range(n - 1):
+        offsets = array("I", bytes(4 * (size + 1)))
+        for k, row in enumerate(steps):
+            j = row[col][0]
+            if j != k:
+                offsets[j + 1] += 1
+        for j in range(size):
+            offsets[j + 1] += offsets[j]
+        index = array("I", bytes(4 * offsets[size]))
+        fill = offsets[:size]
+        for k, row in enumerate(steps):
+            j = row[col][0]
+            if j != k:
+                index[fill[j]] = k
+                fill[j] += 1
+        table.append((offsets, index))
+    return tuple(table)
+
+
+def _dual_times_theta_gen(steps: _Steps, preimages: _Preimages,
+                          dual: dict[int, int], d: int) -> dict[int, int]:
+    """The dual row of (t_d - 1) Y from that of Y, {k: coefficient of the
+    target matching in m_k . Y}, the transpose of
+    :func:`_row_times_theta_gen`: entry k becomes
+    ``(dual[g_k] << loops_k) - dual[k]`` with ``(g_k, loops_k) =
+    steps[k][d-1]``.  Only k in dual or with g_k in dual can be nonzero;
+    ``preimages`` picks those, every value is read off ``steps``."""
+    offsets, index = preimages[d - 1]
+    keys = set(dual)
+    for j in dual:
+        keys.update(index[offsets[j]:offsets[j + 1]])
+    get = dual.get
+    terms: dict[int, int] = {}
+    for k in keys:
+        glued, loops = steps[k][d - 1]
+        c = (get(glued, 0) << loops) - get(k, 0)
+        if c:
+            terms[k] = c
+    return terms
+
+
 def _theta_row(u: Perm) -> dict[int, int]:
     """theta(u) as a row {index in all_matchings(n): coeff}: the
     left-to-right product of (t_i - 1) over a reduced word of u, one row
@@ -460,13 +530,29 @@ def theta_table(n: int) -> dict[Perm, TLElement]:
 
 
 def f_coeff(w: Perm, u: Perm) -> int:
-    """The coefficient of beta(w) in theta(u), read off the row of theta(u)
-    at the index of beta(w).
+    """The coefficient of beta(w) in theta(u), met in the middle of a
+    reduced word of u: a row from the identity over its front and a dual
+    row from beta(w) over its back, the smaller of the two taking each next
+    step, summed against each other where they meet.
 
     >>> f_coeff((2, 1, 4, 3), (4, 3, 2, 1))
     2
     """
     if len(w) != len(u):
         raise PreconditionError(f"size mismatch: {len(w)} vs {len(u)}")
-    k = _matching_index(len(w))[beta(w)]
-    return _theta_row(u).get(k, 0)
+    n = len(u)
+    steps, preimages = _steps(n), _step_preimages(n)
+    word = reduced_word(u)
+    # The identity matching comes last in all_matchings(n).
+    row, dual = {len(steps) - 1: 1}, {_matching_index(n)[beta(w)]: 1}
+    front, back = 0, len(word)
+    while front < back:
+        if len(row) <= len(dual):
+            row = _row_times_theta_gen(steps, row, word[front])
+            front += 1
+        else:
+            back -= 1
+            dual = _dual_times_theta_gen(steps, preimages, dual, word[back])
+    if len(dual) < len(row):
+        row, dual = dual, row
+    return sum(c * dual.get(k, 0) for k, c in row.items())

@@ -266,8 +266,8 @@ def test_tl_immanant_anchors():
 def test_all_tl_immanants_match_f_coeff(n):
     # The keys come in a fixed order.  Each stored column, entry by rank,
     # against the single-shot theta(u), which does not go through the coset
-    # chain, to n = 6, and to n = 5 against f_coeff's read of the theta row
-    # at the index of beta(w).  n = 0 and 1 have only the identity.
+    # chain, to n = 6, and to n = 5 against f_coeff, which meets a row and
+    # a dual row in the middle.  n = 0 and 1 have only the identity.
     imms = immanant.all_tl_immanants(n)
     assert list(imms) == [tl.beta_inv(m) for m in tl.all_matchings(n)]
     if n == 7:
@@ -493,7 +493,8 @@ CAPPED_TABLES = [
     perm.perm_index, perm.avoiding_321, perm.adjacent_1324_pairs,
     immanant.related_classes, immanant.all_tl_immanants, immanant._basis,
     immanant._adjacent_gathers,
-    tl.all_matchings, tl._matching_index, tl._steps, coloring._compatibility_table,
+    tl.all_matchings, tl._matching_index, tl._steps, tl._step_preimages,
+    coloring._compatibility_table,
 ]
 
 

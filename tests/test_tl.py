@@ -123,17 +123,82 @@ def test_theta_anchors():
     }
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(0, 6))
 def test_theta_matches_glued_product(n):
-    """theta(u) against the product of the factors t_i - 1 over a reduced
-    word of u, taken by the gluing oracle, which shares no code with the
-    step table."""
+    """theta(u), and f_coeff(w, u) for every w, against the product of the
+    factors t_i - 1 over a reduced word of u, taken by the gluing oracle,
+    which shares no code with the step table."""
     one = tl.identity_matching(n)
     for u in perm.all_perms(n):
         expected = {one: 1}
         for i in perm.reduced_word(u):
             expected = tl_product(expected, {tl.generator(n, i): 1, one: -1})
         assert tl.theta(u) == expected, u
+        for w in perm.avoiding_321(n):
+            assert tl.f_coeff(w, u) == expected.get(tl.beta(w), 0), (w, u)
+
+
+def _sampled_pairs(n: int, count: int, rng: random.Random) -> list:
+    """Seeded (w, u) pairs of S_n, led by u = e, u = w0 and w = e: with
+    u = e neither side takes a step, and with u = s_1 only the row does."""
+    e, w0, s1 = perm.identity(n), tuple(range(n, 0, -1)), (2, 1) + tuple(range(3, n + 1))
+    matchings = tl.all_matchings(n)
+    pairs = [(e, e), (e, w0), (s1, s1), (e, s1), (tl.beta_inv(matchings[0]), w0)]
+    while len(pairs) < count:
+        w = tl.beta_inv(rng.choice(matchings))
+        pairs.append((w, tuple(rng.sample(range(1, n + 1), n))))
+    return pairs
+
+
+def test_f_coeff_matches_theta_row_n8():
+    """Meeting in the middle against the whole row of theta(u), for 500
+    seeded pairs at n = 8."""
+    for w, u in _sampled_pairs(8, 500, random.Random(8)):
+        assert tl.f_coeff(w, u) == tl.theta(u).get(tl.beta(w), 0), (w, u)
+
+
+def test_f_coeff_matches_theta_row_n9(monkeypatch):
+    """The same for 50 seeded pairs at n = 9, above the default cap; the
+    n = 9 tables are not kept for later tests."""
+    monkeypatch.setenv("TLIMM_MAX_N", "9")
+    try:
+        for w, u in _sampled_pairs(9, 50, random.Random(9)):
+            assert tl.f_coeff(w, u) == tl.theta(u).get(tl.beta(w), 0), (w, u)
+    finally:
+        tl._steps.cache_clear()
+        tl._step_preimages.cache_clear()
+
+
+def test_f_coeff_does_not_walk_the_whole_row(monkeypatch):
+    """f_coeff never falls back to the row of theta(u), which theta still
+    takes."""
+    w, u = _sampled_pairs(8, 6, random.Random(80))[-1]
+    value = tl.theta(u).get(tl.beta(w), 0)
+
+    def walk(u):
+        raise AssertionError("the whole row of theta(u) was walked")
+
+    monkeypatch.setattr(tl, "_theta_row", walk)
+    assert tl.f_coeff((2, 1, 4, 3), (4, 3, 2, 1)) == 2
+    assert abs(tl.f_coeff((2, 3, 1, 5, 6, 4), (6, 5, 4, 3, 2, 1))) == 3
+    assert tl.f_coeff(w, u) == value
+    with pytest.raises(AssertionError, match="whole row"):
+        tl.theta(u)
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_step_preimages_list_every_moved_matching(n):
+    """Preimage j of t_d lists, in increasing order, exactly the k with
+    steps[k][d-1] sending k to j != k."""
+    steps = tl._steps(n)
+    table = tl._step_preimages(n)
+    assert len(table) == max(n - 1, 0)
+    for d, (offsets, index) in enumerate(table, start=1):
+        assert offsets.typecode == index.typecode == "I"
+        assert len(offsets) == len(steps) + 1 and offsets[-1] == len(index)
+        for j in range(len(steps)):
+            moved = [k for k, row in enumerate(steps) if row[d - 1][0] == j != k]
+            assert index[offsets[j]:offsets[j + 1]].tolist() == moved, (d, j)
 
 
 def test_theta_and_f_coeff_limit(monkeypatch):
@@ -148,7 +213,9 @@ def test_theta_and_f_coeff_limit(monkeypatch):
     monkeypatch.setenv("TLIMM_MAX_N", "9")
     assert tl.theta(u) == {tl.generator(9, 1): 1, tl.identity_matching(9): -1}
     assert tl.f_coeff(u, u) == 1
-    tl._steps.cache_clear()  # the n = 9 table is not kept for later tests
+    # The n = 9 tables are not kept for later tests.
+    tl._steps.cache_clear()
+    tl._step_preimages.cache_clear()
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -225,6 +292,9 @@ def test_matchings_enumeration_and_bijection(n):
 
 
 def test_f_coeff_anchors():
+    # n = 0 and 1 have one matching and an empty word on both sides.
+    assert tl.f_coeff((), ()) == 1
+    assert tl.f_coeff((1,), (1,)) == 1
     for n in range(1, 6):
         for w in perm.avoiding_321(n):
             assert tl.f_coeff(w, w) == 1
