@@ -10,14 +10,14 @@ positions, exactly as a balanced bracket sequence.
 The package multiplies only on the right by a generator: m . t_i is a
 local surgery on m's unprimed boundary at labels i, i+1, and a closed loop
 multiplies the coefficient by 2.  ``_steps(n)`` tabulates that surgery.
-Theta is multiplied out over the table by three readers: ``theta(u)`` one
-row step at a time along a reduced word of u (:func:`_row_times_theta_gen`);
+Theta is multiplied out over the table by one row step,
+:func:`_row_times_theta_gen`, which consumes the row it is given.  It has
+three callers: ``theta(u)``, one step at a time along a reduced word of u;
 ``f_coeff(w, u)``, one coefficient, from such a row over the front of the
 word and a dual row over its back (:func:`_dual_times_theta_gen`); and
-every theta(g) of S_n at once along the coset chain, one int of 16-bit lanes
-per matching holding a whole block of S_n (:func:`_theta_columns`, which
-fills the store :func:`all_tl_immanants`).  The coset chain shares nothing
-with the other two but the table.
+every theta(g) of S_n at once along the coset chain, a row holding one int
+of 16-bit lanes per matching, a whole block of S_n (:func:`_theta_columns`,
+which fills the store :func:`all_tl_immanants`).
 
 The dual step is the transpose of the row step.  For Y a product of
 factors (t_d - 1) over the back of the word, let dual_Y[k] be the
@@ -318,9 +318,13 @@ def _steps(n: int) -> _Steps:
 
 def _row_times_theta_gen(steps: _Steps, row: dict[int, int], d: int) -> dict[int, int]:
     """row . (t_d - 1) for a row {index in all_matchings(n): coeff}, read
-    off the step table; zero terms are dropped."""
+    off the step table; zero terms are dropped.  The one forward product:
+    :func:`_theta_row`, :func:`f_coeff` and :func:`_theta_columns` call it.
+    It consumes row, popping each term as it reads it, so each of the coset
+    chain's big ints is freed once read; the store's peak rests on that."""
     terms: dict[int, int] = {}
-    for k, c in row.items():
+    while row:
+        k, c = row.popitem()
         glued, loops = steps[k][d - 1]
         terms[glued] = terms.get(glued, 0) + (c << loops)
         terms[k] = terms.get(k, 0) - c
@@ -428,14 +432,7 @@ def _theta_columns(n: int) -> list[array]:
         block, level = level, {}
         for j in range(a, n + 1):
             if j > a:
-                # block . (t_{j-1} - 1), each term freed once it is read.
-                sums: dict[int, int] = {}
-                while block:
-                    k, v = block.popitem()
-                    glued, loops = steps[k][j - 2]
-                    sums[glued] = sums.get(glued, 0) + (v << loops)
-                    sums[k] = sums.get(k, 0) - v
-                block = {k: v for k, v in sums.items() if v}
+                block = _row_times_theta_gen(steps, block, j - 1)
             # The check is exact.  Every lane of the block multiplied passed
             # it, so holds a signed byte.  k is k' t_{j-1} only if k has the
             # cup (j-1)-j: then k' is k (one loop) or joins j-1 and j to the

@@ -201,6 +201,30 @@ def test_step_preimages_list_every_moved_matching(n):
             assert index[offsets[j]:offsets[j + 1]].tolist() == moved, (d, j)
 
 
+def test_store_steps_its_blocks_through_the_row_kernel(monkeypatch):
+    """The coset chain has no product of its own: at level a, blocks
+    a+1..n of each column come from _row_times_theta_gen, n(n-1)/2 calls
+    in all, and the build equals the cached store.  The kernel leaves the
+    row it reads empty, which bounds the n = 8 peak."""
+    kernel = tl._row_times_theta_gen
+    calls = []
+
+    def counted(steps, row, d):
+        calls.append(d)
+        return kernel(steps, row, d)
+
+    monkeypatch.setattr(tl, "_row_times_theta_gen", counted)
+    for n in range(8):
+        calls.clear()
+        built = tl.all_tl_immanants.__wrapped__(n)
+        assert len(calls) == n * (n - 1) // 2, n
+        assert list(built.items()) == list(tl.all_tl_immanants(n).items()), n
+    row = tl._theta_row((3, 2, 1, 4))
+    assert len(row) == 5
+    assert kernel(tl._steps(4), row, 3) == tl._theta_row((3, 2, 4, 1))
+    assert row == {}
+
+
 def test_theta_and_f_coeff_limit(monkeypatch):
     """theta walks the step table of all Catalan(n) matchings, so it is
     held to the whole-S_n cap."""
@@ -249,7 +273,8 @@ def test_theta_table_agrees_with_single_shot():
 
 def test_theta_rows_match_the_store_sampled():
     """theta(u) for 200 seeded u of S_7 against the store columns; the
-    single-shot row product and the coset chain share only _steps."""
+    single-shot row and the coset chain share only _steps and the row
+    step, not the lanes, the order of S_n or the relabel."""
     n = 7
     store = tl.all_tl_immanants(n)
     index = perm.perm_index(n)
