@@ -27,16 +27,12 @@ from typing import Callable
 
 from .errors import PreconditionError, VerificationError
 from .immanant import (
-    Column,
     SkewShape,
     hull,
     lies_in,
-    pack_column,
-    percent_column,
-    row_mask,
     row_tally,
+    shape_mask,
     signed_bytes,
-    sum_columns,
 )
 from .perm import (
     Perm,
@@ -300,7 +296,7 @@ def closed_form_column(w: Perm) -> array:
     column of :func:`all_tl_immanants`: an ``array('b')`` whose entry r is
     f_w(u) for the u of rank r in :func:`tlimm.perm.perm_index`.  It is
     built in byte lanes: the hull mask is the
-    :func:`tlimm.immanant.row_mask` that percent columns are signed from,
+    :func:`tlimm.immanant.shape_mask` that percent columns are signed from,
     and for a w containing 2143, the lane byte A + 16 * B of the two
     weight tallies (:func:`tlimm.immanant.row_tally`) is turned into the
     weight by one translate with a 256-byte table of binomials and kept on
@@ -316,7 +312,7 @@ def closed_form_column(w: Perm) -> array:
     # A + 16 * B determines A and B.
     if n >= 16:
         raise PreconditionError(f"closed-form columns need n < 16, got {n}")
-    inside = row_mask(n, [range(m + 1, l + 1) for m, l in zip(shape.mu, shape.lam)])
+    inside = shape_mask(shape)
     if tallies is None:
         return signed_bytes(n, sw, inside)
     first, second, weight = tallies
@@ -458,28 +454,28 @@ def _second_shape(params: Case1) -> SkewShape:
     return SkewShape(n, lam, mu)
 
 
-def shape_sum_columns(w: Perm, d: Decomposition) -> tuple[Column, Column]:
-    """The two sides of "the shapes of d sum to sign(w) * Imm_w", packed:
-    d.sign times the stored column of w, and the sum of the percent columns
-    of d's shapes.  :func:`decompose`'s validation and suite A2 compare
-    them.
+def shape_sum_columns(w: Perm, d: Decomposition) -> tuple[array, array]:
+    """The two sides of "the shapes of d sum to sign(w) * Imm_w" as byte
+    columns: the stored column of w, and the sum of the shape masks of d's
+    shapes, signed by d.sign.  A lane counts at most two shapes, so it stays
+    in the [0, 127] that :func:`tlimm.immanant.signed_bytes` takes.
+    :func:`decompose`'s validation and suites A1 and A2 compare them.
 
-    >>> expected, actual = shape_sum_columns((1, 2), decompose((1, 2)))
-    >>> expected == actual, actual
-    (True, Immanant(n=2, coeffs={(1, 2): 1, (2, 1): -1}))
+    >>> shape_sum_columns((2, 1), decompose((2, 1)))
+    (array('b', [0, 1]), array('b', [0, 1]))
     """
     n = len(w)
-    signed = d.sign * pack_column(n, all_tl_immanants(n)[w])
-    total = sum_columns([pack_column(n, percent_column(s)) for s in d.shapes])
-    return Column(n, signed), Column(n, total)
+    total = sum(int.from_bytes(shape_mask(s), "little") for s in d.shapes)
+    return all_tl_immanants(n)[w], signed_bytes(
+        n, d.sign, total.to_bytes(math.factorial(n), "little"))
 
 
 def decompose(w: Perm, validate: bool | None = None) -> Decomposition:
     """Write sign(w) * Imm_w as a sum of at most two percent immanants, or
     report that no combination of percent immanants equals Imm_w.
 
-    With validate (default: on for n <= 6) the shape sum is compared, as
-    packed columns, with the stored Temperley-Lieb immanant by
+    With validate (default: on for n <= 6) the shape sum is compared in
+    byte lanes with the stored Temperley-Lieb immanant by
     :func:`shape_sum_columns`; a mismatch raises VerificationError.
 
     >>> decompose((1, 2, 3, 4)).kind

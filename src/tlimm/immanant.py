@@ -262,10 +262,11 @@ def _unchecked(n: int, coeffs: dict[Perm, Coeff]) -> Immanant:
 # in byte lanes, from row translates of a cached basis.
 #
 # A packed column is one int over S_n, the sum of f(u_r) * 2^(32r): a
-# signed 32-bit lane per u.  Only sums, and the columns compared with them,
-# are packed: pack_column spreads a byte column into the lanes, and since
-# the packing is linear, +, unary -, s * column, sum and == then act on
-# every value at once, in exact integer arithmetic.  The zero column is 0.
+# signed 32-bit lane per u.  Only sums that can leave a signed byte, and
+# the columns compared with them, are packed: pack_column spreads a byte
+# column into the lanes, and since the packing is linear, +, unary -,
+# s * column, sum and == then act on every value at once, in exact integer
+# arithmetic.  The zero column is 0.
 
 _LANE = 32
 # The most terms sum_columns adds; its docstring proves the bound.
@@ -387,13 +388,17 @@ def _sparse(n: int, values: Sequence[Coeff]) -> Immanant:
                                   filter(None, values))))
 
 
+def shape_mask(shape: SkewShape) -> bytes:
+    """The :func:`row_mask` of the u that lie in the shape: row i takes a
+    value in (mu_i, lam_i]."""
+    return row_mask(shape.n, [range(m + 1, l + 1) for m, l in zip(shape.mu, shape.lam)])
+
+
 def percent_column(shape: SkewShape) -> array:
     """The percent immanant of a shape as an ``array('b')`` by rank of
-    perm_index(n): sign(u) on the u whose row i takes a value in
-    (mu_i, lam_i], zero elsewhere."""
+    perm_index(n): sign(u) on the u in :func:`shape_mask`, zero elsewhere."""
     limits.check_limit(shape.n, limits.max_n(), "percent immanant")
-    rows = [range(m + 1, l + 1) for m, l in zip(shape.mu, shape.lam)]
-    return signed_bytes(shape.n, 1, row_mask(shape.n, rows))
+    return signed_bytes(shape.n, 1, shape_mask(shape))
 
 
 def percent_immanant(shape: SkewShape) -> Immanant:

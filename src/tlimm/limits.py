@@ -14,7 +14,7 @@ import functools
 import os
 from typing import Callable
 
-from .errors import LimitError
+from .errors import LimitError, PreconditionError
 
 DEFAULT_MAX_N = 8
 DEFAULT_THETA_MAX_N = 7
@@ -61,15 +61,17 @@ def check_limit(n: int, limit: int, what: str) -> None:
 
 def capped_cache(cap: Callable[[], int], what: str, maxsize: int) -> Callable:
     """``functools.lru_cache(maxsize)`` for a function of n, with n held to
-    ``cap()`` before the cache is looked up, so a size cached under a higher
-    cap is still refused once the cap is lowered.  ``cache_info`` and
-    ``cache_clear`` are the lru cache's own."""
+    [0, ``cap()``] before the cache is looked up: a negative n is refused,
+    and a size cached under a higher cap is refused once the cap is
+    lowered.  ``cache_info`` and ``cache_clear`` are the lru cache's own."""
 
     def decorate(fn: Callable) -> Callable:
         cached = functools.lru_cache(maxsize=maxsize)(fn)
 
         @functools.wraps(fn)
         def capped(n: int):
+            if n < 0:
+                raise PreconditionError(f"{what} requested for negative n={n}")
             check_limit(n, cap(), what)
             return cached(n)
 

@@ -100,9 +100,6 @@ class NonCrossingMatching:
             raise ValueError(f"{len(self.pairing)} partners for {2 * self.n} vertices")
         if not is_noncrossing(self.pairing):
             raise ValueError(f"pairing {self.pairing} is not non-crossing and perfect")
-        # Paired circular positions always differ by an odd amount.
-        if not all((p - q) % 2 == 1 for p, q in enumerate(self.pairing)):
-            raise ValueError(f"pairing {self.pairing} joins positions of equal parity")
         object.__setattr__(self, "_hash", hash((self.n, self.pairing)))
 
     def __hash__(self):
@@ -512,18 +509,13 @@ def theta(u: Perm) -> dict[NonCrossingMatching, int]:
 def theta_table(n: int) -> dict[Perm, TLElement]:
     """theta(u) for every u in S_n: the transpose of the store
     :func:`all_tl_immanants`, built anew on each call."""
-    store = all_tl_immanants(n)
     perms = perm_index(n).perms
     rows = [{} for _ in perms]
-    for w, column in store.items():
-        m = beta(w)
+    # The store's key k is beta_inv(m_k): its columns follow all_matchings(n).
+    for m, column in zip(all_matchings(n), all_tl_immanants(n).values()):
         for r in itertools.compress(range(len(perms)), column):
             rows[r][m] = column[r]
-    table = {}
-    for r, u in enumerate(perms):
-        table[u] = TLElement(n, rows[r])
-        rows[r] = None  # each row is freed once it is copied
-    return table
+    return {u: TLElement(n, row) for u, row in zip(perms, rows)}
 
 
 def f_coeff(w: Perm, u: Perm) -> int:

@@ -171,7 +171,9 @@ def suite_a2(n: int) -> Iterator[_Check]:
         yield ("decomposable iff sign-alternating", w,
                ok_patterns, immanant.alternation_violation(n, store[w]) is None)
         if d.kind != "none":
-            yield ("shape sum equals signed immanant", w, *classify.shape_sum_columns(w, d))
+            yield ("shape sum equals signed immanant", w,
+                   *(immanant.Column(n, d.sign * immanant.pack_column(n, c))
+                     for c in classify.shape_sum_columns(w, d)))
 
 
 # How many (w, u) pairs A3 draws at n >= 7.

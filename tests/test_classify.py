@@ -1,5 +1,6 @@
+import ast
 import math
-from array import array
+from pathlib import Path
 
 import pytest
 
@@ -356,14 +357,71 @@ def test_failed_validation_raises(monkeypatch):
 
 
 def test_one_shape_sum_check_has_two_readers(monkeypatch):
-    # decompose's validation and suite A2 compare the same shape_sum_columns.
-    monkeypatch.setattr(classify, "percent_column",
-                        lambda shape: array("b", bytes(math.factorial(shape.n))))
+    # decompose's validation and suites A1 and A2 compare the same
+    # shape_sum_columns, which reads every shape through shape_mask.
+    monkeypatch.setattr(classify, "shape_mask", lambda shape: bytes(math.factorial(shape.n)))
     with pytest.raises(VerificationError):
         classify.decompose((2, 1, 4, 3))
     failures = verify.suite_a2(4).failures
     assert failures
     assert {f.claim for f in failures} == {"shape sum equals signed immanant"}
+    assert not verify.suite_a1(4).ok
+
+
+def _packed_shape_sums(w, d):
+    """The packed pair that shape sums were compared as before they became
+    byte columns: d.sign times the packed store column of w, and the sum of
+    the packed percent columns of d's shapes."""
+    n = len(w)
+    return (immanant.Column(n, d.sign * immanant.pack_column(n, tl.all_tl_immanants(n)[w])),
+            immanant.Column(n, immanant.sum_columns(
+                [immanant.pack_column(n, immanant.percent_column(s)) for s in d.shapes])))
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_shape_sum_columns_are_the_packed_pair_in_bytes(n):
+    """The byte pair, packed and signed as A2 shows it, equals the packed
+    pair: for A1's one-shape decomposition of every 321-avoiding w at
+    n <= 6, and decompose's for every decomposable w at n <= 7."""
+    for w in perm.avoiding_321(n):
+        ds = [classify.decompose(w, validate=False)]
+        if n <= 6:
+            ds.append(classify.Decomposition("one", perm.sign(w), (immanant.hull(w),)))
+        for d in ds:
+            if d.kind == "none":
+                continue
+            pair = classify.shape_sum_columns(w, d)
+            assert all(c.typecode == "b" for c in pair)
+            packed = tuple(immanant.Column(n, d.sign * immanant.pack_column(n, c)) for c in pair)
+            assert packed == _packed_shape_sums(w, d), w
+            assert (pair[0] == pair[1]) == (packed[0] == packed[1])
+
+
+def test_shape_sums_are_compared_without_packing(monkeypatch):
+    calls = []
+    pack = immanant.pack_column
+    # Counted wherever the name is bound, so an import of it is seen too.
+    for module in (immanant, classify, verify):
+        if hasattr(module, "pack_column"):
+            monkeypatch.setattr(module, "pack_column",
+                                lambda *args: calls.append(args) or pack(*args))
+    assert verify.suite_a1(5).ok
+    for w in perm.avoiding_321(5):
+        classify.decompose(w, validate=True)
+    assert calls == []
+    assert verify.suite_a2(4).ok and calls
+
+
+def test_classify_knows_no_packed_columns():
+    """The 32-bit packed format stays in immanant and verify: classify
+    neither imports nor reads any of its names."""
+    packed = {"pack_column", "unpack_column", "sum_columns", "Column", "MAX_TERMS"}
+    tree = ast.parse(Path(classify.__file__).read_text())
+    used = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+    used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not used & packed
 
 
 def test_decompose_rejects_impossible_case_parameters(monkeypatch):

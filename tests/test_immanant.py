@@ -556,6 +556,16 @@ def test_capped_table_cache_clear_rebuilds(fn):
 
 
 @pytest.mark.parametrize("fn", CAPPED_TABLES, ids=lambda fn: fn.__name__)
+def test_capped_tables_refuse_negative_n(fn):
+    """A negative n is refused before the cache is looked up, so no table
+    is built for it or cached under it."""
+    size = fn.cache_info().currsize
+    with pytest.raises(PreconditionError, match="negative n=-1"):
+        fn(-1)
+    assert fn.cache_info().currsize == size
+
+
+@pytest.mark.parametrize("fn", CAPPED_TABLES, ids=lambda fn: fn.__name__)
 def test_caps_hold_for_cached_sizes(monkeypatch, fn):
     """A size cached under the default cap is refused once the cap is
     lowered below it: the cap is checked before the cache."""

@@ -38,6 +38,32 @@ def test_matching_validation():
         tl.NonCrossingMatching(2, (2, 3, 0, 1))  # crossing
 
 
+def _involutions(free):
+    """Every fixed-point-free involution of the positions in free, as a
+    dict from each position to its partner."""
+    if not free:
+        yield {}
+        return
+    for q in free[1:]:
+        for rest in _involutions([x for x in free[1:] if x != q]):
+            yield {free[0]: q, q: free[0], **rest}
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_noncrossing_chords_span_odd_gaps(n):
+    """The constructor checks only is_noncrossing: the positions inside a
+    non-crossing chord are paired among themselves, so every chord joins
+    positions of opposite parity."""
+    found = 0
+    for partner in _involutions(list(range(2 * n))):
+        pairing = tuple(partner[p] for p in range(2 * n))
+        if tl.is_noncrossing(pairing):
+            found += 1
+            assert all((p - q) % 2 == 1 for p, q in enumerate(pairing)), pairing
+            tl.NonCrossingMatching(n, pairing)
+    assert found == tl.catalan(n)
+
+
 def test_equal_matchings_hash_equal():
     """The hash is taken once, from (n, pairing); equality, repr and the
     interning of _matching are as before."""
@@ -261,10 +287,11 @@ def test_theta_homomorphism_sampled(n):
 
 
 def test_theta_table_agrees_with_single_shot():
-    table = tl.theta_table(3)
-    for u in perm.all_perms(3):
-        assert table[u].terms == tl.theta(u)
-    assert len(tl.theta_table(4)) == 24
+    for n in range(6):
+        table = tl.theta_table(n)
+        assert list(table) == list(perm.perm_index(n).perms)
+        for u in perm.all_perms(n):
+            assert table[u].terms == tl.theta(u)
     assert {u: e.terms for u, e in tl.theta_table(2).items()} == {
         (1, 2): {tl.identity_matching(2): 1},
         (2, 1): {tl.generator(2, 1): 1, tl.identity_matching(2): -1},
@@ -365,8 +392,8 @@ def test_multiplication_associative(triple):
     )
 )
 def test_product_parity_invariant(pair):
-    # Every diagram produced by gluing passes the constructor's parity and
-    # crossing checks.
+    # Every diagram produced by gluing is a valid matching whose chords
+    # each join positions of opposite parity.
     glued, loops = glue(*pair)
     assert loops >= 0
     assert all((p - q) % 2 == 1 for p, q in enumerate(glued.pairing))
