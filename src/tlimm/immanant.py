@@ -236,9 +236,14 @@ def zero_immanant(n: int) -> Immanant:
 def _nonzero(coeffs: Mapping[Perm, Coeff]) -> dict[Perm, Coeff]:
     """The coefficients normalized, with the zeros dropped.  Plain ints are
     already normal, so only a mapping holding another type is normalized
-    term by term."""
+    term by term; a type other than int or Fraction, bool included, is
+    inexact and a PreconditionError."""
     values = coeffs.values()
-    if not set(map(type, values)) <= {int}:
+    types = set(map(type, values))
+    if not types <= {int}:
+        if not types <= {int, Fraction}:
+            inexact = ", ".join(sorted(t.__name__ for t in types - {int, Fraction}))
+            raise PreconditionError(f"inexact coefficient of type {inexact}")
         values = map(_normalize_coeff, values)
     return dict(filter(operator.itemgetter(1), zip(coeffs, values)))
 

@@ -22,13 +22,12 @@ which fills the store :func:`all_tl_immanants`).
 The dual step is the transpose of the row step.  For Y a product of
 factors (t_d - 1) over the back of the word, let dual_Y[k] be the
 coefficient of beta(w) in m_k . Y, for matching m_k of all_matchings(n); as
-m_k . t_d = 2^loops_k m_{g_k} with (g_k, loops_k) = steps[k][d-1],
-dual_{(t_d - 1) Y}[k] = (dual_Y[g_k] << loops_k) - dual_Y[k].  So the
-coefficient of beta(w) in theta(u) is sum_k row[k] dual[k] wherever the
-two meet.  An entry can be nonzero only if k or g_k is a key of dual_Y; the
-table :func:`_step_preimages` lists the k with g_k = j != k for each j, so
-it only picks which entries to compute, and every value is read off
-``_steps``.
+m_k . t_d = 2^loops_k m_{g_k} with (g_k, loops_k) = moves[k] in the entry
+of t_d, dual_{(t_d - 1) Y}[k] = (dual_Y[g_k] << loops_k) - dual_Y[k].  So
+the coefficient of beta(w) in theta(u) is sum_k row[k] dual[k] wherever
+the two meet.  An entry can be nonzero only if k or g_k is a key of dual_Y;
+the same entry lists the k with g_k = j != k for each j, so one table both
+picks which entries to compute and gives their values.
 
 The orientation of the product is a convention; the one used here is pinned
 by the test anchor ``beta((2,3,4,1)) == parse_matching("1-3' 2-4' 3-4 1'-2'")``
@@ -44,7 +43,7 @@ import functools
 import itertools
 import math
 from array import array
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import limits
 from .errors import PreconditionError, VerificationError
@@ -294,23 +293,46 @@ def all_matchings(n: int) -> tuple[NonCrossingMatching, ...]:
     return tuple(out)
 
 
-# The table _steps(n) returns.
-_Steps = tuple[tuple[tuple[int, int], ...], ...]
-
-
 @limits.capped_cache(limits.max_n, "matching index", maxsize=16)
 def _matching_index(n: int) -> dict[NonCrossingMatching, int]:
     """The index of each matching in all_matchings(n)."""
     return {m: k for k, m in enumerate(all_matchings(n))}
 
 
+class _Step(NamedTuple):
+    """Right multiplication by one generator t_d over all_matchings(n)."""
+
+    # moves[k] = (k', loops): matching k times t_d is 2^loops matching k'.
+    moves: tuple[tuple[int, int], ...]
+    # preimages[j]: the k != j with k' = j, in increasing order.
+    preimages: tuple[tuple[int, ...], ...]
+
+
+# The table _steps(n) returns: the entry of t_d at d-1.
+_Steps = tuple[_Step, ...]
+
+
 @limits.capped_cache(limits.max_n, "Temperley-Lieb step table", maxsize=16)
 def _steps(n: int) -> _Steps:
-    """steps[k][i-1] = (k', loops): matching k of all_matchings(n) times t_i
-    is matching k' with that many closed loops."""
+    """Each generator's moves and their preimages, one pass over the
+    matchings per generator.  The ints are the index's own, so a preimage
+    tuple holds no int objects of its own."""
     index = _matching_index(n)
-    products = [[_attach_generator(m, i) for i in range(1, n)] for m in all_matchings(n)]
-    return tuple(tuple((index[g], loops) for g, loops in row) for row in products)
+    table = []
+    for d in range(1, n):
+        moves = []
+        groups: dict[int, list[int]] = {}
+        for m, k in index.items():
+            g, loops = _attach_generator(m, d)
+            j = index[g]
+            moves.append((j, loops))
+            if j != k:
+                groups.setdefault(j, []).append(k)
+        preimages: list[tuple[int, ...]] = [()] * len(moves)
+        for j, ks in groups.items():
+            preimages[j] = tuple(ks)
+        table.append(_Step(tuple(moves), tuple(preimages)))
+    return tuple(table)
 
 
 def _row_times_theta_gen(steps: _Steps, row: dict[int, int], d: int) -> dict[int, int]:
@@ -319,64 +341,31 @@ def _row_times_theta_gen(steps: _Steps, row: dict[int, int], d: int) -> dict[int
     :func:`_theta_row`, :func:`f_coeff` and :func:`_theta_columns` call it.
     It consumes row, popping each term as it reads it, so each of the coset
     chain's big ints is freed once read; the store's peak rests on that."""
+    moves = steps[d - 1].moves
     terms: dict[int, int] = {}
     while row:
         k, c = row.popitem()
-        glued, loops = steps[k][d - 1]
+        glued, loops = moves[k]
         terms[glued] = terms.get(glued, 0) + (c << loops)
         terms[k] = terms.get(k, 0) - c
     return {k: c for k, c in terms.items() if c}
 
 
-# The table _step_preimages(n) returns: (offsets, index) per generator.
-_Preimages = tuple[tuple[array, array], ...]
-
-
-@limits.capped_cache(limits.max_n, "Temperley-Lieb step preimages", maxsize=16)
-def _step_preimages(n: int) -> _Preimages:
-    """For each t_d, the k of all_matchings(n) that ``_steps(n)`` sends to
-    another matching j, grouped by j: they are ``index[offsets[j]:
-    offsets[j+1]]``, in increasing order, for ``(offsets, index) =
-    _step_preimages(n)[d-1]``.  One count of each group and one fill;
-    ``'I'``, as ``'H'`` would overflow at n >= 12."""
-    steps = _steps(n)
-    size = len(steps)
-    table = []
-    for col in range(n - 1):
-        offsets = array("I", bytes(4 * (size + 1)))
-        for k, row in enumerate(steps):
-            j = row[col][0]
-            if j != k:
-                offsets[j + 1] += 1
-        for j in range(size):
-            offsets[j + 1] += offsets[j]
-        index = array("I", bytes(4 * offsets[size]))
-        fill = offsets[:size]
-        for k, row in enumerate(steps):
-            j = row[col][0]
-            if j != k:
-                index[fill[j]] = k
-                fill[j] += 1
-        table.append((offsets, index))
-    return tuple(table)
-
-
-def _dual_times_theta_gen(steps: _Steps, preimages: _Preimages,
-                          dual: dict[int, int], d: int) -> dict[int, int]:
+def _dual_times_theta_gen(steps: _Steps, dual: dict[int, int], d: int) -> dict[int, int]:
     """The dual row of (t_d - 1) Y from that of Y, {k: coefficient of the
     target matching in m_k . Y}, the transpose of
     :func:`_row_times_theta_gen`: entry k becomes
     ``(dual[g_k] << loops_k) - dual[k]`` with ``(g_k, loops_k) =
-    steps[k][d-1]``.  Only k in dual or with g_k in dual can be nonzero;
-    ``preimages`` picks those, every value is read off ``steps``."""
-    offsets, index = preimages[d - 1]
+    moves[k]``.  Only k in dual or with g_k in dual can be nonzero; the
+    preimages pick those."""
+    moves, preimages = steps[d - 1]
     keys = set(dual)
     for j in dual:
-        keys.update(index[offsets[j]:offsets[j + 1]])
+        keys.update(preimages[j])
     get = dual.get
     terms: dict[int, int] = {}
     for k in keys:
-        glued, loops = steps[k][d - 1]
+        glued, loops = moves[k]
         c = (get(glued, 0) << loops) - get(k, 0)
         if c:
             terms[k] = c
@@ -389,7 +378,7 @@ def _theta_row(u: Perm) -> dict[int, int]:
     step at a time over ``_steps(n)``."""
     steps = _steps(len(u))
     # The identity matching comes last in all_matchings(n).
-    row = {len(steps) - 1: 1}
+    row = {catalan(len(u)) - 1: 1}
     for d in reduced_word(u):
         row = _row_times_theta_gen(steps, row, d)
     return row
@@ -416,12 +405,12 @@ def _theta_columns(n: int) -> list[array]:
     induction G_a, and in the end S_n = G_1, is in lexicographic order of
     g^-1.
     """
-    steps = _steps(n)
-    columns = [array("b", bytes(math.factorial(n))) for _ in steps]
+    steps, size = _steps(n), catalan(n)
+    columns = [array("b", bytes(math.factorial(n))) for _ in range(size)]
     # theta(e), on G_n = {e} and at rank 0, is the identity matching, which
     # comes last in all_matchings(n); for n < 2 that is all of S_n.
     columns[-1][0] = 1
-    level = {len(steps) - 1: 1}
+    level = {size - 1: 1}
     for a in range(n - 1, 0, -1):
         lanes = math.factorial(n - a)
         one = int.from_bytes(b"\x01\x00" * lanes, "little")
@@ -530,10 +519,10 @@ def f_coeff(w: Perm, u: Perm) -> int:
     if len(w) != len(u):
         raise PreconditionError(f"size mismatch: {len(w)} vs {len(u)}")
     n = len(u)
-    steps, preimages = _steps(n), _step_preimages(n)
+    steps = _steps(n)
     word = reduced_word(u)
     # The identity matching comes last in all_matchings(n).
-    row, dual = {len(steps) - 1: 1}, {_matching_index(n)[beta(w)]: 1}
+    row, dual = {catalan(n) - 1: 1}, {_matching_index(n)[beta(w)]: 1}
     front, back = 0, len(word)
     while front < back:
         if len(row) <= len(dual):
@@ -541,7 +530,7 @@ def f_coeff(w: Perm, u: Perm) -> int:
             front += 1
         else:
             back -= 1
-            dual = _dual_times_theta_gen(steps, preimages, dual, word[back])
+            dual = _dual_times_theta_gen(steps, dual, word[back])
     if len(dual) < len(row):
         row, dual = dual, row
     return sum(c * dual.get(k, 0) for k, c in row.items())

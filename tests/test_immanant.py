@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from array import array
 from fractions import Fraction
 from pathlib import Path
@@ -316,12 +317,19 @@ def test_store_rejects_coefficient_beyond_a_byte(monkeypatch):
     # (index 3) times t_1 is sent to beta(231) (index 2) with 8 loops, so
     # theta(s_2 s_1) = theta(312) holds 2^8 times beta(231).  The store
     # keeps that at w = 231^-1 = 312 and u = 312^-1 = 231: a message naming
-    # w^-1 or u^-1 does not match.
+    # w^-1 or u^-1 does not match.  The store reads only the moves.
     assert tl.beta_inv(tl.all_matchings(3)[2]) == (2, 3, 1)
-    three = tl._steps(3)
-    patched = {2: (tl._steps(2)[0], ((0, 8),)),
-               3: three[:3] + (((2, 8), three[3][1]),) + three[4:]}
-    monkeypatch.setattr(tl, "_steps", patched.__getitem__)
+
+    def patched(n, k, j):
+        """The step table of n with matching k times t_1 sent to j with 8
+        loops."""
+        first, *rest = tl._steps(n)
+        moves = list(first.moves)
+        moves[k] = (j, 8)
+        return (first._replace(moves=tuple(moves)), *rest)
+
+    tables = {2: patched(2, 1, 0), 3: patched(3, 3, 2)}
+    monkeypatch.setattr(tl, "_steps", tables.__getitem__)
     with pytest.raises(VerificationError, match=r"256 at n=2, w=21, u=21 "):
         immanant.all_tl_immanants.__wrapped__(2)
     with pytest.raises(VerificationError, match=r"256 at n=3, w=312, u=231 "):
@@ -406,6 +414,32 @@ def test_immanant_sums_normalize_and_drop_zeros():
         f + immanant.tl_immanant((2, 1))
     with pytest.raises(PreconditionError):
         immanant.Immanant(2, {(1, 2, 3): 1})
+
+
+def test_immanants_refuse_inexact_coefficients():
+    """Only int and Fraction coefficients are exact: a float, complex or
+    bool one is refused, naming its type, by the constructor, by scaled and
+    by +, which all normalize through one check.  (True times an int is an
+    int, so a bool can only come in through the constructor.)"""
+    f = immanant.tl_immanant((2, 1))
+    for c in (0.5, 1.0, 1j, True, False):
+        with pytest.raises(PreconditionError, match=type(c).__name__):
+            immanant.Immanant(2, {(1, 2): c})
+        with pytest.raises(PreconditionError, match=type(c).__name__):
+            immanant.Immanant(2, {(1, 2): Fraction(1, 2), (2, 1): c})
+    for c in (0.5, 2.0, 1j):
+        with pytest.raises(PreconditionError, match=type(c).__name__):
+            f.scaled(c)
+        stray = immanant.zero_immanant(2)
+        stray.coeffs[(1, 2)] = c
+        with pytest.raises(PreconditionError, match=type(c).__name__):
+            f + stray
+        with pytest.raises(PreconditionError, match=type(c).__name__):
+            stray + f
+    half = immanant.Immanant(2, {(1, 2): Fraction(1, 2), (2, 1): 3})
+    assert half.scaled(2).coeffs == {(1, 2): 1, (2, 1): 6}
+    assert (half + f).coeffs == {(1, 2): Fraction(1, 2), (2, 1): 4}
+    assert f.scaled(Fraction(-3)).coeffs == {(2, 1): -3}
 
 
 def test_evaluate():
@@ -522,7 +556,7 @@ CAPPED_TABLES = [
     perm.perm_index, perm.avoiding_321, perm.adjacent_1324_pairs,
     immanant.related_classes, immanant.all_tl_immanants, immanant._basis,
     immanant._adjacent_gathers,
-    tl.all_matchings, tl._matching_index, tl._steps, tl._step_preimages,
+    tl.all_matchings, tl._matching_index, tl._steps,
     coloring._compatibility_table,
 ]
 
@@ -538,6 +572,19 @@ def test_capped_tables_are_found():
              and any(isinstance(d, ast.Call) and ast.unparse(d.func).endswith("capped_cache")
                      for d in node.decorator_list)}
     assert found == {fn.__name__ for fn in CAPPED_TABLES}
+
+
+def test_readme_names_every_capped_table():
+    """README's "Size limits and memory" names each capped table in one
+    sentence; a table added or deleted without a README edit fails here.
+    The store is named where it is defined, as ``tl.all_tl_immanants``."""
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    head = "is a `limits.capped_cache`:"
+    start = readme.index(head) + len(head)
+    sentence = readme[start:readme.index("held to the table cap.", start)]
+    named = re.findall(r"`(\w+\.\w+)`", sentence)
+    assert sorted(named) == sorted(
+        f"{fn.__module__.rpartition('.')[2]}.{fn.__name__}" for fn in CAPPED_TABLES)
 
 
 @pytest.mark.parametrize("fn", CAPPED_TABLES, ids=lambda fn: fn.__name__)

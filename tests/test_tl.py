@@ -185,14 +185,14 @@ def test_f_coeff_matches_theta_row_n8():
 
 def test_f_coeff_matches_theta_row_n9(monkeypatch):
     """The same for 50 seeded pairs at n = 9, above the default cap; the
-    n = 9 tables are not kept for later tests."""
+    n = 9 step table is dropped afterwards (the matchings and their index
+    stay cached)."""
     monkeypatch.setenv("TLIMM_MAX_N", "9")
     try:
         for w, u in _sampled_pairs(9, 50, random.Random(9)):
             assert tl.f_coeff(w, u) == tl.theta(u).get(tl.beta(w), 0), (w, u)
     finally:
         tl._steps.cache_clear()
-        tl._step_preimages.cache_clear()
 
 
 def test_f_coeff_does_not_walk_the_whole_row(monkeypatch):
@@ -214,17 +214,33 @@ def test_f_coeff_does_not_walk_the_whole_row(monkeypatch):
 
 @pytest.mark.parametrize("n", range(0, 7))
 def test_step_preimages_list_every_moved_matching(n):
-    """Preimage j of t_d lists, in increasing order, exactly the k with
-    steps[k][d-1] sending k to j != k."""
+    """The entry of t_d in the one step table: its moves are m_k . t_d, and
+    preimages[j] lists, in increasing order, exactly the k that t_d moves
+    to j != k."""
     steps = tl._steps(n)
-    table = tl._step_preimages(n)
-    assert len(table) == max(n - 1, 0)
-    for d, (offsets, index) in enumerate(table, start=1):
-        assert offsets.typecode == index.typecode == "I"
-        assert len(offsets) == len(steps) + 1 and offsets[-1] == len(index)
-        for j in range(len(steps)):
-            moved = [k for k, row in enumerate(steps) if row[d - 1][0] == j != k]
-            assert index[offsets[j]:offsets[j + 1]].tolist() == moved, (d, j)
+    matchings = tl.all_matchings(n)
+    assert len(steps) == max(n - 1, 0)
+    for d, (moves, preimages) in enumerate(steps, start=1):
+        assert len(moves) == len(preimages) == tl.catalan(n)
+        assert [tl._attach_generator(m, d) for m in matchings] == [
+            (matchings[g], loops) for g, loops in moves]
+        for j in range(len(moves)):
+            moved = tuple(k for k, (g, _) in enumerate(moves) if g == j != k)
+            assert preimages[j] == moved, (d, j)
+
+
+def test_one_step_table_serves_every_reader():
+    """The store, theta(u) and both rows of f_coeff read the one step
+    table of n: after the store of n = 6 is built, theta and f_coeff at
+    n = 6 build no other."""
+    for table in (tl.all_tl_immanants, tl._steps, tl._matching_index, tl.all_matchings):
+        table.cache_clear()
+    tl.all_tl_immanants(6)
+    u, w = (6, 5, 4, 3, 2, 1), (2, 3, 1, 5, 6, 4)
+    assert tl.theta(u)
+    assert tl.f_coeff(w, u) == -3
+    assert tl._steps.cache_info().misses == 1
+    assert not hasattr(tl, "_step_preimages")
 
 
 def test_store_steps_its_blocks_through_the_row_kernel(monkeypatch):
@@ -263,9 +279,8 @@ def test_theta_and_f_coeff_limit(monkeypatch):
     monkeypatch.setenv("TLIMM_MAX_N", "9")
     assert tl.theta(u) == {tl.generator(9, 1): 1, tl.identity_matching(9): -1}
     assert tl.f_coeff(u, u) == 1
-    # The n = 9 tables are not kept for later tests.
+    # The n = 9 step table is dropped; the matchings and their index stay.
     tl._steps.cache_clear()
-    tl._step_preimages.cache_clear()
 
 
 @pytest.mark.parametrize("n", range(1, 5))
