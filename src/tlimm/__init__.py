@@ -8,9 +8,9 @@ The package computes, classifies, and exhaustively verifies:
   under theta(s_i) = t_i - 1, and the coefficients f_w(u) of beta(w) in
   theta(u), all multiplied over one table of generator steps
   (:mod:`tlimm.tl`);
-* percent immanants of skew shapes, hulls, complementary minors, and the
-  1324-sign-alternation test for membership in their span
-  (:mod:`tlimm.immanant`);
+* percent immanants of skew shapes, hulls, complementary minors, and
+  ``alternation_violation``, the 1324-sign-alternation test for membership
+  in their span (:mod:`tlimm.immanant`);
 * the classification of which Temperley-Lieb immanants are combinations of
   percent immanants, with explicit one- or two-shape decompositions and
   closed-form coefficients (:mod:`tlimm.classify`);
@@ -54,7 +54,6 @@ from .immanant import (
     cm_immanant,
     evaluate,
     hull,
-    is_1324_sign_alternating,
     lies_in,
     percent_basis_decompose,
     percent_immanant,

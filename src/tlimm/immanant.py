@@ -532,19 +532,6 @@ def witness_matrix(w: Perm) -> tuple[tuple[int, ...], ...]:
 # The span of percent immanants
 
 
-def _dense(f: Immanant) -> list[Coeff]:
-    """The coefficients of f listed by rank in :func:`perm_index`, zeros
-    included; a scan of all of S_n, so n is held to the whole-S_n cap."""
-    limits.check_limit(f.n, limits.max_n(), "sign-alternation check")
-    return list(map(f.coeffs.get, perm_index(f.n).perms, itertools.repeat(0)))
-
-
-def is_1324_sign_alternating(f: Immanant) -> bool:
-    """True iff f(w) = -f(w') on every 1324-adjacent pair; exactly the
-    membership test for the span of the percent immanants."""
-    return alternation_violation(f.n, _dense(f)) is None
-
-
 @limits.capped_cache(limits.max_n, "1324-adjacent gathers", maxsize=8)
 def _adjacent_gathers(n: int) -> tuple[Callable, Callable]:
     """Two gathers over a rank-indexed column: the values at the first and
@@ -609,20 +596,17 @@ def related_classes(n: int) -> tuple[tuple[Perm, ...], ...]:
     )
 
 
-def class_indicator(n: int, members: Iterable[Perm]) -> Immanant:
-    """The signed indicator sum over one 1324-relatedness class."""
-    return Immanant(n, {u: sign(u) for u in members})
-
-
 def percent_basis_decompose(f: Immanant) -> list[tuple[Perm, Coeff]]:
-    """Write f as sum of coefficient * class_indicator over class
-    representatives (the minimum of each class); requires f to be
-    1324-sign-alternating.
+    """Write f as a sum of coefficient * (sum of sign(u) u over a class of
+    :func:`related_classes`), each class named by its minimum; f must be
+    1324-sign-alternating, which :func:`alternation_violation` tests on f
+    listed by rank in the capped :func:`perm_index`, zeros included.
 
     >>> percent_basis_decompose(zero_immanant(3))
     []
     """
-    violation = alternation_violation(f.n, _dense(f))
+    column = list(map(f.coeffs.get, perm_index(f.n).perms, itertools.repeat(0)))
+    violation = alternation_violation(f.n, column)
     if violation is not None:
         w, w2 = violation
         raise PreconditionError(

@@ -167,7 +167,9 @@ def parse_matching(text: str, n: int | None = None) -> NonCrossingMatching:
     return NonCrossingMatching(n, tuple(pairing))
 
 
-@functools.lru_cache(maxsize=1 << 14)
+# Holds every matching on up to 10 strands: Catalan(0) + ... + Catalan(10)
+# = 23 714 <= 2^15.
+@functools.lru_cache(maxsize=1 << 15)
 def _matching(n: int, pairing: tuple[int, ...]) -> NonCrossingMatching:
     # Interned constructor: identical diagrams share one object.
     return NonCrossingMatching(n, pairing)

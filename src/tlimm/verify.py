@@ -181,14 +181,18 @@ _A3_SAMPLES = 100_000
 
 
 @_suite("A3", (3, 4, 5, 6, 7))
-def suite_a3(n: int, seed: int = 20_433) -> Iterator[_Block]:
+def suite_a3(n: int, seed: int = 20_433) -> Iterator[_Check | _Block]:
     """Closed-form coefficients agree with the Temperley-Lieb expansion:
     exhaustive for n <= 6, sampled at n = 7.  One block: equal whole
-    columns pass every pair, so only a failing run draws its pairs."""
+    columns pass every pair, so only a failing run draws its pairs.  From
+    n = 7 on, each w whose two columns differ then adds one check at the
+    first u in rank order where they do, so an entry the sample misses
+    fails too."""
     imms = immanant.all_tl_immanants(n)
     perms, rank = perm.perm_index(n)
     applicable = [w for w in perm.avoiding_321(n) if perm.avoids(w, PATTERN_1324)]
     closed = {w: classify.closed_form_column(w) for w in applicable}
+    differing = [w for w in applicable if imms[w] != closed[w]]
 
     def expand() -> Iterator[_Check]:
         # Which pairs a seed draws depends on this (length, u) order.
@@ -209,7 +213,12 @@ def suite_a3(n: int, seed: int = 20_433) -> Iterator[_Block]:
             yield (claim, {"w": w, "u": u}, imms[w][r], closed[w][r])
 
     yield _Block(len(applicable) * len(perms) if n <= 6 else _A3_SAMPLES,
-                 all(imms[w] == closed[w] for w in applicable), expand)
+                 not differing, expand)
+    if n > 6:
+        for w in differing:
+            r = next(r for r, (a, b) in enumerate(zip(imms[w], closed[w])) if a != b)
+            yield ("closed form equals expansion coefficient (first differing u)",
+                   {"w": w, "u": perms[r]}, imms[w][r], closed[w][r])
 
 
 @_suite("A4", (2, 3, 4, 5))
@@ -467,7 +476,8 @@ def suite_a9(n: int, seed: int = 94_711) -> Iterator[_Check]:
             rebuilt = immanant.zero_immanant(n)
             for rep, c in immanant.percent_basis_decompose(f):
                 members = next(cl for cl in classes if rep in cl)
-                rebuilt = rebuilt + immanant.class_indicator(n, members).scaled(c)
+                indicator = immanant.Immanant(n, {u: perm.sign(u) for u in members})
+                rebuilt = rebuilt + indicator.scaled(c)
             yield ("span element reconstructs from class decomposition",
                    {"n": n, "trial": trial}, f, rebuilt)
 

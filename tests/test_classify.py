@@ -313,9 +313,8 @@ def test_decompose_full(n):
         d = classify.decompose(w, validate=below_a2)
         if below_a2:
             assert (d.kind != "none") == classify.avoids_main_patterns(w)
-            assert (d.kind != "none") == immanant.is_1324_sign_alternating(
-                immanant.tl_immanant(w)
-            )
+            column = immanant.all_tl_immanants(n)[w]
+            assert (d.kind != "none") == (immanant.alternation_violation(n, column) is None)
         if d.kind == "one":
             assert d.shapes == (immanant.hull(w),)
         if d.kind == "two":

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import tlimm
 from tlimm import classify, coloring, immanant, perm, tl
 from tlimm.errors import LimitError, PreconditionError, VerificationError
 
@@ -103,7 +104,7 @@ def test_bigtableau_antidiagonal_and_alternation(n):
     sign across 1324-adjacent pairs."""
     for shape in box_shapes(n):
         f = immanant.percent_immanant(shape)
-        assert immanant.is_1324_sign_alternating(f)
+        assert immanant.alternation_violation(n, immanant.percent_column(shape)) is None
         if f.coeffs:
             assert all(
                 shape.contains_cell(i, n + 1 - i) for i in range(1, n + 1)
@@ -515,11 +516,11 @@ def test_transforms(n):
 def test_sign_alternation():
     for n in (3, 4):
         for w in perm.all_perms(n):
-            assert immanant.is_1324_sign_alternating(
-                immanant.percent_immanant(immanant.hull(w))
-            )
-    assert immanant.is_1324_sign_alternating(immanant.Immanant(4, determinant(4)))
-    assert not immanant.is_1324_sign_alternating(immanant.tl_immanant((2, 4, 1, 5, 3)))
+            column = immanant.percent_column(immanant.hull(w))
+            assert immanant.alternation_violation(n, column) is None
+    assert immanant.alternation_violation(4, immanant.cm_column(4, (), ())) is None
+    column = immanant.all_tl_immanants(5)[(2, 4, 1, 5, 3)]
+    assert immanant.alternation_violation(5, column) is not None
 
 
 def test_classes_examples():
@@ -540,16 +541,26 @@ def test_percent_basis_decompose():
                 members = next(
                     cl for cl in immanant.related_classes(n) if rep in cl
                 )
-                rebuilt = rebuilt + immanant.class_indicator(n, members).scaled(c)
+                indicator = immanant.Immanant(n, {u: perm.sign(u) for u in members})
+                rebuilt = rebuilt + indicator.scaled(c)
             assert rebuilt == f
     f = immanant.tl_immanant((2, 1, 4, 3))
     rebuilt = immanant.zero_immanant(4)
     for rep, c in immanant.percent_basis_decompose(f):
         members = next(cl for cl in immanant.related_classes(4) if rep in cl)
-        rebuilt = rebuilt + immanant.class_indicator(4, members).scaled(c)
+        indicator = immanant.Immanant(4, {u: perm.sign(u) for u in members})
+        rebuilt = rebuilt + indicator.scaled(c)
     assert rebuilt == f
     with pytest.raises(PreconditionError):
         immanant.percent_basis_decompose(immanant.tl_immanant((2, 4, 1, 5, 3)))
+
+
+def test_span_layer_keeps_only_its_kernels():
+    """Membership is alternation_violation on a column and the class
+    indicators are plain Immanants: no wrapper restates either."""
+    for module in (tlimm, immanant):
+        for name in ("is_1324_sign_alternating", "_dense", "class_indicator"):
+            assert not hasattr(module, name), (module.__name__, name)
 
 
 CAPPED_TABLES = [

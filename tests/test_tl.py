@@ -78,6 +78,19 @@ def test_equal_matchings_hash_equal():
     assert len({twin: 1, m: 2, tl.identity_matching(4): 3}) == 2
 
 
+def test_matchings_stay_interned_at_n10(monkeypatch):
+    """The interning cache holds every matching up to n = 10, so each
+    product m . t_1 over all_matchings(10) is one of its objects; the
+    n = 10 table is dropped afterwards."""
+    monkeypatch.setenv("TLIMM_MAX_N", "10")
+    try:
+        matchings = tl.all_matchings(10)
+        interned = set(map(id, matchings))
+        assert all(id(tl._attach_generator(m, 1)[0]) in interned for m in matchings)
+    finally:
+        tl.all_matchings.cache_clear()
+
+
 def test_validation_survives_python_O():
     """Input checks and the validation of results raise, so they still run
     when -O strips asserts; decompose is given a wrong second shape."""

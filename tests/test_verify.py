@@ -219,21 +219,28 @@ def a3_sample():
 
 
 @pytest.mark.parametrize("perturb", [perturb_store, perturb_closed])
-def test_sampled_a3_fails_only_where_the_sample_reaches(monkeypatch, a3_sample, perturb):
-    """At n = 7 a one-off entry at a sampled (w, u) fails A3 as the
-    expanded stream does, and one at an unsampled pair passes all 100 000
-    checks, as the pair-by-pair suite did."""
+def test_sampled_a3_fails_wherever_a_column_differs(monkeypatch, a3_sample, perturb):
+    """At n = 7 a one-off entry fails A3, inside the sample or outside it:
+    after the 100 000 sampled checks, the one w whose columns differ adds
+    one check at its first differing u, which names that w and u.  A
+    sampled entry also fails each sampled check that draws it, as the
+    expanded stream does."""
     perms, rank = perm.perm_index(7)
     rng = random.Random(7)
     hit = rng.choice(a3_sample)
     drawn, ws = set(a3_sample), a3_ws(7)
     miss = next(p for p in iter(lambda: (rng.choice(ws), rng.choice(perms)), None)
                 if p not in drawn)
-    for (w, u), ok in ((hit, False), (miss, True)):
+    for w, u in (hit, miss):
         with monkeypatch.context() as m:
             perturb(m, 7, w, rank[u])
             report = assert_report_is_expanded("A3", 7)
-        assert report.ok == ok and report.checks == 100_000
+        assert report.checks == 100_001
+        *sampled, column = report.failures
+        assert len(sampled) == a3_sample.count((w, u))
+        assert all(f.claim.endswith("(sampled)") for f in sampled)
+        assert column.claim.endswith("(first differing u)")
+        assert column.witness == verify._render({"w": w, "u": u})
 
 
 @pytest.mark.parametrize("suite", ["A3", "A5"])
