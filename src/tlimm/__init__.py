@@ -40,7 +40,6 @@ from .classify import (
 from .coloring import (
     Coloring,
     canonical_coloring,
-    make_coloring,
     compatible_permutations,
     is_compatible,
     unique_matching_case1,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import warnings
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import limits
 from .errors import PreconditionError
@@ -35,13 +35,16 @@ from .tl import (
 
 @dataclasses.dataclass(frozen=True)
 class Coloring:
-    """A coloring given by its unprimed blacks I and primed whites J."""
+    """A coloring given by its unprimed blacks I and primed whites J, as frozensets."""
 
     n: int
     blacks: frozenset[int]
     primed_whites: frozenset[int]
 
     def __post_init__(self):
+        if not isinstance(self.blacks, frozenset) or not isinstance(self.primed_whites, frozenset):
+            object.__setattr__(self, "blacks", frozenset(self.blacks))
+            object.__setattr__(self, "primed_whites", frozenset(self.primed_whites))
         if not all(1 <= i <= self.n for i in self.blacks):
             raise ValueError(f"black labels {sorted(self.blacks)} exceed n={self.n}")
         if not all(1 <= j <= self.n for j in self.primed_whites):
@@ -67,10 +70,6 @@ class Coloring:
         return cls(n, blacks, primed_whites)
 
 
-def make_coloring(n: int, I: Iterable[int], J: Iterable[int]) -> Coloring:
-    return Coloring(n, frozenset(I), frozenset(J))
-
-
 def is_compatible(m: NonCrossingMatching, c: Coloring) -> bool:
     """True iff every pair of m joins a black vertex to a white one."""
     if m.n != c.n:
@@ -86,7 +85,7 @@ def compatible_permutations(c: Coloring) -> frozenset[Perm]:
             f"{len(c.primed_whites)} primed whites; no compatible matching exists"
         )
         return frozenset()
-    return _compatibility_table(c.n)[frozenset(c.blacks), frozenset(c.primed_whites)]
+    return _compatibility_table(c.n)[c.blacks, c.primed_whites]
 
 
 @limits.capped_cache(limits.max_n, "compatibility table", maxsize=4)
@@ -125,7 +124,7 @@ def canonical_coloring(w: Perm) -> Coloring:
         if x >= i:
             blacks.add(i)
             primed_whites.add(x)
-    return Coloring(len(w), frozenset(blacks), frozenset(primed_whites))
+    return Coloring(len(w), blacks, primed_whites)
 
 
 # ---------------------------------------------------------------------------

@@ -81,13 +81,16 @@ def _normalize_coeff(c: Coeff) -> Coeff:
 
 @dataclasses.dataclass(frozen=True)
 class SkewShape:
-    """A skew diagram lam/mu embedded in the n x n box."""
+    """A skew diagram lam/mu embedded in the n x n box, its bounds as tuples."""
 
     n: int
     lam: tuple[int, ...]
     mu: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.lam, tuple) or not isinstance(self.mu, tuple):
+            object.__setattr__(self, "lam", tuple(self.lam))
+            object.__setattr__(self, "mu", tuple(self.mu))
         n, lam, mu = self.n, self.lam, self.mu
         if len(lam) != n or len(mu) != n:
             raise ValueError("lam and mu must each list one bound per row")
@@ -294,7 +297,7 @@ def _spread(data: bytes) -> int:
     return int.from_bytes(lanes, "little")
 
 
-@limits.capped_cache(limits.max_n, "packed columns", maxsize=4)
+@limits.capped_cache(limits.max_n, "column basis", maxsize=4)
 def _basis(n: int) -> _Basis:
     perms = perm_index(n).perms
     odd = bytes(sign(u) < 0 for u in perms)

@@ -95,6 +95,8 @@ class NonCrossingMatching:
     _hash: int = dataclasses.field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.pairing, tuple):
+            object.__setattr__(self, "pairing", tuple(self.pairing))
         if len(self.pairing) != 2 * self.n:
             raise ValueError(f"{len(self.pairing)} partners for {2 * self.n} vertices")
         if not is_noncrossing(self.pairing):
@@ -145,16 +147,14 @@ def format_matching(m: NonCrossingMatching) -> str:
     )
 
 
-def parse_matching(text: str, n: int | None = None) -> NonCrossingMatching:
-    """Parse the space-separated pair format; n is inferred from the number
-    of pairs when not given.
+def parse_matching(text: str) -> NonCrossingMatching:
+    """Parse the space-separated pair format; n is the number of pairs.
 
     >>> parse_matching("1-2 1'-2'").pairing
     (1, 0, 3, 2)
     """
     tokens = text.split()
-    if n is None:
-        n = len(tokens)
+    n = len(tokens)
     pairing = [-1] * (2 * n)
     for token in tokens:
         left, _, right = token.partition("-")
@@ -461,7 +461,7 @@ def _overflow(n: int, a: int, start: int, k: int, shifted: int) -> VerificationE
         "does not fit the signed-byte store")
 
 
-@limits.capped_cache(limits.theta_max_n, "theta table", maxsize=4)
+@limits.capped_cache(limits.theta_max_n, "Temperley-Lieb immanant store", maxsize=4)
 def all_tl_immanants(n: int) -> dict[Perm, array]:
     """The coefficients f_w(u) of every 321-avoiding w in S_n, the one
     stored table of them: column ``[w]`` is an ``array('b')`` whose entry

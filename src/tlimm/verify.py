@@ -171,9 +171,7 @@ def suite_a2(n: int) -> Iterator[_Check]:
         yield ("decomposable iff sign-alternating", w,
                ok_patterns, immanant.alternation_violation(n, store[w]) is None)
         if d.kind != "none":
-            yield ("shape sum equals signed immanant", w,
-                   *(immanant.Column(n, d.sign * immanant.pack_column(n, c))
-                     for c in classify.shape_sum_columns(w, d)))
+            yield ("shape sum equals signed immanant", w, *classify.shape_sum_columns(w, d))
 
 
 # How many (w, u) pairs A3 draws at n >= 7.
@@ -233,7 +231,7 @@ def suite_a4(n: int) -> Iterator[_Check]:
                        * immanant.pack_column(n, immanant.cm_column(n, I, J)))
                 rhs = immanant.sum_columns([
                     store[w] for w in
-                    coloring.compatible_permutations(coloring.make_coloring(n, I, J))
+                    coloring.compatible_permutations(coloring.Coloring(n, I, J))
                 ])
                 yield ("signed CM equals compatible immanant sum",
                        f"I={set(I) or '{}'} J={set(J) or '{}'}",

@@ -135,6 +135,15 @@ def test_verify_bad_size_or_jobs(argv, message, capsys):
     assert captured.err.strip() == message and captured.out == ""
 
 
+def test_store_cap_names_the_store(capsys, monkeypatch):
+    monkeypatch.delenv("TLIMM_MAX_N", raising=False)
+    assert cli.main(["immanant", "21436587"]) == cli.EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.strip() == (
+        "error: Temperley-Lieb immanant store requested for n=8, above the configured "
+        "cap 7 (set TLIMM_MAX_N to override)")
+
+
 def test_render_paths(capsys):
     code, out = run(capsys, "render", "ncm", "2341")
     assert code == 0 and "1'" in out

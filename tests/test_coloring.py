@@ -9,15 +9,16 @@ from tlimm.errors import PreconditionError
 from oracles import beta_lookup, brute_compatible_permutations
 
 
-def test_make_coloring():
-    c = coloring.make_coloring(4, [4, 1], [1, 4])
+def test_coloring_from_any_iterables():
+    """A coloring built from lists or ranges holds frozensets."""
+    c = coloring.Coloring(4, [4, 1], [1, 4])
     assert (c.blacks, c.primed_whites) == (frozenset({1, 4}), frozenset({1, 4}))
-    empty = coloring.make_coloring(3, [], [])
+    empty = coloring.Coloring(3, [], range(0))
     assert (empty.blacks, empty.primed_whites) == (frozenset(), frozenset())
 
 
 def test_circular_conversion():
-    c = coloring.make_coloring(2, [1], [1])
+    c = coloring.Coloring(2, [1], [1])
     # positions read 1, 2, 2', 1'
     colors = [True, False, True, False]
     assert [c.is_black_position(p) for p in range(4)] == colors
@@ -27,29 +28,29 @@ def test_circular_conversion():
 
 
 def test_is_compatible():
-    assert coloring.is_compatible(tl.beta((2, 1)), coloring.make_coloring(2, [1], [1]))
+    assert coloring.is_compatible(tl.beta((2, 1)), coloring.Coloring(2, [1], [1]))
     assert coloring.is_compatible(
-        tl.beta((1, 2, 3)), coloring.make_coloring(3, [1], [1])
+        tl.beta((1, 2, 3)), coloring.Coloring(3, [1], [1])
     )
-    all_black = coloring.make_coloring(3, [1, 2, 3], [])
+    all_black = coloring.Coloring(3, [1, 2, 3], [])
     for m in tl.all_matchings(3):
         assert not coloring.is_compatible(m, all_black)
     with pytest.raises(PreconditionError):
-        coloring.is_compatible(tl.beta((2, 1)), coloring.make_coloring(3, [1], [1]))
+        coloring.is_compatible(tl.beta((2, 1)), coloring.Coloring(3, [1], [1]))
 
 
 def test_compatible_permutations():
-    got = coloring.compatible_permutations(coloring.make_coloring(3, [1], [1]))
+    got = coloring.compatible_permutations(coloring.Coloring(3, [1], [1]))
     assert got == frozenset({(1, 2, 3), (2, 1, 3)})
     assert coloring.compatible_permutations(
-        coloring.make_coloring(1, [], [])
+        coloring.Coloring(1, [], [])
     ) == frozenset({(1,)})
     assert (2, 1, 4, 3) in coloring.compatible_permutations(
-        coloring.make_coloring(4, [1, 4], [1, 4])
+        coloring.Coloring(4, [1, 4], [1, 4])
     )
     with pytest.warns(UserWarning):
         assert coloring.compatible_permutations(
-            coloring.make_coloring(2, [1], [])
+            coloring.Coloring(2, [1], [])
         ) == frozenset()
     assert coloring.compatible_permutations(coloring.Coloring(3, {1}, {1})) == got
 
@@ -71,7 +72,7 @@ def test_compatible_permutations_match_oracle(n):
     subsets = [S for k in range(n + 1) for S in itertools.combinations(range(1, n + 1), k)]
     for I in subsets:
         for J in subsets:
-            c = coloring.make_coloring(n, I, J)
+            c = coloring.Coloring(n, I, J)
             expected = brute_compatible_permutations(c)
             assert {w for m, w in beta_lookup(n).items()
                     if coloring.is_compatible(m, c)} == expected, (I, J)
@@ -111,7 +112,7 @@ def test_canonical_coloring_law(n):
 
 def test_unique_matching_general_rainbow():
     col, m = coloring.unique_matching_general(0, 3, 3, 0, 0)
-    assert col == coloring.make_coloring(6, range(1, 7), range(1, 7))
+    assert col == coloring.Coloring(6, range(1, 7), range(1, 7))
     assert m.pairing == tuple(11 - p for p in range(12))
 
 
@@ -129,7 +130,7 @@ def test_unique_matching_case_anchors():
 def test_unique_matching_case1_figure():
     """The illustrated instance a = c = 2, e = b = d = 1 on n = 7."""
     col, m = coloring.unique_matching_case1(2, 1, 2, 1, 1)
-    assert m == tl.parse_matching("1-3' 2-3 4-4' 5-7' 6-7 5'-6' 1'-2'", n=7)
+    assert m == tl.parse_matching("1-3' 2-3 4-4' 5-7' 6-7 5'-6' 1'-2'")
     assert col.blacks == frozenset({1, 3, 4, 5, 6})
     assert col.primed_whites == frozenset({2, 3, 4, 5, 7})
 

@@ -66,6 +66,18 @@ def test_hull_anchors():
     )
 
 
+def test_value_types_compare_and_hash_by_value():
+    """A frozen value built from lists equals the one built from tuples or
+    frozensets, hashes the same, and finds it as a dict key."""
+    for built, frozen in (
+        (immanant.SkewShape(2, [2, 1], [0, 0]), immanant.SkewShape(2, (2, 1), (0, 0))),
+        (coloring.Coloring(3, [1, 1], {1}), coloring.Coloring(3, frozenset({1}), frozenset({1}))),
+        (tl.NonCrossingMatching(2, [1, 0, 3, 2]), tl.NonCrossingMatching(2, (1, 0, 3, 2))),
+    ):
+        assert built == frozen and hash(built) == hash(frozen)
+        assert {built: 1}[frozen] == 1 and {frozen: 1}[built] == 1
+
+
 def test_lies_in_and_shape_leq():
     shape = immanant.skew_shape(5, (5, 5, 3, 2, 2), (2, 1))
     assert not immanant.lies_in((3, 4, 5, 1, 2), shape)  # row 3 needs <= 3

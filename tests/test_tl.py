@@ -101,7 +101,7 @@ second_shape = classify._second_shape
 classify._second_shape = lambda params: immanant.skew_shape(params.n, (params.n,) * params.n)
 for build, args, error in ((second_shape, (classify.Case1(1, 2, 0, 1, 2),), VerificationError),
                            (tl.NonCrossingMatching, (2, (2, 3, 0, 1)), ValueError),
-                           (coloring.make_coloring, (2, [5], [1]), ValueError),
+                           (coloring.Coloring, (2, [5], [1]), ValueError),
                            (classify.decompose, ((2, 1, 4, 3), True), VerificationError)):
     try:
         build(*args)
