@@ -9,7 +9,7 @@ The package computes, classifies, and exhaustively verifies:
   theta(u), all multiplied over one table of generator steps
   (:mod:`tlimm.tl`);
 * percent immanants of skew shapes, hulls, complementary minors, and
-  ``alternation_violation``, the 1324-sign-alternation test for membership
+  ``alternation_violations``, the 1324-sign-alternation test for membership
   in their span (:mod:`tlimm.immanant`);
 * the classification of which Temperley-Lieb immanants are combinations of
   percent immanants, with explicit one- or two-shape decompositions and

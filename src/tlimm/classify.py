@@ -299,9 +299,10 @@ def closed_form_column(w: Perm) -> array:
     :func:`tlimm.immanant.shape_mask` that percent columns are signed from,
     and for a w containing 2143, the lane byte A + 16 * B of the two
     weight tallies (:func:`tlimm.immanant.row_tally`) is turned into the
-    weight by one translate with a 256-byte table of binomials and kept on
-    the mask.  :func:`tlimm.immanant.signed_bytes` signs it.  A weight
-    above 127 is a VerificationError, as it is for the store.
+    weight by one translate with a 256-byte table of binomials, filled for
+    the tallies up to n, and kept on the mask.
+    :func:`tlimm.immanant.signed_bytes` signs it.  A weight above 127 is a
+    VerificationError, as it is for the store.
 
     >>> closed_form_column((2, 1, 4, 3))[-1]
     2
@@ -317,8 +318,12 @@ def closed_form_column(w: Perm) -> array:
         return signed_bytes(n, sw, inside)
     first, second, weight = tallies
     size = len(inside)
-    # 128 stands for every weight that does not fit a signed byte.
-    table = bytes(min(weight(x % 16, x // 16), 128) for x in range(256))
+    # 128 stands for every weight that does not fit a signed byte, and for
+    # every lane byte whose tallies are not both at most n.
+    table = bytearray(b"\x80" * 256)
+    for b in range(n + 1):
+        for a in range(n + 1):
+            table[a + 16 * b] = min(weight(a, b), 128)
     lanes = (row_tally(n, first) + 16 * row_tally(n, second)).to_bytes(size, "little")
     # 0xFF times the 0/1 hull mask keeps the weights of the u in hull(w).
     values = (int.from_bytes(lanes.translate(table), "little")

@@ -19,7 +19,7 @@ import operator
 import re
 from array import array
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import limits
 from .errors import PreconditionError, VerificationError
@@ -27,7 +27,6 @@ from .perm import (
     Perm,
     adjacent_1324_pairs,
     format_perm,
-    gatherer,
     inverse,
     is_321_avoiding,
     parse_perm,
@@ -535,42 +534,79 @@ def witness_matrix(w: Perm) -> tuple[tuple[int, ...], ...]:
 # The span of percent immanants
 
 
-@limits.capped_cache(limits.max_n, "1324-adjacent gathers", maxsize=8)
-def _adjacent_gathers(n: int) -> tuple[Callable, Callable]:
-    """Two gathers over a rank-indexed column: the values at the first and
-    at the second permutation of every 1324-adjacent pair, as tuples."""
+@limits.capped_cache(limits.max_n, "1324-adjacent ranks", maxsize=8)
+def _adjacent_gathers(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Where :func:`alternation_violations` gathers from a rank-indexed
+    column: the ranks of the first and of the second permutation of every
+    1324-adjacent pair, as two tuples in pair order."""
     rank = perm_index(n).rank
     pairs = adjacent_1324_pairs(n)
-    return tuple(gatherer([rank[pair[side]] for pair in pairs]) for side in (0, 1))
+    return tuple(tuple(rank[pair[side]] for pair in pairs) for side in (0, 1))
 
 
-def alternation_violation(n: int, column: Sequence[Coeff]) -> tuple[Perm, Perm] | None:
-    """The first 1324-adjacent pair (w, w') in :func:`adjacent_1324_pairs`
-    order with f(w) + f(w') != 0, for the rank-indexed column f, such as a
-    store column of :func:`all_tl_immanants`; None when f is
-    1324-sign-alternating.  Two gathers read both sides of every pair.  An
-    ``array('b')`` with no -128 is read in byte lanes: the right side is
-    gathered from its bytes negated by one translate, and the two sides
-    are compared as tuples.  Any other column, and the search for the
-    first violation, go by compress over the pairs whose values do not
+# How many byte columns alternation_violations lays out side by side, so
+# that its u-major copy and the negated one hold a chunk, not the batch.
+_ALTERNATION_CHUNK = 64
+
+
+def alternation_violations(n: int, columns: Sequence[Sequence[Coeff]]
+                           ) -> list[tuple[Perm, Perm] | None]:
+    """For each rank-indexed column f, such as a store column of
+    :func:`all_tl_immanants`: the first 1324-adjacent pair (w, w') in
+    :func:`adjacent_1324_pairs` order with f(w) + f(w') != 0, or None when
+    f is 1324-sign-alternating.  A column whose length is not n! is a
+    PreconditionError.
+
+    The ``array('b')`` columns with no -128 are read in byte lanes, up to
+    ``_ALTERNATION_CHUNK`` at a time, in one pass over the pairs: row r of
+    the chunk holds the k bytes f(u_r) of its k columns, a second copy is
+    negated by one translate, and each pair compares its left row with
+    its negated right row.  Lanes that differ are violations; a lane's
+    first one settles it, and the pass stops once every lane is settled.
+    Any other column goes by compress over the pairs whose values do not
     cancel.
 
-    >>> alternation_violation(4, all_tl_immanants(4)[(1, 3, 2, 4)])
-    ((1, 2, 3, 4), (1, 3, 2, 4))
+    >>> alternation_violations(4, [all_tl_immanants(4)[(1, 3, 2, 4)], [0] * 24])
+    [((1, 2, 3, 4), (1, 3, 2, 4)), None]
     """
     pairs = adjacent_1324_pairs(n)
     left, right = _adjacent_gathers(n)
-    data = column.tobytes() if isinstance(column, array) and column.typecode == "b" else None
-    # Without -128, f(w) + f(w') = 0 iff the byte of f(w) equals the byte
-    # of -f(w'), so the two gathered sides compare as tuples at C speed.
-    if data is not None and b"\x80" not in data:
-        lhs, rhs = left(data), right(data.translate(_NEGATE))
-        if lhs == rhs:
-            return None
-        violations = map(operator.ne, lhs, rhs)
-    else:
-        violations = map(operator.add, left(column), right(column))
-    return next(itertools.compress(pairs, violations), None)
+    size = len(perm_index(n).perms)
+    found: list[tuple[Perm, Perm] | None] = [None] * len(columns)
+    bytewise = []
+    for i, column in enumerate(columns):
+        if len(column) != size:
+            raise PreconditionError(f"column {i} has {len(column)} entries, not {n}! = {size}")
+        # Without -128, f(w) + f(w') = 0 iff the byte of f(w) equals the
+        # byte of -f(w').
+        if (isinstance(column, array) and column.typecode == "b"
+                and b"\x80" not in column.tobytes()):
+            bytewise.append(i)
+        else:
+            sums = map(operator.add, map(column.__getitem__, left), map(column.__getitem__, right))
+            found[i] = next(itertools.compress(pairs, sums), None)
+    for start in range(0, len(bytewise), _ALTERNATION_CHUNK):
+        chunk = bytewise[start:start + _ALTERNATION_CHUNK]
+        k = len(chunk)
+        rows = bytearray(k * size)
+        for j, i in enumerate(chunk):
+            rows[j::k] = columns[i]
+        neg = rows.translate(_NEGATE)
+        # 0xFF in the lanes of the columns not yet settled.
+        pending = (1 << 8 * k) - 1
+        for pair, a, b in zip(pairs, left, right):
+            lhs, rhs = rows[a * k:a * k + k], neg[b * k:b * k + k]
+            if lhs == rhs:
+                continue
+            hit = (int.from_bytes(lhs, "little") ^ int.from_bytes(rhs, "little")) & pending
+            if hit:
+                for j, x in enumerate(hit.to_bytes(k, "little")):
+                    if x:
+                        found[chunk[j]] = pair
+                        pending ^= 0xFF << 8 * j
+                if not pending:
+                    break
+    return found
 
 
 @limits.capped_cache(limits.max_n, "1324-relatedness classes", maxsize=8)
@@ -602,14 +638,14 @@ def related_classes(n: int) -> tuple[tuple[Perm, ...], ...]:
 def percent_basis_decompose(f: Immanant) -> list[tuple[Perm, Coeff]]:
     """Write f as a sum of coefficient * (sum of sign(u) u over a class of
     :func:`related_classes`), each class named by its minimum; f must be
-    1324-sign-alternating, which :func:`alternation_violation` tests on f
+    1324-sign-alternating, which :func:`alternation_violations` tests on f
     listed by rank in the capped :func:`perm_index`, zeros included.
 
     >>> percent_basis_decompose(zero_immanant(3))
     []
     """
     column = list(map(f.coeffs.get, perm_index(f.n).perms, itertools.repeat(0)))
-    violation = alternation_violation(f.n, column)
+    violation, = alternation_violations(f.n, [column])
     if violation is not None:
         w, w2 = violation
         raise PreconditionError(

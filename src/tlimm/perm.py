@@ -274,15 +274,17 @@ def adjacent_1324_pairs(n: int) -> tuple[tuple[Perm, Perm], ...]:
     perms, rank = perm_index(n)
     pairs = []
     for w in perms:
-        # The least value before position a, and the greatest after b.
-        prefix_min = list(itertools.accumulate(w, min, initial=n + 1))
-        suffix_max = list(itertools.accumulate(reversed(w), max, initial=0))[n - 1::-1]
-        for a in range(n):
-            if prefix_min[a] >= w[a]:
+        # suffix_max[i] is the greatest value at position i or after it.
+        suffix_max = list(itertools.accumulate(reversed(w), max))[::-1]
+        low = n + 1  # the least value before position a
+        for a in range(n - 2):
+            x = w[a]
+            if x < low:
+                low = x
                 continue
-            for b in range(a + 1, n):
-                if w[a] < w[b] and suffix_max[b] > w[b]:
-                    other = list(w)
-                    other[a], other[b] = other[b], other[a]
-                    pairs.append((w, perms[rank[tuple(other)]]))
+            for b in range(a + 1, n - 1):
+                y = w[b]
+                if x < y < suffix_max[b + 1]:
+                    other = w[:a] + (y,) + w[a + 1:b] + (x,) + w[b + 1:]
+                    pairs.append((w, perms[rank[other]]))
     return tuple(pairs)

@@ -163,13 +163,14 @@ def suite_a2(n: int) -> Iterator[_Check]:
     five forbidden patterns iff tl_immanant(w) is 1324-sign-alternating, and
     the produced shape sum matches exactly."""
     store = immanant.all_tl_immanants(n)
-    for w in perm.avoiding_321(n):
+    avoiders = perm.avoiding_321(n)
+    violations = immanant.alternation_violations(n, [store[w] for w in avoiders])
+    for w, violation in zip(avoiders, violations):
         d = classify.decompose(w, validate=False)
         ok_patterns = classify.avoids_main_patterns(w)
         yield ("decomposable iff avoids forbidden patterns", w,
                ok_patterns, d.kind != "none")
-        yield ("decomposable iff sign-alternating", w,
-               ok_patterns, immanant.alternation_violation(n, store[w]) is None)
+        yield ("decomposable iff sign-alternating", w, ok_patterns, violation is None)
         if d.kind != "none":
             yield ("shape sum equals signed immanant", w, *classify.shape_sum_columns(w, d))
 

@@ -238,6 +238,22 @@ def is_1324_adjacent(w, w2) -> bool:
     )
 
 
+def adjacent_pairs_by_definition(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every 1324-adjacent pair of S_n by is_1324_adjacent alone, each once,
+    from its side w with w(a) < w(b): adjacent permutations differ by one
+    swap, so each w in lexicographic order tries the swap of each pair of
+    positions a < b in lexicographic order."""
+    pairs = []
+    for w in itertools.permutations(range(1, n + 1)):
+        for a, b in itertools.combinations(range(n), 2):
+            if w[a] < w[b]:
+                other = list(w)
+                other[a], other[b] = w[b], w[a]
+                if is_1324_adjacent(w, tuple(other)):
+                    pairs.append((w, tuple(other)))
+    return pairs
+
+
 def find_alternation_violation(f):
     """The first 1324-adjacent pair (w, w2) of perm.adjacent_1324_pairs with
     f(w) != -f(w2), read pair by pair from f's coefficient dict; None when

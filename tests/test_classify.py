@@ -314,7 +314,7 @@ def test_decompose_full(n):
         if below_a2:
             assert (d.kind != "none") == classify.avoids_main_patterns(w)
             column = immanant.all_tl_immanants(n)[w]
-            assert (d.kind != "none") == (immanant.alternation_violation(n, column) is None)
+            assert (d.kind != "none") == (immanant.alternation_violations(n, [column]) == [None])
         if d.kind == "one":
             assert d.shapes == (immanant.hull(w),)
         if d.kind == "two":

@@ -114,9 +114,11 @@ def test_bigtableau_antidiagonal_and_alternation(n):
     """Over every shape in the n x n box: a nonzero percent immanant's shape
     holds the whole anti-diagonal, and every percent immanant alternates in
     sign across 1324-adjacent pairs."""
-    for shape in box_shapes(n):
+    shapes = list(box_shapes(n))
+    columns = [immanant.percent_column(shape) for shape in shapes]
+    assert immanant.alternation_violations(n, columns) == [None] * len(shapes)
+    for shape in shapes:
         f = immanant.percent_immanant(shape)
-        assert immanant.alternation_violation(n, immanant.percent_column(shape)) is None
         if f.coeffs:
             assert all(
                 shape.contains_cell(i, n + 1 - i) for i in range(1, n + 1)
@@ -193,31 +195,60 @@ def stored_and_perturbed(n):
 
 @pytest.mark.parametrize("n", range(0, 8))
 def test_gathered_alternation_matches_pairwise(n):
-    """The byte path on an ``array('b')`` gives the generic path's answer
-    on the same values as a list, and the pair-by-pair oracle's."""
+    """One batch call over every stored and perturbed column, each followed
+    by its list form, and every eighth also by a copy holding -128 at a
+    seeded rank, gives each column the pair-by-pair oracle's answer.  The
+    batch is repeated until its byte-path columns fill more than two
+    chunks, so lanes are settled in several chunks and list columns sit
+    between them."""
     perms = perm.perm_index(n).perms
-    for column in stored_and_perturbed(n):
-        f = immanant.Immanant(n, dict(zip(perms, column)))
-        expected = oracles.find_alternation_violation(f)
-        assert immanant.alternation_violation(n, column) == expected
-        assert immanant.alternation_violation(n, column.tolist()) == expected
+    rng = random.Random(-1 - n)
+    bytewise = list(stored_and_perturbed(n))
+    columns, expected = [], []
+    for i, column in enumerate(bytewise):
+        found = oracles.find_alternation_violation(immanant.Immanant(n, dict(zip(perms, column))))
+        columns += [column, column.tolist()]
+        expected += [found, found]
+        if i % 8 == 0:
+            low = array("b", column)
+            low[rng.randrange(len(low))] = -128
+            columns.append(low)
+            expected.append(oracles.find_alternation_violation(
+                immanant.Immanant(n, dict(zip(perms, low)))))
+    copies = 1 + 2 * immanant._ALTERNATION_CHUNK // len(bytewise)
+    assert immanant.alternation_violations(n, columns * copies) == expected * copies
 
 
 def test_alternation_with_minus_128_takes_the_generic_path():
     """-128 is its own negation as a byte, so a column holding it on both
-    sides of a pair is read by sums, where the pair does not cancel."""
+    sides of a pair is read by sums, where the pair does not cancel.  In a
+    batch, the byte and list columns around it keep their own answers."""
     first = perm.adjacent_1324_pairs(4)[0]
     rank = perm.perm_index(4).rank
-    column = array("b", bytes(24))
-    for u in first:
-        column[rank[u]] = -128
-    assert immanant.alternation_violation(4, column) == first
-    column[rank[first[1]]] = 127
-    assert immanant.alternation_violation(4, column) == first == \
-        immanant.alternation_violation(4, column.tolist())
-    column[rank[first[1]]] = 0
-    column[rank[first[0]]] = 0
-    assert immanant.alternation_violation(4, column) is None
+    outside = next(r for u, r in rank.items() if u not in first)
+
+    def column(values):
+        out = array("b", bytes(24))
+        for r, x in values.items():
+            out[r] = x
+        return out
+
+    both = column({rank[first[0]]: -128, rank[first[1]]: -128})
+    off_by_one = column({rank[first[0]]: -128, rank[first[1]]: 127})
+    cancelling = column({rank[first[0]]: 5, rank[first[1]]: -5})
+    doubled = column({rank[first[0]]: 5, rank[first[1]]: 5})
+    elsewhere = column({outside: -128})
+    batch = [both, cancelling, off_by_one, off_by_one.tolist(), doubled,
+             elsewhere, [0] * 24, doubled.tolist(), cancelling.tolist()]
+    assert immanant.alternation_violations(4, batch) == \
+        [first, None, first, first, first, None, None, first, None]
+
+
+@pytest.mark.parametrize("column", [array("b", bytes(23)), [0] * 25, []],
+                         ids=["short bytes", "long list", "empty"])
+def test_alternation_refuses_columns_not_of_length_n_factorial(column):
+    with pytest.raises(PreconditionError, match=r"column 1 has \d+ entries, not 4! = 24"):
+        immanant.alternation_violations(4, [[0] * 24, column])
 
 
 def test_byte_lane_packing_matches_generic():
@@ -527,12 +558,11 @@ def test_transforms(n):
 
 def test_sign_alternation():
     for n in (3, 4):
-        for w in perm.all_perms(n):
-            column = immanant.percent_column(immanant.hull(w))
-            assert immanant.alternation_violation(n, column) is None
-    assert immanant.alternation_violation(4, immanant.cm_column(4, (), ())) is None
+        columns = [immanant.percent_column(immanant.hull(w)) for w in perm.all_perms(n)]
+        assert immanant.alternation_violations(n, columns) == [None] * len(columns)
+    assert immanant.alternation_violations(4, [immanant.cm_column(4, (), ())]) == [None]
     column = immanant.all_tl_immanants(5)[(2, 4, 1, 5, 3)]
-    assert immanant.alternation_violation(5, column) is not None
+    assert immanant.alternation_violations(5, [column]) != [None]
 
 
 def test_classes_examples():
@@ -568,10 +598,11 @@ def test_percent_basis_decompose():
 
 
 def test_span_layer_keeps_only_its_kernels():
-    """Membership is alternation_violation on a column and the class
+    """Membership is alternation_violations on columns and the class
     indicators are plain Immanants: no wrapper restates either."""
     for module in (tlimm, immanant):
-        for name in ("is_1324_sign_alternating", "_dense", "class_indicator"):
+        for name in ("is_1324_sign_alternating", "_dense", "class_indicator",
+                     "alternation_violation"):
             assert not hasattr(module, name), (module.__name__, name)
 
 
@@ -617,10 +648,6 @@ def test_capped_table_cache_clear_rebuilds(fn):
     assert fn.cache_info().currsize == 0
     second = fn(4)
     assert second is not first
-    if fn is immanant._adjacent_gathers:
-        # Gathers compare by identity, so the rebuilt ones are compared by
-        # what they read from a column of S_4.
-        first, second = ([g(range(24)) for g in table] for table in (first, second))
     assert second == first
     assert fn.cache_info()[:2] == (0, 1)
 
@@ -648,12 +675,12 @@ def test_caps_hold_for_cached_sizes(monkeypatch, fn):
 def test_alternation_scans_are_capped(monkeypatch):
     # A store column takes the byte path, warmed here at the default cap.
     column = immanant.all_tl_immanants(5)[perm.identity(5)]
-    assert immanant.alternation_violation(5, column) is None
+    assert immanant.alternation_violations(5, [column]) == [None]
     monkeypatch.setenv("TLIMM_MAX_N", "4")
     with pytest.raises(LimitError):
         perm.adjacent_1324_pairs(5)
     with pytest.raises(LimitError):
-        immanant.alternation_violation(5, column)
+        immanant.alternation_violations(5, [column])
     with pytest.raises(LimitError):
         immanant.percent_basis_decompose(immanant.Immanant(5, {}))
     monkeypatch.delenv("TLIMM_MAX_N")

@@ -6,6 +6,7 @@ from tlimm import perm
 from tlimm.errors import PreconditionError
 
 from oracles import (
+    adjacent_pairs_by_definition,
     block_structure,
     brute_bruhat_leq,
     brute_contains_pattern,
@@ -207,17 +208,25 @@ def test_1324_adjacent():
     assert not is_1324_adjacent((2, 1, 4, 3), (2, 4, 1, 3))
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_adjacent_pairs_match_predicate(n):
+    """Each listed pair is adjacent and listed once, and every adjacent
+    pair of the rebuild from the definition is listed."""
     listed = set()
     for w, w2 in perm.adjacent_1324_pairs(n):
         assert is_1324_adjacent(w, w2)
         listed.add(frozenset((w, w2)))
     assert len(listed) == len(perm.adjacent_1324_pairs(n))
-    for w in perm.all_perms(n):
-        for w2 in perm.all_perms(n):
-            if is_1324_adjacent(w, w2):
-                assert frozenset((w, w2)) in listed
+    assert listed == set(map(frozenset, adjacent_pairs_by_definition(n)))
+
+
+def test_adjacent_pairs_order_matches_definition():
+    """At n = 7 the pairs come in the order of a rebuild from the definition,
+    and are the permutation objects of perm_index."""
+    pairs = perm.adjacent_1324_pairs(7)
+    assert list(pairs) == adjacent_pairs_by_definition(7)
+    perms, rank = perm.perm_index(7)
+    assert all(u is perms[rank[u]] for pair in pairs for u in pair)
 
 
 def test_perm_index_order():

@@ -274,3 +274,22 @@ def test_every_block_verdict_sees_its_own_column(monkeypatch, suite):
         with monkeypatch.context() as m:
             perturb_store(m, n, w, non_involution_rank(n, rng))
             assert not assert_report_is_expanded(suite, n).ok
+
+
+def test_a2_makes_one_alternation_call_per_n(monkeypatch):
+    """A2 tests sign alternation for every 321-avoiding w of an n in one
+    kernel call over their store columns, in avoider order."""
+    calls = []
+    kernel = immanant.alternation_violations
+
+    def counted(n, columns):
+        store = immanant.all_tl_immanants(n)
+        assert all(column is store[w]
+                   for column, w in zip(columns, perm.avoiding_321(n), strict=True))
+        calls.append(n)
+        return kernel(n, columns)
+
+    monkeypatch.setattr(immanant, "alternation_violations", counted)
+    sizes = verify.DEFAULT_SIZES["A2"]
+    assert all(verify.SUITES["A2"](n).ok for n in sizes)
+    assert calls == list(sizes)
