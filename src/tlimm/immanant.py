@@ -11,7 +11,9 @@ Skew shapes live inside the n x n box with (1, 1) the upper-left cell:
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -266,7 +268,10 @@ def _unchecked(n: int, coeffs: dict[Perm, Coeff]) -> Immanant:
 # Single columns are ``array('b')``, one signed byte per u: the store's
 # columns of f_w(u), the closed forms of classify, and the signed
 # indicators of percent and complementary-minor immanants.  They are built
-# in byte lanes, from row translates of a cached basis.
+# in byte lanes from the prefix lanes of a cached basis: below[i][v] is 1
+# in the lane of every u with u(i + 1) <= v, so the u whose row takes a
+# value in (lo, hi] are the lanes of one difference, below[i][hi] -
+# below[i][lo], and no row is translated per call.
 #
 # A packed column is one int over S_n, the sum of f(u_r) * 2^(32r): a
 # signed 32-bit lane per u.  Only sums that can leave a signed byte, and
@@ -283,7 +288,10 @@ _NEGATE = bytes(-x & 0xFF for x in range(256))
 
 
 class _Basis(NamedTuple):
-    rows: tuple[bytes, ...]  # rows[i][r] = perms[r][i]: one 8-bit lane per u
+    # below[i][v] has byte lane r equal to 1 iff perms[r][i] <= v, for
+    # v = 0..n: 0 at v = 0, and every row shares ``ones`` at v = n.
+    below: tuple[tuple[int, ...], ...]
+    ones: int  # 1 in every 8-bit lane
     one: int  # 1 in every 32-bit lane
     odd_bytes: int  # 0xFF in the 8-bit lanes of odd permutations
 
@@ -299,32 +307,58 @@ def _spread(data: bytes) -> int:
 @limits.capped_cache(limits.max_n, "column basis", maxsize=4)
 def _basis(n: int) -> _Basis:
     perms = perm_index(n).perms
+    ones = int.from_bytes(b"\x01" * len(perms), "little")
+    # at_most[v - 1] maps a value to 1 iff it is at most v.
+    at_most = [bytes(x <= v for x in range(256)) for v in range(1, n)]
+    below = tuple(
+        (0, *(int.from_bytes(values.translate(table), "little") for table in at_most), ones)
+        for values in map(bytes, zip(*perms)))
     odd = bytes(sign(u) < 0 for u in perms)
-    return _Basis(tuple(map(bytes, zip(*perms))), _spread(b"\x01" * len(perms)),
+    return _Basis(below, ones, _spread(b"\x01" * len(perms)),
                   0xFF * int.from_bytes(odd, "little"))
+
+
+def _runs(n: int, allowed: Iterable[int]) -> Iterable[tuple[int, int]]:
+    """The maximal runs (lo, hi] of the values of allowed in 1..n, in
+    increasing order; a range of step 1 is clipped, not iterated."""
+    if type(allowed) is range and allowed.step == 1:
+        lo, hi = max(allowed.start - 1, 0), min(allowed.stop - 1, n)
+        return ((lo, hi),) if lo < hi else ()
+    present = bytearray(n + 2)
+    for x in allowed:
+        if 1 <= x <= n:
+            present[x] = 1
+    starts = [v - 1 for v in range(1, n + 1) if present[v] and not present[v - 1]]
+    ends = [v for v in range(1, n + 1) if present[v] and not present[v + 1]]
+    return zip(starts, ends)
+
+
+def _row_lanes(n: int, rows: Sequence[Iterable[int]]) -> Iterable[int]:
+    """For each row i, the int whose byte lane r is 1 iff u_r(i) is in
+    ``rows[i - 1]``: one prefix difference per run of allowed values."""
+    if len(rows) != n:
+        raise PreconditionError(f"{len(rows)} rows given for n={n}")
+    for below, allowed in zip(_basis(n).below, rows):
+        lanes = 0
+        for lo, hi in _runs(n, allowed):
+            lanes += below[hi] - below[lo]
+        yield lanes
 
 
 def row_tally(n: int, rows: Sequence[Iterable[int]]) -> int:
     """The byte-lane column, one 8-bit lane per rank of perm_index(n), whose
-    lane for u counts the rows i with u(i) in ``rows[i - 1]``: each row's
-    values are turned into 0 or 1 by one translate table, and the rows are
-    added.  A lane counts at most n <= 255 rows, so no lane carries."""
-    total = 0
-    for values, allowed in zip(_basis(n).rows, rows):
-        table = bytearray(256)
-        for x in allowed:
-            table[x] = 1
-        total += int.from_bytes(values.translate(table), "little")
-    return total
+    lane for u counts the rows i with u(i) in ``rows[i - 1]``; there must
+    be n rows.  A value outside 1..n matches nothing.  A lane counts at
+    most n <= 255 rows, so no lane carries."""
+    return sum(_row_lanes(n, rows))
 
 
 def row_mask(n: int, rows: Sequence[Iterable[int]]) -> bytes:
     """One byte per rank of perm_index(n): 1 for the u with u(i) in
-    ``rows[i - 1]`` for every row i, else 0.  These are the lanes of
-    :func:`row_tally` that count every row, picked by one translate."""
-    every = bytearray(256)
-    every[len(rows)] = 1
-    return row_tally(n, rows).to_bytes(len(perm_index(n).perms), "little").translate(every)
+    ``rows[i - 1]`` for every row i, else 0; the rows of :func:`row_tally`
+    ANDed.  At n = 0 the one (empty) u is held."""
+    mask = functools.reduce(operator.and_, _row_lanes(n, rows), _basis(n).ones)
+    return mask.to_bytes(len(perm_index(n).perms), "little")
 
 
 def signed_bytes(n: int, s: int, values: bytes) -> array:
@@ -544,8 +578,9 @@ def _adjacent_gathers(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(tuple(rank[pair[side]] for pair in pairs) for side in (0, 1))
 
 
-# How many byte columns alternation_violations lays out side by side, so
-# that its u-major copy and the negated one hold a chunk, not the batch.
+# Per n, how many byte columns alternation_violations lays out side by
+# side over one block of (n-1)! ranks, so that its u-major copy and the
+# negated one hold a chunk's block, 64 * n! bytes at most, not the batch.
 _ALTERNATION_CHUNK = 64
 
 
@@ -558,11 +593,13 @@ def alternation_violations(n: int, columns: Sequence[Sequence[Coeff]]
     PreconditionError.
 
     The ``array('b')`` columns with no -128 are read in byte lanes, up to
-    ``_ALTERNATION_CHUNK`` at a time, in one pass over the pairs: row r of
-    the chunk holds the k bytes f(u_r) of its k columns, a second copy is
-    negated by one translate, and each pair compares its left row with
-    its negated right row.  Lanes that differ are violations; a lane's
-    first one settles it, and the pass stops once every lane is settled.
+    ``_ALTERNATION_CHUNK`` * n at a time, one block of the (n-1)! ranks
+    that share u(1) after another: row r of the block holds the k bytes
+    f(u_r) of the chunk's k columns, a second copy is negated by one
+    translate, and each of the block's pairs compares its left row with
+    its negated right row, in one pass over the block's run of pairs.
+    Lanes that differ are violations; a lane's first one settles it, and
+    the pass stops once every lane is settled.
     Any other column goes by compress over the pairs whose values do not
     cancel.
 
@@ -585,27 +622,42 @@ def alternation_violations(n: int, columns: Sequence[Sequence[Coeff]]
         else:
             sums = map(operator.add, map(column.__getitem__, left), map(column.__getitem__, right))
             found[i] = next(itertools.compress(pairs, sums), None)
-    for start in range(0, len(bytewise), _ALTERNATION_CHUNK):
-        chunk = bytewise[start:start + _ALTERNATION_CHUNK]
+    # A pair swaps two values after position 1, so both of its permutations
+    # lie in the block of (n-1)! ranks that share u(1), and each block's
+    # pairs are one run of the pair order: a chunk is laid out one block at
+    # a time, and each run is walked once per chunk.
+    width = size // max(n, 1)
+    step = _ALTERNATION_CHUNK * max(n, 1)
+    for start in range(0, len(bytewise), step):
+        chunk = bytewise[start:start + step]
         k = len(chunk)
-        rows = bytearray(k * size)
-        for j, i in enumerate(chunk):
-            rows[j::k] = columns[i]
-        neg = rows.translate(_NEGATE)
         # 0xFF in the lanes of the columns not yet settled.
         pending = (1 << 8 * k) - 1
-        for pair, a, b in zip(pairs, left, right):
-            lhs, rhs = rows[a * k:a * k + k], neg[b * k:b * k + k]
-            if lhs == rhs:
+        first = 0
+        for base in range(0, size, width):
+            end = bisect.bisect_left(left, base + width, first)
+            if first == end:
                 continue
-            hit = (int.from_bytes(lhs, "little") ^ int.from_bytes(rhs, "little")) & pending
-            if hit:
-                for j, x in enumerate(hit.to_bytes(k, "little")):
-                    if x:
-                        found[chunk[j]] = pair
-                        pending ^= 0xFF << 8 * j
-                if not pending:
-                    break
+            rows = bytearray(k * width)
+            for j, i in enumerate(chunk):
+                rows[j::k] = columns[i][base:base + width]
+            neg = rows.translate(_NEGATE)
+            for pair, a, b in zip(pairs[first:end], left[first:end], right[first:end]):
+                a, b = (a - base) * k, (b - base) * k
+                lhs, rhs = rows[a:a + k], neg[b:b + k]
+                if lhs == rhs:
+                    continue
+                hit = (int.from_bytes(lhs, "little") ^ int.from_bytes(rhs, "little")) & pending
+                if hit:
+                    for j, x in enumerate(hit.to_bytes(k, "little")):
+                        if x:
+                            found[chunk[j]] = pair
+                            pending ^= 0xFF << 8 * j
+                    if not pending:
+                        break
+            first = end
+            if not pending:
+                break
     return found
 
 

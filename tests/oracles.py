@@ -139,6 +139,14 @@ def brute_percent_immanant(shape) -> dict:
     }
 
 
+def row_tally_by_definition(n: int, rows) -> list[int]:
+    """For each u in S_n, in lexicographic order, the number of rows i with
+    u(i) in rows[i - 1], counted u by u and row by row."""
+    allowed = [set(row) for row in rows]
+    return [sum(x in row for x, row in zip(u, allowed))
+            for u in itertools.permutations(range(1, n + 1))]
+
+
 def determinant(n: int) -> dict:
     """{u: sign(u)} over all of S_n, in lexicographic order."""
     return {u: inversion_sign(u) for u in itertools.permutations(range(1, n + 1))}

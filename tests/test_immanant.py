@@ -3,7 +3,11 @@ import gc
 import hashlib
 import itertools
 import json
+import math
+import os
 import random
+import subprocess
+import sys
 import re
 from array import array
 from fractions import Fraction
@@ -158,6 +162,97 @@ def test_cm_placement_matches_filter(n):
                     brute_cm_immanant(n, I, J).items()), (I, J)
 
 
+def lanes(n, column):
+    """The byte lanes of an int column over S_n, by rank."""
+    return list(column.to_bytes(math.factorial(n), "little"))
+
+
+def row_sets(n):
+    """Row lists for the builders: every hull of S_n as ranges, then
+    seeded non-contiguous sets and ranges reaching past 1..n, empty and
+    full rows, and rows of only the values 0 and n + 1."""
+    hulls = {immanant.hull(w) for w in perm.all_perms(n)}
+    for shape in sorted(hulls, key=lambda s: (s.lam, s.mu)):
+        yield [range(m + 1, l + 1) for m, l in zip(shape.mu, shape.lam)]
+    rng = random.Random(100 + n)
+    values = list(range(-1, n + 3)) + [255, 256, 1000]
+    for _ in range(40):
+        yield [set(rng.sample(values, rng.randrange(len(values) + 1))) for _ in range(n)]
+        yield [range(rng.randrange(-2, n + 2), rng.randrange(-1, n + 4), rng.choice((1, 1, 2, -1)))
+               for _ in range(n)]
+    yield [()] * n
+    yield [range(1, n + 1)] * n
+    yield [range(0, n + 2)] * n
+    yield [{0, n + 1}] * n
+    yield [[0, *range(1, n + 1), n + 1]] * n
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_row_tally_and_mask_match_the_definition(n):
+    for rows in row_sets(n):
+        expected = oracles.row_tally_by_definition(n, rows)
+        assert lanes(n, immanant.row_tally(n, rows)) == expected, rows
+        assert list(immanant.row_mask(n, rows)) == [int(c == n) for c in expected], rows
+
+
+def test_row_values_outside_1_to_n_match_nothing():
+    n = 4
+    outside = [-300, -256, -1, 0, n + 1, 255, 256, 1000]
+    assert immanant.row_tally(n, [outside] * n) == 0
+    assert immanant.row_mask(n, [outside] * n) == bytes(24)
+    assert immanant.row_tally(n, [[*outside, 2]] * n) == immanant.row_tally(n, [[2]] * n)
+    with pytest.raises(PreconditionError, match="3 rows given for n=4"):
+        immanant.row_tally(n, [()] * 3)
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_shape_and_percent_columns_match_the_definition(n):
+    for shape in {immanant.hull(w) for w in perm.all_perms(n)}:
+        count = oracles.row_tally_by_definition(
+            n, [range(m + 1, l + 1) for m, l in zip(shape.mu, shape.lam)])
+        inside = [int(c == n) for c in count]
+        assert list(immanant.shape_mask(shape)) == inside, shape
+        assert immanant.percent_column(shape).tolist() == [
+            oracles.inversion_sign(u) * x
+            for u, x in zip(itertools.permutations(range(1, n + 1)), inside)], shape
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_closed_form_columns_match_the_definition(n):
+    """The hull mask and both weight tallies of every w avoiding 321 and
+    1324, counted u by u from the rows that classify's tallies allow."""
+    perms = list(itertools.permutations(range(1, n + 1)))
+    for w in perm.avoiding_321(n):
+        if n >= 4 and perm.contains_pattern(w, (1, 3, 2, 4)):
+            continue
+        shape = immanant.hull(w)
+        inside = oracles.row_tally_by_definition(
+            n, [range(m + 1, l + 1) for m, l in zip(shape.mu, shape.lam)])
+        if n >= 4 and perm.contains_pattern(w, (2, 1, 4, 3)):
+            first, second, weight = classify._tallies(classify.classify_2143(w))
+            weights = map(weight, oracles.row_tally_by_definition(n, first),
+                          oracles.row_tally_by_definition(n, second))
+        else:
+            weights = itertools.repeat(1)
+        expected = [oracles.inversion_sign(w) * oracles.inversion_sign(u) * x if c == n else 0
+                    for u, c, x in zip(perms, inside, weights)]
+        assert classify.closed_form_column(w).tolist() == expected, w
+
+
+@pytest.mark.parametrize("n", range(0, 5))
+def test_cm_columns_match_the_definition(n):
+    perms = list(itertools.permutations(range(1, n + 1)))
+    for k in range(n + 1):
+        for I in itertools.combinations(range(1, n + 1), k):
+            for J in itertools.combinations(range(1, n + 1), k):
+                rest = set(range(1, n + 1)) - set(J)
+                count = oracles.row_tally_by_definition(
+                    n, [J if i in I else rest for i in range(1, n + 1)])
+                assert immanant.cm_column(n, I, J).tolist() == [
+                    oracles.inversion_sign(u) if c == n else 0
+                    for u, c in zip(perms, count)], (I, J)
+
+
 def test_packed_lanes_hold_their_range():
     n, low, high = 3, -(2**31), 2**31 - 1
     values = [low, high, 0, -1, 1, 127]
@@ -215,7 +310,7 @@ def test_gathered_alternation_matches_pairwise(n):
             columns.append(low)
             expected.append(oracles.find_alternation_violation(
                 immanant.Immanant(n, dict(zip(perms, low)))))
-    copies = 1 + 2 * immanant._ALTERNATION_CHUNK // len(bytewise)
+    copies = 1 + 2 * immanant._ALTERNATION_CHUNK * max(n, 1) // len(bytewise)
     assert immanant.alternation_violations(n, columns * copies) == expected * copies
 
 
@@ -249,6 +344,47 @@ def test_alternation_with_minus_128_takes_the_generic_path():
 def test_alternation_refuses_columns_not_of_length_n_factorial(column):
     with pytest.raises(PreconditionError, match=r"column 1 has \d+ entries, not 4! = 24"):
         immanant.alternation_violations(4, [[0] * 24, column])
+
+
+def test_alternation_blocks_settle_in_pair_order():
+    """At n = 7, more than one chunk of sparse byte columns: each holds
+    seeded nonzero values at members of pairs in the first block of ranks
+    sharing u(1), in the last such block that holds pairs, in both, twice
+    in the first block, or nowhere.  Every column gets the pair-by-pair
+    oracle's first violation, so a lane settled in an earlier block or by
+    an earlier pair is not moved by a later one."""
+    n = 7
+    perms, rank = perm.perm_index(n)
+    width = math.factorial(n - 1)
+    blocks = {}
+    for pair in perm.adjacent_1324_pairs(n):
+        blocks.setdefault(rank[pair[0]] // width, []).append(pair)
+    head, tail = blocks[min(blocks)], blocks[max(blocks)]
+    assert min(blocks) == 0 and max(blocks) > 0
+    rng = random.Random(29)
+    kinds = [(head,), (tail,), (head, tail), (head, head), (tail, tail), ()]
+    columns = []
+    while len(columns) <= 2 * immanant._ALTERNATION_CHUNK * n:
+        column = array("b", bytes(len(perms)))
+        for block in rng.choice(kinds):
+            column[rank[rng.choice(rng.choice(block))]] = rng.choice((-127, -1, 1, 3, 127))
+        columns.append(column)
+    expected = [oracles.find_alternation_violation(immanant.Immanant(n, dict(zip(perms, c))))
+                for c in columns]
+    assert any(pair in head for pair in expected) and any(pair in tail for pair in expected)
+    assert None in expected
+    assert immanant.alternation_violations(n, columns) == expected
+
+
+@pytest.mark.parametrize("n", range(0, 4))
+def test_alternation_without_pairs_finds_nothing(n):
+    size = math.factorial(n)
+    rng = random.Random(n)
+    columns = [array("b", bytes(size)), array("b", rng.randbytes(size)),
+               array("b", [-128] * size), list(range(size))]
+    assert perm.adjacent_1324_pairs(n) == ()
+    assert immanant.alternation_violations(n, columns) == [None] * 4 == [
+        oracles.find_alternation_violation(immanant.Immanant(n, {})) for _ in columns]
 
 
 def test_byte_lane_packing_matches_generic():
@@ -639,6 +775,31 @@ def test_readme_names_every_capped_table():
     named = re.findall(r"`(\w+\.\w+)`", sentence)
     assert sorted(named) == sorted(
         f"{fn.__module__.rpartition('.')[2]}.{fn.__name__}" for fn in CAPPED_TABLES)
+
+
+def test_import_fills_no_cache():
+    """A fresh ``import tlimm`` builds no table: every lru cache of the
+    package, the capped tables of the list above among them, is empty, so
+    no table's cost hides in an import."""
+    script = """
+import importlib, json, pkgutil, sys
+import tlimm
+sizes = {}
+for info in pkgutil.iter_modules(tlimm.__path__):
+    module = importlib.import_module("tlimm." + info.name)
+    for name, value in vars(module).items():
+        if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+            sizes[f"{info.name}.{name}"] = value.cache_info().currsize
+print(json.dumps(sizes))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(tl.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    sizes = json.loads(done.stdout)
+    capped = {f"{fn.__module__.rpartition('.')[2]}.{fn.__name__}" for fn in CAPPED_TABLES}
+    assert capped <= set(sizes) and "immanant._basis" in capped
+    assert {name: size for name, size in sizes.items() if size} == {}
 
 
 @pytest.mark.parametrize("fn", CAPPED_TABLES, ids=lambda fn: fn.__name__)
