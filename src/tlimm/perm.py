@@ -88,7 +88,10 @@ class PermIndex(NamedTuple):
     rank: dict[Perm, int]
 
 
-@limits.capped_cache(limits.max_n, "permutation index", maxsize=4)
+# Room for every n up to the cap: an evicted index is rebuilt from new
+# tuples, and the tables that hold its permutations, such as the pairs and
+# classes, would no longer share them with it.
+@limits.capped_cache(limits.max_n, "permutation index", maxsize=16)
 def perm_index(n: int) -> PermIndex:
     """The index of S_n that rank-indexed tables share.
 
@@ -200,33 +203,62 @@ def reduced_word(w: Perm) -> tuple[int, ...]:
     return tuple(reversed(swaps))
 
 
+@functools.lru_cache(maxsize=256)
+def _pattern_bounds(v: Perm) -> tuple[tuple[int, int], ...]:
+    """For each k, the indices (lo, hi) among v[:k] of the values just
+    below and just above v[k]: m stands for "none below" and m + 1 for
+    "none above".  A v that is not a permutation is a PreconditionError.
+
+    >>> _pattern_bounds((2, 4, 1, 3))
+    ((4, 5), (0, 5), (4, 0), (0, 1))
+    """
+    m = len(v)
+    if not is_perm(v):
+        raise PreconditionError(f"pattern is not a permutation of 1..{m}: {v}")
+    return tuple(
+        (max((j for j in range(k) if v[j] < v[k]), key=v.__getitem__, default=m),
+         min((j for j in range(k) if v[j] > v[k]), key=v.__getitem__, default=m + 1))
+        for k in range(m)
+    )
+
+
 @functools.lru_cache(maxsize=1 << 16)
 def contains_pattern(w: Perm, v: Perm) -> bool:
     """True iff some set of positions of w carries the pattern v.
+
+    Positions are chosen left to right by backtracking; the k-th value must
+    lie strictly between the chosen values that v puts just below and just
+    above v[k] (:func:`_pattern_bounds`).  A v that is not a permutation,
+    or is longer than w, is a PreconditionError.
 
     >>> contains_pattern((3, 1, 5, 2, 4), (1, 2, 3))
     True
     >>> contains_pattern((3, 1, 5, 2, 4), (3, 2, 1))
     False
     """
+    bounds = _pattern_bounds(v)
     n, m = len(w), len(v)
     if m > n:
         raise PreconditionError(f"pattern of length {m} in host of length {n}")
-    if m == 0:
-        return True
+    # values[k] is the k-th chosen value; the two sentinels after them
+    # bound a value that has nothing below or above it in v[:k], taken from
+    # w's own range, so that any host of distinct values is read by order.
+    values = [0] * m + [min(w, default=0) - 1, max(w, default=0) + 1]
 
-    def extend(start: int, chosen: tuple[int, ...]) -> bool:
-        k = len(chosen)
+    def extend(start: int, k: int) -> bool:
         if k == m:
             return True
-        for p in range(start, n - (m - k) + 1):
+        lo, hi = bounds[k]
+        low, high = values[lo], values[hi]
+        for p in range(start, n - m + k + 1):
             x = w[p]
-            if all((x > w[q]) == (v[k] > v[j]) for j, q in enumerate(chosen)):
-                if extend(p + 1, chosen + (p,)):
+            if low < x < high:
+                values[k] = x
+                if extend(p + 1, k + 1):
                     return True
         return False
 
-    return extend(0, ())
+    return extend(0, 0)
 
 
 def avoids(w: Perm, *patterns: Perm) -> bool:
@@ -267,24 +299,62 @@ def adjacent_1324_pairs(n: int) -> tuple[tuple[Perm, Perm], ...]:
     differ by swapping the values at positions a < b, and some c < a and
     d > b hold values below and above both swapped values.
 
-    Each pair is listed from the side with the increasing middle, and
-    holds the permutations of :func:`perm_index`, not copies.  A scan of
-    all of S_n, so n is held to the whole-S_n cap.
+    Each pair is listed from the side with the increasing middle, in the
+    order of (rank of w, a, b), and holds the permutations of
+    :func:`perm_index`, not copies.  Built from S_(n-1) by
+    :func:`_adjacent_candidates`, so n is held to the whole-S_n cap.
+
+    >>> [tuple(map(format_perm, pair)) for pair in adjacent_1324_pairs(4)]
+    [('1234', '1324')]
+    """
+    if n < 4:
+        return ()
+    perms = perm_index(n).perms
+    left, right, bounds = _adjacent_candidates(n - 1)
+    # A pair never swaps position 1, so it lies in the block of ranks that
+    # share u(1) = v: u is v followed by some sigma of S_(n-1), its values
+    # at v and above raised by one, at rank (v - 1)(n - 1)! + rank(sigma).
+    # Raising keeps the order of sigma's values, so a swap of sigma is a
+    # pair of u iff sigma's candidate admits v as its witness below.
+    width = len(perms) // n
+    pairs: list[tuple[Perm, Perm]] = []
+    for v in range(1, n + 1):
+        keep = [bound >= v for bound in bounds]
+        base = (v - 1) * width
+        pairs.extend(zip(
+            map(perms.__getitem__, map(base.__add__, itertools.compress(left, keep))),
+            map(perms.__getitem__, map(base.__add__, itertools.compress(right, keep))),
+        ))
+    return tuple(pairs)
+
+
+def _adjacent_candidates(n: int) -> tuple[list[int], list[int], list[int]]:
+    """Every swap of positions a < b in a sigma of S_n with sigma(a) <
+    sigma(b) and a larger value after b, in (rank of sigma, a, b) order:
+    the ranks of sigma and of the swapped sigma, and the swap's bound.
+    Placed after a new first value v, the swap is 1324-adjacent iff v is
+    at most the bound: n + 1 when a smaller value comes before a in sigma
+    (any v works), else sigma(a) (v itself must be the smaller value).
+
+    >>> _adjacent_candidates(3)
+    ([0], [2], [1])
     """
     perms, rank = perm_index(n)
-    pairs = []
-    for w in perms:
+    left, right, bounds = [], [], []
+    for r, s in enumerate(perms):
         # suffix_max[i] is the greatest value at position i or after it.
-        suffix_max = list(itertools.accumulate(reversed(w), max))[::-1]
+        suffix_max = list(itertools.accumulate(reversed(s), max))[::-1]
         low = n + 1  # the least value before position a
         for a in range(n - 2):
-            x = w[a]
+            x = s[a]
             if x < low:
-                low = x
-                continue
+                bound = low = x
+            else:
+                bound = n + 1
             for b in range(a + 1, n - 1):
-                y = w[b]
+                y = s[b]
                 if x < y < suffix_max[b + 1]:
-                    other = w[:a] + (y,) + w[a + 1:b] + (x,) + w[b + 1:]
-                    pairs.append((w, perms[rank[other]]))
-    return tuple(pairs)
+                    left.append(r)
+                    right.append(rank[s[:a] + (y,) + s[a + 1:b] + (x,) + s[b + 1:]])
+                    bounds.append(bound)
+    return left, right, bounds

@@ -92,6 +92,10 @@ def test_contains_pattern_anchors():
     assert perm.contains_pattern((2, 1, 4, 3), (2, 1, 4, 3))
     with pytest.raises(PreconditionError):
         perm.contains_pattern((2, 1), (2, 1, 3))
+    # A host of distinct values outside 1..n is read by their order.
+    assert perm.contains_pattern((5,), (1,))
+    assert perm.contains_pattern((10, -3, 7), (3, 1, 2))
+    assert not perm.contains_pattern((10, -3, 7), (1, 2, 3))
 
 
 @pytest.mark.parametrize("n", range(0, 9))
@@ -101,13 +105,36 @@ def test_321_scan_against_subset_scan(n):
             not brute_contains_pattern(w, (3, 2, 1))), w
 
 
+# The patterns of the paper's classification: 321 and these six.
+PAPER_PATTERNS = [(1, 3, 2, 4), (2, 1, 4, 3), (2, 4, 1, 5, 3), (3, 1, 5, 2, 4),
+                  (2, 3, 1, 5, 6, 4), (3, 1, 2, 6, 4, 5)]
+
+
+def test_contains_pattern_refuses_non_permutations():
+    """A pattern that is not a permutation of 1..m has no meaning: it is
+    refused on every host, the first call and a repeat alike."""
+    for w, v in [((1, 2, 3), (1, 1)), ((3, 2, 1), (1, 1)), ((1, 2, 3), (5,)),
+                 ((2, 1), (5,)), ((3, 1, 2), (0, 1)), ((2, 1, 3), (2, 3)),
+                 ((1,), (1, 1))]:
+        for _ in range(2):
+            with pytest.raises(PreconditionError, match="not a permutation"):
+                perm.contains_pattern(w, v)
+    assert perm.contains_pattern((2, 1), ())
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_contains_pattern_against_subset_scan(n):
-    patterns = [(1,), (2, 1), (3, 2, 1), (1, 3, 2, 4), (2, 1, 4, 3), (2, 4, 1, 5, 3)]
+    patterns = [(1,), (2, 1), (3, 2, 1), *PAPER_PATTERNS]
     for w in perm.all_perms(n):
         for v in patterns:
             if len(v) <= n:
                 assert perm.contains_pattern(w, v) == brute_contains_pattern(w, v)
+
+
+def test_paper_patterns_over_321_avoiders_at_7():
+    for w in perm.avoiding_321(7):
+        for v in PAPER_PATTERNS:
+            assert perm.contains_pattern(w, v) == brute_contains_pattern(w, v), (w, v)
 
 
 @settings(max_examples=150, deadline=None)
@@ -220,12 +247,13 @@ def test_adjacent_pairs_match_predicate(n):
     assert listed == set(map(frozenset, adjacent_pairs_by_definition(n)))
 
 
-def test_adjacent_pairs_order_matches_definition():
-    """At n = 7 the pairs come in the order of a rebuild from the definition,
-    and are the permutation objects of perm_index."""
-    pairs = perm.adjacent_1324_pairs(7)
-    assert list(pairs) == adjacent_pairs_by_definition(7)
-    perms, rank = perm.perm_index(7)
+@pytest.mark.parametrize("n", range(0, 8))
+def test_adjacent_pairs_order_matches_definition(n):
+    """The pairs come in the order of a rebuild from the definition, and are
+    the permutation objects of perm_index."""
+    pairs = perm.adjacent_1324_pairs(n)
+    assert list(pairs) == adjacent_pairs_by_definition(n)
+    perms, rank = perm.perm_index(n)
     assert all(u is perms[rank[u]] for pair in pairs for u in pair)
 
 
