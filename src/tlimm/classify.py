@@ -503,7 +503,11 @@ def decompose(w: Perm, validate: bool | None = None) -> Decomposition:
         # forbidden patterns has a = 1 or c = 1.
         if not isinstance(params, Case1) or 1 not in (params.a, params.c):
             raise VerificationError(f"{w} avoids the forbidden patterns but has {params}")
-        result = Decomposition("two", sign(w), (hull(w), _second_shape(params)))
+        try:
+            second = _second_shape(params)
+        except VerificationError as exc:
+            raise VerificationError(f"{w}: {exc}") from None
+        result = Decomposition("two", sign(w), (hull(w), second))
     if validate:
         expected, actual = shape_sum_columns(w, result)
         if expected != actual:

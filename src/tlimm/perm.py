@@ -102,6 +102,19 @@ def perm_index(n: int) -> PermIndex:
     return PermIndex(perms, {u: r for r, u in enumerate(perms)})
 
 
+@limits.capped_cache(limits.max_n, "symmetry ranks", maxsize=16)
+def symmetry_ranks(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For each rank r of :func:`perm_index`, the rank of the inverse and
+    the rank of the w0-conjugate of the permutation at r, as two tuples.
+
+    >>> symmetry_ranks(3)
+    ((0, 1, 2, 4, 3, 5), (0, 2, 1, 4, 3, 5))
+    """
+    perms, rank = perm_index(n)
+    return (tuple(rank[inverse(u)] for u in perms),
+            tuple(rank[conjugate_by_longest(u)] for u in perms))
+
+
 def gatherer(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
     """A function taking a sequence, such as a rank-indexed column, to the
     tuple of its items at positions, for any number of positions:
@@ -288,9 +301,25 @@ def is_321_avoiding(w: Perm) -> bool:
 
 @limits.capped_cache(limits.max_n, "321-avoiding permutations", maxsize=16)
 def avoiding_321(n: int) -> tuple[Perm, ...]:
-    """All 321-avoiding permutations of [n], lexicographically sorted; a
-    scan of all of S_n, so n is held to the whole-S_n cap."""
-    return tuple(w for w in all_perms(n) if is_321_avoiding(w))
+    """All 321-avoiding permutations of [n], lexicographically sorted.
+
+    Deleting k from a 321-avoiding permutation of [k] leaves one of
+    [k - 1], so the avoiders of [k] are among the insertions of k into the
+    avoiders of [k - 1]: they are built so for k = 1..n, filtered and
+    sorted, never from all of S_n.  n is still held to the whole-S_n cap.
+
+    >>> [format_perm(w) for w in avoiding_321(3)]
+    ['123', '132', '213', '231', '312']
+    """
+    avoiders: tuple[Perm, ...] = ((),)
+    for k in range(1, n + 1):
+        avoiders = tuple(sorted(
+            w
+            for v in avoiders
+            for i in range(k)
+            if is_321_avoiding(w := v[:i] + (k,) + v[i:])
+        ))
+    return avoiders
 
 
 @limits.capped_cache(limits.max_n, "1324-adjacent pairs", maxsize=8)

@@ -17,6 +17,7 @@ report is the same either way.  Suites A1-A10 are the acceptance gate;
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import itertools
@@ -245,9 +246,8 @@ def suite_a5(n: int) -> Iterator[_Block]:
     read from the rank-indexed columns.  One block per w: its column against
     the gathered columns of w^-1 and w0 w w0."""
     imms = immanant.all_tl_immanants(n)
-    perms, rank = perm.perm_index(n)
-    inverse_rank = [rank[perm.inverse(u)] for u in perms]
-    conjugate_rank = [rank[perm.conjugate_by_longest(u)] for u in perms]
+    perms = perm.perm_index(n).perms
+    inverse_rank, conjugate_rank = perm.symmetry_ranks(n)
     inv, conj = perm.gatherer(inverse_rank), perm.gatherer(conjugate_rank)
 
     def expand(w: Perm, fw, fwi, fwc) -> Iterator[_Check]:
@@ -338,26 +338,55 @@ def _case2_zones(a: int, e: int, b: int, c: int, f: int, d: int) -> tuple[Zone, 
     )
 
 
+# One (m, m.pairs()) per matching m, shared by every mask it is filed under.
+_Entry = tuple[tl.NonCrossingMatching, tuple[tuple[int, int], ...]]
+
+
+def _proper_coloring_index(n: int) -> dict[int, list[_Entry]]:
+    """Every matching of ``tl.all_matchings(n)`` filed under each of its
+    2^n proper colorings: the bitmask of the black positions, where each
+    pair joins a black position to a white one.  A mask's list keeps the
+    order of ``all_matchings``.
+
+    >>> index = _proper_coloring_index(2)
+    >>> [format(mask, "04b")[::-1] for mask in sorted(index)]
+    ['1100', '1010', '0110', '1001', '0101', '0011']
+    >>> [tl.format_matching(m) for m, _ in index[0b0101]]
+    ["1-2 1'-2'", "1-1' 2-2'"]
+    """
+    index: dict[int, list[_Entry]] = {}
+    for m in tl.all_matchings(n):
+        entry = (m, m.pairs())
+        masks = [0]
+        for p, q in entry[1]:
+            masks = [mask | bit for bit in (1 << p, 1 << q) for mask in masks]
+        for mask in masks:
+            index.setdefault(mask, []).append(entry)
+    return index
+
+
 def _zone_solutions(
-    matchings: Sequence[tuple[tl.NonCrossingMatching, tuple[tuple[int, int], ...]]],
+    index: dict[int, list[_Entry]],
     zones: Sequence[Zone],
 ) -> list[tuple[tuple[bool, ...], tl.NonCrossingMatching]]:
     """Every (coloring, matching) on the 2n circular positions that meets
     the zones, which must partition the positions: each zone holds its
     counts of black (True) and white positions, every pair joins black to
     white, and no pair has both ends in one sealed zone.  Exhaustive: every
-    coloring that meets the counts is tried against every matching of
-    ``matchings``, which holds ``(m, m.pairs())`` for each matching m on n
-    strands, so the pairs are read once per n, not once per instance.
+    coloring that meets the counts is looked up in ``index``, the
+    :func:`_proper_coloring_index` of n, whose list for it holds exactly the
+    matchings that join black to white under it; those are then held to
+    the sealed zones.  Listed in coloring order, then ``all_matchings``
+    order.
 
-    >>> matchings = [(m, m.pairs()) for m in tl.all_matchings(2)]
+    >>> index = _proper_coloring_index(2)
     >>> zones = _general_zones(1, 1, 0, 0, 0)
-    >>> _zone_solutions(matchings, zones)
+    >>> _zone_solutions(index, zones)
     [((True, False, True, False), NonCrossingMatching(2, "1-2 1'-2'"))]
-    >>> len(_zone_solutions(matchings, [(p, k, w, False) for p, k, w, _ in zones]))
+    >>> len(_zone_solutions(index, [(p, k, w, False) for p, k, w, _ in zones]))
     3
     """
-    n = len(matchings[0][1])
+    n = next(iter(index)).bit_count()  # every proper coloring has n blacks
     covered = sorted(p for positions, _, _, _ in zones for p in positions)
     if covered != list(range(2 * n)):
         raise ValueError(f"zones do not partition the {2 * n} positions")
@@ -370,23 +399,18 @@ def _zone_solutions(
         if seal
         for p in positions
     }
-    # Which matchings keep every pair out of the sealed zones does not
-    # depend on the coloring, so that filter runs once.
-    allowed = [
-        (m, pairs)
-        for m, pairs in matchings
-        if not any(p in sealed and sealed[p] == sealed.get(q) for p, q in pairs)
-    ]
     out = []
     for choice in itertools.product(
         *(itertools.combinations(positions, blacks) for positions, blacks, _, _ in zones)
     ):
-        colors = [False] * (2 * n)
-        for p in itertools.chain.from_iterable(choice):
-            colors[p] = True
-        for m, pairs in allowed:
-            if all(colors[p] != colors[q] for p, q in pairs):
-                out.append((tuple(colors), m))
+        mask = sum(1 << p for p in itertools.chain.from_iterable(choice))
+        found = [
+            m for m, pairs in index.get(mask, ())
+            if not any(p in sealed and sealed[p] == sealed.get(q) for p, q in pairs)
+        ]
+        if found:
+            colors = tuple(bool(mask >> p & 1) for p in range(2 * n))
+            out.extend((colors, m) for m in found)
     return out
 
 
@@ -400,11 +424,10 @@ def _compositions(total: int, parts: int, minima: tuple[int, ...]) -> Iterable[t
             yield (first,) + rest
 
 
-@_suite("A7", (2, 3, 4, 5, 6))
-def suite_a7(n: int) -> Iterator[_Check]:
-    """Unique-matching constructions match brute force: every zone-condition
-    instance has exactly one (coloring, matching) solution and it is the
-    constructed one, which in turn equals beta of the built permutation."""
+def _a7_instances(n: int) -> Iterator[tuple]:
+    """Every zone-condition instance of suite A7 at n, in its order: the
+    family, the parameters by name, the witness text, the zones, and the
+    family's construction and permutation builder (None for general)."""
     families = (
         ("general", "abcde", _compositions(n, 5, (0, 0, 0, 0, 0)),
          coloring.unique_matching_general, _general_zones, None),
@@ -415,19 +438,28 @@ def suite_a7(n: int) -> Iterator[_Check]:
           if max(t[1], t[4]) >= 1),
          coloring.unique_matching_case2, _case2_zones, classify.build_case2),
     )
-    matchings = [(m, m.pairs()) for m in tl.all_matchings(n)]
     for family, names, instances, construct, zones, build in families:
         for sizes in instances:
             # By keyword, because build_case1 takes (a, b, e, c, d).
             params = dict(zip(names, sizes))
             witness = f"({','.join(names)})=({','.join(map(str, sizes))})"
-            col, m = construct(**params)
-            colors = tuple(col.is_black_position(p) for p in range(2 * n))
-            yield (f"{family} zone instance has the one constructed solution", witness,
-                   [(colors, m)], _zone_solutions(matchings, zones(**params)))
-            if build is not None:
-                yield (f"{family} matching is beta of the built permutation", witness,
-                       tl.beta(build(**params)), m)
+            yield family, params, witness, zones(**params), construct, build
+
+
+@_suite("A7", (2, 3, 4, 5, 6))
+def suite_a7(n: int) -> Iterator[_Check]:
+    """Unique-matching constructions match brute force: every zone-condition
+    instance has exactly one (coloring, matching) solution and it is the
+    constructed one, which in turn equals beta of the built permutation."""
+    index = _proper_coloring_index(n)
+    for family, params, witness, zones, construct, build in _a7_instances(n):
+        col, m = construct(**params)
+        colors = tuple(col.is_black_position(p) for p in range(2 * n))
+        yield (f"{family} zone instance has the one constructed solution", witness,
+               [(colors, m)], _zone_solutions(index, zones))
+        if build is not None:
+            yield (f"{family} matching is beta of the built permutation", witness,
+                   tl.beta(build(**params)), m)
 
 
 @_suite("A8", (4, 5, 6, 7))
@@ -487,24 +519,36 @@ def suite_a10(n: int) -> Iterator[_Check]:
     the 0/1 witness matrix separates percent from Temperley-Lieb values."""
     applicable = _applicable_two_case(n)
     store = immanant.all_tl_immanants(n)
-    for w in applicable:
-        total = immanant.sum_columns([
-            s * immanant.pack_column(n, immanant.cm_column(n, I, J))
-            for s, I, J in classify.cm_expansion(w)
-        ])
+    signed = [(w, classify.cm_expansion(w)) for w in applicable]
+    # The rectangle expansion needs w(1) = 1 or w(1) = w(n) + 1, so n >= 1.
+    rectangles = [
+        (w, classify.rect_cm_expansion(w)) for w in perm.avoiding_321(n)
+        if perm.avoids(w, PATTERN_1324, PATTERN_2143) and w and w[0] in (1, w[-1] + 1)
+    ]
+    # Each packed column is built at its first use and dropped after its
+    # last, so it is built once and only the columns still to be read are
+    # held: at n = 8, 528 distinct of 2 626 uses, at most 112 at a time.
+    uses = collections.Counter(
+        (I, J) for _, terms in signed for _, I, J in terms)
+    uses.update((I, J) for _, terms in rectangles for I, J in terms)
+    columns: dict[tuple[frozenset[int], frozenset[int]], int] = {}
+
+    def cm(I: frozenset[int], J: frozenset[int]) -> int:
+        column = columns.pop((I, J), None)
+        if column is None:
+            column = immanant.pack_column(n, immanant.cm_column(n, I, J))
+        uses[I, J] -= 1
+        if uses[I, J]:
+            columns[I, J] = column
+        return column
+
+    for w, terms in signed:
+        total = immanant.sum_columns([s * cm(I, J) for s, I, J in terms])
         yield ("signed CM expansion equals the immanant", w,
                immanant.Column(n, immanant.pack_column(n, store[w])),
                immanant.Column(n, perm.sign(w) * total))
-    for w in perm.avoiding_321(n):
-        if not perm.avoids(w, PATTERN_1324, PATTERN_2143):
-            continue
-        # The rectangle expansion needs w(1) = 1 or w(1) = w(n) + 1, so n >= 1.
-        if not w or (w[0] != 1 and w[0] != w[-1] + 1):
-            continue
-        total = immanant.sum_columns([
-            immanant.pack_column(n, immanant.cm_column(n, I, J))
-            for I, J in classify.rect_cm_expansion(w)
-        ])
+    for w, terms in rectangles:
+        total = immanant.sum_columns([cm(I, J) for I, J in terms])
         yield ("rectangle CM expansion equals the hull percent immanant", w,
                immanant.Column(n, immanant.pack_column(
                    n, immanant.percent_column(immanant.hull(w)))),

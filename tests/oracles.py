@@ -80,6 +80,34 @@ def brute_compatible_permutations(c) -> frozenset:
     )
 
 
+def zone_solutions(n: int, zones) -> list:
+    """Every (coloring, matching) on the 2n circular positions that meets
+    the zones, by a scan of every coloring that meets the zone counts
+    against every matching of tl.all_matchings(n): each pair must join a
+    black (True) position to a white one, and no pair may have both ends
+    in one sealed zone.  A zone is (positions, blacks, whites, sealed);
+    zones that do not partition the positions, or a zone whose counts do
+    not fill it, are a ValueError."""
+    if sorted(p for positions, _, _, _ in zones for p in positions) != list(range(2 * n)):
+        raise ValueError("zones do not partition the positions")
+    if any(blacks + whites != len(positions) for positions, blacks, whites, _ in zones):
+        raise ValueError("a zone's counts do not fill it")
+    zone_of = {p: z for z, (positions, _, _, _) in enumerate(zones) for p in positions}
+    sealed = {z for z, (_, _, _, seal) in enumerate(zones) if seal}
+    out = []
+    for choice in itertools.product(
+        *(itertools.combinations(positions, blacks) for positions, blacks, _, _ in zones)
+    ):
+        black = set(itertools.chain.from_iterable(choice))
+        colors = tuple(p in black for p in range(2 * n))
+        for m in tl.all_matchings(n):
+            if all(colors[p] != colors[q]
+                   and not (zone_of[p] == zone_of[q] and zone_of[p] in sealed)
+                   for p, q in m.pairs()):
+                out.append((colors, m))
+    return out
+
+
 def transposition(n: int, i: int, j: int) -> tuple[int, ...]:
     """The transposition (i j) in S_n, for 1 <= i, j <= n."""
     word = list(range(1, n + 1))

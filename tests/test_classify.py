@@ -433,6 +433,18 @@ def test_decompose_rejects_impossible_case_parameters(monkeypatch):
             classify.decompose((2, 1, 4, 3), validate=False)
 
 
+def test_decompose_names_w_when_312645_is_not_forbidden(monkeypatch):
+    """With 312645 taken off the forbidden list, decompose meets a Case 1 w
+    with b = d = 2, which has no second shape; the error names w as well
+    as its parameters."""
+    monkeypatch.setattr(classify, "FORBIDDEN_PATTERNS", tuple(
+        p for p in classify.FORBIDDEN_PATTERNS if p != (3, 1, 2, 6, 4, 5)))
+    with pytest.raises(VerificationError) as info:
+        classify.decompose((3, 1, 2, 6, 4, 5), validate=False)
+    assert str(info.value) == ("(3, 1, 2, 6, 4, 5): Case1(a=1, b=2, e=0, c=1, d=2): "
+                               "needs a = 1 or c = 1, and b = 1 or d = 1")
+
+
 def test_json_readers_roundtrip():
     """The skew shape and immanant readers against their emitters, for every
     321-avoiding w with n <= 5."""

@@ -652,6 +652,69 @@ def test_evaluate_matches_fraction_oracle():
             assert immanant.evaluate(f, X) == oracles.evaluate(f, X)
 
 
+def evaluate_both_ways(monkeypatch, f, X):
+    """evaluate(f, X), and whether it walked X's support."""
+    calls = []
+    real = immanant._support
+    with monkeypatch.context() as m:
+        m.setattr(immanant, "_support", lambda rows: calls.append(rows) or real(rows))
+        value = immanant.evaluate(f, X)
+    return value, bool(calls)
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_evaluate_walks_the_witness_support(monkeypatch, n):
+    """On the 0/1 witness matrices evaluate agrees with the Fraction oracle,
+    and from n = 5 on it walks their support, which holds fewer
+    permutations than the immanants have terms.  At n = 4 the support of
+    the one witness matrix, of 2143, has 27 row products against 14 terms.
+    Every tenth w at n = 7, where the oracle is slow."""
+    applicable = [w for w in perm.avoiding_321(n) if perm.avoids(w, classify.PATTERN_1324)
+                  and not perm.avoids(w, classify.PATTERN_2143)]
+    for w in applicable[::10 if n == 7 else 1]:
+        X = immanant.witness_matrix(w)
+        for f in (immanant.tl_immanant(w), immanant.percent_immanant(immanant.hull(w))):
+            value, support = evaluate_both_ways(monkeypatch, f, X)
+            assert support == (n >= 5) and value == oracles.evaluate(f, X), w
+
+
+def test_evaluate_walks_agree_on_sparse_and_dense_matrices(monkeypatch):
+    """Both walks against the Fraction oracle, with Fraction coefficients.
+    Against an immanant with every term, permutation matrices from n = 2
+    and seeded matrices at least half zeros (one with a zero row) take the
+    support walk; dense 7 x 7 matrices and n = 0 keep the term walk."""
+    rng = random.Random(31)
+
+    def entry():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+    for n in range(0, 6):
+        universe = list(perm.all_perms(n))
+        full = immanant.Immanant(n, {u: entry() for u in universe})
+        for u in universe:
+            X = [[int(u[i] == j) for j in range(1, n + 1)] for i in range(n)]
+            value, support = evaluate_both_ways(monkeypatch, full, X)
+            assert value == oracles.evaluate(full, X) == full.coeff(u)
+            assert support == (n >= 2)
+        for trial in range(8):
+            X = [[0] * n for _ in range(n)]
+            for cell in rng.sample(range(n * n), n * n // 2):
+                X[cell // n][cell % n] = entry()
+            if n and trial == 0:
+                X[rng.randrange(n)] = [0] * n
+            value, support = evaluate_both_ways(monkeypatch, full, X)
+            assert support == (n > 0) and value == oracles.evaluate(full, X), (n, trial)
+    dense = [[entry() for _ in range(7)] for _ in range(7)]
+    for w in perm.avoiding_321(7)[::120]:
+        for f in (immanant.tl_immanant(w),
+                  immanant.percent_immanant(immanant.hull(w)).scaled(Fraction(2, 3))):
+            value, support = evaluate_both_ways(monkeypatch, f, dense)
+            assert not support and value == oracles.evaluate(f, dense), w
+    for f in (immanant.zero_immanant(0), immanant.Immanant(0, {(): Fraction(-5, 3)})):
+        value, support = evaluate_both_ways(monkeypatch, f, [])
+        assert not support and value == oracles.evaluate(f, [])
+
+
 @pytest.mark.parametrize("n", (4, 5))
 def test_three_equal_rows_kill_tl_immanants(n):
     rng = random.Random(n)
@@ -743,7 +806,7 @@ def test_span_layer_keeps_only_its_kernels():
 
 
 CAPPED_TABLES = [
-    perm.perm_index, perm.avoiding_321, perm.adjacent_1324_pairs,
+    perm.perm_index, perm.symmetry_ranks, perm.avoiding_321, perm.adjacent_1324_pairs,
     immanant.related_classes, immanant.all_tl_immanants, immanant._basis,
     immanant._adjacent_gathers,
     tl.all_matchings, tl._matching_index, tl._steps,

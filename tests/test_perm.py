@@ -100,9 +100,23 @@ def test_contains_pattern_anchors():
 
 @pytest.mark.parametrize("n", range(0, 9))
 def test_321_scan_against_subset_scan(n):
+    """The one-pass test, and avoiding_321, which is built from the avoiders
+    of n - 1, against the subset scan over all of S_n."""
+    avoiders = []
     for w in perm.all_perms(n):
-        assert perm.is_321_avoiding(w) == (
-            not brute_contains_pattern(w, (3, 2, 1))), w
+        avoids = not brute_contains_pattern(w, (3, 2, 1))
+        assert perm.is_321_avoiding(w) == avoids, w
+        if avoids:
+            avoiders.append(w)
+    assert perm.avoiding_321(n) == tuple(avoiders)
+
+
+def test_symmetry_ranks_are_the_ranks_of_inverse_and_conjugate():
+    for n in range(0, 6):
+        perms, rank = perm.perm_index(n)
+        assert perm.symmetry_ranks(n) == (
+            tuple(rank[perm.inverse(u)] for u in perms),
+            tuple(rank[perm.conjugate_by_longest(u)] for u in perms))
 
 
 # The patterns of the paper's classification: 321 and these six.

@@ -1,6 +1,7 @@
 """The suite registry, and the text of a failing check's witness and values."""
 
 import ast
+import functools
 import hashlib
 import random
 from array import array
@@ -10,7 +11,7 @@ import pytest
 
 from tlimm import classify, immanant, perm, verify
 
-from oracles import determinant
+from oracles import determinant, zone_solutions
 
 
 def zero_store(n):
@@ -83,6 +84,28 @@ def test_string_witness_text(monkeypatch):
         "general zone instance has the one constructed solution", "(a,b,c,d,e)=(0,0,0,0,2)", "[]")
 
 
+@pytest.mark.parametrize("n", range(0, 7))
+def test_zone_solutions_against_scan(n):
+    """A7's lookup of proper colorings by black mask finds what the scan of
+    every coloring against every matching finds, in the same order, on
+    every instance of the suite and on the same zones with no seal."""
+    index = verify._proper_coloring_index(n)
+    for _, _, witness, zones, _, _ in verify._a7_instances(n):
+        assert verify._zone_solutions(index, zones) == zone_solutions(n, zones), witness
+        unsealed = [(positions, k, w, False) for positions, k, w, _ in zones]
+        assert verify._zone_solutions(index, unsealed) == zone_solutions(n, unsealed), witness
+
+
+def test_zone_solutions_refuses_what_the_scan_refuses():
+    index = verify._proper_coloring_index(2)
+    for zones in ([(range(3), 1, 2, False)],                          # misses position 3
+                  [(range(2), 1, 1, False), (range(2, 4), 1, 0, True)]):  # 1 + 0 != 2
+        for search in (functools.partial(verify._zone_solutions, index),
+                       functools.partial(zone_solutions, 2)):
+            with pytest.raises(ValueError):
+                search(zones)
+
+
 def test_passing_checks_render_no_witness(monkeypatch):
     """Passing checks render no witness, whether they come one by one (A2,
     A6), in a passing block (A5, A3) or in a failing block that is
@@ -150,10 +173,12 @@ def stream_digest(suite, n):
     ("A4", 5, 252, "afc993becf57941dcc07b8ebdbf8e31bbffa22a211253d57242a80849f30f652"),
     ("A10", 6, 104, "1f483fee67907cd288f951563539d13d25c9cc2b48b9058967cae943e83dab0e"),
     ("A4", 6, 924, "f032df765acaa896f81dfa23798238496ee17fbfe561da2ec1c4c546b393d448"),
-], ids=["A3-7", "A2-6", "A5-5", "A3-6", "A1-6", "A4-5", "A10-6", "A4-6"])
+    ("A7", 5, 140, "21d927564dd7c69efb0bc9aebca09b83ecdf39acaa84276973df847799dcb0e7"),
+    ("A7", 6, 262, "7cc47d080350f99e99139cf892e08967aad8cebdbe80327aac532cea01ead2c8"),
+], ids=["A3-7", "A2-6", "A5-5", "A3-6", "A1-6", "A4-5", "A10-6", "A4-6", "A7-5", "A7-6"])
 def test_check_streams_are_pinned(suite, n, checks, digest):
     """A3's sampled stream at its default seed, A3's exhaustive stream, and
-    the streams of A1, A2, A4, A5 and A10 are pinned check by check, with
+    the streams of A1, A2, A4, A5, A7 and A10 are pinned check by check, with
     every block expanded, so a kernel that changes a claim, a witness, a
     value or the order, not only the count, fails here."""
     assert stream_digest(suite, n) == (checks, digest)
