@@ -502,14 +502,15 @@ def decompose(w: Perm, validate: bool | None = None) -> Decomposition:
         # Case 2 contains 24153 or 31524, and a Case 1 w that avoids the
         # forbidden patterns has a = 1 or c = 1.
         if not isinstance(params, Case1) or 1 not in (params.a, params.c):
-            raise VerificationError(f"{w} avoids the forbidden patterns but has {params}")
+            raise VerificationError(
+                f"{format_perm(w)} avoids the forbidden patterns but has {params}")
         try:
             second = _second_shape(params)
         except VerificationError as exc:
-            raise VerificationError(f"{w}: {exc}") from None
+            raise VerificationError(f"{format_perm(w)}: {exc}") from None
         result = Decomposition("two", sign(w), (hull(w), second))
     if validate:
         expected, actual = shape_sum_columns(w, result)
         if expected != actual:
-            raise VerificationError(f"decomposition of {w} failed validation")
+            raise VerificationError(f"decomposition of {format_perm(w)} failed validation")
     return result

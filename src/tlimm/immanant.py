@@ -28,6 +28,7 @@ from .errors import PreconditionError, VerificationError
 from .perm import (
     Perm,
     adjacent_1324_pairs,
+    adjacent_1324_ranks,
     format_perm,
     inverse,
     is_321_avoiding,
@@ -599,16 +600,6 @@ def witness_matrix(w: Perm) -> tuple[tuple[int, ...], ...]:
 # The span of percent immanants
 
 
-@limits.capped_cache(limits.max_n, "1324-adjacent ranks", maxsize=8)
-def _adjacent_gathers(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Where :func:`alternation_violations` gathers from a rank-indexed
-    column: the ranks of the first and of the second permutation of every
-    1324-adjacent pair, as two tuples in pair order."""
-    rank = perm_index(n).rank
-    pairs = adjacent_1324_pairs(n)
-    return tuple(tuple(rank[pair[side]] for pair in pairs) for side in (0, 1))
-
-
 # Per n, how many byte columns alternation_violations lays out side by
 # side over one block of (n-1)! ranks, so that its u-major copy and the
 # negated one hold a chunk's block, 64 * n! bytes at most, not the batch.
@@ -621,7 +612,9 @@ def alternation_violations(n: int, columns: Sequence[Sequence[Coeff]]
     :func:`all_tl_immanants`: the first 1324-adjacent pair (w, w') in
     :func:`adjacent_1324_pairs` order with f(w) + f(w') != 0, or None when
     f is 1324-sign-alternating.  A column whose length is not n! is a
-    PreconditionError.
+    PreconditionError.  The pairs are read as their two ranks,
+    :func:`adjacent_1324_ranks`; only a violation is turned back into
+    permutations.
 
     The ``array('b')`` columns with no -128 are read in byte lanes, up to
     ``_ALTERNATION_CHUNK`` * n at a time, one block of the (n-1)! ranks
@@ -637,9 +630,9 @@ def alternation_violations(n: int, columns: Sequence[Sequence[Coeff]]
     >>> alternation_violations(4, [all_tl_immanants(4)[(1, 3, 2, 4)], [0] * 24])
     [((1, 2, 3, 4), (1, 3, 2, 4)), None]
     """
-    pairs = adjacent_1324_pairs(n)
-    left, right = _adjacent_gathers(n)
-    size = len(perm_index(n).perms)
+    left, right = adjacent_1324_ranks(n)
+    perms = perm_index(n).perms
+    size = len(perms)
     found: list[tuple[Perm, Perm] | None] = [None] * len(columns)
     bytewise = []
     for i, column in enumerate(columns):
@@ -652,7 +645,9 @@ def alternation_violations(n: int, columns: Sequence[Sequence[Coeff]]
             bytewise.append(i)
         else:
             sums = map(operator.add, map(column.__getitem__, left), map(column.__getitem__, right))
-            found[i] = next(itertools.compress(pairs, sums), None)
+            ranks = next(itertools.compress(zip(left, right), sums), None)
+            if ranks:
+                found[i] = perms[ranks[0]], perms[ranks[1]]
     # A pair swaps two values after position 1, so both of its permutations
     # lie in the block of (n-1)! ranks that share u(1), and each block's
     # pairs are one run of the pair order: a chunk is laid out one block at
@@ -673,15 +668,16 @@ def alternation_violations(n: int, columns: Sequence[Sequence[Coeff]]
             for j, i in enumerate(chunk):
                 rows[j::k] = columns[i][base:base + width]
             neg = rows.translate(_NEGATE)
-            for pair, a, b in zip(pairs[first:end], left[first:end], right[first:end]):
-                a, b = (a - base) * k, (b - base) * k
-                lhs, rhs = rows[a:a + k], neg[b:b + k]
+            for a, b in zip(left[first:end], right[first:end]):
+                x, y = (a - base) * k, (b - base) * k
+                lhs, rhs = rows[x:x + k], neg[y:y + k]
                 if lhs == rhs:
                     continue
                 hit = (int.from_bytes(lhs, "little") ^ int.from_bytes(rhs, "little")) & pending
                 if hit:
-                    for j, x in enumerate(hit.to_bytes(k, "little")):
-                        if x:
+                    pair = perms[a], perms[b]
+                    for j, lane in enumerate(hit.to_bytes(k, "little")):
+                        if lane:
                             found[chunk[j]] = pair
                             pending ^= 0xFF << 8 * j
                     if not pending:

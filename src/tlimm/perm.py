@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from array import array
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import limits
@@ -322,6 +323,34 @@ def avoiding_321(n: int) -> tuple[Perm, ...]:
     return avoiders
 
 
+@limits.capped_cache(limits.max_n, "1324-adjacent ranks", maxsize=8)
+def adjacent_1324_ranks(n: int) -> tuple[array, array]:
+    """The ranks in :func:`perm_index` of the two sides of every pair of
+    :func:`adjacent_1324_pairs`, as two ``array('q')`` in pair order; the
+    first is increasing.  Built from S_(n-1) by
+    :func:`_adjacent_candidates`, so n is held to the whole-S_n cap.
+
+    >>> [list(ranks) for ranks in adjacent_1324_ranks(4)]
+    [[0], [2]]
+    """
+    left, right = array("q"), array("q")
+    if n < 4:
+        return left, right
+    candidates, swapped, bounds = _adjacent_candidates(n - 1)
+    # A pair never swaps position 1, so it lies in the block of ranks that
+    # share u(1) = v: u is v followed by some sigma of S_(n-1), its values
+    # at v and above raised by one, at rank (v - 1)(n - 1)! + rank(sigma).
+    # Raising keeps the order of sigma's values, so a swap of sigma is a
+    # pair of u iff sigma's candidate admits v as its witness below.
+    width = len(perm_index(n).perms) // n
+    for v in range(1, n + 1):
+        keep = [bound >= v for bound in bounds]
+        base = (v - 1) * width
+        left.extend(map(base.__add__, itertools.compress(candidates, keep)))
+        right.extend(map(base.__add__, itertools.compress(swapped, keep)))
+    return left, right
+
+
 @limits.capped_cache(limits.max_n, "1324-adjacent pairs", maxsize=8)
 def adjacent_1324_pairs(n: int) -> tuple[tuple[Perm, Perm], ...]:
     """Every unordered 1324-adjacent pair in S_n, once each: w and w2
@@ -330,31 +359,14 @@ def adjacent_1324_pairs(n: int) -> tuple[tuple[Perm, Perm], ...]:
 
     Each pair is listed from the side with the increasing middle, in the
     order of (rank of w, a, b), and holds the permutations of
-    :func:`perm_index`, not copies.  Built from S_(n-1) by
-    :func:`_adjacent_candidates`, so n is held to the whole-S_n cap.
+    :func:`perm_index`, not copies, read at :func:`adjacent_1324_ranks`.
 
     >>> [tuple(map(format_perm, pair)) for pair in adjacent_1324_pairs(4)]
     [('1234', '1324')]
     """
-    if n < 4:
-        return ()
     perms = perm_index(n).perms
-    left, right, bounds = _adjacent_candidates(n - 1)
-    # A pair never swaps position 1, so it lies in the block of ranks that
-    # share u(1) = v: u is v followed by some sigma of S_(n-1), its values
-    # at v and above raised by one, at rank (v - 1)(n - 1)! + rank(sigma).
-    # Raising keeps the order of sigma's values, so a swap of sigma is a
-    # pair of u iff sigma's candidate admits v as its witness below.
-    width = len(perms) // n
-    pairs: list[tuple[Perm, Perm]] = []
-    for v in range(1, n + 1):
-        keep = [bound >= v for bound in bounds]
-        base = (v - 1) * width
-        pairs.extend(zip(
-            map(perms.__getitem__, map(base.__add__, itertools.compress(left, keep))),
-            map(perms.__getitem__, map(base.__add__, itertools.compress(right, keep))),
-        ))
-    return tuple(pairs)
+    left, right = adjacent_1324_ranks(n)
+    return tuple(zip(map(perms.__getitem__, left), map(perms.__getitem__, right)))
 
 
 def _adjacent_candidates(n: int) -> tuple[list[int], list[int], list[int]]:

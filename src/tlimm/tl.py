@@ -9,7 +9,11 @@ positions, exactly as a balanced bracket sequence.
 
 The package multiplies only on the right by a generator: m . t_i is a
 local surgery on m's unprimed boundary at labels i, i+1, and a closed loop
-multiplies the coefficient by 2.  ``_steps(n)`` tabulates that surgery.
+multiplies the coefficient by 2.  One function, :func:`_glue`, does it in
+place on a pairing list: ``beta(w)`` runs one list along a reduced word and
+interns only the result, and ``_steps(n)`` tabulates it, gluing a copy of
+each pairing and looking the glued tuple up in ``_matching_index(n)``, the
+one index of all_matchings(n), keyed by pairing tuple.
 Theta is multiplied out over the table by one row step,
 :func:`_row_times_theta_gen`, which consumes the row it is given.  It has
 three callers: ``theta(u)``, one step at a time along a reduced word of u;
@@ -42,6 +46,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import operator
 from array import array
 from typing import Iterator, NamedTuple
 
@@ -68,20 +73,16 @@ def catalan(n: int) -> int:
 
 def is_noncrossing(pairing: tuple[int, ...]) -> bool:
     """Check that pairing is a fixed-point-free involution whose chords do
-    not cross, i.e. a balanced bracket sequence."""
-    size = len(pairing)
-    if not all(
-        0 <= pairing[p] < size and pairing[p] != p and pairing[pairing[p]] == p
-        for p in range(size)
-    ):
-        return False
+    not cross, i.e. a balanced bracket sequence: in one pass, each opener
+    is pushed and each closer must pop the opener it is paired with, both
+    ways."""
     stack: list[int] = []
-    for p in range(size):
-        if pairing[p] > p:
-            stack.append(pairing[p])
-        elif stack.pop() != p:
+    for p, q in enumerate(pairing):
+        if q > p:
+            stack.append(p)
+        elif not stack or stack.pop() != q or pairing[q] != p:
             return False
-    return True
+    return not stack
 
 
 @dataclasses.dataclass(frozen=True)
@@ -194,16 +195,16 @@ def generator(n: int, i: int) -> NonCrossingMatching:
     return _matching(n, tuple(pairing))
 
 
-def _attach_generator(m: NonCrossingMatching, i: int) -> tuple[NonCrossingMatching, int]:
-    """m . t_i, a local surgery on m's unprimed boundary at labels i, i+1."""
+def _glue(pairing: list[int], i: int) -> int:
+    """Turn pairing into m . t_i in place, a local surgery on m's unprimed
+    boundary at labels i, i+1, and return the number of loops it closes."""
     p, q = i - 1, i
-    a, b = m.pairing[p], m.pairing[q]
+    a, b = pairing[p], pairing[q]
     if a == q:
-        return m, 1
-    pairing = list(m.pairing)
+        return 1
     pairing[p], pairing[q] = q, p
     pairing[a], pairing[b] = b, a
-    return _matching(m.n, tuple(pairing)), 0
+    return 0
 
 
 @dataclasses.dataclass
@@ -224,12 +225,11 @@ def beta(w: Perm) -> NonCrossingMatching:
     """
     if not is_321_avoiding(w):
         raise PreconditionError(f"{w} contains the pattern 321")
-    m = identity_matching(len(w))
+    pairing = list(range(2 * len(w) - 1, -1, -1))
     for i in reduced_word(w):
-        m, loops = _attach_generator(m, i)
-        if loops:
+        if _glue(pairing, i):
             raise VerificationError(f"t_{i} closes a loop in the product for {w}")
-    return m
+    return _matching(len(w), tuple(pairing))
 
 
 def beta_inv(m: NonCrossingMatching) -> Perm:
@@ -237,38 +237,32 @@ def beta_inv(m: NonCrossingMatching) -> Perm:
 
     Reads the permutation off the pairing structure: in beta(w) each pair
     joins a vertex of weak-excedance type to one of deficiency type, with the
-    weak side carrying the smaller label (ties are fixed points).  Collecting
+    weak side carrying the smaller label (ties are fixed points).  Marking
     the weak positions P and the values V = w(P) determines w, since both
-    subsequences of a 321-avoiding permutation are increasing.
+    subsequences of a 321-avoiding permutation are increasing.  One pass
+    over the chords p < q does it: a cup (both ends unprimed) marks position
+    p + 1, a cap (both primed) the value 2n - p, and a through strand joins
+    position p + 1 to value 2n - q and marks both if p + 1 <= 2n - q.
 
     >>> beta_inv(parse_matching("1-2 1'-2'"))
     (2, 1)
     """
-    n = m.n
-    weak_positions = []
-    weak_values = []
-    for p, q in m.pairs():
-        (i, i_primed) = vertex_of_position(n, p)
-        (j, j_primed) = vertex_of_position(n, q)
-        if not i_primed and not j_primed:
-            weak_positions.append(min(i, j))
-        elif i_primed and j_primed:
-            weak_values.append(max(i, j))
-        else:
-            pos, val = (j, i) if i_primed else (i, j)
-            if pos <= val:
-                weak_positions.append(pos)
-                weak_values.append(val)
-    weak_positions.sort()
-    weak_values.sort()
-    rest_positions = sorted(set(range(1, n + 1)) - set(weak_positions))
-    rest_values = sorted(set(range(1, n + 1)) - set(weak_values))
-    word = [0] * n
-    for pos, val in zip(weak_positions, weak_values):
-        word[pos - 1] = val
-    for pos, val in zip(rest_positions, rest_values):
-        word[pos - 1] = val
-    return tuple(word)
+    n, top = m.n, 2 * m.n - 1
+    weak_position, weak_value = bytearray(n), bytearray(n)
+    for p, q in enumerate(m.pairing):
+        if p > q:
+            continue
+        if q < n:
+            weak_position[p] = 1
+        elif p >= n:
+            weak_value[top - p] = 1
+        elif p <= top - q:
+            weak_position[p] = weak_value[top - q] = 1
+    # The rest values, then the weak ones, each increasing.
+    values = range(1, n + 1)
+    runs = (itertools.compress(values, map(operator.not_, weak_value)),
+            itertools.compress(values, weak_value))
+    return tuple(map(next, map(runs.__getitem__, weak_position)))
 
 
 @limits.capped_cache(limits.max_n, "non-crossing matchings", maxsize=16)
@@ -296,9 +290,10 @@ def all_matchings(n: int) -> tuple[NonCrossingMatching, ...]:
 
 
 @limits.capped_cache(limits.max_n, "matching index", maxsize=16)
-def _matching_index(n: int) -> dict[NonCrossingMatching, int]:
-    """The index of each matching in all_matchings(n)."""
-    return {m: k for k, m in enumerate(all_matchings(n))}
+def _matching_index(n: int) -> dict[tuple[int, ...], int]:
+    """The index in all_matchings(n) of each matching, keyed by its
+    pairing tuple."""
+    return {m.pairing: k for k, m in enumerate(all_matchings(n))}
 
 
 class _Step(NamedTuple):
@@ -317,16 +312,18 @@ _Steps = tuple[_Step, ...]
 @limits.capped_cache(limits.max_n, "Temperley-Lieb step table", maxsize=16)
 def _steps(n: int) -> _Steps:
     """Each generator's moves and their preimages, one pass over the
-    matchings per generator.  The ints are the index's own, so a preimage
+    matchings per generator, each glued in a copy of its pairing and looked
+    up by the glued tuple.  The ints are the index's own, so a preimage
     tuple holds no int objects of its own."""
     index = _matching_index(n)
     table = []
     for d in range(1, n):
         moves = []
         groups: dict[int, list[int]] = {}
-        for m, k in index.items():
-            g, loops = _attach_generator(m, d)
-            j = index[g]
+        for pairing, k in index.items():
+            glued = list(pairing)
+            loops = _glue(glued, d)
+            j = k if loops else index[tuple(glued)]
             moves.append((j, loops))
             if j != k:
                 groups.setdefault(j, []).append(k)
@@ -524,7 +521,7 @@ def f_coeff(w: Perm, u: Perm) -> int:
     steps = _steps(n)
     word = reduced_word(u)
     # The identity matching comes last in all_matchings(n).
-    row, dual = {catalan(n) - 1: 1}, {_matching_index(n)[beta(w)]: 1}
+    row, dual = {catalan(n) - 1: 1}, {_matching_index(n)[beta(w).pairing]: 1}
     front, back = 0, len(word)
     while front < back:
         if len(row) <= len(dual):

@@ -11,8 +11,11 @@ witness is data: a permutation, a string or a dict of labelled parts such as
 a check whose two values differ, and times the stream, so ``suite_aN(n)``
 returns a :class:`VerificationReport`.  A block whose whole-column verdict
 passes adds its count at once; any other block is run check by check, so a
-report is the same either way.  Suites A1-A10 are the acceptance gate;
-``run_suite`` runs one suite at one size.
+report is the same either way.  A VerificationError raised by the stream
+ends it as one more check, a :class:`Failure` with claim "suite raised",
+the last witness yielded (``n=...`` before the first) and the message; a
+PreconditionError or any other exception propagates.  Suites A1-A10 are the
+acceptance gate; ``run_suite`` runs one suite at one size.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import classify, coloring, immanant, perm, tl
 from .classify import PATTERN_1324, PATTERN_2143
+from .errors import VerificationError
 from .perm import Perm
 
 
@@ -114,21 +118,26 @@ def _suite(name: str, sizes: tuple[int, ...]):
         def run(n: int, **kwargs) -> VerificationReport:
             count = 0
             failures: list[Failure] = []
+            witness: object = {"n": n}
             start = time.perf_counter()
-            for item in checks(n, **kwargs):
-                if isinstance(item, _Block):
-                    if item.passes:
-                        count += item.count
-                        continue
-                    stream: Iterable[_Check] = item.expand()
-                else:
-                    stream = (item,)
-                for claim, witness, expected, actual in stream:
-                    count += 1
-                    if expected != actual:
-                        failures.append(
-                            Failure(claim, _render(witness), repr(expected), repr(actual))
-                        )
+            try:
+                for item in checks(n, **kwargs):
+                    if isinstance(item, _Block):
+                        if item.passes:
+                            count += item.count
+                            continue
+                        stream: Iterable[_Check] = item.expand()
+                    else:
+                        stream = (item,)
+                    for claim, witness, expected, actual in stream:
+                        count += 1
+                        if expected != actual:
+                            failures.append(
+                                Failure(claim, _render(witness), repr(expected), repr(actual))
+                            )
+            except VerificationError as exc:
+                count += 1
+                failures.append(Failure("suite raised", _render(witness), "no error", str(exc)))
             return VerificationReport(name, n, count, failures, time.perf_counter() - start)
 
         SUITES[name] = run

@@ -51,6 +51,16 @@ def brute_all_matchings(n: int) -> set[tuple[int, ...]]:
     return out
 
 
+def brute_is_noncrossing(pairing) -> bool:
+    """The definition: pairing is a fixed-point-free involution of its
+    positions with no two chords p < q and r < s such that p < r < q < s."""
+    size = len(pairing)
+    if not all(0 <= q < size and q != p and pairing[q] == p for p, q in enumerate(pairing)):
+        return False
+    chords = [(p, q) for p, q in enumerate(pairing) if p < q]
+    return not any(p < r < q < s for (p, q), (r, s) in itertools.permutations(chords, 2))
+
+
 @functools.lru_cache(maxsize=None)
 def beta_lookup(n: int):
     """Enumeration-based inverse of beta: matching -> permutation."""

@@ -441,7 +441,7 @@ def test_decompose_names_w_when_312645_is_not_forbidden(monkeypatch):
         p for p in classify.FORBIDDEN_PATTERNS if p != (3, 1, 2, 6, 4, 5)))
     with pytest.raises(VerificationError) as info:
         classify.decompose((3, 1, 2, 6, 4, 5), validate=False)
-    assert str(info.value) == ("(3, 1, 2, 6, 4, 5): Case1(a=1, b=2, e=0, c=1, d=2): "
+    assert str(info.value) == ("312645: Case1(a=1, b=2, e=0, c=1, d=2): "
                                "needs a = 1 or c = 1, and b = 1 or d = 1")
 
 

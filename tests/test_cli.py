@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlimm import cli, immanant, perm, render, tl, verify
+from tlimm import classify, cli, immanant, perm, render, tl, verify
 
 
 def run(capsys, *argv):
@@ -122,6 +122,27 @@ def test_verify_failure_prints_rerun_command(capsys, monkeypatch):
     code, out = run(capsys, "verify", "--suite", "A7", "--n", "6")
     assert code == cli.EXIT_MISMATCH
     assert out.splitlines().count("  rerun: tlimm verify --suite A7 --n 6") == 1
+
+
+def test_verify_all_reports_a_suite_that_raises(capsys, monkeypatch):
+    """With 312645 off the forbidden list, decompose raises in A2 at n = 6:
+    the run prints that as an A2 FAIL line naming 312645 with its rerun
+    line, and still reports every other (suite, n)."""
+    monkeypatch.setattr(classify, "FORBIDDEN_PATTERNS", tuple(
+        p for p in classify.FORBIDDEN_PATTERNS if p != (3, 1, 2, 6, 4, 5)))
+    code, out = run(capsys, "verify", "--suite", "all")
+    assert code == cli.EXIT_MISMATCH
+    lines = out.splitlines()
+    failed = lines.index(next(line for line in lines if line.startswith("A2 n=6: ")))
+    assert ", 1 FAILED, " in lines[failed]
+    assert lines[failed + 1].startswith("  FAIL suite raised [")
+    assert "312645: Case1(a=1, b=2, e=0, c=1, d=2)" in lines[failed + 1]
+    assert lines[failed + 2] == "  rerun: tlimm verify --suite A2 --n 6"
+    summaries = [line.split(":")[0] for line in lines if not line.startswith((" ", "total"))]
+    assert summaries == [f"{name} n={n}" for name, sizes in verify.DEFAULT_SIZES.items()
+                         for n in sizes]
+    assert sum(" ok, " in line for line in lines) == len(summaries) - 1
+    assert lines[-1].endswith(" checks, 1 failures")
 
 
 @pytest.mark.parametrize("argv, message", [

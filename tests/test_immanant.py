@@ -807,8 +807,8 @@ def test_span_layer_keeps_only_its_kernels():
 
 CAPPED_TABLES = [
     perm.perm_index, perm.symmetry_ranks, perm.avoiding_321, perm.adjacent_1324_pairs,
-    immanant.related_classes, immanant.all_tl_immanants, immanant._basis,
-    immanant._adjacent_gathers,
+    perm.adjacent_1324_ranks, immanant.related_classes, immanant.all_tl_immanants,
+    immanant._basis,
     tl.all_matchings, tl._matching_index, tl._steps,
     coloring._compatibility_table,
 ]
@@ -903,6 +903,8 @@ def test_alternation_scans_are_capped(monkeypatch):
     monkeypatch.setenv("TLIMM_MAX_N", "4")
     with pytest.raises(LimitError):
         perm.adjacent_1324_pairs(5)
+    with pytest.raises(LimitError):
+        perm.adjacent_1324_ranks(5)
     with pytest.raises(LimitError):
         immanant.alternation_violations(5, [column])
     with pytest.raises(LimitError):

@@ -264,11 +264,15 @@ def test_adjacent_pairs_match_predicate(n):
 @pytest.mark.parametrize("n", range(0, 8))
 def test_adjacent_pairs_order_matches_definition(n):
     """The pairs come in the order of a rebuild from the definition, and are
-    the permutation objects of perm_index."""
+    the permutation objects of perm_index; the rank arrays hold the ranks of
+    the rebuild's two sides."""
     pairs = perm.adjacent_1324_pairs(n)
-    assert list(pairs) == adjacent_pairs_by_definition(n)
+    expected = adjacent_pairs_by_definition(n)
+    assert list(pairs) == expected
     perms, rank = perm.perm_index(n)
     assert all(u is perms[rank[u]] for pair in pairs for u in pair)
+    left, right = perm.adjacent_1324_ranks(n)
+    assert list(zip(left, right)) == [(rank[w], rank[w2]) for w, w2 in expected]
 
 
 def test_perm_index_order():

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import os
 import random
 import subprocess
@@ -12,7 +13,15 @@ from hypothesis import strategies as st
 from tlimm import perm, tl, verify
 from tlimm.errors import LimitError, PreconditionError, VerificationError
 
-from oracles import beta_lookup, bruhat_leq, brute_all_matchings, glue, tl_product
+from oracles import (
+    beta_lookup,
+    bruhat_leq,
+    brute_all_matchings,
+    brute_is_noncrossing,
+    compose_word,
+    glue,
+    tl_product,
+)
 
 
 def test_generator_diagrams():
@@ -64,6 +73,26 @@ def test_noncrossing_chords_span_odd_gaps(n):
     assert found == tl.catalan(n)
 
 
+@pytest.mark.parametrize("size", range(7))
+def test_is_noncrossing_against_definition(size):
+    """The one stack pass against the definition on every tuple of
+    entries in -1..size for size <= 5, and over 0..5 at size 6: out of
+    range, fixed points, non-involutions and odd lengths included.  The
+    constructor refuses every tuple the definition rejects."""
+    values = range(-1, size + 1) if size <= 5 else range(6)
+    accepted = 0
+    for pairing in itertools.product(values, repeat=size):
+        expected = brute_is_noncrossing(pairing)
+        assert tl.is_noncrossing(pairing) == expected, pairing
+        if expected:
+            accepted += 1
+            tl.NonCrossingMatching(size // 2, pairing)
+        else:
+            with pytest.raises(ValueError):
+                tl.NonCrossingMatching(size // 2, pairing)
+    assert accepted == (tl.catalan(size // 2) if size % 2 == 0 else 0)
+
+
 def test_equal_matchings_hash_equal():
     """The hash is taken once, from (n, pairing); equality, repr and the
     interning of _matching are as before."""
@@ -79,16 +108,16 @@ def test_equal_matchings_hash_equal():
 
 
 def test_matchings_stay_interned_at_n10(monkeypatch):
-    """The interning cache holds every matching up to n = 10, so each
-    product m . t_1 over all_matchings(10) is one of its objects; the
-    n = 10 table is dropped afterwards."""
+    """The interning cache holds every matching up to n = 10, so beta(w)
+    of each 321-avoiding w of S_10 is one of the objects of
+    all_matchings(10); the n = 10 tables are dropped afterwards."""
     monkeypatch.setenv("TLIMM_MAX_N", "10")
     try:
-        matchings = tl.all_matchings(10)
-        interned = set(map(id, matchings))
-        assert all(id(tl._attach_generator(m, 1)[0]) in interned for m in matchings)
+        interned = set(map(id, tl.all_matchings(10)))
+        assert all(id(tl.beta(w)) in interned for w in perm.avoiding_321(10))
     finally:
         tl.all_matchings.cache_clear()
+        perm.avoiding_321.cache_clear()
 
 
 def test_validation_survives_python_O():
@@ -145,9 +174,51 @@ def test_beta_anchor():
 
 
 def test_beta_rejects_a_closed_loop(monkeypatch):
-    monkeypatch.setattr(tl, "_attach_generator", lambda m, i: (m, 1))
+    """With the word (1, 1), the second t_1 meets the cup the first one
+    made and closes a loop."""
+    monkeypatch.setattr(tl, "reduced_word", lambda w: (1, 1))
     with pytest.raises(VerificationError, match="t_1 closes a loop"):
         tl.beta((2, 1))
+
+
+def _word_by_last_descent(w):
+    """A reduced word of w, built by peeling off its last descent: if
+    w(i) > w(i+1) is the last one, v = w s_i is one shorter and w = v s_i,
+    so a reduced word of v followed by i is one of w."""
+    word, w = [], list(w)
+    while descents := [i for i in range(1, len(w)) if w[i - 1] > w[i]]:
+        i = descents[-1]
+        w[i - 1], w[i] = w[i], w[i - 1]
+        word.append(i)
+    return tuple(reversed(word))
+
+
+def _glued_product(n, word):
+    """The product of the generator diagrams along word, by the gluing
+    oracle, and the loops it closed."""
+    m, loops = tl.identity_matching(n), 0
+    for i in word:
+        m, closed = glue(m, tl.generator(n, i))
+        loops += closed
+    return m, loops
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_beta_is_the_glued_product_of_any_reduced_word(n):
+    """beta(w) against the gluing oracle, which shares no code with the
+    in-place surgery, along reduced_word(w) and along a second reduced
+    word peeled from the last descent; neither product closes a loop.
+    From n = 4 on, where s_1 and s_3 commute, the two words differ for
+    some w."""
+    differ = 0
+    for w in perm.avoiding_321(n):
+        word, other = perm.reduced_word(w), _word_by_last_descent(w)
+        assert len(other) == perm.length(w)
+        assert compose_word(n, other) == w
+        differ += word != other
+        for product in (word, other):
+            assert _glued_product(n, product) == (tl.beta(w), 0), (w, product)
+    assert differ > 0 or n < 4
 
 
 def test_theta_anchors():
@@ -235,7 +306,8 @@ def test_step_preimages_list_every_moved_matching(n):
     assert len(steps) == max(n - 1, 0)
     for d, (moves, preimages) in enumerate(steps, start=1):
         assert len(moves) == len(preimages) == tl.catalan(n)
-        assert [tl._attach_generator(m, d) for m in matchings] == [
+        t_d = tl.generator(n, d)
+        assert [glue(m, t_d) for m in matchings] == [
             (matchings[g], loops) for g, loops in moves]
         for j in range(len(moves)):
             moved = tuple(k for k, (g, _) in enumerate(moves) if g == j != k)

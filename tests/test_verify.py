@@ -1,6 +1,7 @@
 """The suite registry, and the text of a failing check's witness and values."""
 
 import ast
+import dataclasses
 import functools
 import hashlib
 import random
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from tlimm import classify, immanant, perm, verify
+from tlimm.errors import PreconditionError, VerificationError
 
 from oracles import determinant, zone_solutions
 
@@ -82,6 +84,40 @@ def test_string_witness_text(monkeypatch):
     first = verify.suite_a7(2).failures[0]
     assert (first.claim, first.witness, first.actual) == (
         "general zone instance has the one constructed solution", "(a,b,c,d,e)=(0,0,0,0,2)", "[]")
+
+
+def test_a_raised_verification_error_is_one_failed_check(monkeypatch):
+    """A VerificationError ends the stream as one more check, shown with
+    the last witness yielded; before the first, the witness is n."""
+    monkeypatch.setattr(classify, "FORBIDDEN_PATTERNS", tuple(
+        p for p in classify.FORBIDDEN_PATTERNS if p != (3, 1, 2, 6, 4, 5)))
+    report = verify.suite_a2(6)
+    passing = [w for w in perm.avoiding_321(6) if w < (3, 1, 2, 6, 4, 5)]
+    assert report.checks == sum(2 + classify.avoids_main_patterns(w) for w in passing) + 1
+    assert [dataclasses.astuple(f) for f in report.failures] == [(
+        "suite raised", perm.format_perm(passing[-1]), "no error",
+        "312645: Case1(a=1, b=2, e=0, c=1, d=2): needs a = 1 or c = 1, and b = 1 or d = 1")]
+
+    def broken(w, validate=None):
+        raise VerificationError("broken")
+
+    monkeypatch.setattr(classify, "decompose", broken)
+    report = verify.suite_a2(3)
+    assert report.checks == 1
+    assert [dataclasses.astuple(f) for f in report.failures] == [
+        ("suite raised", "n=3", "no error", "broken")]
+
+
+def test_other_errors_still_propagate(monkeypatch):
+    def refused(w, validate=None):
+        raise PreconditionError("refused")
+
+    monkeypatch.setattr(classify, "decompose", refused)
+    with pytest.raises(PreconditionError, match="refused"):
+        verify.suite_a2(3)
+    monkeypatch.setattr(classify, "decompose", lambda w, validate=None: 1 // 0)
+    with pytest.raises(ZeroDivisionError):
+        verify.suite_a2(3)
 
 
 @pytest.mark.parametrize("n", range(0, 7))
