@@ -27,7 +27,6 @@ from . import limits
 from .errors import PreconditionError, VerificationError
 from .perm import (
     Perm,
-    adjacent_1324_pairs,
     adjacent_1324_ranks,
     format_perm,
     inverse,
@@ -609,12 +608,11 @@ _ALTERNATION_CHUNK = 64
 def alternation_violations(n: int, columns: Sequence[Sequence[Coeff]]
                            ) -> list[tuple[Perm, Perm] | None]:
     """For each rank-indexed column f, such as a store column of
-    :func:`all_tl_immanants`: the first 1324-adjacent pair (w, w') in
-    :func:`adjacent_1324_pairs` order with f(w) + f(w') != 0, or None when
-    f is 1324-sign-alternating.  A column whose length is not n! is a
-    PreconditionError.  The pairs are read as their two ranks,
-    :func:`adjacent_1324_ranks`; only a violation is turned back into
-    permutations.
+    :func:`all_tl_immanants`: the first 1324-adjacent pair (w, w') in the
+    pair order of :func:`adjacent_1324_ranks` with f(w) + f(w') != 0, or
+    None when f is 1324-sign-alternating.  A column whose length is not n!
+    is a PreconditionError.  The pairs are read as their two ranks; only a
+    violation is turned back into permutations.
 
     The ``array('b')`` columns with no -128 are read in byte lanes, up to
     ``_ALTERNATION_CHUNK`` * n at a time, one block of the (n-1)! ranks
@@ -692,33 +690,42 @@ def alternation_violations(n: int, columns: Sequence[Sequence[Coeff]]
 def related_classes(n: int) -> tuple[tuple[Perm, ...], ...]:
     """The partition of S_n by the transitive closure of 1324-adjacency,
     each class sorted, classes ordered by their minimum.  The classes hold
-    the permutations of :func:`perm_index`, not copies."""
+    the permutations of :func:`perm_index`, not copies.
+
+    >>> [tuple(map(format_perm, c)) for c in related_classes(4) if len(c) > 1]
+    [('1234', '1324')]
+    >>> minima = [c[0] for c in related_classes(7)]
+    >>> minima == sorted(minima)
+    True
+    """
     perms = perm_index(n).perms
-    parent: dict[Perm, Perm] = {u: u for u in perms}
+    # Union-find over ranks; each union hangs the larger root under the
+    # smaller, so every root is the least rank of its class.
+    parent = list(range(len(perms)))
 
-    def find(u: Perm) -> Perm:
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
+    def find(r: int) -> int:
+        while parent[r] != r:
+            parent[r] = parent[parent[r]]
+            r = parent[r]
+        return r
 
-    for w, w2 in adjacent_1324_pairs(n):
-        ra, rb = find(w), find(w2)
-        if ra != rb:
-            parent[rb] = ra
-    groups: dict[Perm, list[Perm]] = {}
-    for u in perms:
-        groups.setdefault(find(u), []).append(u)
-    return tuple(
-        tuple(sorted(members)) for _, members in sorted(groups.items())
-    )
+    for a, b in zip(*adjacent_1324_ranks(n)):
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    # In rank order, a class is first met at its root, so classes come out
+    # ordered by their minimum and each class sorted.
+    groups: dict[int, list[Perm]] = {}
+    for r, u in enumerate(perms):
+        groups.setdefault(find(r), []).append(u)
+    return tuple(map(tuple, groups.values()))
 
 
 def percent_basis_decompose(f: Immanant) -> list[tuple[Perm, Coeff]]:
     """Write f as a sum of coefficient * (sum of sign(u) u over a class of
-    :func:`related_classes`), each class named by its minimum; f must be
-    1324-sign-alternating, which :func:`alternation_violations` tests on f
-    listed by rank in the capped :func:`perm_index`, zeros included.
+    :func:`related_classes`), each class named by its minimum, the terms
+    in increasing order of it; f must be 1324-sign-alternating, which
+    :func:`alternation_violations` tests on f listed by rank in the capped
+    :func:`perm_index`, zeros included.
 
     >>> percent_basis_decompose(zero_immanant(3))
     []

@@ -325,13 +325,21 @@ def avoiding_321(n: int) -> tuple[Perm, ...]:
 
 @limits.capped_cache(limits.max_n, "1324-adjacent ranks", maxsize=8)
 def adjacent_1324_ranks(n: int) -> tuple[array, array]:
-    """The ranks in :func:`perm_index` of the two sides of every pair of
-    :func:`adjacent_1324_pairs`, as two ``array('q')`` in pair order; the
-    first is increasing.  Built from S_(n-1) by
-    :func:`_adjacent_candidates`, so n is held to the whole-S_n cap.
+    """Every unordered 1324-adjacent pair in S_n, once each, as the ranks
+    in :func:`perm_index` of its two sides: w and w2 differ by swapping
+    the values at positions a < b, and some c < a and d > b hold values
+    below and above both swapped values.
+
+    Each pair is listed from the side with the increasing middle, in
+    (rank of w, a, b) order, the pair order; the two ``array('q')`` hold
+    the ranks of w and of w2, and the first is increasing.  Built from
+    S_(n-1) by :func:`_adjacent_candidates`, so n is held to the whole-S_n
+    cap.
 
     >>> [list(ranks) for ranks in adjacent_1324_ranks(4)]
     [[0], [2]]
+    >>> [format_perm(perm_index(4).perms[r]) for r in (0, 2)]
+    ['1234', '1324']
     """
     left, right = array("q"), array("q")
     if n < 4:
@@ -349,24 +357,6 @@ def adjacent_1324_ranks(n: int) -> tuple[array, array]:
         left.extend(map(base.__add__, itertools.compress(candidates, keep)))
         right.extend(map(base.__add__, itertools.compress(swapped, keep)))
     return left, right
-
-
-@limits.capped_cache(limits.max_n, "1324-adjacent pairs", maxsize=8)
-def adjacent_1324_pairs(n: int) -> tuple[tuple[Perm, Perm], ...]:
-    """Every unordered 1324-adjacent pair in S_n, once each: w and w2
-    differ by swapping the values at positions a < b, and some c < a and
-    d > b hold values below and above both swapped values.
-
-    Each pair is listed from the side with the increasing middle, in the
-    order of (rank of w, a, b), and holds the permutations of
-    :func:`perm_index`, not copies, read at :func:`adjacent_1324_ranks`.
-
-    >>> [tuple(map(format_perm, pair)) for pair in adjacent_1324_pairs(4)]
-    [('1234', '1324')]
-    """
-    perms = perm_index(n).perms
-    left, right = adjacent_1324_ranks(n)
-    return tuple(zip(map(perms.__getitem__, left), map(perms.__getitem__, right)))
 
 
 def _adjacent_candidates(n: int) -> tuple[list[int], list[int], list[int]]:

@@ -13,7 +13,8 @@ returns a :class:`VerificationReport`.  A block whose whole-column verdict
 passes adds its count at once; any other block is run check by check, so a
 report is the same either way.  A VerificationError raised by the stream
 ends it as one more check, a :class:`Failure` with claim "suite raised",
-the last witness yielded (``n=...`` before the first) and the message; a
+witness ``after <the last witness yielded>`` (the input that raised comes
+after that check; ``n=...`` before the first) and the message; a
 PreconditionError or any other exception propagates.  Suites A1-A10 are the
 acceptance gate; ``run_suite`` runs one suite at one size.
 """
@@ -118,7 +119,7 @@ def _suite(name: str, sizes: tuple[int, ...]):
         def run(n: int, **kwargs) -> VerificationReport:
             count = 0
             failures: list[Failure] = []
-            witness: object = {"n": n}
+            witness: object = None
             start = time.perf_counter()
             try:
                 for item in checks(n, **kwargs):
@@ -137,7 +138,8 @@ def _suite(name: str, sizes: tuple[int, ...]):
                             )
             except VerificationError as exc:
                 count += 1
-                failures.append(Failure("suite raised", _render(witness), "no error", str(exc)))
+                where = f"n={n}" if witness is None else f"after {_render(witness)}"
+                failures.append(Failure("suite raised", where, "no error", str(exc)))
             return VerificationReport(name, n, count, failures, time.perf_counter() - start)
 
         SUITES[name] = run

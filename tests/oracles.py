@@ -284,7 +284,8 @@ def is_1324_adjacent(w, w2) -> bool:
     )
 
 
-def adjacent_pairs_by_definition(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+@functools.lru_cache(maxsize=None)
+def adjacent_pairs_by_definition(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Every 1324-adjacent pair of S_n by is_1324_adjacent alone, each once,
     from its side w with w(a) < w(b): adjacent permutations differ by one
     swap, so each w in lexicographic order tries the swap of each pair of
@@ -297,15 +298,15 @@ def adjacent_pairs_by_definition(n: int) -> list[tuple[tuple[int, ...], tuple[in
                 other[a], other[b] = w[b], w[a]
                 if is_1324_adjacent(w, tuple(other)):
                     pairs.append((w, tuple(other)))
-    return pairs
+    return tuple(pairs)
 
 
 def find_alternation_violation(f):
-    """The first 1324-adjacent pair (w, w2) of perm.adjacent_1324_pairs with
-    f(w) != -f(w2), read pair by pair from f's coefficient dict; None when
-    there is none."""
+    """The first 1324-adjacent pair (w, w2) of adjacent_pairs_by_definition
+    with f(w) != -f(w2), read pair by pair from f's coefficient dict; None
+    when there is none."""
     coeffs = f.coeffs
-    for w, w2 in perm.adjacent_1324_pairs(f.n):
+    for w, w2 in adjacent_pairs_by_definition(f.n):
         if coeffs.get(w, 0) != -coeffs.get(w2, 0):
             return w, w2
     return None

@@ -82,6 +82,11 @@ def test_classes(capsys):
     code, out = run(capsys, "classes", "3")
     data = json.loads(out)
     assert data["n"] == 3 and len(data["classes"]) == 6
+    # Listed by minimum, also at n = 7, where a union-find root need not be
+    # the least member of its class.
+    code, out = run(capsys, "classes", "7")
+    minima = [perm.parse_perm(c[0]) for c in json.loads(out)["classes"]]
+    assert code == 0 and all(a < b for a, b in zip(minima, minima[1:]))
 
 
 def test_eval(tmp_path, capsys):
@@ -135,7 +140,7 @@ def test_verify_all_reports_a_suite_that_raises(capsys, monkeypatch):
     lines = out.splitlines()
     failed = lines.index(next(line for line in lines if line.startswith("A2 n=6: ")))
     assert ", 1 FAILED, " in lines[failed]
-    assert lines[failed + 1].startswith("  FAIL suite raised [")
+    assert lines[failed + 1].startswith("  FAIL suite raised [after 312564]: expected no error")
     assert "312645: Case1(a=1, b=2, e=0, c=1, d=2)" in lines[failed + 1]
     assert lines[failed + 2] == "  rerun: tlimm verify --suite A2 --n 6"
     summaries = [line.split(":")[0] for line in lines if not line.startswith((" ", "total"))]

@@ -318,7 +318,7 @@ def test_alternation_with_minus_128_takes_the_generic_path():
     """-128 is its own negation as a byte, so a column holding it on both
     sides of a pair is read by sums, where the pair does not cancel.  In a
     batch, the byte and list columns around it keep their own answers."""
-    first = perm.adjacent_1324_pairs(4)[0]
+    first = oracles.adjacent_pairs_by_definition(4)[0]
     rank = perm.perm_index(4).rank
     outside = next(r for u, r in rank.items() if u not in first)
 
@@ -357,7 +357,7 @@ def test_alternation_blocks_settle_in_pair_order():
     perms, rank = perm.perm_index(n)
     width = math.factorial(n - 1)
     blocks = {}
-    for pair in perm.adjacent_1324_pairs(n):
+    for pair in oracles.adjacent_pairs_by_definition(n):
         blocks.setdefault(rank[pair[0]] // width, []).append(pair)
     head, tail = blocks[min(blocks)], blocks[max(blocks)]
     assert min(blocks) == 0 and max(blocks) > 0
@@ -382,7 +382,8 @@ def test_alternation_without_pairs_finds_nothing(n):
     rng = random.Random(n)
     columns = [array("b", bytes(size)), array("b", rng.randbytes(size)),
                array("b", [-128] * size), list(range(size))]
-    assert perm.adjacent_1324_pairs(n) == ()
+    assert perm.adjacent_1324_ranks(n) == (array("q"), array("q"))
+    assert oracles.adjacent_pairs_by_definition(n) == ()
     assert immanant.alternation_violations(n, columns) == [None] * 4 == [
         oracles.find_alternation_violation(immanant.Immanant(n, {})) for _ in columns]
 
@@ -772,6 +773,16 @@ def test_classes_examples():
     }
 
 
+@pytest.mark.parametrize("n", range(0, 9))
+def test_related_classes_are_ordered_by_minimum(n):
+    """Each class is sorted and their minima strictly increase, also from
+    n = 7 on, where a union-find root need not be the least member."""
+    classes = immanant.related_classes(n)
+    minima = [c[0] for c in classes]
+    assert all(a < b for a, b in zip(minima, minima[1:]))
+    assert all(list(c) == sorted(c) for c in classes)
+
+
 def test_percent_basis_decompose():
     assert immanant.percent_basis_decompose(immanant.zero_immanant(3)) == []
     for n in (3, 4, 5):
@@ -794,21 +805,25 @@ def test_percent_basis_decompose():
     assert rebuilt == f
     with pytest.raises(PreconditionError):
         immanant.percent_basis_decompose(immanant.tl_immanant((2, 4, 1, 5, 3)))
+    # Terms in increasing order of representative, also at n = 7.
+    f = immanant.percent_immanant(immanant.hull(perm.parse_perm("3416725")))
+    reps = [rep for rep, _ in immanant.percent_basis_decompose(f)]
+    assert reps == sorted(set(reps)) and len(reps) > 1
 
 
 def test_span_layer_keeps_only_its_kernels():
-    """Membership is alternation_violations on columns and the class
-    indicators are plain Immanants: no wrapper restates either."""
-    for module in (tlimm, immanant):
+    """Membership is alternation_violations on columns, the class
+    indicators are plain Immanants and 1324-adjacency is one rank table: no
+    wrapper restates any of them."""
+    for module in (tlimm, immanant, perm):
         for name in ("is_1324_sign_alternating", "_dense", "class_indicator",
-                     "alternation_violation"):
+                     "alternation_violation", "adjacent_1324_pairs"):
             assert not hasattr(module, name), (module.__name__, name)
 
 
 CAPPED_TABLES = [
-    perm.perm_index, perm.symmetry_ranks, perm.avoiding_321, perm.adjacent_1324_pairs,
-    perm.adjacent_1324_ranks, immanant.related_classes, immanant.all_tl_immanants,
-    immanant._basis,
+    perm.perm_index, perm.symmetry_ranks, perm.avoiding_321, perm.adjacent_1324_ranks,
+    immanant.related_classes, immanant.all_tl_immanants, immanant._basis,
     tl.all_matchings, tl._matching_index, tl._steps,
     coloring._compatibility_table,
 ]
@@ -901,8 +916,6 @@ def test_alternation_scans_are_capped(monkeypatch):
     column = immanant.all_tl_immanants(5)[perm.identity(5)]
     assert immanant.alternation_violations(5, [column]) == [None]
     monkeypatch.setenv("TLIMM_MAX_N", "4")
-    with pytest.raises(LimitError):
-        perm.adjacent_1324_pairs(5)
     with pytest.raises(LimitError):
         perm.adjacent_1324_ranks(5)
     with pytest.raises(LimitError):

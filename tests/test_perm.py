@@ -249,30 +249,31 @@ def test_1324_adjacent():
     assert not is_1324_adjacent((2, 1, 4, 3), (2, 4, 1, 3))
 
 
+def adjacent_pairs(n):
+    """The pairs of adjacent_1324_ranks(n) read as permutations."""
+    perms = perm.perm_index(n).perms
+    return [(perms[a], perms[b]) for a, b in zip(*perm.adjacent_1324_ranks(n))]
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_adjacent_pairs_match_predicate(n):
     """Each listed pair is adjacent and listed once, and every adjacent
     pair of the rebuild from the definition is listed."""
     listed = set()
-    for w, w2 in perm.adjacent_1324_pairs(n):
+    for w, w2 in adjacent_pairs(n):
         assert is_1324_adjacent(w, w2)
         listed.add(frozenset((w, w2)))
-    assert len(listed) == len(perm.adjacent_1324_pairs(n))
+    assert len(listed) == len(adjacent_pairs(n))
     assert listed == set(map(frozenset, adjacent_pairs_by_definition(n)))
 
 
 @pytest.mark.parametrize("n", range(0, 8))
 def test_adjacent_pairs_order_matches_definition(n):
-    """The pairs come in the order of a rebuild from the definition, and are
-    the permutation objects of perm_index; the rank arrays hold the ranks of
-    the rebuild's two sides."""
-    pairs = perm.adjacent_1324_pairs(n)
-    expected = adjacent_pairs_by_definition(n)
-    assert list(pairs) == expected
-    perms, rank = perm.perm_index(n)
-    assert all(u is perms[rank[u]] for pair in pairs for u in pair)
-    left, right = perm.adjacent_1324_ranks(n)
-    assert list(zip(left, right)) == [(rank[w], rank[w2]) for w, w2 in expected]
+    """The rank arrays hold the ranks of the two sides of the pairs of a
+    rebuild from the definition, in its order, the first array increasing."""
+    left, _ = perm.adjacent_1324_ranks(n)
+    assert adjacent_pairs(n) == list(adjacent_pairs_by_definition(n))
+    assert list(left) == sorted(left)
 
 
 def test_perm_index_order():

@@ -87,15 +87,15 @@ def test_string_witness_text(monkeypatch):
 
 
 def test_a_raised_verification_error_is_one_failed_check(monkeypatch):
-    """A VerificationError ends the stream as one more check, shown with
-    the last witness yielded; before the first, the witness is n."""
+    """A VerificationError ends the stream as one more check, shown as
+    after the last witness yielded; before the first, the witness is n."""
     monkeypatch.setattr(classify, "FORBIDDEN_PATTERNS", tuple(
         p for p in classify.FORBIDDEN_PATTERNS if p != (3, 1, 2, 6, 4, 5)))
     report = verify.suite_a2(6)
     passing = [w for w in perm.avoiding_321(6) if w < (3, 1, 2, 6, 4, 5)]
     assert report.checks == sum(2 + classify.avoids_main_patterns(w) for w in passing) + 1
     assert [dataclasses.astuple(f) for f in report.failures] == [(
-        "suite raised", perm.format_perm(passing[-1]), "no error",
+        "suite raised", f"after {perm.format_perm(passing[-1])}", "no error",
         "312645: Case1(a=1, b=2, e=0, c=1, d=2): needs a = 1 or c = 1, and b = 1 or d = 1")]
 
     def broken(w, validate=None):
