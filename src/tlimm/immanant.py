@@ -304,6 +304,26 @@ def _spread(data: bytes) -> int:
     return int.from_bytes(lanes, "little")
 
 
+# _FLIP[x] is 1 - x on the bytes 0 and 1: the other parity.
+_FLIP = bytes([1, 0]) + bytes(254)
+
+
+def _odd_lanes(n: int) -> bytes:
+    """One byte per rank of perm_index(n): 1 for the odd permutations.  S_m
+    in rank order is m blocks of S_(m-1), block v led by the value v + 1,
+    which adds v inversions; so the lanes of S_m are those of S_(m-1) and
+    their flip, alternating block by block.
+
+    >>> _odd_lanes(3)
+    b'\\x00\\x01\\x01\\x00\\x00\\x01'
+    """
+    odd = b"\x00"
+    for m in range(2, n + 1):
+        flip = odd.translate(_FLIP)
+        odd = b"".join(flip if v & 1 else odd for v in range(m))
+    return odd
+
+
 @limits.capped_cache(limits.max_n, "column basis", maxsize=4)
 def _basis(n: int) -> _Basis:
     perms = perm_index(n).perms
@@ -313,9 +333,8 @@ def _basis(n: int) -> _Basis:
     below = tuple(
         (0, *(int.from_bytes(values.translate(table), "little") for table in at_most), ones)
         for values in map(bytes, zip(*perms)))
-    odd = bytes(sign(u) < 0 for u in perms)
     return _Basis(below, ones, _spread(b"\x01" * len(perms)),
-                  0xFF * int.from_bytes(odd, "little"))
+                  0xFF * int.from_bytes(_odd_lanes(n), "little"))
 
 
 def _runs(n: int, allowed: Iterable[int]) -> Iterable[tuple[int, int]]:
@@ -605,6 +624,21 @@ def witness_matrix(w: Perm) -> tuple[tuple[int, ...], ...]:
 _ALTERNATION_CHUNK = 64
 
 
+def u_major(columns: Sequence[array], start: int, stop: int) -> bytearray:
+    """k byte columns over the ranks start..stop - 1 laid out u-major: row
+    r - start holds the k bytes columns[0][r], ..., columns[k - 1][r], so
+    rows compare and gather k columns at once.
+
+    >>> list(u_major([array("b", [1, 2, 3]), array("b", [4, 5, 6])], 1, 3))
+    [2, 5, 3, 6]
+    """
+    k = len(columns)
+    rows = bytearray(k * (stop - start))
+    for j, column in enumerate(columns):
+        rows[j::k] = column[start:stop]
+    return rows
+
+
 def alternation_violations(n: int, columns: Sequence[Sequence[Coeff]]
                            ) -> list[tuple[Perm, Perm] | None]:
     """For each rank-indexed column f, such as a store column of
@@ -617,11 +651,12 @@ def alternation_violations(n: int, columns: Sequence[Sequence[Coeff]]
     The ``array('b')`` columns with no -128 are read in byte lanes, up to
     ``_ALTERNATION_CHUNK`` * n at a time, one block of the (n-1)! ranks
     that share u(1) after another: row r of the block holds the k bytes
-    f(u_r) of the chunk's k columns, a second copy is negated by one
-    translate, and each of the block's pairs compares its left row with
-    its negated right row, in one pass over the block's run of pairs.
-    Lanes that differ are violations; a lane's first one settles it, and
-    the pass stops once every lane is settled.
+    f(u_r) of the chunk's k columns (:func:`u_major`), a second copy is
+    negated by one translate, and each of the block's pairs compares its
+    left row with its negated right row, in one pass over the block's run
+    of pairs.  Lanes that differ are violations; a lane's first one
+    settles it.  Each block lays out only the columns still pending, and
+    the pass stops once every column is settled.
     Any other column goes by compress over the pairs whose values do not
     cancel.
 
@@ -654,18 +689,16 @@ def alternation_violations(n: int, columns: Sequence[Sequence[Coeff]]
     step = _ALTERNATION_CHUNK * max(n, 1)
     for start in range(0, len(bytewise), step):
         chunk = bytewise[start:start + step]
-        k = len(chunk)
-        # 0xFF in the lanes of the columns not yet settled.
-        pending = (1 << 8 * k) - 1
         first = 0
         for base in range(0, size, width):
             end = bisect.bisect_left(left, base + width, first)
             if first == end:
                 continue
-            rows = bytearray(k * width)
-            for j, i in enumerate(chunk):
-                rows[j::k] = columns[i][base:base + width]
+            k = len(chunk)
+            rows = u_major([columns[i] for i in chunk], base, base + width)
             neg = rows.translate(_NEGATE)
+            # 0xFF in the lanes of the columns not yet settled.
+            pending = (1 << 8 * k) - 1
             for a, b in zip(left[first:end], right[first:end]):
                 x, y = (a - base) * k, (b - base) * k
                 lhs, rhs = rows[x:x + k], neg[y:y + k]
@@ -681,7 +714,8 @@ def alternation_violations(n: int, columns: Sequence[Sequence[Coeff]]
                     if not pending:
                         break
             first = end
-            if not pending:
+            chunk = list(itertools.compress(chunk, pending.to_bytes(k, "little")))
+            if not chunk:
                 break
     return found
 

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from array import array
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import limits
 from .errors import PreconditionError
@@ -114,19 +113,6 @@ def symmetry_ranks(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     perms, rank = perm_index(n)
     return (tuple(rank[inverse(u)] for u in perms),
             tuple(rank[conjugate_by_longest(u)] for u in perms))
-
-
-def gatherer(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """A function taking a sequence, such as a rank-indexed column, to the
-    tuple of its items at positions, for any number of positions:
-    ``operator.itemgetter`` needs one, and returns the bare item for one.
-
-    >>> gatherer([2, 0])("abc"), gatherer([1])("abc"), gatherer([])("abc")
-    (('c', 'a'), ('b',), ())
-    """
-    if len(positions) > 1:
-        return operator.itemgetter(*positions)
-    return lambda seq: tuple(seq[p] for p in positions)
 
 
 def _check_same_size(v: Perm, w: Perm) -> None:

@@ -195,17 +195,22 @@ _A3_SAMPLES = 100_000
 def suite_a3(n: int, seed: int = 20_433) -> Iterator[_Check | _Block]:
     """Closed-form coefficients agree with the Temperley-Lieb expansion:
     exhaustive for n <= 6, sampled at n = 7.  One block: equal whole
-    columns pass every pair, so only a failing run draws its pairs.  From
-    n = 7 on, each w whose two columns differ then adds one check at the
-    first u in rank order where they do, so an entry the sample misses
-    fails too."""
+    columns pass every pair, so only a failing run draws its pairs.  Each
+    closed column is compared as it is built, and only those that differ
+    are kept; a failing run builds again the ones it reads.  From n = 7
+    on, each w whose two columns differ then adds one check at the first u
+    in rank order where they do, so an entry the sample misses fails too."""
     imms = immanant.all_tl_immanants(n)
     perms, rank = perm.perm_index(n)
     applicable = [w for w in perm.avoiding_321(n) if perm.avoids(w, PATTERN_1324)]
-    closed = {w: classify.closed_form_column(w) for w in applicable}
-    differing = [w for w in applicable if imms[w] != closed[w]]
+    differing = {}
+    for w in applicable:
+        column = classify.closed_form_column(w)
+        if column != imms[w]:
+            differing[w] = column
 
     def expand() -> Iterator[_Check]:
+        closed = functools.cache(classify.closed_form_column)
         # Which pairs a seed draws depends on this (length, u) order.
         universe = sorted(perms, key=lambda u: (perm.length(u), u))
         claim = "closed form equals expansion coefficient"
@@ -221,15 +226,15 @@ def suite_a3(n: int, seed: int = 20_433) -> Iterator[_Check | _Block]:
             )
         for w, u in pairs:
             r = rank[u]
-            yield (claim, {"w": w, "u": u}, imms[w][r], closed[w][r])
+            yield (claim, {"w": w, "u": u}, imms[w][r], closed(w)[r])
 
     yield _Block(len(applicable) * len(perms) if n <= 6 else _A3_SAMPLES,
                  not differing, expand)
     if n > 6:
-        for w in differing:
-            r = next(r for r, (a, b) in enumerate(zip(imms[w], closed[w])) if a != b)
+        for w, column in differing.items():
+            r = next(r for r, (a, b) in enumerate(zip(imms[w], column)) if a != b)
             yield ("closed form equals expansion coefficient (first differing u)",
-                   {"w": w, "u": perms[r]}, imms[w][r], closed[w][r])
+                   {"w": w, "u": perms[r]}, imms[w][r], column[r])
 
 
 @_suite("A4", (2, 3, 4, 5))
@@ -251,15 +256,23 @@ def suite_a4(n: int) -> Iterator[_Check]:
                        immanant.Column(n, lhs), immanant.Column(n, rhs))
 
 
+# How many w suite_a5 lays out side by side: each of its layouts holds
+# 64 n! bytes at most, not the whole store.
+_A5_CHUNK = 64
+
+
 @_suite("A5", (2, 3, 4, 5))
 def suite_a5(n: int) -> Iterator[_Block]:
     """Coefficient symmetry: f_w(u) = f_{w^-1}(u^-1) = f_{w0 w w0}(w0 u w0),
-    read from the rank-indexed columns.  One block per w: its column against
-    the gathered columns of w^-1 and w0 w w0."""
+    read from the rank-indexed columns.  One block per w.  The columns of
+    up to 64 w are laid out u-major (:func:`immanant.u_major`), and so are
+    those of their w^-1 and of their w0 w w0, whose rows are gathered by
+    the symmetry ranks; equal layouts pass every w of the chunk, and
+    otherwise each w's lane is compared on its own."""
     imms = immanant.all_tl_immanants(n)
     perms = perm.perm_index(n).perms
+    size = len(perms)
     inverse_rank, conjugate_rank = perm.symmetry_ranks(n)
-    inv, conj = perm.gatherer(inverse_rank), perm.gatherer(conjugate_rank)
 
     def expand(w: Perm, fw, fwi, fwc) -> Iterator[_Check]:
         for r, u in enumerate(perms):
@@ -269,13 +282,25 @@ def suite_a5(n: int) -> Iterator[_Block]:
             yield ("f is w0-conjugation-symmetric", witness,
                    value, fwc[conjugate_rank[r]])
 
-    for w in perm.avoiding_321(n):
-        fw = imms[w]
-        fwi = imms[perm.inverse(w)]
-        fwc = imms[perm.conjugate_by_longest(w)]
-        column = tuple(fw)
-        yield _Block(2 * len(perms), column == inv(fwi) and column == conj(fwc),
-                     functools.partial(expand, w, fw, fwi, fwc))
+    def gathered(ws: Sequence[Perm], ranks: Sequence[int]) -> bytes:
+        # Row r of the result is row ranks[r] of the layout of ws.
+        k = len(ws)
+        rows = immanant.u_major([imms[v] for v in ws], 0, size)
+        return b"".join([rows[k * s:k * s + k] for s in ranks])
+
+    avoiders = perm.avoiding_321(n)
+    for start in range(0, len(avoiders), _A5_CHUNK):
+        chunk = avoiders[start:start + _A5_CHUNK]
+        k = len(chunk)
+        inverses = list(map(perm.inverse, chunk))
+        conjugates = list(map(perm.conjugate_by_longest, chunk))
+        rows = immanant.u_major([imms[w] for w in chunk], 0, size)
+        inv = gathered(inverses, inverse_rank)
+        conj = gathered(conjugates, conjugate_rank)
+        same = rows == inv == conj
+        for j, (w, wi, wc) in enumerate(zip(chunk, inverses, conjugates)):
+            yield _Block(2 * size, same or rows[j::k] == inv[j::k] == conj[j::k],
+                         functools.partial(expand, w, imms[w], imms[wi], imms[wc]))
 
 
 @_suite("A6", (1, 2, 3, 4, 5, 6, 7, 8))

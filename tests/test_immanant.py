@@ -187,6 +187,16 @@ def row_sets(n):
     yield [[0, *range(1, n + 1), n + 1]] * n
 
 
+@pytest.mark.parametrize("n", range(0, 9))
+def test_parity_lanes_match_inversion_count(n):
+    """The basis's parity lanes, built block by block from S_(n-1), hold
+    0xFF exactly at the u of perm_index(n) with an odd number of
+    inversions, counted pair by pair; n = 8 is under the default cap."""
+    perms = perm.perm_index(n).perms
+    lanes = immanant._basis(n).odd_bytes.to_bytes(len(perms), "little")
+    assert lanes == bytes(0xFF if oracles.inversion_sign(u) < 0 else 0 for u in perms)
+
+
 @pytest.mark.parametrize("n", range(0, 7))
 def test_row_tally_and_mask_match_the_definition(n):
     for rows in row_sets(n):
@@ -374,6 +384,57 @@ def test_alternation_blocks_settle_in_pair_order():
     assert any(pair in head for pair in expected) and any(pair in tail for pair in expected)
     assert None in expected
     assert immanant.alternation_violations(n, columns) == expected
+
+
+class LoggedColumn(array):
+    """An ``array('b')`` that logs (its name, the start rank) of every
+    slice read from it."""
+
+    def __new__(cls, values, name, log):
+        column = super().__new__(cls, "b", values)
+        column.name, column.log = name, log
+        return column
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.log.append((self.name, key.start))
+        return super().__getitem__(key)
+
+
+def test_alternation_lays_out_only_pending_columns():
+    """At n = 6, more than two chunks of byte columns, each zero but for
+    one seeded value at a member of a pair in the first, a middle or the
+    last block of ranks sharing u(1) that holds pairs, or zero throughout.
+    Each gets the oracle's first pair, a column settled in block b is
+    never read for a later block, and a zero column is read for every
+    block with pairs."""
+    n = 6
+    perms, rank = perm.perm_index(n)
+    width = math.factorial(n - 1)
+    pairs = oracles.adjacent_pairs_by_definition(n)
+    blocks = sorted({rank[w] // width for w, _ in pairs})
+    chosen = blocks[0], blocks[len(blocks) // 2], blocks[-1]
+    assert len(set(chosen)) == 3
+    members = {b: [u for pair in pairs if rank[pair[0]] // width == b for u in pair]
+               for b in chosen}
+    rng = random.Random(35)
+    log, columns, settles = [], [], []
+    while len(columns) <= 2 * immanant._ALTERNATION_CHUNK * n:
+        values = bytearray(len(perms))
+        block = rng.choice(chosen + (None,))
+        if block is not None:
+            values[rank[rng.choice(members[block])]] = rng.choice((1, 5, 127, 0xFF, 0x81))
+        columns.append(LoggedColumn(values, len(columns), log))
+        settles.append(block)
+    expected = [oracles.find_alternation_violation(immanant.Immanant(n, dict(zip(perms, c))))
+                for c in columns]
+    assert [pair and rank[pair[0]] // width for pair in expected] == settles
+    assert immanant.alternation_violations(n, columns) == expected
+    read = {}
+    for name, start in log:
+        read.setdefault(name, []).append(start // width)
+    for name, block in enumerate(settles):
+        assert read[name] == (blocks if block is None else blocks[:blocks.index(block) + 1])
 
 
 @pytest.mark.parametrize("n", range(0, 4))

@@ -337,6 +337,38 @@ def test_every_block_verdict_sees_its_own_column(monkeypatch, suite):
             assert not assert_report_is_expanded(suite, n).ok
 
 
+@pytest.mark.parametrize("index", [0, 63, 64, 131])
+def test_a5_chunks_keep_each_block_its_own_verdict(monkeypatch, index):
+    """At n = 6 the 132 avoiders fill three chunks of A5's gathered
+    layout; one entry one off in the column of the avoider at the first or
+    last place of a chunk fails A5, and the report is the expanded
+    stream's."""
+    n = 6
+    w = perm.avoiding_321(n)[index]
+    perturb_store(monkeypatch, n, w, non_involution_rank(n, random.Random(index)))
+    report = assert_report_is_expanded("A5", n)
+    assert not report.ok
+    assert verify._render({"w": w}) in {f.witness.split()[0] for f in report.failures}
+
+
+def test_passing_a5_expands_no_block(monkeypatch):
+    """A passing A5 at n = 6 settles all 132 blocks by their whole-layout
+    verdicts and expands none; with one entry off it expands some."""
+    expanded_counts = []
+
+    class Spied(verify._Block):
+        def __init__(self, count, passes, expand):
+            def spy():
+                expanded_counts.append(count)
+                return expand()
+            super().__init__(count, passes, spy)
+
+    monkeypatch.setattr(verify, "_Block", Spied)
+    assert verify.suite_a5(6).ok and expanded_counts == []
+    perturb_store(monkeypatch, 6, perm.avoiding_321(6)[64], non_involution_rank(6, random.Random(6)))
+    assert not verify.suite_a5(6).ok and expanded_counts
+
+
 def test_a2_makes_one_alternation_call_per_n(monkeypatch):
     """A2 tests sign alternation for every 321-avoiding w of an n in one
     kernel call over their store columns, in avoider order."""
