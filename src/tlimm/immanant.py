@@ -518,8 +518,9 @@ def subset_sign(I: Iterable[int]) -> int:
 
 def as_matrix(rows: Sequence[Sequence]) -> Matrix:
     """Coerce nested sequences of ints / Fractions / "p/q" strings into a
-    square matrix of Fractions."""
-    out = tuple(tuple(_rational(x) for x in row) for row in rows)
+    square matrix of Fractions; a Fraction entry is kept as it is."""
+    out = tuple(tuple(x if type(x) is Fraction else _rational(x) for x in row)
+                for row in rows)
     n = len(out)
     if any(len(row) != n for row in out):
         raise ValueError("matrix must be square")
@@ -553,6 +554,13 @@ def evaluate(f: Immanant, matrix: Sequence[Sequence]) -> Fraction:
     nonzero counts is below the number of terms, the u that
     :func:`_support` finds in X, with d taken over the terms it meets.
 
+    The walk over f's terms runs in C: one ``map`` pipeline reads each u's
+    row product and multiplies it by the coefficient, and ``sum`` adds
+    them, with no Python frame per term.  When every coefficient is an
+    int, as for store, percent and CM immanants, d = 1 and the
+    coefficients are used as they are; otherwise they are scaled to
+    integers once, into a list.
+
     >>> evaluate(cm_immanant(2, (), ()), [[1, 2], [3, 4]])
     Fraction(-2, 1)
     """
@@ -569,11 +577,15 @@ def evaluate(f: Immanant, matrix: Sequence[Sequence]) -> Fraction:
         d = math.lcm(*(c.denominator for c, _ in hits))
         total = sum(c.numerator * (d // c.denominator) * p for c, p in hits)
     else:
-        d = math.lcm(*(c.denominator for c in f.coeffs.values()))
-        total = sum(
-            math.prod(map(operator.getitem, rows, u), start=c.numerator * (d // c.denominator))
-            for u, c in f.coeffs.items()
-        )
+        values = f.coeffs.values()
+        if set(map(type, values)) <= {int}:
+            d = 1
+        else:
+            d = math.lcm(*(c.denominator for c in values))
+            values = [c.numerator * (d // c.denominator) for c in values]
+        # prod_i rows[i][u(i)] for each u, times its value, all in C.
+        total = sum(map(operator.mul, values, map(math.prod, map(
+            map, itertools.repeat(operator.getitem), itertools.repeat(rows), f.coeffs))))
     return Fraction(total, d * math.prod(scales))
 
 

@@ -777,6 +777,82 @@ def test_evaluate_walks_agree_on_sparse_and_dense_matrices(monkeypatch):
         assert not support and value == oracles.evaluate(f, [])
 
 
+def mixed_entries(rng, n):
+    """A dense n x n matrix of nonzero entries given as ints, Fractions and
+    "p/q" strings, cycling through the three kinds cell by cell."""
+    def entry(k):
+        p, q = rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)
+        return (p, Fraction(p, q), f"{p}/{q}")[k % 3]
+
+    return [[entry(i * n + j) for j in range(n)] for i in range(n)]
+
+
+def test_term_walk_matches_oracle_for_int_fraction_and_mixed_coefficients(monkeypatch):
+    """The term walk against the Fraction oracle on dense 7 x 7 matrices
+    of int, Fraction and "p/q" entries: all-int coefficients (store and
+    hull percent immanants), all-Fraction ones, and an int immanant plus
+    one Fraction term; then n = 0 and n = 1."""
+    rng = random.Random(3_607)
+    universe = list(perm.all_perms(7))
+    for w in perm.avoiding_321(7)[::60]:
+        tl_w = immanant.tl_immanant(w)
+        fractions = immanant.Immanant(7, {
+            v: Fraction(2 * rng.randint(-5, 5) + 1, 2 * rng.randint(1, 4))
+            for v in rng.sample(universe, 300)})
+        mixed = tl_w + immanant.Immanant(7, {rng.choice(universe): Fraction(1, 3)})
+        X = mixed_entries(rng, 7)
+        for f, types in ((tl_w, {int}),
+                         (immanant.percent_immanant(immanant.hull(w)), {int}),
+                         (fractions, {Fraction}),
+                         (mixed, {int, Fraction})):
+            assert set(map(type, f.coeffs.values())) == types
+            value, support = evaluate_both_ways(monkeypatch, f, X)
+            assert not support and value == oracles.evaluate(f, X), (w, types)
+    small = [immanant.zero_immanant(0), immanant.Immanant(0, {(): 4}),
+             immanant.Immanant(0, {(): Fraction(-5, 3)})]
+    for f in small:
+        assert immanant.evaluate(f, []) == oracles.evaluate(f, [])
+    for c in (3, Fraction(-7, 4)):
+        f = immanant.Immanant(1, {(1,): c})
+        for x in (5, Fraction(2, 9), "-2/4", 0):
+            value, support = evaluate_both_ways(monkeypatch, f, [[x]])
+            assert support == (x == 0) and value == oracles.evaluate(f, [[x]]), (c, x)
+
+
+def test_int_coefficients_take_no_coefficient_lcm(monkeypatch):
+    """On a dense matrix, an all-int immanant calls math.lcm only for the
+    n row scales; Fraction coefficients add one call for their own lcm."""
+    real = math.lcm
+    X = mixed_entries(random.Random(17), 7)
+    w = perm.avoiding_321(7)[200]
+    for f, expected in ((immanant.tl_immanant(w), 7),
+                        (immanant.percent_immanant(immanant.hull(w)), 7),
+                        (immanant.tl_immanant(w).scaled(Fraction(1, 2)), 8)):
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(math, "lcm", lambda *args: calls.append(args) or real(*args))
+            value = immanant.evaluate(f, X)
+        assert len(calls) == expected and value == oracles.evaluate(f, X)
+
+
+def test_as_matrix_keeps_fractions_and_refuses_what_it_refused():
+    """Fraction entries come back as the same objects; ints and "p/q"
+    strings are read as Fractions; a bool, a float, a zero denominator
+    and a ragged row are each a ValueError."""
+    half, third = Fraction(1, 2), Fraction(-1, 3)
+    X = immanant.as_matrix([[half, 3], ["-2/4", third]])
+    assert X[0][0] is half and X[1][1] is third
+    assert X == ((Fraction(1, 2), Fraction(3)), (Fraction(-1, 2), Fraction(-1, 3)))
+    assert all(type(x) is Fraction for row in X for x in row)
+    assert immanant.as_matrix([]) == ()
+    for bad in ([[True]], [[1.0]], [["1/0"]], [[1, 2], [3]], [[half, 1], [2]]):
+        with pytest.raises(ValueError):
+            immanant.as_matrix(bad)
+        if len(bad) == 1:
+            with pytest.raises(ValueError):
+                immanant.evaluate(immanant.Immanant(1, {(1,): 1}), bad)
+
+
 @pytest.mark.parametrize("n", (4, 5))
 def test_three_equal_rows_kill_tl_immanants(n):
     rng = random.Random(n)
