@@ -18,12 +18,11 @@ expansions below.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import operator
 from array import array
 from itertools import combinations
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import PreconditionError, VerificationError
 from .immanant import (
@@ -56,8 +55,7 @@ FORBIDDEN_PATTERNS = (
 )
 
 
-@dataclasses.dataclass(frozen=True)
-class Case1:
+class Case1(NamedTuple):
     """Block lengths (a, b, e, c, d) of the shape [2][1][3][5][4]."""
 
     a: int
@@ -75,8 +73,7 @@ class Case1:
                 "c": self.c, "d": self.d}
 
 
-@dataclasses.dataclass(frozen=True)
-class Case2:
+class Case2(NamedTuple):
     """Block lengths (a, e, b, c, f, d) of the shape [3][5][1][6][2][4]."""
 
     a: int
@@ -98,8 +95,7 @@ class Case2:
 CaseParams = Case1 | Case2
 
 
-@dataclasses.dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """sign(w) * Imm_w written as a sum of percent immanants, when possible;
     kind "none" has sign 0 and no shapes, as its JSON form carries neither."""
 

@@ -15,10 +15,9 @@ it searches every (coloring, matching) pair that meets the zone conditions.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import warnings
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import limits
 from .errors import PreconditionError
@@ -33,22 +32,27 @@ from .tl import (
 )
 
 
-@dataclasses.dataclass(frozen=True)
-class Coloring:
-    """A coloring given by its unprimed blacks I and primed whites J, as frozensets."""
-
+class _ColoringFields(NamedTuple):
     n: int
     blacks: frozenset[int]
     primed_whites: frozenset[int]
 
-    def __post_init__(self):
-        if not isinstance(self.blacks, frozenset) or not isinstance(self.primed_whites, frozenset):
-            object.__setattr__(self, "blacks", frozenset(self.blacks))
-            object.__setattr__(self, "primed_whites", frozenset(self.primed_whites))
-        if not all(1 <= i <= self.n for i in self.blacks):
-            raise ValueError(f"black labels {sorted(self.blacks)} exceed n={self.n}")
-        if not all(1 <= j <= self.n for j in self.primed_whites):
-            raise ValueError(f"labels {sorted(self.primed_whites)}' exceed n={self.n}")
+
+class Coloring(_ColoringFields):
+    """A coloring given by its unprimed blacks I and primed whites J, as
+    frozensets: an immutable record that hashes and compares as the tuple
+    (n, blacks, primed_whites)."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, blacks: Iterable[int], primed_whites: Iterable[int]) -> Coloring:
+        if not isinstance(blacks, frozenset) or not isinstance(primed_whites, frozenset):
+            blacks, primed_whites = frozenset(blacks), frozenset(primed_whites)
+        if not all(1 <= i <= n for i in blacks):
+            raise ValueError(f"black labels {sorted(blacks)} exceed n={n}")
+        if not all(1 <= j <= n for j in primed_whites):
+            raise ValueError(f"labels {sorted(primed_whites)}' exceed n={n}")
+        return tuple.__new__(cls, (n, blacks, primed_whites))
 
     def is_black_position(self, p: int) -> bool:
         """Color of the 0-based circular position p."""

@@ -12,7 +12,6 @@ Skew shapes live inside the n x n box with (1, 1) the upper-left cell:
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import functools
 import itertools
 import json
@@ -80,19 +79,21 @@ def _normalize_coeff(c: Coeff) -> Coeff:
     return c
 
 
-@dataclasses.dataclass(frozen=True)
-class SkewShape:
-    """A skew diagram lam/mu embedded in the n x n box, its bounds as tuples."""
-
+class _SkewShapeFields(NamedTuple):
     n: int
     lam: tuple[int, ...]
     mu: tuple[int, ...]
 
-    def __post_init__(self):
-        if not isinstance(self.lam, tuple) or not isinstance(self.mu, tuple):
-            object.__setattr__(self, "lam", tuple(self.lam))
-            object.__setattr__(self, "mu", tuple(self.mu))
-        n, lam, mu = self.n, self.lam, self.mu
+
+class SkewShape(_SkewShapeFields):
+    """A skew diagram lam/mu embedded in the n x n box, its bounds as tuples:
+    an immutable record that hashes and compares as the tuple (n, lam, mu)."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, lam: Sequence[int], mu: Sequence[int]) -> SkewShape:
+        if not isinstance(lam, tuple) or not isinstance(mu, tuple):
+            lam, mu = tuple(lam), tuple(mu)
         if len(lam) != n or len(mu) != n:
             raise ValueError("lam and mu must each list one bound per row")
         if any(not 0 <= x <= n for x in lam + mu):
@@ -101,6 +102,7 @@ class SkewShape:
             raise ValueError("lam and mu must be non-increasing")
         if any(m > l for l, m in zip(lam, mu)):
             raise ValueError("mu must be contained in lam")
+        return tuple.__new__(cls, (n, lam, mu))
 
     def contains_cell(self, i: int, j: int) -> bool:
         """True iff the cell in row i, column j (1-based) is in the shape."""
@@ -175,13 +177,13 @@ def lies_in(u: Perm, shape: SkewShape) -> bool:
 # Immanants
 
 
-@dataclasses.dataclass
 class Immanant:
     """A sparse exact map S_n -> coefficients; zero coefficients dropped.
-    The dataclass compares n and coeffs."""
+    Two immanants are equal when their n and coeffs are; an immanant holds
+    a dict, so it is unhashable."""
 
-    n: int
-    coeffs: dict[Perm, Coeff]
+    __slots__ = ("n", "coeffs")
+    __hash__ = None
 
     def __init__(self, n: int, coeffs: Mapping[Perm, Coeff]):
         for u in coeffs:
@@ -189,6 +191,14 @@ class Immanant:
                 raise PreconditionError(f"permutation {u} in immanant of size {n}")
         self.n = n
         self.coeffs = _nonzero(coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.coeffs == other.coeffs
+
+    def __repr__(self):
+        return f"Immanant(n={self.n!r}, coeffs={self.coeffs!r})"
 
     def coeff(self, u: Perm) -> Coeff:
         return self.coeffs.get(tuple(u), 0)

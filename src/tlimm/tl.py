@@ -42,7 +42,6 @@ handed out as ``{NonCrossingMatching: coeff}``.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -85,27 +84,42 @@ def is_noncrossing(pairing: tuple[int, ...]) -> bool:
     return not stack
 
 
-@dataclasses.dataclass(frozen=True)
 class NonCrossingMatching:
-    """A perfect non-crossing matching of 1..n and 1'..n'."""
+    """A perfect non-crossing matching of 1..n and 1'..n', immutable.  Two
+    are equal when their n and pairing are, and a matching hashes as the
+    tuple (n, pairing)."""
 
-    n: int
-    pairing: tuple[int, ...]
-    # hash((n, pairing)), taken once: a frozen dataclass hashes the tuple
-    # anew on every lookup, and matchings key every theta row handed out.
-    _hash: int = dataclasses.field(init=False, compare=False, repr=False)
+    # _hash is hash((n, pairing)), taken once: matchings key every theta row
+    # handed out, and hashing the tuple anew would cost every lookup.
+    __slots__ = ("n", "pairing", "_hash")
 
-    def __post_init__(self):
-        if not isinstance(self.pairing, tuple):
-            object.__setattr__(self, "pairing", tuple(self.pairing))
-        if len(self.pairing) != 2 * self.n:
-            raise ValueError(f"{len(self.pairing)} partners for {2 * self.n} vertices")
-        if not is_noncrossing(self.pairing):
-            raise ValueError(f"pairing {self.pairing} is not non-crossing and perfect")
-        object.__setattr__(self, "_hash", hash((self.n, self.pairing)))
+    def __init__(self, n: int, pairing: tuple[int, ...]):
+        if not isinstance(pairing, tuple):
+            pairing = tuple(pairing)
+        if len(pairing) != 2 * n:
+            raise ValueError(f"{len(pairing)} partners for {2 * n} vertices")
+        if not is_noncrossing(pairing):
+            raise ValueError(f"pairing {pairing} is not non-crossing and perfect")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "pairing", pairing)
+        object.__setattr__(self, "_hash", hash((n, pairing)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a NonCrossingMatching")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a NonCrossingMatching")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.pairing == other.pairing
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):
+        return NonCrossingMatching, (self.n, self.pairing)
 
     def __repr__(self):
         return f"NonCrossingMatching({self.n}, {format_matching(self)!r})"
@@ -207,8 +221,7 @@ def _glue(pairing: list[int], i: int) -> int:
     return 0
 
 
-@dataclasses.dataclass
-class TLElement:
+class TLElement(NamedTuple):
     """One entry of :func:`theta_table`: theta(u) in TL_n as its nonzero
     terms {matching: coeff}."""
 

@@ -22,13 +22,12 @@ acceptance gate; ``run_suite`` runs one suite at one size.
 from __future__ import annotations
 
 import collections
-import dataclasses
 import functools
 import itertools
 import random
 import time
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import classify, coloring, immanant, perm, tl
 from .classify import PATTERN_1324, PATTERN_2143
@@ -36,16 +35,14 @@ from .errors import VerificationError
 from .perm import Perm
 
 
-@dataclasses.dataclass
-class Failure:
+class Failure(NamedTuple):
     claim: str
     witness: str
     expected: str
     actual: str
 
 
-@dataclasses.dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     suite: str
     n: int
     checks: int
@@ -68,7 +65,7 @@ class VerificationReport:
             "suite": self.suite,
             "n": self.n,
             "checks": self.checks,
-            "failures": [dataclasses.asdict(f) for f in self.failures],
+            "failures": [f._asdict() for f in self.failures],
             "elapsed": round(self.elapsed, 3),
         }
 
@@ -77,8 +74,7 @@ class VerificationReport:
 _Check = tuple[str, object, object, object]
 
 
-@dataclasses.dataclass(frozen=True)
-class _Block:
+class _Block(NamedTuple):
     """``count`` checks settled by one verdict.  ``passes`` may be true only
     if every check that ``expand()`` yields passes; ``expand()`` yields the
     ``count`` checks in order, and the runner calls it only when ``passes``
@@ -95,15 +91,16 @@ DEFAULT_SIZES: dict[str, tuple[int, ...]] = {}
 
 
 def _render(witness: object) -> str:
-    """The text of a witness: a permutation in compact form, a dict as
-    ``label=text`` pairs, anything else by ``str``.
+    """The text of a witness: a permutation (a plain tuple) in compact form,
+    a dict as ``label=text`` pairs, anything else by ``str``, so a record,
+    itself a tuple subclass, shows as its repr.
 
     >>> _render({"w": (2, 1, 4, 3), "u": ()}), _render("n=3")
     ('w=2143 u=', 'n=3')
     """
     if isinstance(witness, dict):
         return " ".join(f"{label}={_render(part)}" for label, part in witness.items())
-    if isinstance(witness, tuple):
+    if type(witness) is tuple:
         return perm.format_perm(witness)
     return str(witness)
 

@@ -1017,6 +1017,23 @@ print(json.dumps(sizes))
     assert {name: size for name, size in sizes.items() if size} == {}
 
 
+def test_cold_import_loads_no_introspection_modules():
+    """Importing the library and its command line loads none of
+    ``dataclasses`` and the modules it pulls in: every CLI query starts a
+    cold interpreter and would pay for them.  ``-S`` keeps ``site`` from
+    loading anything first."""
+    script = """
+import sys
+import tlimm, tlimm.verify, tlimm.cli
+print(" ".join(m for m in ("dataclasses", "inspect", "ast", "dis") if m in sys.modules))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(tl.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
+
+
 @pytest.mark.parametrize("fn", CAPPED_TABLES, ids=lambda fn: fn.__name__)
 def test_capped_table_cache_clear_rebuilds(fn):
     first = fn(4)

@@ -3,7 +3,6 @@ or reads that the library no longer has would fail only a benchmark run, so
 the names are resolved here."""
 
 import ast
-import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -76,7 +75,7 @@ VALUE_ATTRIBUTES = [
 @pytest.mark.parametrize("module, cls, attr", VALUE_ATTRIBUTES)
 def test_workload_value_attribute_resolves(module, cls, attr):
     value_type = getattr(importlib.import_module(f"tlimm.{module}"), cls)
-    fields = {f.name for f in dataclasses.fields(value_type)}
+    fields = {*getattr(value_type, "_fields", ()), *getattr(value_type, "__slots__", ())}
     assert callable(getattr(value_type, attr, None)) or attr in fields
     if not attr.startswith("__"):
         assert f".{attr}" in WORKLOADS.read_text(), attr

@@ -1,7 +1,6 @@
 """The suite registry, and the text of a failing check's witness and values."""
 
 import ast
-import dataclasses
 import functools
 import hashlib
 import random
@@ -94,7 +93,7 @@ def test_a_raised_verification_error_is_one_failed_check(monkeypatch):
     report = verify.suite_a2(6)
     passing = [w for w in perm.avoiding_321(6) if w < (3, 1, 2, 6, 4, 5)]
     assert report.checks == sum(2 + classify.avoids_main_patterns(w) for w in passing) + 1
-    assert [dataclasses.astuple(f) for f in report.failures] == [(
+    assert [tuple(f) for f in report.failures] == [(
         "suite raised", f"after {perm.format_perm(passing[-1])}", "no error",
         "312645: Case1(a=1, b=2, e=0, c=1, d=2): needs a = 1 or c = 1, and b = 1 or d = 1")]
 
@@ -104,7 +103,7 @@ def test_a_raised_verification_error_is_one_failed_check(monkeypatch):
     monkeypatch.setattr(classify, "decompose", broken)
     report = verify.suite_a2(3)
     assert report.checks == 1
-    assert [dataclasses.astuple(f) for f in report.failures] == [
+    assert [tuple(f) for f in report.failures] == [
         ("suite raised", "n=3", "no error", "broken")]
 
 
@@ -140,6 +139,15 @@ def test_zone_solutions_refuses_what_the_scan_refuses():
                        functools.partial(zone_solutions, 2)):
             with pytest.raises(ValueError):
                 search(zones)
+
+
+def test_record_witness_renders_as_its_repr():
+    """Only a plain tuple is read as a permutation: a record, itself a
+    tuple, renders as its repr, alone or as a labelled part."""
+    params = classify.Case1(1, 2, 0, 1, 2)
+    assert verify._render(params) == "Case1(a=1, b=2, e=0, c=1, d=2)"
+    assert verify._render({"w": (3, 1, 2), "p": params}) == (
+        "w=312 p=Case1(a=1, b=2, e=0, c=1, d=2)")
 
 
 def test_passing_checks_render_no_witness(monkeypatch):
@@ -357,11 +365,11 @@ def test_passing_a5_expands_no_block(monkeypatch):
     expanded_counts = []
 
     class Spied(verify._Block):
-        def __init__(self, count, passes, expand):
+        def __new__(cls, count, passes, expand):
             def spy():
                 expanded_counts.append(count)
                 return expand()
-            super().__init__(count, passes, spy)
+            return super().__new__(cls, count, passes, spy)
 
     monkeypatch.setattr(verify, "_Block", Spied)
     assert verify.suite_a5(6).ok and expanded_counts == []
