@@ -559,17 +559,12 @@ def evaluate(f: Immanant, matrix: Sequence[Sequence]) -> Fraction:
     d_i of its denominators and f by the lcm d of its own, so every product
     is an integer, and the sum is divided by d * d_1 * ... * d_n once.
 
-    Only the u in both f's terms and X's support contribute, so the sum
-    walks the smaller side: f's terms, or, when the product of the rows'
-    nonzero counts is below the number of terms, the u that
-    :func:`_support` finds in X, with d taken over the terms it meets.
-
-    The walk over f's terms runs in C: one ``map`` pipeline reads each u's
-    row product and multiplies it by the coefficient, and ``sum`` adds
-    them, with no Python frame per term.  When every coefficient is an
-    int, as for store, percent and CM immanants, d = 1 and the
-    coefficients are used as they are; otherwise they are scaled to
-    integers once, into a list.
+    The walk over f's terms runs in C, at a cost linear in their number:
+    one ``map`` pipeline reads each u's row product and multiplies it by
+    the coefficient, and ``sum`` adds them, with no Python frame per term.
+    When every coefficient is an int, as for store, percent and CM
+    immanants, d = 1 and the coefficients are used as they are; otherwise
+    they are scaled to integers once, into a list.
 
     >>> evaluate(cm_immanant(2, (), ()), [[1, 2], [3, 4]])
     Fraction(-2, 1)
@@ -581,42 +576,16 @@ def evaluate(f: Immanant, matrix: Sequence[Sequence]) -> Fraction:
     # A leading 0 lets row[x] read column x.
     rows = [(0, *(x.numerator * (d // x.denominator) for x in row))
             for row, d in zip(X, scales)]
-    if math.prod(len(row) - row.count(0) for row in rows) < len(f.coeffs):
-        coeffs = f.coeffs
-        hits = [(coeffs[u], p) for u, p in _support(rows) if u in coeffs]
-        d = math.lcm(*(c.denominator for c, _ in hits))
-        total = sum(c.numerator * (d // c.denominator) * p for c, p in hits)
+    values = f.coeffs.values()
+    if set(map(type, values)) <= {int}:
+        d = 1
     else:
-        values = f.coeffs.values()
-        if set(map(type, values)) <= {int}:
-            d = 1
-        else:
-            d = math.lcm(*(c.denominator for c in values))
-            values = [c.numerator * (d // c.denominator) for c in values]
-        # prod_i rows[i][u(i)] for each u, times its value, all in C.
-        total = sum(map(operator.mul, values, map(math.prod, map(
-            map, itertools.repeat(operator.getitem), itertools.repeat(rows), f.coeffs))))
+        d = math.lcm(*(c.denominator for c in values))
+        values = [c.numerator * (d // c.denominator) for c in values]
+    # prod_i rows[i][u(i)] for each u, times its value, all in C.
+    total = sum(map(operator.mul, values, map(math.prod, map(
+        map, itertools.repeat(operator.getitem), itertools.repeat(rows), f.coeffs))))
     return Fraction(total, d * math.prod(scales))
-
-
-def _support(rows: Sequence[Sequence[int]]) -> list[tuple[Perm, int]]:
-    """Every u with a nonzero product prod_i rows[i][u(i)], with that
-    product, in lexicographic order: a walk row by row over the row's
-    nonzero columns not yet used.  Column x is read at rows[i][x].
-
-    >>> _support([(0, 1, 2), (0, 0, 3)])
-    [((1, 2), 3)]
-    """
-    partial: list[tuple[Perm, int, int]] = [((), 0, 1)]  # (u so far, used columns, product)
-    for row in rows:
-        columns = [(x, 1 << x, v) for x, v in enumerate(row) if x and v]
-        partial = [
-            (u + (x,), used | bit, p * v)
-            for u, used, p in partial
-            for x, bit, v in columns
-            if not used & bit
-        ]
-    return [(u, p) for u, _, p in partial]
 
 
 def witness_matrix(w: Perm) -> tuple[tuple[int, ...], ...]:

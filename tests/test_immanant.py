@@ -714,67 +714,65 @@ def test_evaluate_matches_fraction_oracle():
             assert immanant.evaluate(f, X) == oracles.evaluate(f, X)
 
 
-def evaluate_both_ways(monkeypatch, f, X):
-    """evaluate(f, X), and whether it walked X's support."""
-    calls = []
-    real = immanant._support
-    with monkeypatch.context() as m:
-        m.setattr(immanant, "_support", lambda rows: calls.append(rows) or real(rows))
-        value = immanant.evaluate(f, X)
-    return value, bool(calls)
+def held_terms(f, X):
+    """The terms of f at the u whose row product on X is nonzero: the only
+    ones that can contribute to evaluate(f, X)."""
+    return immanant.Immanant(f.n, {u: c for u, c in f.coeffs.items()
+                                   if all(X[i][x - 1] for i, x in enumerate(u))})
 
 
 @pytest.mark.parametrize("n", range(4, 8))
-def test_evaluate_walks_the_witness_support(monkeypatch, n):
+def test_evaluate_on_witness_matrices(n):
     """On the 0/1 witness matrices evaluate agrees with the Fraction oracle,
-    and from n = 5 on it walks their support, which holds fewer
-    permutations than the immanants have terms.  At n = 4 the support of
-    the one witness matrix, of 2143, has 27 row products against 14 terms.
-    Every tenth w at n = 7, where the oracle is slow."""
+    on each immanant and on its terms at the u with a nonzero row product:
+    at most 6 of them, which is what suite A10 hands it.  Every tenth w at
+    n = 7, where the oracle is slow."""
     applicable = [w for w in perm.avoiding_321(n) if perm.avoids(w, classify.PATTERN_1324)
                   and not perm.avoids(w, classify.PATTERN_2143)]
     for w in applicable[::10 if n == 7 else 1]:
         X = immanant.witness_matrix(w)
         for f in (immanant.tl_immanant(w), immanant.percent_immanant(immanant.hull(w))):
-            value, support = evaluate_both_ways(monkeypatch, f, X)
-            assert support == (n >= 5) and value == oracles.evaluate(f, X), w
+            held = held_terms(f, X)
+            assert len(held.coeffs) <= 6, w
+            assert immanant.evaluate(f, X) == immanant.evaluate(held, X) == oracles.evaluate(f, X), w
 
 
-def test_evaluate_walks_agree_on_sparse_and_dense_matrices(monkeypatch):
-    """Both walks against the Fraction oracle, with Fraction coefficients.
-    Against an immanant with every term, permutation matrices from n = 2
-    and seeded matrices at least half zeros (one with a zero row) take the
-    support walk; dense 7 x 7 matrices and n = 0 keep the term walk."""
+def test_evaluate_walks_agree_on_sparse_and_dense_matrices():
+    """A walk over every term of f and one over its held terms give the
+    Fraction oracle's value, with Fraction coefficients.  An immanant with
+    every term meets permutation matrices, seeded matrices at least half
+    zeros (one with a zero row), and n = 0; store and scaled percent
+    immanants meet dense 7 x 7 matrices, where every term is held."""
     rng = random.Random(31)
 
     def entry():
         return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+    def both_walks(f, X):
+        return immanant.evaluate(f, X), immanant.evaluate(held_terms(f, X), X)
 
     for n in range(0, 6):
         universe = list(perm.all_perms(n))
         full = immanant.Immanant(n, {u: entry() for u in universe})
         for u in universe:
             X = [[int(u[i] == j) for j in range(1, n + 1)] for i in range(n)]
-            value, support = evaluate_both_ways(monkeypatch, full, X)
-            assert value == oracles.evaluate(full, X) == full.coeff(u)
-            assert support == (n >= 2)
+            assert both_walks(full, X) == (oracles.evaluate(full, X),) * 2
+            assert oracles.evaluate(full, X) == full.coeff(u)
         for trial in range(8):
             X = [[0] * n for _ in range(n)]
             for cell in rng.sample(range(n * n), n * n // 2):
                 X[cell // n][cell % n] = entry()
             if n and trial == 0:
                 X[rng.randrange(n)] = [0] * n
-            value, support = evaluate_both_ways(monkeypatch, full, X)
-            assert support == (n > 0) and value == oracles.evaluate(full, X), (n, trial)
+            assert both_walks(full, X) == (oracles.evaluate(full, X),) * 2, (n, trial)
     dense = [[entry() for _ in range(7)] for _ in range(7)]
     for w in perm.avoiding_321(7)[::120]:
         for f in (immanant.tl_immanant(w),
                   immanant.percent_immanant(immanant.hull(w)).scaled(Fraction(2, 3))):
-            value, support = evaluate_both_ways(monkeypatch, f, dense)
-            assert not support and value == oracles.evaluate(f, dense), w
+            assert held_terms(f, dense) == f
+            assert immanant.evaluate(f, dense) == oracles.evaluate(f, dense), w
     for f in (immanant.zero_immanant(0), immanant.Immanant(0, {(): Fraction(-5, 3)})):
-        value, support = evaluate_both_ways(monkeypatch, f, [])
-        assert not support and value == oracles.evaluate(f, [])
+        assert both_walks(f, []) == (oracles.evaluate(f, []),) * 2
 
 
 def mixed_entries(rng, n):
@@ -787,7 +785,7 @@ def mixed_entries(rng, n):
     return [[entry(i * n + j) for j in range(n)] for i in range(n)]
 
 
-def test_term_walk_matches_oracle_for_int_fraction_and_mixed_coefficients(monkeypatch):
+def test_term_walk_matches_oracle_for_int_fraction_and_mixed_coefficients():
     """The term walk against the Fraction oracle on dense 7 x 7 matrices
     of int, Fraction and "p/q" entries: all-int coefficients (store and
     hull percent immanants), all-Fraction ones, and an int immanant plus
@@ -806,8 +804,7 @@ def test_term_walk_matches_oracle_for_int_fraction_and_mixed_coefficients(monkey
                          (fractions, {Fraction}),
                          (mixed, {int, Fraction})):
             assert set(map(type, f.coeffs.values())) == types
-            value, support = evaluate_both_ways(monkeypatch, f, X)
-            assert not support and value == oracles.evaluate(f, X), (w, types)
+            assert immanant.evaluate(f, X) == oracles.evaluate(f, X), (w, types)
     small = [immanant.zero_immanant(0), immanant.Immanant(0, {(): 4}),
              immanant.Immanant(0, {(): Fraction(-5, 3)})]
     for f in small:
@@ -815,8 +812,7 @@ def test_term_walk_matches_oracle_for_int_fraction_and_mixed_coefficients(monkey
     for c in (3, Fraction(-7, 4)):
         f = immanant.Immanant(1, {(1,): c})
         for x in (5, Fraction(2, 9), "-2/4", 0):
-            value, support = evaluate_both_ways(monkeypatch, f, [[x]])
-            assert support == (x == 0) and value == oracles.evaluate(f, [[x]]), (c, x)
+            assert immanant.evaluate(f, [[x]]) == oracles.evaluate(f, [[x]]), (c, x)
 
 
 def test_int_coefficients_take_no_coefficient_lcm(monkeypatch):

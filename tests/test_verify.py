@@ -216,10 +216,11 @@ def stream_digest(suite, n):
     ("A1", 6, 132, "9af6220cb338e362b58c907ef7b38c52b48b7d3f5698c062a2406612ef66110c"),
     ("A4", 5, 252, "afc993becf57941dcc07b8ebdbf8e31bbffa22a211253d57242a80849f30f652"),
     ("A10", 6, 104, "1f483fee67907cd288f951563539d13d25c9cc2b48b9058967cae943e83dab0e"),
+    ("A10", 7, 255, "60b421de2dbce7548bbcdc13c0c3fd2fa1126fa60ad38022f2e0327ce6881e91"),
     ("A4", 6, 924, "f032df765acaa896f81dfa23798238496ee17fbfe561da2ec1c4c546b393d448"),
     ("A7", 5, 140, "21d927564dd7c69efb0bc9aebca09b83ecdf39acaa84276973df847799dcb0e7"),
     ("A7", 6, 262, "7cc47d080350f99e99139cf892e08967aad8cebdbe80327aac532cea01ead2c8"),
-], ids=["A3-7", "A2-6", "A5-5", "A3-6", "A1-6", "A4-5", "A10-6", "A4-6", "A7-5", "A7-6"])
+], ids=["A3-7", "A2-6", "A5-5", "A3-6", "A1-6", "A4-5", "A10-6", "A10-7", "A4-6", "A7-5", "A7-6"])
 def test_check_streams_are_pinned(suite, n, checks, digest):
     """A3's sampled stream at its default seed, A3's exhaustive stream, and
     the streams of A1, A2, A4, A5, A7 and A10 are pinned check by check, with
@@ -394,3 +395,36 @@ def test_a2_makes_one_alternation_call_per_n(monkeypatch):
     sizes = verify.DEFAULT_SIZES["A2"]
     assert all(verify.SUITES["A2"](n).ok for n in sizes)
     assert calls == list(sizes)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_a9_compares_the_partitions_in_their_order(monkeypatch, n):
+    """A9 compares the hull fibers with related_classes as ordered tuples,
+    not as sets: the classes listed in reverse fail it."""
+    real = immanant.related_classes
+    monkeypatch.setattr(immanant, "related_classes", lambda m: real(m)[::-1])
+    assert [f.claim for f in verify.suite_a9(n).failures] == ["classes equal hull fibers"]
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_a10_evaluates_no_more_terms_than_its_witness_needs(monkeypatch, n):
+    """No suite builds an Immanant with more terms than its check needs: A10
+    builds none over all of S_n, and each immanant it evaluates holds only
+    permutations whose row product on the witness matrix is nonzero, at
+    most the 6 of them."""
+    evaluated = []
+    real = immanant.evaluate
+
+    def recorded(f, X):
+        held = all(all(X[i][x - 1] for i, x in enumerate(u)) for u in f.coeffs)
+        evaluated.append((len(f.coeffs), held))
+        return real(f, X)
+
+    def refused(m, values):
+        raise AssertionError(f"built an Immanant over all of S_{m}")
+
+    monkeypatch.setattr(immanant, "evaluate", recorded)
+    monkeypatch.setattr(immanant, "_sparse", refused)
+    assert verify.suite_a10(n).ok
+    assert len(evaluated) == 2 * len(verify._applicable_two_case(n))
+    assert all(0 < size <= 6 and held for size, held in evaluated)
