@@ -47,7 +47,7 @@ def cmd_coeff(args) -> int:
     if args.method in ("oracle", "both"):
         oracle = tl.f_coeff(w, u)
     if args.method in ("formula", "both"):
-        formula = classify.closed_form_coeff(w, u)
+        formula = classify.closed_form(w)(u)
     if args.method == "oracle":
         print(oracle)
     elif args.method == "formula":

@@ -425,24 +425,52 @@ def test_classify_knows_no_packed_columns():
 
 
 def test_decompose_rejects_impossible_case_parameters(monkeypatch):
-    # 2143 avoids the forbidden patterns, so Case 2 parameters, or Case 1
-    # with neither a nor c equal to 1, cannot be right.
+    """2143 avoids the forbidden patterns, so Case 2 parameters, or a Case 1
+    with neither a nor c equal to 1, cannot be right: decompose reads them
+    as "none", and A2's first claim fails at 2143."""
     for params in (classify.Case2(1, 1, 1, 1, 0, 1), classify.Case1(2, 1, 0, 2, 1)):
         monkeypatch.setattr(classify, "classify_2143", lambda w: params)
-        with pytest.raises(VerificationError, match="avoids the forbidden patterns"):
-            classify.decompose((2, 1, 4, 3), validate=False)
+        assert classify.decompose((2, 1, 4, 3), validate=False).kind == "none"
+        report = verify.suite_a2(4)
+        assert [(f.claim, f.witness) for f in report.failures] == [
+            ("decomposable iff avoids forbidden patterns", "2143")]
 
 
 def test_decompose_names_w_when_312645_is_not_forbidden(monkeypatch):
-    """With 312645 taken off the forbidden list, decompose meets a Case 1 w
-    with b = d = 2, which has no second shape; the error names w as well
-    as its parameters."""
-    monkeypatch.setattr(classify, "FORBIDDEN_PATTERNS", tuple(
-        p for p in classify.FORBIDDEN_PATTERNS if p != (3, 1, 2, 6, 4, 5)))
-    with pytest.raises(VerificationError) as info:
-        classify.decompose((3, 1, 2, 6, 4, 5), validate=False)
-    assert str(info.value) == ("312645: Case1(a=1, b=2, e=0, c=1, d=2): "
-                               "needs a = 1 or c = 1, and b = 1 or d = 1")
+    """312645 is a Case 1 w with b = d = 2, which has no second shape:
+    decompose reads it as "none" whatever the forbidden list holds."""
+    listed = classify.FORBIDDEN_PATTERNS
+    for patterns in (listed, tuple(p for p in listed if p != (3, 1, 2, 6, 4, 5)),
+                     listed + (classify.PATTERN_2143,)):
+        monkeypatch.setattr(classify, "FORBIDDEN_PATTERNS", patterns)
+        assert classify.decompose((3, 1, 2, 6, 4, 5)).kind == "none"
+
+
+def test_decompose_tests_only_1324_and_2143(monkeypatch):
+    """decompose decides from the case parameters: over every 321-avoider
+    at n <= 7 the only patterns it looks for are 1324 and 2143."""
+    seen = set()
+    contains = perm.contains_pattern
+    monkeypatch.setattr(perm, "contains_pattern", lambda w, v: seen.add(v) or contains(w, v))
+    for n in range(8):
+        for w in perm.avoiding_321(n):
+            classify.decompose(w, validate=False)
+    assert seen == {classify.PATTERN_1324, classify.PATTERN_2143}
+
+
+def test_second_shape_exists_exactly_on_its_table_rows():
+    """For every Case 1 at n <= 9, _second_shape gives a shape exactly
+    when (a = 1 or c = 1) and (b = 1 or d = 1), and None otherwise."""
+    seen = 0
+    for n in range(4, 10):
+        for a, b, e, c, d in verify._compositions(n, 5, (1, 1, 0, 1, 1)):
+            shape = classify._second_shape(classify.Case1(a, b, e, c, d))
+            if 1 in (a, c) and 1 in (b, d):
+                assert isinstance(shape, immanant.SkewShape) and shape.n == n
+            else:
+                assert shape is None
+            seen += 1
+    assert seen == sum(math.comb(n, 4) for n in range(4, 10))
 
 
 def test_json_readers_roundtrip():

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlimm import classify, cli, immanant, perm, render, tl, verify
+from tlimm.errors import VerificationError
 
 
 def run(capsys, *argv):
@@ -130,18 +131,25 @@ def test_verify_failure_prints_rerun_command(capsys, monkeypatch):
 
 
 def test_verify_all_reports_a_suite_that_raises(capsys, monkeypatch):
-    """With 312645 off the forbidden list, decompose raises in A2 at n = 6:
-    the run prints that as an A2 FAIL line naming 312645 with its rerun
-    line, and still reports every other (suite, n)."""
-    monkeypatch.setattr(classify, "FORBIDDEN_PATTERNS", tuple(
-        p for p in classify.FORBIDDEN_PATTERNS if p != (3, 1, 2, 6, 4, 5)))
+    """With _second_shape made to raise for the parameters of 312645, which
+    only decompose reads, decompose raises in A2 at n = 6: the run prints
+    that as an A2 FAIL line naming 312645 with its rerun line, and still
+    reports every other (suite, n)."""
+    real = classify._second_shape
+
+    def planted(params):
+        if params == classify.classify_2143((3, 1, 2, 6, 4, 5)):
+            raise VerificationError("312645: planted")
+        return real(params)
+
+    monkeypatch.setattr(classify, "_second_shape", planted)
     code, out = run(capsys, "verify", "--suite", "all")
     assert code == cli.EXIT_MISMATCH
     lines = out.splitlines()
     failed = lines.index(next(line for line in lines if line.startswith("A2 n=6: ")))
     assert ", 1 FAILED, " in lines[failed]
     assert lines[failed + 1].startswith("  FAIL suite raised [after 312564]: expected no error")
-    assert "312645: Case1(a=1, b=2, e=0, c=1, d=2)" in lines[failed + 1]
+    assert lines[failed + 1].endswith("got 312645: planted")
     assert lines[failed + 2] == "  rerun: tlimm verify --suite A2 --n 6"
     summaries = [line.split(":")[0] for line in lines if not line.startswith((" ", "total"))]
     assert summaries == [f"{name} n={n}" for name, sizes in verify.DEFAULT_SIZES.items()

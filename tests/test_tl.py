@@ -122,14 +122,15 @@ def test_matchings_stay_interned_at_n10(monkeypatch):
 
 def test_validation_survives_python_O():
     """Input checks and the validation of results raise, so they still run
-    when -O strips asserts; decompose is given a wrong second shape."""
+    when -O strips asserts; decompose is given a wrong second shape.  A
+    Case 1 outside _second_shape's table has no second shape, -O or not."""
     script = """
 from tlimm import classify, coloring, immanant, tl
 from tlimm.errors import VerificationError
-second_shape = classify._second_shape
+if classify._second_shape(classify.Case1(1, 2, 0, 1, 2)) is not None:
+    raise SystemExit("a second shape for b = d = 2")
 classify._second_shape = lambda params: immanant.skew_shape(params.n, (params.n,) * params.n)
-for build, args, error in ((second_shape, (classify.Case1(1, 2, 0, 1, 2),), VerificationError),
-                           (tl.NonCrossingMatching, (2, (2, 3, 0, 1)), ValueError),
+for build, args, error in ((tl.NonCrossingMatching, (2, (2, 3, 0, 1)), ValueError),
                            (coloring.Coloring, (2, [5], [1]), ValueError),
                            (classify.decompose, ((2, 1, 4, 3), True), VerificationError)):
     try:

@@ -87,15 +87,23 @@ def test_string_witness_text(monkeypatch):
 
 def test_a_raised_verification_error_is_one_failed_check(monkeypatch):
     """A VerificationError ends the stream as one more check, shown as
-    after the last witness yielded; before the first, the witness is n."""
-    monkeypatch.setattr(classify, "FORBIDDEN_PATTERNS", tuple(
-        p for p in classify.FORBIDDEN_PATTERNS if p != (3, 1, 2, 6, 4, 5)))
+    after the last witness yielded; before the first, the witness is n.
+    The error is planted in classify_2143 for 312645, which A2 meets at
+    n = 6 through decompose."""
+    real = classify.classify_2143
+
+    def planted(w):
+        if w == (3, 1, 2, 6, 4, 5):
+            raise VerificationError("312645: planted")
+        return real(w)
+
+    monkeypatch.setattr(classify, "classify_2143", planted)
     report = verify.suite_a2(6)
     passing = [w for w in perm.avoiding_321(6) if w < (3, 1, 2, 6, 4, 5)]
     assert report.checks == sum(2 + classify.avoids_main_patterns(w) for w in passing) + 1
     assert [tuple(f) for f in report.failures] == [(
         "suite raised", f"after {perm.format_perm(passing[-1])}", "no error",
-        "312645: Case1(a=1, b=2, e=0, c=1, d=2): needs a = 1 or c = 1, and b = 1 or d = 1")]
+        "312645: planted")]
 
     def broken(w, validate=None):
         raise VerificationError("broken")
@@ -105,6 +113,26 @@ def test_a_raised_verification_error_is_one_failed_check(monkeypatch):
     assert report.checks == 1
     assert [tuple(f) for f in report.failures] == [
         ("suite raised", "n=3", "no error", "broken")]
+
+
+def test_a2_fails_a_wrong_forbidden_list(monkeypatch):
+    """A2's first two claims hold decompose and the store to the forbidden
+    list, so a wrong list fails both at the w it gets wrong, and every
+    check still runs: 312645 dropped from the list at n = 6 is said to
+    avoid it but is neither decomposable nor alternating, and 2143 added to
+    it at n = 4 is said to contain it but is both."""
+    listed = classify.FORBIDDEN_PATTERNS
+    for n, w, patterns, avoids_list, holds in (
+            (6, "312645", tuple(p for p in listed if p != (3, 1, 2, 6, 4, 5)), "True", "False"),
+            (4, "2143", listed + (classify.PATTERN_2143,), "False", "True")):
+        checks = verify.suite_a2(n).checks
+        with monkeypatch.context() as m:
+            m.setattr(classify, "FORBIDDEN_PATTERNS", patterns)
+            report = verify.suite_a2(n)
+        assert report.checks == checks
+        assert [tuple(f) for f in report.failures] == [
+            ("decomposable iff avoids forbidden patterns", w, avoids_list, holds),
+            ("decomposable iff sign-alternating", w, avoids_list, holds)]
 
 
 def test_other_errors_still_propagate(monkeypatch):
@@ -211,6 +239,7 @@ def stream_digest(suite, n):
 @pytest.mark.parametrize("suite, n, checks, digest", [
     ("A3", 7, 100_000, "7cd96462e06a7174645a0d791c854d7f397a0afd01044a3188b629e7eeb43b35"),
     ("A2", 6, 323, "9196a96716e3967fdbefb0c4c4dcf4c60b167fb6352fb9f33c21fbccbece3751"),
+    ("A2", 7, 960, "9b64ba3dfd0b7fc938dc2700407d618792d54be5b87dd118e3a2fef2e3340676"),
     ("A5", 5, 10_080, "a3e7f3b1fbb01ff102712b6b5cdbcc171dd23b4f5ce0702f246d3411d86338ee"),
     ("A3", 6, 51_840, "64a2a0d0d1ca4041d377f660e693777a6392255a472d329423d3fe3fb19da9c8"),
     ("A1", 6, 132, "9af6220cb338e362b58c907ef7b38c52b48b7d3f5698c062a2406612ef66110c"),
@@ -220,7 +249,7 @@ def stream_digest(suite, n):
     ("A4", 6, 924, "f032df765acaa896f81dfa23798238496ee17fbfe561da2ec1c4c546b393d448"),
     ("A7", 5, 140, "21d927564dd7c69efb0bc9aebca09b83ecdf39acaa84276973df847799dcb0e7"),
     ("A7", 6, 262, "7cc47d080350f99e99139cf892e08967aad8cebdbe80327aac532cea01ead2c8"),
-], ids=["A3-7", "A2-6", "A5-5", "A3-6", "A1-6", "A4-5", "A10-6", "A10-7", "A4-6", "A7-5", "A7-6"])
+], ids=["A3-7", "A2-6", "A2-7", "A5-5", "A3-6", "A1-6", "A4-5", "A10-6", "A10-7", "A4-6", "A7-5", "A7-6"])
 def test_check_streams_are_pinned(suite, n, checks, digest):
     """A3's sampled stream at its default seed, A3's exhaustive stream, and
     the streams of A1, A2, A4, A5, A7 and A10 are pinned check by check, with
@@ -344,6 +373,20 @@ def test_every_block_verdict_sees_its_own_column(monkeypatch, suite):
         with monkeypatch.context() as m:
             perturb_store(m, n, w, non_involution_rank(n, rng))
             assert not assert_report_is_expanded(suite, n).ok
+
+
+def test_failing_a3_builds_each_closed_column_once(monkeypatch):
+    """With one store entry one off at n = 5, A3 fails and expands its
+    block, reading the closed columns it compared: closed_form_column runs
+    once per applicable w, in order, and not again for the pairs."""
+    n, rng = 5, random.Random("once")
+    ws = a3_ws(n)
+    perturb_store(monkeypatch, n, rng.choice(ws), non_involution_rank(n, rng))
+    built = []
+    closed = classify.closed_form_column
+    monkeypatch.setattr(classify, "closed_form_column", lambda w: built.append(w) or closed(w))
+    assert not verify.suite_a3(n).ok
+    assert built == ws
 
 
 @pytest.mark.parametrize("index", [0, 63, 64, 131])
