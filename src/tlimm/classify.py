@@ -194,6 +194,13 @@ def classify_2143(w: Perm) -> CaseParams:
         raise PreconditionError(f"{w} contains the pattern 1324")
     if avoids(w, PATTERN_2143):
         raise PreconditionError(f"{w} avoids the pattern 2143")
+    return _case_params(w)
+
+
+def _case_params(w: Perm) -> CaseParams:
+    """:func:`classify_2143` without its pattern checks, for callers that
+    have just made them: the case and its blocks from the corner
+    parameters, rebuilt and compared with w."""
     n = len(w)
     ap, bp, cp, dp = corner_params(w)
     if ap + bp + cp + dp <= n:
@@ -256,7 +263,7 @@ def _closed_form_parts(w: Perm) -> tuple[int, SkewShape, Tallies | None]:
         raise PreconditionError(f"{w} contains the pattern 321")
     if not avoids(w, PATTERN_1324):
         raise PreconditionError(f"{w} contains the pattern 1324")
-    tallies = None if avoids(w, PATTERN_2143) else _tallies(classify_2143(w))
+    tallies = None if avoids(w, PATTERN_2143) else _tallies(_case_params(w))
     return sign(w), hull(w), tallies
 
 
@@ -499,7 +506,7 @@ def decompose(w: Perm, validate: bool | None = None) -> Decomposition:
     if avoids(w, PATTERN_2143):
         result = Decomposition("one", sign(w), (hull(w),))
     else:
-        params = classify_2143(w)
+        params = _case_params(w)
         second = _second_shape(params) if isinstance(params, Case1) else None
         if second is None:
             return Decomposition("none", 0, ())

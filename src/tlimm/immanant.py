@@ -334,7 +334,9 @@ def _odd_lanes(n: int) -> bytes:
     return odd
 
 
-@limits.capped_cache(limits.max_n, "column basis", maxsize=4)
+# Room for every n up to the cap: `tlimm verify --suite all` builds each
+# basis once, and the largest it reads, n = 7, is 0.24 MB.
+@limits.capped_cache(limits.max_n, "column basis", maxsize=16)
 def _basis(n: int) -> _Basis:
     perms = perm_index(n).perms
     ones = int.from_bytes(b"\x01" * len(perms), "little")

@@ -99,7 +99,7 @@ def perm_index(n: int) -> PermIndex:
     2
     """
     perms = tuple(all_perms(n))
-    return PermIndex(perms, {u: r for r, u in enumerate(perms)})
+    return PermIndex(perms, dict(zip(perms, range(len(perms)))))
 
 
 @limits.capped_cache(limits.max_n, "symmetry ranks", maxsize=16)

@@ -10,10 +10,19 @@ positions, exactly as a balanced bracket sequence.
 The package multiplies only on the right by a generator: m . t_i is a
 local surgery on m's unprimed boundary at labels i, i+1, and a closed loop
 multiplies the coefficient by 2.  One function, :func:`_glue`, does it in
-place on a pairing list: ``beta(w)`` runs one list along a reduced word and
-interns only the result, and ``_steps(n)`` tabulates it, gluing a copy of
-each pairing and looking the glued tuple up in ``_matching_index(n)``, the
-one index of all_matchings(n), keyed by pairing tuple.
+place on a pairing list: ``_beta_pairing(w)`` runs one list along a reduced
+word, and ``_steps(n)`` tabulates it, gluing a copy of each pairing and
+looking the glued tuple up in ``_matching_index(n)``, the index of the
+pairings in the order of all_matchings(n).
+
+The tables are built from pairing tuples alone.  :func:`_pairings` lists
+them size by size, each a concatenation of two shifted smaller ones; the
+index, its one caller, keys them, ``all_matchings`` interns a matching over
+each key, and the step table, the store and ``f_coeff`` read only tuples
+and their indices.  A :class:`NonCrossingMatching` is built only where one
+is handed out, as by ``all_matchings``, ``beta``, ``theta`` and
+``theta_table``.
+
 Theta is multiplied out over the table by one row step,
 :func:`_row_times_theta_gen`, which consumes the row it is given.  It has
 three callers: ``theta(u)``, one step at a time along a reduced word of u;
@@ -47,7 +56,7 @@ import itertools
 import math
 import operator
 from array import array
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from . import limits
 from .errors import PreconditionError, VerificationError
@@ -236,13 +245,19 @@ def beta(w: Perm) -> NonCrossingMatching:
     >>> format_matching(beta((2, 3, 4, 1)))
     "1-3' 2-4' 3-4 1'-2'"
     """
+    return _matching(len(w), _beta_pairing(w))
+
+
+def _beta_pairing(w: Perm) -> tuple[int, ...]:
+    """The pairing of beta(w), glued in one list along a reduced word of w,
+    with no matching object built."""
     if not is_321_avoiding(w):
         raise PreconditionError(f"{w} contains the pattern 321")
     pairing = list(range(2 * len(w) - 1, -1, -1))
     for i in reduced_word(w):
         if _glue(pairing, i):
             raise VerificationError(f"t_{i} closes a loop in the product for {w}")
-    return _matching(len(w), tuple(pairing))
+    return tuple(pairing)
 
 
 def beta_inv(m: NonCrossingMatching) -> Perm:
@@ -260,9 +275,15 @@ def beta_inv(m: NonCrossingMatching) -> Perm:
     >>> beta_inv(parse_matching("1-2 1'-2'"))
     (2, 1)
     """
-    n, top = m.n, 2 * m.n - 1
+    return _beta_inv(m.n, m.pairing)
+
+
+def _beta_inv(n: int, pairing: tuple[int, ...]) -> Perm:
+    """beta_inv of the matching of n strands with this pairing, read off the
+    tuple alone."""
+    top = 2 * n - 1
     weak_position, weak_value = bytearray(n), bytearray(n)
-    for p, q in enumerate(m.pairing):
+    for p, q in enumerate(pairing):
         if p > q:
             continue
         if q < n:
@@ -278,35 +299,50 @@ def beta_inv(m: NonCrossingMatching) -> Perm:
     return tuple(map(next, map(runs.__getitem__, weak_position)))
 
 
+def _pairings(n: int) -> list[tuple[int, ...]]:
+    """Every non-crossing pairing of 2n positions, in the order of
+    all_matchings(n), built size by size.  Position 0 pairs with 2i + 1 for
+    i = 0, ..., n - 1 in turn, which splits the rest into the i pairs
+    inside, on positions 1..2i, and the n - 1 - i pairs outside, from
+    2i + 2 on; the inside pairings vary slowest, then the outside ones,
+    each in this same order.  So each pairing is one concatenation of
+    shifted smaller pairings, and the identity comes last.  The pieces are
+    lists and only the pairings of n become tuples: freed tuples would wait
+    on CPython's tuple free lists until a full collection, about 0.2 MB of
+    them at n = 8."""
+    by_size: list[list[list[int]]] = [[[]]]
+    for size in range(1, n + 1):
+        out = []
+        for i in range(size):
+            # 0 and 2i + 1 around the inside, shifted by 1; the outside,
+            # shifted by 2i + 2.
+            heads = [[2 * i + 1, *map((1).__add__, p), 0] for p in by_size[i]]
+            tails = [[*map((2 * i + 2).__add__, p)] for p in by_size[size - 1 - i]]
+            out += [head + tail for head in heads for tail in tails]
+        by_size.append(out)
+    return list(map(tuple, by_size[n]))
+
+
 @limits.capped_cache(limits.max_n, "non-crossing matchings", maxsize=16)
 def all_matchings(n: int) -> tuple[NonCrossingMatching, ...]:
-    """All Catalan(n) non-crossing matchings of 2n vertices."""
-    out = []
-    pairing = [-1] * (2 * n)
-
-    def fill(free: list[int]) -> Iterator[None]:
-        if not free:
-            yield
-            return
-        p = free[0]
-        # Pairing p with free[k] splits the rest into an inside and an
-        # outside arc, each of which must be matched within itself.
-        for k in range(1, len(free), 2):
-            q = free[k]
-            pairing[p], pairing[q] = q, p
-            for _ in fill(free[1:k]):
-                yield from fill(free[k + 1 :])
-
-    for _ in fill(list(range(2 * n))):
-        out.append(_matching(n, tuple(pairing)))
-    return tuple(out)
+    """All Catalan(n) non-crossing matchings of 2n vertices, in the order
+    of :func:`_pairings`, each interned over the keys of the index."""
+    return tuple(_matching(n, pairing) for pairing in _matching_index(n))
 
 
 @limits.capped_cache(limits.max_n, "matching index", maxsize=16)
 def _matching_index(n: int) -> dict[tuple[int, ...], int]:
     """The index in all_matchings(n) of each matching, keyed by its
-    pairing tuple."""
-    return {m.pairing: k for k, m in enumerate(all_matchings(n))}
+    pairing tuple, with no matching object built: the one call of
+    :func:`_pairings`, whose tuples the matchings share.  Each key passes
+    the checks of the matching constructor; one that fails is a
+    VerificationError naming it."""
+    pairings = _pairings(n)
+    for pairing in pairings:
+        if len(pairing) != 2 * n or not is_noncrossing(pairing):
+            raise VerificationError(
+                f"pairing {pairing} is not a non-crossing matching of {2 * n} vertices")
+    return dict(zip(pairings, range(len(pairings))))
 
 
 class _Step(NamedTuple):
@@ -465,12 +501,15 @@ def _overflow(n: int, a: int, start: int, k: int, shifted: int) -> VerificationE
     # Lane L of G_a holds theta(g) for the L-th g^-1 of G_a in lexicographic
     # order, which the store keeps at w = beta_inv(m_k)^-1 and u = g^-1.
     tail = next(itertools.islice(itertools.permutations(range(a, n + 1)), start + i, None))
-    u, w = tuple(range(1, a)) + tail, inverse(beta_inv(all_matchings(n)[k]))
+    u, w = tuple(range(1, a)) + tail, inverse(_beta_inv(n, next(itertools.islice(_matching_index(n), k, None))))
     return VerificationError(
         f"f_w(u) = {c} at n={n}, w={format_perm(w)}, u={format_perm(u)} "
         "does not fit the signed-byte store")
 
 
+# Four sizes, not every n up to the cap: `tlimm verify --suite all` then
+# builds stores 2-6 twice, but holding the 2.2 MB store of n = 7 to its end
+# raised its peak RSS by 0.5 MB.
 @limits.capped_cache(limits.theta_max_n, "Temperley-Lieb immanant store", maxsize=4)
 def all_tl_immanants(n: int) -> dict[Perm, array]:
     """The coefficients f_w(u) of every 321-avoiding w in S_n, the one
@@ -489,7 +528,7 @@ def all_tl_immanants(n: int) -> dict[Perm, array]:
     >>> all_tl_immanants(2)[(2, 1)].tolist()
     [0, 1]
     """
-    ws = [beta_inv(m) for m in all_matchings(n)]
+    ws = [_beta_inv(n, pairing) for pairing in _matching_index(n)]
     columns = dict(zip(map(inverse, ws), _theta_columns(n)))
     return {w: columns[w] for w in ws}
 
@@ -534,7 +573,7 @@ def f_coeff(w: Perm, u: Perm) -> int:
     steps = _steps(n)
     word = reduced_word(u)
     # The identity matching comes last in all_matchings(n).
-    row, dual = {catalan(n) - 1: 1}, {_matching_index(n)[beta(w).pairing]: 1}
+    row, dual = {catalan(n) - 1: 1}, {_matching_index(n)[_beta_pairing(w)]: 1}
     front, back = 0, len(word)
     while front < back:
         if len(row) <= len(dual):

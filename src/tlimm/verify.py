@@ -499,11 +499,12 @@ def suite_a7(n: int) -> Iterator[_Check]:
 def suite_a8(n: int) -> Iterator[_Check]:
     """Anti-diagonal coefficients: the closed form matches |f_w(w0)|, with
     the two fixed anchors at n = 4 and n = 6."""
-    w0 = perm.longest_word(n)
-    expansion = tl.theta(w0)
+    # The one row of theta(w0), read at the index of beta(w)'s pairing: no
+    # matching object is built.
+    row, index = tl._theta_row(perm.longest_word(n)), tl._matching_index(n)
     for w in _applicable_two_case(n):
         yield ("closed form matches |f_w(w0)|", w,
-               abs(expansion.get(tl.beta(w), 0)), classify.antidiag_coeff(w))
+               abs(row.get(index[tl._beta_pairing(w)], 0)), classify.antidiag_coeff(w))
     if n == 4:
         yield ("anchor f_2143(4321)", "2143",
                2, tl.f_coeff((2, 1, 4, 3), (4, 3, 2, 1)))

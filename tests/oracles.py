@@ -51,6 +51,30 @@ def brute_all_matchings(n: int) -> set[tuple[int, ...]]:
     return out
 
 
+def matchings_in_fill_order(n: int) -> list[tuple[int, ...]]:
+    """The pairing tuples of the non-crossing matchings of 2n points, in
+    the order of a recursive fill: the first free point pairs with each
+    odd-offset free point in turn, and for each choice every filling of
+    the points inside is combined with every filling of those outside."""
+    out = []
+    pairing = [-1] * (2 * n)
+
+    def fill(free: list[int]):
+        if not free:
+            yield
+            return
+        p = free[0]
+        for k in range(1, len(free), 2):
+            q = free[k]
+            pairing[p], pairing[q] = q, p
+            for _ in fill(free[1:k]):
+                yield from fill(free[k + 1 :])
+
+    for _ in fill(list(range(2 * n))):
+        out.append(tuple(pairing))
+    return out
+
+
 def brute_is_noncrossing(pairing) -> bool:
     """The definition: pairing is a fixed-point-free involution of its
     positions with no two chords p < q and r < s such that p < r < q < s."""

@@ -1,4 +1,5 @@
 import ast
+import collections
 import math
 from pathlib import Path
 
@@ -429,7 +430,7 @@ def test_decompose_rejects_impossible_case_parameters(monkeypatch):
     with neither a nor c equal to 1, cannot be right: decompose reads them
     as "none", and A2's first claim fails at 2143."""
     for params in (classify.Case2(1, 1, 1, 1, 0, 1), classify.Case1(2, 1, 0, 2, 1)):
-        monkeypatch.setattr(classify, "classify_2143", lambda w: params)
+        monkeypatch.setattr(classify, "_case_params", lambda w: params)
         assert classify.decompose((2, 1, 4, 3), validate=False).kind == "none"
         report = verify.suite_a2(4)
         assert [(f.claim, f.witness) for f in report.failures] == [
@@ -448,14 +449,26 @@ def test_decompose_names_w_when_312645_is_not_forbidden(monkeypatch):
 
 def test_decompose_tests_only_1324_and_2143(monkeypatch):
     """decompose decides from the case parameters: over every 321-avoider
-    at n <= 7 the only patterns it looks for are 1324 and 2143."""
-    seen = set()
+    at n <= 7 the only patterns it looks for are 1324 and 2143, each at
+    most once per w; the same holds for closed_form."""
+    calls = collections.Counter()
     contains = perm.contains_pattern
-    monkeypatch.setattr(perm, "contains_pattern", lambda w, v: seen.add(v) or contains(w, v))
+
+    def spy(w, v):
+        calls[w, v] += 1
+        return contains(w, v)
+
+    monkeypatch.setattr(perm, "contains_pattern", spy)
     for n in range(8):
         for w in perm.avoiding_321(n):
             classify.decompose(w, validate=False)
-    assert seen == {classify.PATTERN_1324, classify.PATTERN_2143}
+    assert {v for _, v in calls} == {classify.PATTERN_1324, classify.PATTERN_2143}
+    assert max(calls.values()) == 1
+    for w in perm.avoiding_321(7):
+        if perm.avoids(w, classify.PATTERN_1324):
+            calls.clear()
+            classify.closed_form(w)
+            assert max(calls.values()) == 1, w
 
 
 def test_second_shape_exists_exactly_on_its_table_rows():

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import itertools
 import os
 import random
@@ -20,6 +21,7 @@ from oracles import (
     brute_is_noncrossing,
     compose_word,
     glue,
+    matchings_in_fill_order,
     tl_product,
 )
 
@@ -442,6 +444,57 @@ def test_matchings_enumeration_and_bijection(n):
     if n <= 5:
         assert {m.pairing for m in tl.all_matchings(n)} == brute_all_matchings(n)
     assert {m: tl.beta_inv(m) for m in tl.all_matchings(n)} == beta_lookup(n)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_matching_order_matches_the_fill_oracle(n):
+    """all_matchings(n) and the keys of _matching_index(n) come in the
+    order of the recursive fill, and each key maps to its place."""
+    order = matchings_in_fill_order(n)
+    assert len(order) == tl.catalan(n)
+    assert [m.pairing for m in tl.all_matchings(n)] == order
+    index = tl._matching_index(n)
+    assert list(index) == order
+    assert list(index.values()) == list(range(len(order)))
+
+
+@pytest.mark.parametrize("shift, wrong", [
+    ("(2 * i + 2).__add__", "(2 * i + 1).__add__"),
+    ("(1).__add__", "(2).__add__"),
+])
+def test_a_wrong_shift_in_the_pairings_raises(monkeypatch, shift, wrong):
+    """_pairings with either of its two shifts off by one: the index names
+    a bad key in a VerificationError, and all_matchings, which reads the
+    index, raises the same.  A raise caches nothing, so no cache keeps a
+    wrong table."""
+    source = inspect.getsource(tl._pairings)
+    assert source.count(shift) == 1
+    namespace = dict(vars(tl))
+    exec(source.replace(shift, wrong), namespace)
+    monkeypatch.setattr(tl, "_pairings", namespace["_pairings"])
+    tl._matching_index.cache_clear()
+    for build in (tl._matching_index.__wrapped__, tl.all_matchings.__wrapped__):
+        with pytest.raises(VerificationError, match="is not a non-crossing matching of 6 vertices"):
+            build(3)
+
+
+def test_point_queries_build_no_matching_object():
+    """In a fresh interpreter, f_coeff at n = 8, the store at n = 6 and
+    suite A8 at n = 7 read pairing tuples only: the interning constructor
+    is never called."""
+    script = """
+from tlimm import tl, verify
+tl.f_coeff((2, 1, 4, 3, 6, 5, 8, 7), (8, 7, 6, 5, 4, 3, 2, 1))
+tl.all_tl_immanants(6)
+if not verify.suite_a8(7).ok:
+    raise SystemExit("A8 failed")
+print(tl._matching.cache_info().misses)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(tl.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", script],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0"]
 
 
 def test_f_coeff_anchors():

@@ -88,16 +88,16 @@ def test_string_witness_text(monkeypatch):
 def test_a_raised_verification_error_is_one_failed_check(monkeypatch):
     """A VerificationError ends the stream as one more check, shown as
     after the last witness yielded; before the first, the witness is n.
-    The error is planted in classify_2143 for 312645, which A2 meets at
-    n = 6 through decompose."""
-    real = classify.classify_2143
+    The error is planted in the case parameters of 312645, which A2 meets
+    at n = 6 through decompose."""
+    real = classify._case_params
 
     def planted(w):
         if w == (3, 1, 2, 6, 4, 5):
             raise VerificationError("312645: planted")
         return real(w)
 
-    monkeypatch.setattr(classify, "classify_2143", planted)
+    monkeypatch.setattr(classify, "_case_params", planted)
     report = verify.suite_a2(6)
     passing = [w for w in perm.avoiding_321(6) if w < (3, 1, 2, 6, 4, 5)]
     assert report.checks == sum(2 + classify.avoids_main_patterns(w) for w in passing) + 1
@@ -249,13 +249,34 @@ def stream_digest(suite, n):
     ("A4", 6, 924, "f032df765acaa896f81dfa23798238496ee17fbfe561da2ec1c4c546b393d448"),
     ("A7", 5, 140, "21d927564dd7c69efb0bc9aebca09b83ecdf39acaa84276973df847799dcb0e7"),
     ("A7", 6, 262, "7cc47d080350f99e99139cf892e08967aad8cebdbe80327aac532cea01ead2c8"),
-], ids=["A3-7", "A2-6", "A2-7", "A5-5", "A3-6", "A1-6", "A4-5", "A10-6", "A10-7", "A4-6", "A7-5", "A7-6"])
+    ("A6", 8, 1_434, "5db62804ba6ff324941628a22807e54a4ea2336bb031594098c1357dc343af96"),
+    ("A8", 7, 71, "1b68cfc4704bb21fa9912a3594023aadc1e6cfdf80f191e42c3e742438089cc9"),
+], ids=["A3-7", "A2-6", "A2-7", "A5-5", "A3-6", "A1-6", "A4-5", "A10-6", "A10-7", "A4-6", "A7-5",
+        "A7-6", "A6-8", "A8-7"])
 def test_check_streams_are_pinned(suite, n, checks, digest):
     """A3's sampled stream at its default seed, A3's exhaustive stream, and
-    the streams of A1, A2, A4, A5, A7 and A10 are pinned check by check, with
-    every block expanded, so a kernel that changes a claim, a witness, a
-    value or the order, not only the count, fails here."""
+    the streams of A1, A2, A4, A5, A6, A7, A8 and A10 are pinned check by
+    check, with every block expanded, so a kernel that changes a claim, a
+    witness, a value or the order, not only the count, fails here."""
     assert stream_digest(suite, n) == (checks, digest)
+
+
+# The suites of the default plan that read the store.  All but A5 read the
+# column basis too, at every size; A4 covers the sizes of A5.
+STORE_SUITES = ("A1", "A2", "A3", "A4", "A5", "A10")
+
+
+def test_basis_is_built_once_per_size():
+    """Through the default plan's store-reading suites, in plan order, the
+    column basis is built once per distinct size: no size is evicted and
+    built again."""
+    immanant._basis.cache_clear()
+    sizes = set()
+    for suite in STORE_SUITES:
+        for n in verify.DEFAULT_SIZES[suite]:
+            assert verify.run_suite(suite, n).ok, (suite, n)
+            sizes.add(n)
+    assert immanant._basis.cache_info().misses == len(sizes) == 6
 
 
 # ---------------------------------------------------------------------------
