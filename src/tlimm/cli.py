@@ -65,7 +65,7 @@ def cmd_immanant(args) -> int:
     if args.format == "json":
         _emit(f.to_json())
     else:
-        for u, c in sorted(f.coeffs.items()):
+        for u, c in f.coeffs.items():
             print(f"{perm.format_perm(u)}\t{c}")
     return 0
 

@@ -1,9 +1,10 @@
 """
-Immanants as exact sparse coefficient vectors over S_n.
+Immanants as exact coefficient columns over S_n.
 
-An :class:`Immanant` maps permutations to exact coefficients (ints, or
-Fractions after rational scaling); evaluating it on a matrix of exact
-rationals gives the polynomial value sum_u f(u) * x_{1,u(1)} ... x_{n,u(n)}.
+An :class:`Immanant` holds one exact coefficient per permutation (an int,
+or a Fraction after rational scaling), listed by rank in perm_index(n);
+evaluating it on a matrix of exact rationals gives the polynomial value
+sum_u f(u) * x_{1,u(1)} ... x_{n,u(n)}.
 
 Skew shapes live inside the n x n box with (1, 1) the upper-left cell:
 ``SkewShape(n, lam, mu)`` holds cell (i, j) iff mu_i < j <= lam_i.
@@ -71,12 +72,6 @@ def _rational(x) -> Fraction:
     if q is not None and int(q) == 0:
         raise ValueError(f"zero denominator in {x!r}")
     return Fraction(int(p), int(q or 1))
-
-
-def _normalize_coeff(c: Coeff) -> Coeff:
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
 
 
 class _SkewShapeFields(NamedTuple):
@@ -178,56 +173,68 @@ def lies_in(u: Perm, shape: SkewShape) -> bool:
 
 
 class Immanant:
-    """A sparse exact map S_n -> coefficients; zero coefficients dropped.
-    Two immanants are equal when their n and coeffs are; an immanant holds
-    a dict, so it is unhashable."""
+    """An exact map S_n -> coefficients: ``values[r]`` is the normalized
+    coefficient of the u of rank r in perm_index(n), zeros included.  The
+    values may be a store column of :func:`all_tl_immanants`, so they must
+    not be changed.  Equal when n and values are; unhashable."""
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "values")
     __hash__ = None
 
     def __init__(self, n: int, coeffs: Mapping[Perm, Coeff]):
-        for u in coeffs:
-            if len(u) != n:
-                raise PreconditionError(f"permutation {u} in immanant of size {n}")
-        self.n = n
-        self.coeffs = _nonzero(coeffs)
+        rank = perm_index(n).rank  # n held to the whole-S_n cap first
+        values = [0] * len(rank)
+        for u, c in coeffs.items():
+            r = rank.get(u)
+            if r is None:
+                raise PreconditionError(f"{u} is not a permutation of S_{n}")
+            values[r] = _exact(c)
+        self.n, self.values = n, values
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
+        return self.n == other.n and all(map(operator.eq, self.values, other.values))
 
     def __repr__(self):
         return f"Immanant(n={self.n!r}, coeffs={self.coeffs!r})"
 
+    @property
+    def coeffs(self) -> dict[Perm, Coeff]:
+        """The nonzero coefficients by permutation, in rank order: a new
+        dict, built for printing; changing it changes nothing else."""
+        values = self.values
+        return dict(zip(itertools.compress(perm_index(self.n).perms, values),
+                        filter(None, values)))
+
     def coeff(self, u: Perm) -> Coeff:
-        return self.coeffs.get(tuple(u), 0)
+        r = perm_index(self.n).rank.get(tuple(u))
+        if r is None:
+            raise PreconditionError(f"{u} is not a permutation of S_{self.n}")
+        return self.values[r]
 
     def __add__(self, other: Immanant) -> Immanant:
         if self.n != other.n:
             raise PreconditionError(f"size mismatch: {self.n} vs {other.n}")
-        coeffs = dict(self.coeffs)
-        for u, c in other.coeffs.items():
-            coeffs[u] = coeffs.get(u, 0) + c
-        return _unchecked(self.n, _nonzero(coeffs))
+        return _wrap(self.n, list(map(_exact, map(operator.add, self.values, other.values))))
 
     def scaled(self, c: Coeff) -> Immanant:
-        return _unchecked(self.n, _nonzero({u: c * v for u, v in self.coeffs.items()}))
+        c = _exact(c)
+        return _wrap(self.n, [_exact(c * v) if v else 0 for v in self.values])
 
     def to_json(self) -> dict:
-        terms = [
-            {"perm": format_perm(u), "coeff": str(c)}
-            for u, c in sorted(self.coeffs.items())
-        ]
+        terms = [{"perm": format_perm(u), "coeff": str(c)} for u, c in self.coeffs.items()]
         return {"n": self.n, "terms": terms}
 
     @classmethod
     def from_json(cls, data: Mapping) -> Immanant:
-        """Read the JSON form; a document of the wrong shape is a ValueError."""
+        """Read the JSON form; a document of the wrong shape is a ValueError,
+        and n above the whole-S_n cap a LimitError, before any term is read."""
         try:
             n = _integer(data["n"])
             if n < 0:
                 raise ValueError(f"immanant size must be non-negative, got {n}")
+            limits.check_limit(n, limits.max_n(), "immanant")
             coeffs = {}
             for term in data["terms"]:
                 # to_json writes the one permutation of S_0 as "".
@@ -247,27 +254,20 @@ def zero_immanant(n: int) -> Immanant:
     return Immanant(n, {})
 
 
-def _nonzero(coeffs: Mapping[Perm, Coeff]) -> dict[Perm, Coeff]:
-    """The coefficients normalized, with the zeros dropped.  Plain ints are
-    already normal, so only a mapping holding another type is normalized
-    term by term; a type other than int or Fraction, bool included, is
-    inexact and a PreconditionError."""
-    values = coeffs.values()
-    types = set(map(type, values))
-    if not types <= {int}:
-        if not types <= {int, Fraction}:
-            inexact = ", ".join(sorted(t.__name__ for t in types - {int, Fraction}))
-            raise PreconditionError(f"inexact coefficient of type {inexact}")
-        values = map(_normalize_coeff, values)
-    return dict(filter(operator.itemgetter(1), zip(coeffs, values)))
+def _exact(c: Coeff) -> Coeff:
+    """c normalized, a Fraction of denominator 1 as its int; a type other
+    than int or Fraction, bool included, is inexact and a PreconditionError."""
+    if type(c) is int:
+        return c
+    if type(c) is Fraction:
+        return c.numerator if c.denominator == 1 else c
+    raise PreconditionError(f"inexact coefficient of type {type(c).__name__}")
 
 
-def _unchecked(n: int, coeffs: dict[Perm, Coeff]) -> Immanant:
-    """An Immanant over nonzero normalized coefficients keyed by members of
-    S_n, so the constructor's per-term checks are not run again."""
+def _wrap(n: int, values: Sequence[Coeff]) -> Immanant:
+    """The Immanant over values, exact and normalized by rank, held uncopied."""
     f = Immanant.__new__(Immanant)
-    f.n = n
-    f.coeffs = coeffs
+    f.n, f.values = n, values
     return f
 
 
@@ -409,20 +409,20 @@ def pack_column(n: int, values: array) -> int:
     column of :func:`all_tl_immanants`: each byte is spread into its lane
     unsigned, and a byte with its high bit set stands for itself less 256.
 
-    >>> unpack_column(2, pack_column(2, array("b", [3, -1]))).coeffs
-    {(1, 2): 3, (2, 1): -1}
+    >>> unpack_column(2, pack_column(2, array("b", [3, -1])))
+    Immanant(n=2, coeffs={(1, 2): 3, (2, 1): -1})
     """
     unsigned = _spread(values.tobytes())
     return unsigned - ((unsigned & (_basis(n).one << 7)) << 1)
 
 
 def unpack_column(n: int, column: int) -> Immanant:
-    """The sparse Immanant that a packed column holds."""
+    """The Immanant that a packed column holds, over its decoded lanes."""
     top = _basis(n).one << (_LANE - 1)
     lanes = array("i")
     lanes.frombytes(((column + top) ^ top).to_bytes(
         lanes.itemsize * len(perm_index(n).perms), "little"))
-    return _sparse(n, lanes)
+    return _wrap(n, lanes)
 
 
 def sum_columns(columns: Sequence[int]) -> int:
@@ -433,8 +433,8 @@ def sum_columns(columns: Sequence[int]) -> int:
     no lane overflows; more terms are a VerificationError.
 
     >>> column = pack_column(2, array("b", [1, -2]))
-    >>> unpack_column(2, sum_columns([column] * 3)).coeffs
-    {(1, 2): 3, (2, 1): -6}
+    >>> unpack_column(2, sum_columns([column] * 3))
+    Immanant(n=2, coeffs={(1, 2): 3, (2, 1): -6})
     """
     if len(columns) > MAX_TERMS:
         raise VerificationError(
@@ -444,20 +444,13 @@ def sum_columns(columns: Sequence[int]) -> int:
 
 class Column(NamedTuple):
     """A packed column of S_n as a check's value: equal to another iff
-    their n and lanes are, and shown as the sparse Immanant it holds."""
+    their n and lanes are, and shown as the Immanant it holds."""
 
     n: int
     lanes: int
 
     def __repr__(self) -> str:
         return repr(unpack_column(self.n, self.lanes))
-
-
-def _sparse(n: int, values: Sequence[Coeff]) -> Immanant:
-    """The Immanant of rank-indexed values over S_n; compress keeps the u
-    with a nonzero value."""
-    return _unchecked(n, dict(zip(itertools.compress(perm_index(n).perms, values),
-                                  filter(None, values))))
 
 
 def shape_mask(shape: SkewShape) -> bytes:
@@ -480,16 +473,16 @@ def percent_immanant(shape: SkewShape) -> Immanant:
     >>> percent_immanant(hull((2, 1, 4, 3))).coeff((2, 1, 4, 3))
     1
     """
-    return _sparse(shape.n, percent_column(shape))
+    return _wrap(shape.n, percent_column(shape))
 
 
 def tl_immanant(w: Perm) -> Immanant:
     """The Temperley-Lieb immanant of a 321-avoiding w: the coefficient of u
-    is the coefficient of beta(w) in theta(u).  A new Immanant, read from
-    the stored column of w."""
+    is the coefficient of beta(w) in theta(u).  Its values are the stored
+    column of w itself, not a copy."""
     if not is_321_avoiding(w):
         raise PreconditionError(f"{w} contains the pattern 321")
-    return _sparse(len(w), all_tl_immanants(len(w))[w])
+    return _wrap(len(w), all_tl_immanants(len(w))[w])
 
 
 def cm_column(n: int, I: Iterable[int], J: Iterable[int]) -> array:
@@ -511,12 +504,12 @@ def cm_column(n: int, I: Iterable[int], J: Iterable[int]) -> array:
 
 
 def cm_immanant(n: int, I: Iterable[int], J: Iterable[int]) -> Immanant:
-    """The complementary-minor immanant of :func:`cm_column`, sparse.
+    """The complementary-minor immanant over :func:`cm_column`.
 
-    >>> cm_immanant(3, {1}, {3}).coeffs
-    {(3, 1, 2): 1, (3, 2, 1): -1}
+    >>> cm_immanant(3, {1}, {3})
+    Immanant(n=3, coeffs={(3, 1, 2): 1, (3, 2, 1): -1})
     """
-    return _sparse(n, cm_column(n, I, J))
+    return _wrap(n, cm_column(n, I, J))
 
 
 def subset_sign(I: Iterable[int]) -> int:
@@ -557,16 +550,7 @@ def parse_matrix(text: str) -> Matrix:
 
 
 def evaluate(f: Immanant, matrix: Sequence[Sequence]) -> Fraction:
-    """sum_u f(u) * prod_i X[i, u(i)], exactly.  Row i is scaled by the lcm
-    d_i of its denominators and f by the lcm d of its own, so every product
-    is an integer, and the sum is divided by d * d_1 * ... * d_n once.
-
-    The walk over f's terms runs in C, at a cost linear in their number:
-    one ``map`` pipeline reads each u's row product and multiplies it by
-    the coefficient, and ``sum`` adds them, with no Python frame per term.
-    When every coefficient is an int, as for store, percent and CM
-    immanants, d = 1 and the coefficients are used as they are; otherwise
-    they are scaled to integers once, into a list.
+    """sum_u f(u) * prod_i X[i, u(i)], exactly, over the u with f(u) != 0.
 
     >>> evaluate(cm_immanant(2, (), ()), [[1, 2], [3, 4]])
     Fraction(-2, 1)
@@ -574,11 +558,27 @@ def evaluate(f: Immanant, matrix: Sequence[Sequence]) -> Fraction:
     X = as_matrix(matrix)
     if len(X) != f.n:
         raise PreconditionError(f"size mismatch: matrix {len(X)} vs immanant {f.n}")
+    values = f.values
+    return evaluate_terms(X, itertools.compress(perm_index(f.n).perms, values),
+                          list(filter(None, values)))
+
+
+def evaluate_terms(X: Sequence[Sequence[int | Fraction]], perms: Iterable[Perm],
+                   values: Sequence[Coeff]) -> Fraction:
+    """sum of c * prod_i X[i, u(i)] over zip(perms, values), exactly, for a
+    square X of ints or Fractions.  Row i is scaled by the lcm d_i of its
+    denominators and the values by the lcm d of theirs, so every product
+    is an integer, and the sum is divided by d * d_1 * ... * d_n once.  The
+    walk is one ``map`` pipeline in C, linear in the number of terms; when
+    every value is an int, as in store, percent and CM columns, d = 1.
+
+    >>> evaluate_terms([[1, 2], [3, 4]], [(2, 1)], [Fraction(1, 2)])
+    Fraction(3, 1)
+    """
     scales = [math.lcm(*(x.denominator for x in row)) for row in X]
     # A leading 0 lets row[x] read column x.
     rows = [(0, *(x.numerator * (d // x.denominator) for x in row))
             for row, d in zip(X, scales)]
-    values = f.coeffs.values()
     if set(map(type, values)) <= {int}:
         d = 1
     else:
@@ -586,7 +586,7 @@ def evaluate(f: Immanant, matrix: Sequence[Sequence]) -> Fraction:
         values = [c.numerator * (d // c.denominator) for c in values]
     # prod_i rows[i][u(i)] for each u, times its value, all in C.
     total = sum(map(operator.mul, values, map(math.prod, map(
-        map, itertools.repeat(operator.getitem), itertools.repeat(rows), f.coeffs))))
+        map, itertools.repeat(operator.getitem), itertools.repeat(rows), perms))))
     return Fraction(total, d * math.prod(scales))
 
 
@@ -751,14 +751,12 @@ def percent_basis_decompose(f: Immanant) -> list[tuple[Perm, Coeff]]:
     """Write f as a sum of coefficient * (sum of sign(u) u over a class of
     :func:`related_classes`), each class named by its minimum, the terms
     in increasing order of it; f must be 1324-sign-alternating, which
-    :func:`alternation_violations` tests on f listed by rank in the capped
-    :func:`perm_index`, zeros included.
+    :func:`alternation_violations` tests on f's column.
 
     >>> percent_basis_decompose(zero_immanant(3))
     []
     """
-    column = list(map(f.coeffs.get, perm_index(f.n).perms, itertools.repeat(0)))
-    violation, = alternation_violations(f.n, [column])
+    violation, = alternation_violations(f.n, [f.values])
     if violation is not None:
         w, w2 = violation
         raise PreconditionError(
@@ -766,10 +764,11 @@ def percent_basis_decompose(f: Immanant) -> list[tuple[Perm, Coeff]]:
             f"{format_perm(w)}, {format_perm(w2)} has coefficients "
             f"{f.coeff(w)}, {f.coeff(w2)}"
         )
-    out = []
+    rank, out = perm_index(f.n).rank, []
     for members in related_classes(f.n):
         rep = members[0]
-        c = _normalize_coeff(f.coeff(rep) * sign(rep))
+        # A normalized value times a sign stays normalized.
+        c = f.values[rank[rep]] * sign(rep)
         if c:
             out.append((rep, c))
     return out

@@ -540,11 +540,11 @@ def suite_a9(n: int, seed: int = 94_711) -> Iterator[_Check]:
                 f = f + immanant.percent_immanant(random_shape()).scaled(
                     Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                 )
-            rebuilt = immanant.zero_immanant(n)
+            terms = {}
             for rep, c in immanant.percent_basis_decompose(f):
                 members = next(cl for cl in classes if rep in cl)
-                indicator = immanant.Immanant(n, {u: perm.sign(u) for u in members})
-                rebuilt = rebuilt + indicator.scaled(c)
+                terms.update((u, c * perm.sign(u)) for u in members)
+            rebuilt = immanant.Immanant(n, terms)
             yield ("span element reconstructs from class decomposition",
                    {"n": n, "trial": trial}, f, rebuilt)
 
@@ -597,12 +597,11 @@ def suite_a10(n: int) -> Iterator[_Check]:
         # are permutations.
         support = list(itertools.compress(range(len(perms)), immanant.row_mask(
             n, [[j for j, x in enumerate(row, 1) if x] for row in X])))
-        percent, tl_w = (immanant.Immanant(n, {perms[r]: column[r] for r in support})
+        terms = [perms[r] for r in support]
+        percent, tl_w = (immanant.evaluate_terms(X, terms, [column[r] for r in support])
                          for column in (immanant.percent_column(immanant.hull(w)), store[w]))
-        yield ("witness matrix: hull percent immanant is +-1", w,
-               1, abs(immanant.evaluate(percent, X)))
-        yield ("witness matrix: Temperley-Lieb immanant vanishes", w,
-               Fraction(0), immanant.evaluate(tl_w, X))
+        yield ("witness matrix: hull percent immanant is +-1", w, 1, abs(percent))
+        yield ("witness matrix: Temperley-Lieb immanant vanishes", w, Fraction(0), tl_w)
 
 
 def run_suite(suite: str, n: int) -> VerificationReport:

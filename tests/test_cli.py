@@ -236,6 +236,10 @@ def test_render_crossing_matching_is_parse_error():
     (["render", "shape", '{"n": 2, "lambda": [2, 2], "mu": [false]}'], {}, cli.EXIT_PARSE),
     (["eval", "f", "x"], {"f": '{"n": true, "terms": []}', "x": "[[1]]"}, cli.EXIT_PARSE),
     (["render", "shape", '{"n": -1, "lambda": []}'], {}, cli.EXIT_PARSE),
+    (["eval", "f", "x"], {"f": '{"n": 9, "terms": []}', "x": json.dumps([[1] * 9] * 9)},
+     cli.EXIT_PRECONDITION),
+    (["eval", "f", "x"], {"f": '{"n": 100000000000000000000, "terms": []}', "x": "[]"},
+     cli.EXIT_PRECONDITION),
 ])
 def test_bad_input_exit_code_without_traceback(argv, files, code, tmp_path):
     for name, text in files.items():

@@ -579,6 +579,8 @@ def test_store_rejects_coefficient_beyond_a_byte(monkeypatch):
 
 
 def test_tl_immanant_is_a_copy():
+    """The dict that coeffs builds is a copy: changing it leaves the store
+    column, which the immanant holds, as it was."""
     w = (2, 1, 4, 3)
     column = immanant.all_tl_immanants(4)[w].tolist()
     f = immanant.tl_immanant(w)
@@ -586,6 +588,25 @@ def test_tl_immanant_is_a_copy():
     f.coeffs.clear()
     assert immanant.all_tl_immanants(4)[w].tolist() == column
     assert immanant.tl_immanant(w).coeff((4, 3, 2, 1)) == 2
+
+
+def test_immanants_hold_their_columns():
+    """tl_immanant holds the store column itself, and percent_immanant and
+    cm_immanant their ``array('b')`` columns; only the public constructor,
+    from_json, + and scaled build a list."""
+    for n in range(5):
+        store = immanant.all_tl_immanants(n)
+        for w in perm.avoiding_321(n):
+            assert immanant.tl_immanant(w).values is store[w]
+    shape = immanant.hull((2, 1, 4, 3))
+    assert immanant.percent_immanant(shape).values == immanant.percent_column(shape)
+    assert immanant.cm_immanant(4, {1}, {4}).values == immanant.cm_column(4, {1}, {4})
+    for f in (immanant.percent_immanant(shape), immanant.cm_immanant(4, {1}, {4})):
+        assert type(f.values) is array and f.values.typecode == "b"
+        assert len(f.values) == 24
+    f = immanant.tl_immanant((2, 1, 4, 3))
+    for g, k in ((f + f, 2), (f.scaled(3), 3), (immanant.Immanant(4, f.coeffs), 1)):
+        assert type(g.values) is list and g.values == [k * c for c in f.values]
 
 
 def test_cm_immanant():
@@ -654,30 +675,25 @@ def test_immanant_sums_normalize_and_drop_zeros():
     assert made.coeffs == {(1, 2): 2} and type(made.coeffs[(1, 2)]) is int
     with pytest.raises(PreconditionError):
         f + immanant.tl_immanant((2, 1))
-    with pytest.raises(PreconditionError):
-        immanant.Immanant(2, {(1, 2, 3): 1})
+    for u in ((1, 2, 3), (1, 1)):
+        with pytest.raises(PreconditionError):
+            immanant.Immanant(2, {u: 1})
 
 
 def test_immanants_refuse_inexact_coefficients():
     """Only int and Fraction coefficients are exact: a float, complex or
-    bool one is refused, naming its type, by the constructor, by scaled and
-    by +, which all normalize through one check.  (True times an int is an
-    int, so a bool can only come in through the constructor.)"""
+    bool one is refused, naming its type, by the constructor and by
+    scaled, which normalize through one check, as + does.  (+ adds two
+    exact columns, so nothing inexact can come in through it.)"""
     f = immanant.tl_immanant((2, 1))
     for c in (0.5, 1.0, 1j, True, False):
         with pytest.raises(PreconditionError, match=type(c).__name__):
             immanant.Immanant(2, {(1, 2): c})
         with pytest.raises(PreconditionError, match=type(c).__name__):
             immanant.Immanant(2, {(1, 2): Fraction(1, 2), (2, 1): c})
-    for c in (0.5, 2.0, 1j):
+    for c in (0.5, 2.0, 1j, True):
         with pytest.raises(PreconditionError, match=type(c).__name__):
             f.scaled(c)
-        stray = immanant.zero_immanant(2)
-        stray.coeffs[(1, 2)] = c
-        with pytest.raises(PreconditionError, match=type(c).__name__):
-            f + stray
-        with pytest.raises(PreconditionError, match=type(c).__name__):
-            stray + f
     half = immanant.Immanant(2, {(1, 2): Fraction(1, 2), (2, 1): 3})
     assert half.scaled(2).coeffs == {(1, 2): 1, (2, 1): 6}
     assert (half + f).coeffs == {(1, 2): Fraction(1, 2), (2, 1): 4}

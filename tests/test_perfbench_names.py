@@ -61,13 +61,14 @@ def test_workload_name_resolves(module, attr):
     assert hasattr(importlib.import_module(f"tlimm.{module}"), attr)
 
 
-# Methods and fields of library values that workloads.py uses:
-# ``a + b``, ``.scaled`` and ``.coeff`` on an Immanant, ``.terms`` on a
-# theta_table entry.
+# Methods, properties and fields of library values that workloads.py uses:
+# ``a + b``, ``.scaled``, ``.coeff`` and ``.coeffs`` on an Immanant,
+# ``.terms`` on a theta_table entry.
 VALUE_ATTRIBUTES = [
     ("immanant", "Immanant", "__add__"),
     ("immanant", "Immanant", "scaled"),
     ("immanant", "Immanant", "coeff"),
+    ("immanant", "Immanant", "coeffs"),
     ("tl", "TLElement", "terms"),
 ]
 
@@ -76,6 +77,7 @@ VALUE_ATTRIBUTES = [
 def test_workload_value_attribute_resolves(module, cls, attr):
     value_type = getattr(importlib.import_module(f"tlimm.{module}"), cls)
     fields = {*getattr(value_type, "_fields", ()), *getattr(value_type, "__slots__", ())}
-    assert callable(getattr(value_type, attr, None)) or attr in fields
+    member = getattr(value_type, attr, None)
+    assert callable(member) or isinstance(member, property) or attr in fields
     if not attr.startswith("__"):
         assert f".{attr}" in WORKLOADS.read_text(), attr

@@ -472,23 +472,24 @@ def test_a9_compares_the_partitions_in_their_order(monkeypatch, n):
 
 @pytest.mark.parametrize("n", range(4, 8))
 def test_a10_evaluates_no_more_terms_than_its_witness_needs(monkeypatch, n):
-    """No suite builds an Immanant with more terms than its check needs: A10
-    builds none over all of S_n, and each immanant it evaluates holds only
-    permutations whose row product on the witness matrix is nonzero, at
-    most the 6 of them."""
+    """No suite evaluates more terms than its check needs: A10 builds no
+    Immanant, and each sum it evaluates holds only permutations whose row
+    product on the witness matrix is nonzero, at most the 6 of them."""
     evaluated = []
-    real = immanant.evaluate
+    real = immanant.evaluate_terms
 
-    def recorded(f, X):
-        held = all(all(X[i][x - 1] for i, x in enumerate(u)) for u in f.coeffs)
-        evaluated.append((len(f.coeffs), held))
-        return real(f, X)
+    def recorded(X, perms, values):
+        perms = list(perms)
+        held = all(all(X[i][x - 1] for i, x in enumerate(u)) for u in perms)
+        evaluated.append((len(perms), held))
+        return real(X, perms, values)
 
-    def refused(m, values):
-        raise AssertionError(f"built an Immanant over all of S_{m}")
+    def refused(*args):
+        raise AssertionError("built an Immanant")
 
-    monkeypatch.setattr(immanant, "evaluate", recorded)
-    monkeypatch.setattr(immanant, "_sparse", refused)
+    monkeypatch.setattr(immanant, "evaluate_terms", recorded)
+    monkeypatch.setattr(immanant, "_wrap", refused)
+    monkeypatch.setattr(immanant.Immanant, "__init__", refused)
     assert verify.suite_a10(n).ok
     assert len(evaluated) == 2 * len(verify._applicable_two_case(n))
     assert all(0 < size <= 6 and held for size, held in evaluated)
