@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import limits
-from .errors import PreconditionError, VerificationError
+from .errors import LimitError, PreconditionError, VerificationError
 from .perm import (
     Perm,
     adjacent_1324_ranks,
@@ -33,7 +33,6 @@ from .perm import (
     is_321_avoiding,
     parse_perm,
     perm_index,
-    sign,
 )
 from .tl import all_tl_immanants
 
@@ -306,9 +305,9 @@ class _Basis(NamedTuple):
     odd_bytes: int  # 0xFF in the 8-bit lanes of odd permutations
 
 
-def _spread(data: bytes) -> int:
-    """The packed column whose lane r holds the unsigned byte data[r]."""
-    width = _LANE // 8
+def _spread(data: bytes, width: int = _LANE // 8) -> int:
+    """The int whose lane r of ``width`` bytes holds the unsigned byte
+    data[r]: by default a packed column."""
     lanes = bytearray(width * len(data))
     lanes[::width] = data
     return int.from_bytes(lanes, "little")
@@ -549,45 +548,127 @@ def parse_matrix(text: str) -> Matrix:
         raise ValueError(f"not a matrix document: {exc}") from None
 
 
+def _integer_rows(X: Sequence[Sequence[int | Fraction]]) -> tuple[list[list[int]], int]:
+    """Each row of X times the lcm d_i of its denominators, and
+    d_1 * ... * d_n: the rows as integers and what divides their products."""
+    scales = [math.lcm(*(x.denominator for x in row)) for row in X]
+    rows = [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(X, scales)]
+    return rows, math.prod(scales)
+
+
+def _integer_values(values: Sequence[Coeff]) -> tuple[Sequence[int], int]:
+    """The values times the lcm d of their denominators, and d; values that
+    are all ints, as in store, percent and CM columns, come back as they
+    are, with d = 1."""
+    if isinstance(values, array) or set(map(type, values)) <= {int}:
+        return values, 1
+    d = math.lcm(*(c.denominator for c in values))
+    return [c.numerator * (d // c.denominator) for c in values], d
+
+
+class _SplitPlan(NamedTuple):
+    # prefix[j] holds u(j + 1) - 1 for each prefix u(1..j + 1), j < h, in
+    # rank order: one byte per block of (n - j - 1)! ranks.
+    prefix: tuple[bytes, ...]
+    # code[r] is the base-n number with the digits u_r(h + 1) - 1, ...,
+    # u_r(n) - 1, the first the most significant.
+    code: array
+
+
+def _code_type(n: int) -> str:
+    """The narrowest array type of the suffix codes of the row split of
+    S_n: a code has n - h digits below n, h = ceil(n/2), so it is below
+    n^(n - h), which must fit the lane.  16 bits hold it up to n = 9 (9^4 =
+    6 561) and 32 bits up to n = 16 (16^8 = 2^32); a larger n is a
+    LimitError, never a code cut short.
+
+    >>> _code_type(9), _code_type(10)
+    ('H', 'I')
+    """
+    for typecode in "HI":
+        if n ** (n - (n + 1) // 2) <= 1 << 8 * array(typecode).itemsize:
+            return typecode
+    raise LimitError(f"the suffix codes of S_{n} do not fit a 32-bit lane")
+
+
+# Room for every n up to the cap, as for the basis it reads: at n = 8 the
+# codes take 80 kB.
+@limits.capped_cache(limits.max_n, "row split plan", maxsize=16)
+def _split_plan(n: int) -> _SplitPlan:
+    """The digits :func:`evaluate` splits S_n by, read from the basis
+    lanes: in byte lane r, below[i][1] + ... + below[i][n] counts the
+    v >= u_r(i), so n less that sum is u_r(i) - 1.  Each digit is at most
+    n - 1, so no byte lane carries, and in a code lane the digits add up to
+    at most n^(n - h) - 1, which :func:`_code_type` fits to the lane, so
+    Horner's rule on the spread lanes carries neither."""
+    typecode = _code_type(n)
+    basis, size, h = _basis(n), math.factorial(n), (n + 1) // 2
+    digits = [(n * basis.ones - sum(below[1:])).to_bytes(size, "little")
+              for below in basis.below]
+    width, code = array(typecode).itemsize, 0
+    for lanes in digits[h:]:
+        code = code * n + _spread(lanes, width)
+    return _SplitPlan(tuple(digits[j][::math.factorial(n - j - 1)] for j in range(h)),
+                      array(typecode, code.to_bytes(width * size, "little")))
+
+
 def evaluate(f: Immanant, matrix: Sequence[Sequence]) -> Fraction:
-    """sum_u f(u) * prod_i X[i, u(i)], exactly, over the u with f(u) != 0.
+    """sum_u f(u) * prod_i X[i, u(i)], exactly, over the whole column of f,
+    split at row h = ceil(n/2) as in a Laplace expansion.  The u that share
+    u(1..h) are one block of (n - h)! ranks, so with T the product of the
+    top rows over each prefix and B the product of the bottom rows over
+    each suffix code, the sum is sum over blocks of T(prefix) * sum over
+    the block of f(u) * B(code(u)): T and B cost one multiply per prefix
+    and per code, and the column one multiply per rank.  Rows and values
+    are scaled to integers as in :func:`evaluate_terms`, and the sum is
+    divided once.
 
     >>> evaluate(cm_immanant(2, (), ()), [[1, 2], [3, 4]])
     Fraction(-2, 1)
     """
     X = as_matrix(matrix)
-    if len(X) != f.n:
-        raise PreconditionError(f"size mismatch: matrix {len(X)} vs immanant {f.n}")
-    values = f.values
-    return evaluate_terms(X, itertools.compress(perm_index(f.n).perms, values),
-                          list(filter(None, values)))
+    n = f.n
+    if len(X) != n:
+        raise PreconditionError(f"size mismatch: matrix {len(X)} vs immanant {n}")
+    plan = _split_plan(n)
+    rows, scale = _integer_rows(X)
+    values, d = _integer_values(f.values)
+    h = len(plan.prefix)
+    bottom = [1]
+    for row in rows[h:]:
+        bottom = [b * x for b in bottom for x in row]
+    # Level j repeats each product for the n - j values that extend its
+    # prefix; the levels stream into one another.
+    top = (1,)
+    for j, (row, prefix) in enumerate(zip(rows, plan.prefix)):
+        top = map(operator.mul, itertools.chain.from_iterable(
+            map(itertools.repeat, top, itertools.repeat(n - j))), map(row.__getitem__, prefix))
+    terms = map(operator.mul, values, map(bottom.__getitem__, plan.code))
+    blocks = map(sum, zip(*[terms] * math.factorial(n - h)))
+    return Fraction(sum(map(operator.mul, top, blocks)), d * scale)
 
 
 def evaluate_terms(X: Sequence[Sequence[int | Fraction]], perms: Iterable[Perm],
                    values: Sequence[Coeff]) -> Fraction:
     """sum of c * prod_i X[i, u(i)] over zip(perms, values), exactly, for a
-    square X of ints or Fractions.  Row i is scaled by the lcm d_i of its
+    square X of ints or Fractions: the sparse kernel, for a caller that
+    knows the few terms that can contribute, as A10 does; :func:`evaluate`
+    takes whole columns.  Row i is scaled by the lcm d_i of its
     denominators and the values by the lcm d of theirs, so every product
     is an integer, and the sum is divided by d * d_1 * ... * d_n once.  The
-    walk is one ``map`` pipeline in C, linear in the number of terms; when
-    every value is an int, as in store, percent and CM columns, d = 1.
+    walk is one ``map`` pipeline in C, linear in the number of terms.
 
     >>> evaluate_terms([[1, 2], [3, 4]], [(2, 1)], [Fraction(1, 2)])
     Fraction(3, 1)
     """
-    scales = [math.lcm(*(x.denominator for x in row)) for row in X]
+    rows, scale = _integer_rows(X)
     # A leading 0 lets row[x] read column x.
-    rows = [(0, *(x.numerator * (d // x.denominator) for x in row))
-            for row, d in zip(X, scales)]
-    if set(map(type, values)) <= {int}:
-        d = 1
-    else:
-        d = math.lcm(*(c.denominator for c in values))
-        values = [c.numerator * (d // c.denominator) for c in values]
+    rows = [(0, *row) for row in rows]
+    values, d = _integer_values(values)
     # prod_i rows[i][u(i)] for each u, times its value, all in C.
     total = sum(map(operator.mul, values, map(math.prod, map(
         map, itertools.repeat(operator.getitem), itertools.repeat(rows), perms))))
-    return Fraction(total, d * math.prod(scales))
+    return Fraction(total, d * scale)
 
 
 def witness_matrix(w: Perm) -> tuple[tuple[int, ...], ...]:
@@ -764,11 +845,12 @@ def percent_basis_decompose(f: Immanant) -> list[tuple[Perm, Coeff]]:
             f"{format_perm(w)}, {format_perm(w2)} has coefficients "
             f"{f.coeff(w)}, {f.coeff(w2)}"
         )
-    rank, out = perm_index(f.n).rank, []
+    rank, odd, out = perm_index(f.n).rank, _odd_lanes(f.n), []
     for members in related_classes(f.n):
         rep = members[0]
-        # A normalized value times a sign stays normalized.
-        c = f.values[rank[rep]] * sign(rep)
+        r = rank[rep]
+        # A normalized value stays normalized when negated.
+        c = f.values[r]
         if c:
-            out.append((rep, c))
+            out.append((rep, -c if odd[r] else c))
     return out

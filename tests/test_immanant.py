@@ -710,9 +710,13 @@ def test_evaluate():
 
 
 def test_evaluate_matches_fraction_oracle():
+    """Seeded Fraction immanants on seeded rational matrices, every third
+    with a zero row, against the Fraction oracle, for n = 0..7: the row
+    split at h = ceil(n/2) leaves blocks of (n - h)! ranks, so n = 6 and 7
+    cover both parities of n."""
     rng = random.Random(20_418)
     assert immanant.evaluate(immanant.Immanant(0, {(): Fraction(3, 2)}), []) == Fraction(3, 2)
-    for n in range(0, 6):
+    for n in range(0, 8):
         universe = list(perm.all_perms(n))
         for trial in range(6):
             f = immanant.Immanant(n, {
@@ -728,6 +732,70 @@ def test_evaluate_matches_fraction_oracle():
             w = perm.avoiding_321(n)[-1]
             f = immanant.tl_immanant(w)
             assert immanant.evaluate(f, X) == oracles.evaluate(f, X)
+
+
+def term_walk(f, X):
+    """evaluate_terms over every nonzero term of f: the sparse kernel as a
+    second arithmetic path for evaluate's row split."""
+    values = f.values
+    return immanant.evaluate_terms(immanant.as_matrix(X),
+                                   itertools.compress(perm.perm_index(f.n).perms, values),
+                                   list(filter(None, values)))
+
+
+def test_row_split_matches_term_walk():
+    """evaluate equals the term walk over the full support for every store
+    column at n = 6, and at n = 8, the default cap, for hull percent
+    columns, a CM column and a seeded Fraction immanant, each on one seeded
+    rational matrix per n."""
+    rng = random.Random(42)
+
+    def matrix(n):
+        return [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+                for _ in range(n)]
+
+    X = matrix(6)
+    for w in immanant.all_tl_immanants(6):
+        f = immanant.tl_immanant(w)
+        assert immanant.evaluate(f, X) == term_walk(f, X), w
+    X = matrix(8)
+    universe = perm.perm_index(8).perms
+    columns = [immanant.percent_immanant(immanant.hull(w))
+               for w in perm.avoiding_321(8)[::400]]
+    columns.append(immanant.cm_immanant(8, {1, 4, 5, 8}, {2, 3, 6, 7}))
+    columns.append(immanant.Immanant(8, {
+        u: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for u in rng.sample(universe, 3_000)}))
+    for f in columns:
+        assert any(f.values)
+        assert immanant.evaluate(f, X) == term_walk(f, X)
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_split_plan_reads_each_permutation(n):
+    """The plan's bytes, read from the basis lanes, are each prefix's last
+    value less one, and its codes each suffix's values less one as base-n
+    digits, the first the most significant."""
+    perms = perm.perm_index(n).perms
+    plan = immanant._split_plan(n)
+    h = (n + 1) // 2
+    assert len(plan.prefix) == h and plan.code.typecode == "H"
+    for j, prefix in enumerate(plan.prefix):
+        assert list(prefix) == [u[j] - 1 for u in perms[::math.factorial(n - j - 1)]]
+    assert list(plan.code) == [
+        sum((x - 1) * n ** (n - 1 - i) for i, x in enumerate(u[h:], start=h)) for u in perms]
+
+
+def test_suffix_codes_widen_before_they_would_carry():
+    """Each code type holds every code n^(n - h) - 1 of its n; the codes
+    widen to 32 bits at n = 10 (10^5 > 2^16), and past 32 bits, at n = 17
+    (17^8 > 2^32), the type is a LimitError, found before any table is
+    built."""
+    assert [immanant._code_type(n) for n in range(17)] == ["H"] * 10 + ["I"] * 7
+    for n in range(17):
+        assert n ** (n - (n + 1) // 2) <= 1 << 8 * array(immanant._code_type(n)).itemsize
+    assert 10 ** 5 > 1 << 16 and 17 ** 8 > 1 << 32
+    with pytest.raises(LimitError, match="32-bit"):
+        immanant._code_type(17)
 
 
 def held_terms(f, X):
@@ -973,7 +1041,7 @@ def test_span_layer_keeps_only_its_kernels():
 CAPPED_TABLES = [
     perm.perm_index, perm.symmetry_ranks, perm.avoiding_321, perm.adjacent_1324_ranks,
     immanant.related_classes, immanant.all_tl_immanants, immanant._basis,
-    tl.all_matchings, tl._matching_index, tl._steps,
+    immanant._split_plan, tl.all_matchings, tl._matching_index, tl._steps,
     coloring._compatibility_table,
 ]
 
