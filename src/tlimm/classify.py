@@ -474,9 +474,10 @@ def shape_sum_columns(w: Perm, d: Decomposition) -> tuple[array, array]:
     (array('b', [0, 1]), array('b', [0, 1]))
     """
     n = len(w)
+    # The store first: above its ceiling it refuses n before a mask is built.
+    stored = all_tl_immanants(n)[w]
     total = sum(int.from_bytes(shape_mask(s), "little") for s in d.shapes)
-    return all_tl_immanants(n)[w], signed_bytes(
-        n, d.sign, total.to_bytes(math.factorial(n), "little"))
+    return stored, signed_bytes(n, d.sign, total.to_bytes(math.factorial(n), "little"))
 
 
 def decompose(w: Perm, validate: bool | None = None) -> Decomposition:

@@ -21,7 +21,7 @@ import operator
 import re
 from array import array
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from . import limits
 from .errors import LimitError, PreconditionError, VerificationError
@@ -175,9 +175,18 @@ class Immanant:
     """An exact map S_n -> coefficients: ``values[r]`` is the normalized
     coefficient of the u of rank r in perm_index(n), zeros included.  The
     values may be a store column of :func:`all_tl_immanants`, so they must
-    not be changed.  Equal when n and values are; unhashable."""
+    not be changed.  Equal when n and values are; unhashable.
 
-    __slots__ = ("n", "values")
+    ``rows`` is None, or, on the immanants :func:`percent_immanant` and
+    :func:`cm_immanant` return, the allowed values of each row: the values
+    are then sign(u) on the u with u(i) in ``rows[i - 1]`` for every row i,
+    so Imm_f(X) is the determinant of X with the entries outside the rows
+    set to zero, and :func:`evaluate` computes it so.  The values of such an
+    immanant must not be changed either.  Every other immanant, from the
+    constructor, :meth:`from_json`, + and :meth:`scaled` among them, has
+    ``rows`` None."""
+
+    __slots__ = ("n", "values", "rows")
     __hash__ = None
 
     def __init__(self, n: int, coeffs: Mapping[Perm, Coeff]):
@@ -188,7 +197,7 @@ class Immanant:
             if r is None:
                 raise PreconditionError(f"{u} is not a permutation of S_{n}")
             values[r] = _exact(c)
-        self.n, self.values = n, values
+        self.n, self.values, self.rows = n, values, None
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -263,10 +272,12 @@ def _exact(c: Coeff) -> Coeff:
     raise PreconditionError(f"inexact coefficient of type {type(c).__name__}")
 
 
-def _wrap(n: int, values: Sequence[Coeff]) -> Immanant:
-    """The Immanant over values, exact and normalized by rank, held uncopied."""
+def _wrap(n: int, values: Sequence[Coeff],
+          rows: tuple[Collection[int], ...] | None = None) -> Immanant:
+    """The Immanant over values, exact and normalized by rank, held
+    uncopied, with the rows slot given."""
     f = Immanant.__new__(Immanant)
-    f.n, f.values = n, values
+    f.n, f.values, f.rows = n, values, rows
     return f
 
 
@@ -452,27 +463,51 @@ class Column(NamedTuple):
         return repr(unpack_column(self.n, self.lanes))
 
 
+def _shape_rows(shape: SkewShape) -> tuple[range, ...]:
+    """The values each row of a shape allows: (mu_i, lam_i] for row i."""
+    return tuple(range(m + 1, l + 1) for m, l in zip(shape.mu, shape.lam))
+
+
 def shape_mask(shape: SkewShape) -> bytes:
     """The :func:`row_mask` of the u that lie in the shape: row i takes a
     value in (mu_i, lam_i]."""
-    return row_mask(shape.n, [range(m + 1, l + 1) for m, l in zip(shape.mu, shape.lam)])
+    return row_mask(shape.n, _shape_rows(shape))
+
+
+def _row_indicator(n: int, rows: Sequence[Collection[int]]) -> array:
+    """The ``array('b')`` by rank of perm_index(n) of sign(u) on the u with
+    u(i) in ``rows[i - 1]`` for every row i, zero elsewhere: the
+    coefficients of the determinant of X with the entries outside the rows
+    set to zero."""
+    return signed_bytes(n, 1, row_mask(n, rows))
+
+
+def _percent_rows(shape: SkewShape) -> tuple[range, ...]:
+    limits.check_limit(shape.n, limits.max_n(), "percent immanant")
+    return _shape_rows(shape)
 
 
 def percent_column(shape: SkewShape) -> array:
     """The percent immanant of a shape as an ``array('b')`` by rank of
     perm_index(n): sign(u) on the u in :func:`shape_mask`, zero elsewhere."""
-    limits.check_limit(shape.n, limits.max_n(), "percent immanant")
-    return signed_bytes(shape.n, 1, shape_mask(shape))
+    return _row_indicator(shape.n, _percent_rows(shape))
 
 
 def percent_immanant(shape: SkewShape) -> Immanant:
     """Signed indicator of the permutations lying in the shape: row i takes
-    a value in (mu_i, lam_i].
+    a value in (mu_i, lam_i].  It is the determinant of X with the entries
+    outside the shape set to zero, so it is returned with ``rows`` set to
+    the shape's rows, and :func:`evaluate` takes it by elimination; its
+    values must not be changed.
 
     >>> percent_immanant(hull((2, 1, 4, 3))).coeff((2, 1, 4, 3))
     1
+    >>> evaluate(percent_immanant(hull((2, 1, 4, 3))),
+    ...          [[1, 2, 0, 1], [3, 4, 1, 0], [0, 1, 2, 1], [1, 0, 1, 2]])
+    Fraction(-6, 1)
     """
-    return _wrap(shape.n, percent_column(shape))
+    rows = _percent_rows(shape)
+    return _wrap(shape.n, _row_indicator(shape.n, rows), rows)
 
 
 def tl_immanant(w: Perm) -> Immanant:
@@ -484,10 +519,9 @@ def tl_immanant(w: Perm) -> Immanant:
     return _wrap(len(w), all_tl_immanants(len(w))[w])
 
 
-def cm_column(n: int, I: Iterable[int], J: Iterable[int]) -> array:
-    """The complementary-minor immanant as an ``array('b')`` by rank of
-    perm_index(n): sign(u) on the u with u(I) = J, zero elsewhere.  The
-    rows in I take values in J, the other rows the values outside J."""
+def _cm_rows(n: int, I: Iterable[int], J: Iterable[int]) -> tuple[frozenset[int], ...]:
+    """The values each row allows in the complementary minor of (I, J):
+    the rows in I take values in J, the other rows the values outside J."""
     I, J = frozenset(I), frozenset(J)
     if len(I) != len(J):
         raise PreconditionError(f"|I| = {len(I)} but |J| = {len(J)}")
@@ -498,17 +532,28 @@ def cm_column(n: int, I: Iterable[int], J: Iterable[int]) -> array:
         raise PreconditionError(
             f"I and J must lie in 1..{n}, got I = {sorted(I)}, J = {sorted(J)}"
         )
-    outside = set(range(1, n + 1)) - J
-    return signed_bytes(n, 1, row_mask(n, [J if i in I else outside for i in range(1, n + 1)]))
+    outside = frozenset(range(1, n + 1)) - J
+    return tuple(J if i in I else outside for i in range(1, n + 1))
+
+
+def cm_column(n: int, I: Iterable[int], J: Iterable[int]) -> array:
+    """The complementary-minor immanant as an ``array('b')`` by rank of
+    perm_index(n): sign(u) on the u with u(I) = J, zero elsewhere."""
+    return _row_indicator(n, _cm_rows(n, I, J))
 
 
 def cm_immanant(n: int, I: Iterable[int], J: Iterable[int]) -> Immanant:
-    """The complementary-minor immanant over :func:`cm_column`.
+    """The complementary-minor immanant over :func:`cm_column`.  It is the
+    determinant of X with the entries outside the rows of :func:`_cm_rows`
+    set to zero, so it is returned with ``rows`` set to those, and
+    :func:`evaluate` takes it by elimination; its values must not be
+    changed.
 
     >>> cm_immanant(3, {1}, {3})
     Immanant(n=3, coeffs={(3, 1, 2): 1, (3, 2, 1): -1})
     """
-    return _wrap(n, cm_column(n, I, J))
+    rows = _cm_rows(n, I, J)
+    return _wrap(n, _row_indicator(n, rows), rows)
 
 
 def subset_sign(I: Iterable[int]) -> int:
@@ -612,16 +657,47 @@ def _split_plan(n: int) -> _SplitPlan:
                       array(typecode, code.to_bytes(width * size, "little")))
 
 
+def _bareiss(M: list[list[int]]) -> int:
+    """The determinant of a square integer matrix, M overwritten, by
+    Bareiss's fraction-free elimination: step k sets each entry below and
+    right of the pivot to (x * pivot - a * y) / p, p the pivot of step
+    k - 1 (1 at first), a division that Sylvester's identity makes exact, so
+    every entry stays an integer; a zero pivot swaps in a lower row with a
+    nonzero entry in its column, and flips the sign.  O(n^3) operations."""
+    n = len(M)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not M[k][k]:
+            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if swap is None:
+                return 0
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        top = M[k][k + 1:]
+        pivot = M[k][k]
+        for row in M[k + 1:]:
+            a = row[k]
+            row[k + 1:] = [(x * pivot - a * y) // prev for x, y in zip(row[k + 1:], top)]
+        prev = pivot
+    return sign * M[-1][-1] if n else 1
+
+
 def evaluate(f: Immanant, matrix: Sequence[Sequence]) -> Fraction:
-    """sum_u f(u) * prod_i X[i, u(i)], exactly, over the whole column of f,
-    split at row h = ceil(n/2) as in a Laplace expansion.  The u that share
-    u(1..h) are one block of (n - h)! ranks, so with T the product of the
-    top rows over each prefix and B the product of the bottom rows over
-    each suffix code, the sum is sum over blocks of T(prefix) * sum over
-    the block of f(u) * B(code(u)): T and B cost one multiply per prefix
-    and per code, and the column one multiply per rank.  Rows and values
-    are scaled to integers as in :func:`evaluate_terms`, and the sum is
-    divided once.
+    """sum_u f(u) * prod_i X[i, u(i)], exactly.  Rows are scaled to
+    integers as in :func:`evaluate_terms`, and the sum is divided once.
+
+    An immanant with ``rows`` set, as :func:`percent_immanant` and
+    :func:`cm_immanant` return, is the determinant of X with the entries
+    outside its rows set to zero: those entries of the integer rows are
+    zeroed and the determinant taken by :func:`_bareiss`, O(n^3).
+
+    Any other column is split at row h = ceil(n/2) as in a Laplace
+    expansion.  The u that share u(1..h) are one block of (n - h)! ranks,
+    so with T the product of the top rows over each prefix and B the
+    product of the bottom rows over each suffix code, the sum is sum over
+    blocks of T(prefix) * sum over the block of f(u) * B(code(u)): T and B
+    cost one multiply per prefix and per code, and the column one multiply
+    per rank, n! in all.
 
     >>> evaluate(cm_immanant(2, (), ()), [[1, 2], [3, 4]])
     Fraction(-2, 1)
@@ -630,8 +706,11 @@ def evaluate(f: Immanant, matrix: Sequence[Sequence]) -> Fraction:
     n = f.n
     if len(X) != n:
         raise PreconditionError(f"size mismatch: matrix {len(X)} vs immanant {n}")
-    plan = _split_plan(n)
     rows, scale = _integer_rows(X)
+    if f.rows is not None:
+        return Fraction(_bareiss([[x if j in allowed else 0 for j, x in enumerate(row, 1)]
+                                  for row, allowed in zip(rows, f.rows)]), scale)
+    plan = _split_plan(n)
     values, d = _integer_values(f.values)
     h = len(plan.prefix)
     bottom = [1]

@@ -59,7 +59,7 @@ from array import array
 from typing import NamedTuple
 
 from . import limits
-from .errors import PreconditionError, VerificationError
+from .errors import LimitError, PreconditionError, VerificationError
 from .perm import (
     Perm,
     format_perm,
@@ -507,6 +507,11 @@ def _overflow(n: int, a: int, start: int, k: int, shifted: int) -> VerificationE
         "does not fit the signed-byte store")
 
 
+# The largest n whose store fits its signed-byte lanes: at n = 9,
+# f_coeff(214365879, 869472513) = 155.
+STORE_MAX_N = 8
+
+
 # Four sizes, not every n up to the cap: `tlimm verify --suite all` then
 # builds stores 2-6 twice, but holding the 2.2 MB store of n = 7 to its end
 # raised its peak RSS by 0.5 MB.
@@ -516,6 +521,12 @@ def all_tl_immanants(n: int) -> dict[Perm, array]:
     stored table of them: column ``[w]`` is an ``array('b')`` whose entry
     ``r`` is f_w(u) for the u of rank r in :func:`tlimm.perm.perm_index`.
     The columns are shared: do not change them.
+
+    Above :data:`STORE_MAX_N` some f_w(u) leaves a signed byte, so an n
+    above it that the cap lets through is a LimitError that names the
+    witness, raised before any table or column is built: the n = 9 store
+    would otherwise allocate Catalan(9) = 4 862 columns of 9! bytes, about
+    1.76 GB, before it found the first such coefficient.
 
     :func:`_theta_columns` gives the coefficient of m_k in theta(g) at the
     rank of g^-1.  The flip * of a diagram, top to bottom, is an
@@ -528,6 +539,11 @@ def all_tl_immanants(n: int) -> dict[Perm, array]:
     >>> all_tl_immanants(2)[(2, 1)].tolist()
     [0, 1]
     """
+    if n > STORE_MAX_N:
+        raise LimitError(
+            f"Temperley-Lieb immanant store requested for n={n}: its columns hold f_w(u) "
+            f"in signed-byte lanes, which hold n <= {STORE_MAX_N} only; at n = 9, "
+            "f_w(u) = 155 for w = 214365879, u = 869472513")
     ws = [_beta_inv(n, pairing) for pairing in _matching_index(n)]
     columns = dict(zip(map(inverse, ws), _theta_columns(n)))
     return {w: columns[w] for w in ws}

@@ -178,6 +178,25 @@ def test_store_cap_names_the_store(capsys, monkeypatch):
         "cap 7 (set TLIMM_MAX_N to override)")
 
 
+def test_verify_above_the_store_ceiling_exits_3(tmp_path, capsys, monkeypatch):
+    """``TLIMM_MAX_N=9 tlimm verify --suite A1 --n 9`` exits 3 with one line
+    and no traceback: A1 reads the store before any shape mask, and the
+    store refuses n = 9 whatever the cap, so no table of S_9 is built."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+           "TLIMM_MAX_N": "9"}
+    done = subprocess.run(
+        [sys.executable, "-m", "tlimm.cli", "verify", "--suite", "A1", "--n", "9"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == cli.EXIT_PRECONDITION, done.stderr
+    assert done.stdout == "" and "Traceback" not in done.stderr
+    assert len(done.stderr.splitlines()) == 1 and "signed-byte lanes" in done.stderr
+    monkeypatch.setenv("TLIMM_MAX_N", "9")
+    built = perm.perm_index.cache_info().misses, immanant._basis.cache_info().misses
+    assert cli.main(["verify", "--suite", "A1", "--n", "9"]) == cli.EXIT_PRECONDITION
+    assert (perm.perm_index.cache_info().misses, immanant._basis.cache_info().misses) == built
+
+
 def test_render_paths(capsys):
     code, out = run(capsys, "render", "ncm", "2341")
     assert code == 0 and "1'" in out

@@ -798,6 +798,123 @@ def test_suffix_codes_widen_before_they_would_carry():
         immanant._code_type(17)
 
 
+def determinant_matrices(rng, n):
+    """The matrices the determinant path meets: a seeded dense rational
+    one with its (1, 1) entry zero, so that the first pivot needs a row
+    swap; the same with a nonzero (1, 1) entry, with two equal rows and
+    with a zero row; and permutation matrices, every one for n <= 3 and
+    three seeded ones above."""
+    def entry():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+    dense = [[entry() for _ in range(n)] for _ in range(n)]
+    out = [dense]
+    if n:
+        corner, twin, zero = ([list(row) for row in dense] for _ in range(3))
+        corner[0][0] = Fraction(0)
+        twin[-1] = list(twin[0])
+        zero[rng.randrange(n)] = [0] * n
+        out = [corner, dense, twin, zero]
+    perms = perm.perm_index(n).perms
+    for u in perms if n <= 3 else rng.sample(perms, 3):
+        out.append([[int(u[i] == j) for j in range(1, n + 1)] for i in range(n)])
+    return out
+
+
+def assert_determinant_path(f, matrices, oracle_on=None):
+    """f carries its rows, and on each matrix evaluate's elimination equals
+    the term walk over f's full support and the row split of an untagged
+    copy, and on the first ``oracle_on`` matrices (all by default) the
+    Fraction oracle, which costs one Fraction product per term and row."""
+    assert f.rows is not None
+    untagged = immanant.Immanant(f.n, f.coeffs)
+    assert untagged.rows is None and untagged == f
+    for k, X in enumerate(matrices):
+        value = immanant.evaluate(f, X)
+        assert value == term_walk(f, X), (f.rows, X)
+        assert immanant.evaluate(untagged, X) == value, (f.rows, X)
+        if oracle_on is None or k < oracle_on:
+            assert value == oracles.evaluate(f, X), (f.rows, X)
+
+
+@pytest.mark.parametrize("n", range(0, 5))
+def test_percent_determinants_in_the_box(n):
+    """Every skew shape in the n x n box, n <= 4, n = 0 and 1 among them."""
+    rng = random.Random(4_300 + n)
+    matrices = determinant_matrices(rng, n)
+    for shape in box_shapes(n):
+        assert_determinant_path(immanant.percent_immanant(shape), matrices)
+
+
+@pytest.mark.parametrize("n", (5, 6, 7))
+def test_percent_determinants_on_hulls(n):
+    """Every hull of S_n at n = 5 and 6, and every tenth at n = 7, in the
+    order of the shapes, on the matrices of :func:`determinant_matrices`;
+    at n = 6 and 7 the Fraction oracle takes only the first, whose first
+    pivot is zero: on the supports of those hulls it costs seconds per
+    matrix."""
+    rng = random.Random(4_310 + n)
+    matrices = determinant_matrices(rng, n)
+    hulls = sorted({immanant.hull(w) for w in perm.perm_index(n).perms})
+    for shape in hulls[::10 if n == 7 else 1]:
+        assert_determinant_path(immanant.percent_immanant(shape), matrices,
+                                None if n == 5 else 1)
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_cm_determinants(n):
+    """Every (I, J) with |I| = |J| for n <= 4, and 30 seeded pairs at
+    n = 5 and 6."""
+    rng = random.Random(4_320 + n)
+    matrices = determinant_matrices(rng, n)
+    subsets = [I for k in range(n + 1) for I in itertools.combinations(range(1, n + 1), k)]
+    pairs = [(I, J) for I in subsets for J in subsets if len(I) == len(J)]
+    for I, J in pairs if n <= 4 else rng.sample(pairs, 30):
+        assert_determinant_path(immanant.cm_immanant(n, I, J), matrices)
+
+
+def test_only_percent_and_cm_immanants_carry_rows():
+    """percent_immanant and cm_immanant set the rows slot; the constructor,
+    from_json, tl_immanant, unpack_column, + and scaled leave it None, so
+    a sum or a multiple goes by the row split and gets its own value: a
+    sum that kept the rows of its terms would give the determinant once."""
+    f = immanant.percent_immanant(immanant.hull((2, 1, 4, 3)))
+    g = immanant.cm_immanant(4, {1, 2}, {2, 4})
+    assert f.rows == (range(2, 5), range(1, 5), range(1, 5), range(1, 4))
+    assert g.rows == ({2, 4}, {2, 4}, {1, 3}, {1, 3})
+    X = determinant_matrices(random.Random(4_330), 4)[0]
+    built = (f + f, f + g, g + f, f.scaled(3), g.scaled(Fraction(1, 2)),
+             immanant.Immanant(4, f.coeffs), immanant.Immanant.from_json(g.to_json()),
+             immanant.tl_immanant((2, 1, 4, 3)), immanant.zero_immanant(4),
+             immanant.unpack_column(4, immanant.pack_column(4, f.values)))
+    assert all(h.rows is None for h in built)
+    assert immanant.evaluate(f, X) and immanant.evaluate(g, X)
+    assert immanant.evaluate(f + f, X) == 2 * immanant.evaluate(f, X)
+    assert immanant.evaluate(f + g, X) == immanant.evaluate(f, X) + immanant.evaluate(g, X)
+    assert immanant.evaluate(g.scaled(Fraction(1, 2)), X) == immanant.evaluate(g, X) / 2
+
+
+def test_rows_take_the_determinant_path(monkeypatch):
+    """A tagged call never reads the row-split plan; an untagged one does,
+    so the spy is live."""
+    reads = []
+    plan = immanant._split_plan
+
+    def spy(n):
+        reads.append(n)
+        return plan(n)
+
+    monkeypatch.setattr(immanant, "_split_plan", spy)
+    X = determinant_matrices(random.Random(4_340), 6)[0]
+    tagged = [immanant.percent_immanant(immanant.hull((2, 1, 4, 3, 6, 5))),
+              immanant.cm_immanant(6, {1, 3}, {4, 6}), immanant.percent_immanant(box(0))]
+    for f in tagged:
+        immanant.evaluate(f, X if f.n else [])
+    assert reads == []
+    immanant.evaluate(immanant.Immanant(6, tagged[0].coeffs), X)
+    assert reads == [6]
+
+
 def held_terms(f, X):
     """The terms of f at the u whose row product on X is nonzero: the only
     ones that can contribute to evaluate(f, X)."""

@@ -428,6 +428,37 @@ def test_theta_rows_match_the_store_n8(monkeypatch):
         tl.all_tl_immanants.cache_clear()
 
 
+# The first f_w(u) found outside a signed byte: at n = 9.
+CEILING_WITNESS = ((2, 1, 4, 3, 6, 5, 8, 7, 9), (8, 6, 9, 4, 7, 2, 5, 1, 3))
+
+
+def test_store_refuses_n_above_its_ceiling(monkeypatch):
+    """Above n = 8 the store is a LimitError whatever the cap: under
+    ``TLIMM_MAX_N=9`` (and 10) it raises before the matching index, and so
+    before any column, is built, naming n, the byte lanes and the witness,
+    and without pointing at the override, which cannot help."""
+    before = tl._matching_index.cache_info().misses
+    for cap, n in (("9", 9), ("10", 9), ("10", 10)):
+        monkeypatch.setenv("TLIMM_MAX_N", cap)
+        with pytest.raises(LimitError) as caught:
+            tl.all_tl_immanants(n)
+        message = str(caught.value)
+        assert f"n={n}" in message and "signed-byte lanes" in message
+        assert "w = 214365879, u = 869472513" in message and "155" in message
+        assert "TLIMM_MAX_N" not in message
+    assert tl._matching_index.cache_info().misses == before
+    assert tl.STORE_MAX_N == 8
+
+
+def test_ceiling_witness_leaves_a_signed_byte(monkeypatch):
+    """The witness the store's ceiling names, by f_coeff, which builds no
+    store: 155 is outside [-128, 127]."""
+    monkeypatch.setenv("TLIMM_MAX_N", "9")
+    w, u = CEILING_WITNESS
+    assert perm.is_321_avoiding(w)
+    assert tl.f_coeff(w, u) == 155
+
+
 def test_theta_table_limit(monkeypatch):
     with pytest.raises(LimitError):
         tl.theta_table(8)
