@@ -595,20 +595,12 @@ def parse_matrix(text: str) -> Matrix:
 
 def _integer_rows(X: Sequence[Sequence[int | Fraction]]) -> tuple[list[list[int]], int]:
     """Each row of X times the lcm d_i of its denominators, and
-    d_1 * ... * d_n: the rows as integers and what divides their products."""
-    scales = [math.lcm(*(x.denominator for x in row)) for row in X]
-    rows = [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(X, scales)]
+    d_1 * ... * d_n: the rows as integers and what divides their products.
+    Each entry's numerator and denominator are read once, as a pair."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in X]
+    scales = [math.lcm(*(q for _, q in row)) for row in ratios]
+    rows = [[p * (d // q) for p, q in row] for row, d in zip(ratios, scales)]
     return rows, math.prod(scales)
-
-
-def _integer_values(values: Sequence[Coeff]) -> tuple[Sequence[int], int]:
-    """The values times the lcm d of their denominators, and d; values that
-    are all ints, as in store, percent and CM columns, come back as they
-    are, with d = 1."""
-    if isinstance(values, array) or set(map(type, values)) <= {int}:
-        return values, 1
-    d = math.lcm(*(c.denominator for c in values))
-    return [c.numerator * (d // c.denominator) for c in values], d
 
 
 class _SplitPlan(NamedTuple):
@@ -683,8 +675,10 @@ def _bareiss(M: list[list[int]]) -> int:
 
 
 def evaluate(f: Immanant, matrix: Sequence[Sequence]) -> Fraction:
-    """sum_u f(u) * prod_i X[i, u(i)], exactly.  Rows are scaled to
-    integers as in :func:`evaluate_terms`, and the sum is divided once.
+    """sum_u f(u) * prod_i X[i, u(i)], exactly, by one of two kernels
+    chosen by f's ``rows``.  Row i of X is scaled by the lcm d_i of its
+    denominators (:func:`_integer_rows`), so every product is an integer,
+    and the sum is divided once.
 
     An immanant with ``rows`` set, as :func:`percent_immanant` and
     :func:`cm_immanant` return, is the determinant of X with the entries
@@ -692,12 +686,14 @@ def evaluate(f: Immanant, matrix: Sequence[Sequence]) -> Fraction:
     zeroed and the determinant taken by :func:`_bareiss`, O(n^3).
 
     Any other column is split at row h = ceil(n/2) as in a Laplace
-    expansion.  The u that share u(1..h) are one block of (n - h)! ranks,
-    so with T the product of the top rows over each prefix and B the
-    product of the bottom rows over each suffix code, the sum is sum over
-    blocks of T(prefix) * sum over the block of f(u) * B(code(u)): T and B
-    cost one multiply per prefix and per code, and the column one multiply
-    per rank, n! in all.
+    expansion.  Its values are scaled by the lcm d of their denominators;
+    an ``array`` column, or one of ints only, as store columns are, is
+    read as it is, with d = 1.  The u that share u(1..h) are one block of
+    (n - h)! ranks, so with T the product of the top rows over each prefix
+    and B the product of the bottom rows over each suffix code, the sum is
+    sum over blocks of T(prefix) * sum over the block of f(u) * B(code(u)):
+    T and B cost one multiply per prefix and per code, and the column one
+    multiply per rank, n! in all.
 
     >>> evaluate(cm_immanant(2, (), ()), [[1, 2], [3, 4]])
     Fraction(-2, 1)
@@ -711,7 +707,10 @@ def evaluate(f: Immanant, matrix: Sequence[Sequence]) -> Fraction:
         return Fraction(_bareiss([[x if j in allowed else 0 for j, x in enumerate(row, 1)]
                                   for row, allowed in zip(rows, f.rows)]), scale)
     plan = _split_plan(n)
-    values, d = _integer_values(f.values)
+    values, d = f.values, 1
+    if not (isinstance(values, array) or set(map(type, values)) <= {int}):
+        d = math.lcm(*(c.denominator for c in values))
+        values = [c.numerator * (d // c.denominator) for c in values]
     h = len(plan.prefix)
     bottom = [1]
     for row in rows[h:]:
@@ -725,29 +724,6 @@ def evaluate(f: Immanant, matrix: Sequence[Sequence]) -> Fraction:
     terms = map(operator.mul, values, map(bottom.__getitem__, plan.code))
     blocks = map(sum, zip(*[terms] * math.factorial(n - h)))
     return Fraction(sum(map(operator.mul, top, blocks)), d * scale)
-
-
-def evaluate_terms(X: Sequence[Sequence[int | Fraction]], perms: Iterable[Perm],
-                   values: Sequence[Coeff]) -> Fraction:
-    """sum of c * prod_i X[i, u(i)] over zip(perms, values), exactly, for a
-    square X of ints or Fractions: the sparse kernel, for a caller that
-    knows the few terms that can contribute, as A10 does; :func:`evaluate`
-    takes whole columns.  Row i is scaled by the lcm d_i of its
-    denominators and the values by the lcm d of theirs, so every product
-    is an integer, and the sum is divided by d * d_1 * ... * d_n once.  The
-    walk is one ``map`` pipeline in C, linear in the number of terms.
-
-    >>> evaluate_terms([[1, 2], [3, 4]], [(2, 1)], [Fraction(1, 2)])
-    Fraction(3, 1)
-    """
-    rows, scale = _integer_rows(X)
-    # A leading 0 lets row[x] read column x.
-    rows = [(0, *row) for row in rows]
-    values, d = _integer_values(values)
-    # prod_i rows[i][u(i)] for each u, times its value, all in C.
-    total = sum(map(operator.mul, values, map(math.prod, map(
-        map, itertools.repeat(operator.getitem), itertools.repeat(rows), perms))))
-    return Fraction(total, d * scale)
 
 
 def witness_matrix(w: Perm) -> tuple[tuple[int, ...], ...]:

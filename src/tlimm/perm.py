@@ -244,21 +244,27 @@ def contains_pattern(w: Perm, v: Perm) -> bool:
     # bound a value that has nothing below or above it in v[:k], taken from
     # w's own range, so that any host of distinct values is read by order.
     values = [0] * m + [min(w, default=0) - 1, max(w, default=0) + 1]
+    return _extend(w, bounds, values, 0, 0)
 
-    def extend(start: int, k: int) -> bool:
-        if k == m:
-            return True
-        lo, hi = bounds[k]
-        low, high = values[lo], values[hi]
-        for p in range(start, n - m + k + 1):
-            x = w[p]
-            if low < x < high:
-                values[k] = x
-                if extend(p + 1, k + 1):
-                    return True
-        return False
 
-    return extend(0, 0)
+def _extend(w: Perm, bounds: tuple[tuple[int, int], ...], values: list[int],
+            start: int, k: int) -> bool:
+    """True iff the k values chosen so far, held in values[:k], extend to
+    an occurrence of the pattern of ``bounds`` with the rest taken from
+    w[start:] in order.  A plain function, not a closure, so a call leaves
+    no reference cycle for the collector."""
+    m = len(bounds)
+    if k == m:
+        return True
+    lo, hi = bounds[k]
+    low, high = values[lo], values[hi]
+    for p in range(start, len(w) - m + k + 1):
+        x = w[p]
+        if low < x < high:
+            values[k] = x
+            if _extend(w, bounds, values, p + 1, k + 1):
+                return True
+    return False
 
 
 def avoids(w: Perm, *patterns: Perm) -> bool:

@@ -56,7 +56,7 @@ import itertools
 import math
 import operator
 from array import array
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import limits
 from .errors import LimitError, PreconditionError, VerificationError
@@ -512,9 +512,27 @@ def _overflow(n: int, a: int, start: int, k: int, shifted: int) -> VerificationE
 STORE_MAX_N = 8
 
 
+def _below_store_ceiling(store: Callable) -> Callable:
+    """The store with n > :data:`STORE_MAX_N` refused first, whatever the
+    caps: its LimitError names the witness and gives no cap advice, which
+    could not help.  ``cache_info`` and ``cache_clear`` are the store's."""
+
+    @functools.wraps(store)
+    def checked(n: int):
+        if n > STORE_MAX_N:
+            raise LimitError(
+                f"Temperley-Lieb immanant store requested for n={n}: its columns hold "
+                f"f_w(u) in signed-byte lanes, which hold n <= {STORE_MAX_N} only; at "
+                "n = 9, f_w(u) = 155 for w = 214365879, u = 869472513")
+        return store(n)
+
+    return checked
+
+
 # Four sizes, not every n up to the cap: `tlimm verify --suite all` then
 # builds stores 2-6 twice, but holding the 2.2 MB store of n = 7 to its end
 # raised its peak RSS by 0.5 MB.
+@_below_store_ceiling
 @limits.capped_cache(limits.theta_max_n, "Temperley-Lieb immanant store", maxsize=4)
 def all_tl_immanants(n: int) -> dict[Perm, array]:
     """The coefficients f_w(u) of every 321-avoiding w in S_n, the one
@@ -522,11 +540,12 @@ def all_tl_immanants(n: int) -> dict[Perm, array]:
     ``r`` is f_w(u) for the u of rank r in :func:`tlimm.perm.perm_index`.
     The columns are shared: do not change them.
 
-    Above :data:`STORE_MAX_N` some f_w(u) leaves a signed byte, so an n
-    above it that the cap lets through is a LimitError that names the
-    witness, raised before any table or column is built: the n = 9 store
-    would otherwise allocate Catalan(9) = 4 862 columns of 9! bytes, about
-    1.76 GB, before it found the first such coefficient.
+    Above :data:`STORE_MAX_N` some f_w(u) leaves a signed byte, so such an
+    n is a LimitError that names the witness whatever the caps, raised
+    before the table cap is checked and before any table or column is
+    built: the n = 9 store would otherwise allocate Catalan(9) = 4 862
+    columns of 9! bytes, about 1.76 GB, before it found the first such
+    coefficient.
 
     :func:`_theta_columns` gives the coefficient of m_k in theta(g) at the
     rank of g^-1.  The flip * of a diagram, top to bottom, is an
@@ -539,11 +558,6 @@ def all_tl_immanants(n: int) -> dict[Perm, array]:
     >>> all_tl_immanants(2)[(2, 1)].tolist()
     [0, 1]
     """
-    if n > STORE_MAX_N:
-        raise LimitError(
-            f"Temperley-Lieb immanant store requested for n={n}: its columns hold f_w(u) "
-            f"in signed-byte lanes, which hold n <= {STORE_MAX_N} only; at n = 9, "
-            "f_w(u) = 155 for w = 214365879, u = 869472513")
     ws = [_beta_inv(n, pairing) for pairing in _matching_index(n)]
     columns = dict(zip(map(inverse, ws), _theta_columns(n)))
     return {w: columns[w] for w in ws}

@@ -552,7 +552,10 @@ def suite_a9(n: int, seed: int = 94_711) -> Iterator[_Check]:
 @_suite("A10", (4, 5, 6))
 def suite_a10(n: int) -> Iterator[_Check]:
     """Complementary-minor expansions reproduce the immanants exactly, and
-    the 0/1 witness matrix separates percent from Temperley-Lieb values."""
+    the 0/1 witness matrix separates percent from Temperley-Lieb values:
+    on it each immanant's value is the sum of its column over the witness
+    support, the ranks of the u whose row product is 1, with no
+    arithmetic on the matrix and no Immanant built."""
     applicable = _applicable_two_case(n)
     store = immanant.all_tl_immanants(n)
     signed = [(w, classify.cm_expansion(w)) for w in applicable]
@@ -589,16 +592,15 @@ def suite_a10(n: int) -> Iterator[_Check]:
                immanant.Column(n, immanant.pack_column(
                    n, immanant.percent_column(immanant.hull(w)))),
                immanant.Column(n, total))
-    perms = perm.perm_index(n).perms
     for w in applicable:
         X = immanant.witness_matrix(w)
-        # Only the u with a nonzero row product on X contribute.  X's three
-        # equal rows share three columns, so 3! = 6 of its 27 row products
-        # are permutations.
-        support = list(itertools.compress(range(len(perms)), immanant.row_mask(
+        # X is 0/1, so the row product of u is 1 on the support, the u with
+        # every X[i, u(i)] = 1, and 0 elsewhere: an immanant's value on X is
+        # its column summed over the support.  X's three equal rows share
+        # three columns, so the support holds 3! = 6 ranks.
+        support = list(itertools.compress(itertools.count(), immanant.row_mask(
             n, [[j for j, x in enumerate(row, 1) if x] for row in X])))
-        terms = [perms[r] for r in support]
-        percent, tl_w = (immanant.evaluate_terms(X, terms, [column[r] for r in support])
+        percent, tl_w = (Fraction(sum(map(column.__getitem__, support)))
                          for column in (immanant.percent_column(immanant.hull(w)), store[w]))
         yield ("witness matrix: hull percent immanant is +-1", w, 1, abs(percent))
         yield ("witness matrix: Temperley-Lieb immanant vanishes", w, Fraction(0), tl_w)

@@ -178,6 +178,25 @@ def test_store_cap_names_the_store(capsys, monkeypatch):
         "cap 7 (set TLIMM_MAX_N to override)")
 
 
+def test_store_ceiling_comes_before_the_cap(capsys, monkeypatch):
+    """At n = 9 the store's ceiling answers first, whatever the caps: one
+    line naming the witness, with no TLIMM_MAX_N advice, which could not
+    help.  At n = 8 under the default caps the cap answers, with it."""
+    monkeypatch.delenv("TLIMM_MAX_N", raising=False)
+    for cap in (None, "4", "9"):
+        if cap is not None:
+            monkeypatch.setenv("TLIMM_MAX_N", cap)
+        assert cli.main(["immanant", "214365879"]) == cli.EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.strip() == (
+            "error: Temperley-Lieb immanant store requested for n=9: its columns hold "
+            "f_w(u) in signed-byte lanes, which hold n <= 8 only; at n = 9, "
+            "f_w(u) = 155 for w = 214365879, u = 869472513"), cap
+    monkeypatch.delenv("TLIMM_MAX_N")
+    assert cli.main(["immanant", "21436587"]) == cli.EXIT_PRECONDITION
+    assert capsys.readouterr().err.strip().endswith("cap 7 (set TLIMM_MAX_N to override)")
+
+
 def test_verify_above_the_store_ceiling_exits_3(tmp_path, capsys, monkeypatch):
     """``TLIMM_MAX_N=9 tlimm verify --suite A1 --n 9`` exits 3 with one line
     and no traceback: A1 reads the store before any shape mask, and the

@@ -734,20 +734,12 @@ def test_evaluate_matches_fraction_oracle():
             assert immanant.evaluate(f, X) == oracles.evaluate(f, X)
 
 
-def term_walk(f, X):
-    """evaluate_terms over every nonzero term of f: the sparse kernel as a
-    second arithmetic path for evaluate's row split."""
-    values = f.values
-    return immanant.evaluate_terms(immanant.as_matrix(X),
-                                   itertools.compress(perm.perm_index(f.n).perms, values),
-                                   list(filter(None, values)))
-
-
-def test_row_split_matches_term_walk():
-    """evaluate equals the term walk over the full support for every store
-    column at n = 6, and at n = 8, the default cap, for hull percent
-    columns, a CM column and a seeded Fraction immanant, each on one seeded
-    rational matrix per n."""
+def test_row_split_matches_oracle():
+    """evaluate's row split equals the Fraction oracle on every store
+    column at n = 6, and at n = 8, the default cap, on a seeded Fraction
+    immanant and on an untagged copy of a CM column; untagged copies of
+    hull percent columns equal their tagged value by elimination.  One
+    seeded rational matrix per n."""
     rng = random.Random(42)
 
     def matrix(n):
@@ -757,17 +749,20 @@ def test_row_split_matches_term_walk():
     X = matrix(6)
     for w in immanant.all_tl_immanants(6):
         f = immanant.tl_immanant(w)
-        assert immanant.evaluate(f, X) == term_walk(f, X), w
+        assert immanant.evaluate(f, X) == oracles.evaluate(f, X), w
     X = matrix(8)
     universe = perm.perm_index(8).perms
-    columns = [immanant.percent_immanant(immanant.hull(w))
-               for w in perm.avoiding_321(8)[::400]]
-    columns.append(immanant.cm_immanant(8, {1, 4, 5, 8}, {2, 3, 6, 7}))
-    columns.append(immanant.Immanant(8, {
-        u: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for u in rng.sample(universe, 3_000)}))
-    for f in columns:
-        assert any(f.values)
-        assert immanant.evaluate(f, X) == term_walk(f, X)
+    cm = immanant.cm_immanant(8, {1, 4, 5, 8}, {2, 3, 6, 7})
+    fraction = immanant.Immanant(8, {
+        u: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for u in rng.sample(universe, 3_000)})
+    for f in (immanant.Immanant(8, cm.coeffs), fraction):
+        assert f.rows is None and any(f.values)
+        assert immanant.evaluate(f, X) == oracles.evaluate(f, X)
+    for w in perm.avoiding_321(8)[::400]:
+        tagged = immanant.percent_immanant(immanant.hull(w))
+        untagged = immanant.Immanant(8, tagged.coeffs)
+        assert tagged.rows is not None and untagged.rows is None
+        assert immanant.evaluate(untagged, X) == immanant.evaluate(tagged, X), w
 
 
 @pytest.mark.parametrize("n", range(0, 9))
@@ -823,15 +818,14 @@ def determinant_matrices(rng, n):
 
 def assert_determinant_path(f, matrices, oracle_on=None):
     """f carries its rows, and on each matrix evaluate's elimination equals
-    the term walk over f's full support and the row split of an untagged
-    copy, and on the first ``oracle_on`` matrices (all by default) the
-    Fraction oracle, which costs one Fraction product per term and row."""
+    the row split of an untagged copy, and on the first ``oracle_on``
+    matrices (all by default) the Fraction oracle, which costs one
+    Fraction product per term and row."""
     assert f.rows is not None
     untagged = immanant.Immanant(f.n, f.coeffs)
     assert untagged.rows is None and untagged == f
     for k, X in enumerate(matrices):
         value = immanant.evaluate(f, X)
-        assert value == term_walk(f, X), (f.rows, X)
         assert immanant.evaluate(untagged, X) == value, (f.rows, X)
         if oracle_on is None or k < oracle_on:
             assert value == oracles.evaluate(f, X), (f.rows, X)
@@ -926,7 +920,7 @@ def held_terms(f, X):
 def test_evaluate_on_witness_matrices(n):
     """On the 0/1 witness matrices evaluate agrees with the Fraction oracle,
     on each immanant and on its terms at the u with a nonzero row product:
-    at most 6 of them, which is what suite A10 hands it.  Every tenth w at
+    at most 6 of them, the support suite A10 sums over.  Every tenth w at
     n = 7, where the oracle is slow."""
     applicable = [w for w in perm.avoiding_321(n) if perm.avoids(w, classify.PATTERN_1324)
                   and not perm.avoids(w, classify.PATTERN_2143)]
@@ -987,7 +981,7 @@ def mixed_entries(rng, n):
 
 
 def test_term_walk_matches_oracle_for_int_fraction_and_mixed_coefficients():
-    """The term walk against the Fraction oracle on dense 7 x 7 matrices
+    """evaluate against the Fraction oracle on dense 7 x 7 matrices
     of int, Fraction and "p/q" entries: all-int coefficients (store and
     hull percent immanants), all-Fraction ones, and an int immanant plus
     one Fraction term; then n = 0 and n = 1."""

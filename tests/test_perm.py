@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,6 +98,24 @@ def test_contains_pattern_anchors():
     assert perm.contains_pattern((5,), (1,))
     assert perm.contains_pattern((10, -3, 7), (3, 1, 2))
     assert not perm.contains_pattern((10, -3, 7), (1, 2, 3))
+
+
+def test_contains_pattern_leaves_no_cycles():
+    """A call leaves no garbage that only the cyclic collector frees: with
+    the collector off, a batch of uncached calls, hits and misses among
+    them, leaves nothing for gc.collect() to find."""
+    hosts = perm.avoiding_321(6)[:40]
+    perm.contains_pattern.cache_clear()
+    gc.collect()
+    gc.disable()
+    try:
+        for w in hosts:
+            for v in PAPER_PATTERNS[:5]:
+                perm.contains_pattern(w, v)
+        assert perm.contains_pattern.cache_info().misses == 200
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("n", range(0, 9))

@@ -3,8 +3,10 @@
 import ast
 import functools
 import hashlib
+import math
 import random
 from array import array
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -472,24 +474,36 @@ def test_a9_compares_the_partitions_in_their_order(monkeypatch, n):
 
 @pytest.mark.parametrize("n", range(4, 8))
 def test_a10_evaluates_no_more_terms_than_its_witness_needs(monkeypatch, n):
-    """No suite evaluates more terms than its check needs: A10 builds no
-    Immanant, and each sum it evaluates holds only permutations whose row
-    product on the witness matrix is nonzero, at most the 6 of them."""
-    evaluated = []
-    real = immanant.evaluate_terms
+    """A10 evaluates nothing and builds no Immanant: each witness value is
+    its column summed over the ranks of the row_mask of the witness
+    matrix's ones, 1 to 6 ranks, each a u whose row product on the matrix
+    is 1."""
+    masks = {}
+    real = immanant.row_mask
 
-    def recorded(X, perms, values):
-        perms = list(perms)
-        held = all(all(X[i][x - 1] for i, x in enumerate(u)) for u in perms)
-        evaluated.append((len(perms), held))
-        return real(X, perms, values)
+    def recorded(m, rows):
+        mask = real(m, rows)
+        masks[tuple(map(tuple, rows))] = mask
+        return mask
 
     def refused(*args):
-        raise AssertionError("built an Immanant")
+        raise AssertionError("built an Immanant or evaluated one")
 
-    monkeypatch.setattr(immanant, "evaluate_terms", recorded)
-    monkeypatch.setattr(immanant, "_wrap", refused)
+    monkeypatch.setattr(immanant, "row_mask", recorded)
+    for name in ("_wrap", "evaluate"):
+        monkeypatch.setattr(immanant, name, refused)
     monkeypatch.setattr(immanant.Immanant, "__init__", refused)
-    assert verify.suite_a10(n).ok
-    assert len(evaluated) == 2 * len(verify._applicable_two_case(n))
-    assert all(0 < size <= 6 and held for size, held in evaluated)
+    checks = [check for check in expanded("A10", n) if check[0].startswith("witness matrix")]
+    applicable = verify._applicable_two_case(n)
+    assert [w for _, w, _, _ in checks] == [w for w in applicable for _ in (0, 1)]
+    perms, store = perm.perm_index(n).perms, immanant.all_tl_immanants(n)
+    for (_, w, _, percent), (_, _, _, tl_w) in zip(checks[::2], checks[1::2]):
+        X = immanant.witness_matrix(w)
+        mask = masks[tuple(tuple(j for j, x in enumerate(row, 1) if x) for row in X)]
+        support = [r for r, held in enumerate(mask) if held]
+        assert 0 < len(support) <= 6, w
+        assert all(math.prod(X[i][x - 1] for i, x in enumerate(perms[r])) == 1
+                   for r in support), w
+        column = immanant.percent_column(immanant.hull(w))
+        assert percent == abs(Fraction(sum(column[r] for r in support))), w
+        assert tl_w == Fraction(sum(store[w][r] for r in support)), w
