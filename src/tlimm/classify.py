@@ -18,6 +18,7 @@ expansions below.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from array import array
@@ -229,6 +230,13 @@ def _binomial(a: int, b: int) -> int:
     return math.comb(a + b, a)
 
 
+@functools.cache
+def _pascal() -> tuple[bytes, ...]:
+    """_pascal()[b][a] = binomial(a, b) = (a + b choose a) for a, b < 16, or
+    128 where it does not fit a signed byte: built once, on first use."""
+    return tuple(bytes(min(math.comb(a + b, a), 128) for a in range(16)) for b in range(16))
+
+
 # (first, second, weight): the weight of f_w(u) is weight(A, B), where A
 # counts the rows i with u(i) in first[i - 1] and B those in second[i - 1].
 Tallies = tuple[list[range], list[range], Callable[[int, int], int]]
@@ -256,15 +264,33 @@ def _tallies(params: CaseParams) -> Tallies:
             lambda above, below: _binomial(c - above, b - below))
 
 
-def _closed_form_parts(w: Perm) -> tuple[int, SkewShape, Tallies | None]:
-    """sign(w), hull(w) and the weight tallies of a w avoiding 321 and
-    1324; the tallies are None when w avoids 2143 and the weight is 1."""
+def _closed_form_parts(w: Perm) -> tuple[int, SkewShape, CaseParams | None]:
+    """sign(w), hull(w) and the case parameters of a w avoiding 321 and
+    1324; the parameters are None when w avoids 2143 and the weight is 1."""
     if not is_321_avoiding(w):
         raise PreconditionError(f"{w} contains the pattern 321")
     if not avoids(w, PATTERN_1324):
         raise PreconditionError(f"{w} contains the pattern 1324")
-    tallies = None if avoids(w, PATTERN_2143) else _tallies(_case_params(w))
-    return sign(w), hull(w), tallies
+    params = None if avoids(w, PATTERN_2143) else _case_params(w)
+    return sign(w), hull(w), params
+
+
+def _weight_table(params: CaseParams) -> bytes:
+    """The 256-byte table that turns the lane byte A + 16 * B of
+    :func:`_tallies` into the weight, for A, B <= n < 16, with 128 for a
+    weight that does not fit a signed byte and for every byte whose tallies
+    are not both at most n.  Each row B is sliced from :func:`_pascal`,
+    with no call per entry: Case 1 reads binomial(A, B) along row B, and
+    Case 2 reads binomial(c - A, b - B) along row b - B backwards, zero for
+    A > c and for B > b."""
+    n, pascal = params.n, _pascal()
+    if isinstance(params, Case1):
+        rows = [pascal[B][:n + 1] for B in range(n + 1)]
+    else:
+        b, c = params.b, params.c
+        rows = [pascal[b - B][c::-1] + bytes(n - c) for B in range(b + 1)]
+        rows += [bytes(n + 1)] * (n - b)
+    return b"".join(row.ljust(16, b"\x80") for row in rows).ljust(256, b"\x80")
 
 
 def closed_form(w: Perm) -> Callable[[Perm], int]:
@@ -280,7 +306,8 @@ def closed_form(w: Perm) -> Callable[[Perm], int]:
     >>> f((2, 1, 3, 4)), f((4, 3, 2, 1))
     (0, 2)
     """
-    sw, shape, tallies = _closed_form_parts(w)
+    sw, shape, params = _closed_form_parts(w)
+    tallies = None if params is None else _tallies(params)
 
     def coeff(u: Perm) -> int:
         if not lies_in(u, shape):
@@ -298,41 +325,37 @@ def closed_form_column(w: Perm) -> array:
     """``closed_form(w)`` over all of S_n, with the layout of a store
     column of :func:`all_tl_immanants`: an ``array('b')`` whose entry r is
     f_w(u) for the u of rank r in :func:`tlimm.perm.perm_index`.  It is
-    built in byte lanes: the hull mask is the
+    built in byte lanes, kept as ints until
+    :func:`tlimm.immanant.signed_bytes` signs them: the hull mask is the
     :func:`tlimm.immanant.shape_mask` that percent columns are signed from,
-    and for a w containing 2143, the lane byte A + 16 * B of the two
-    weight tallies (:func:`tlimm.immanant.row_tally`) is turned into the
-    weight by one translate with a 256-byte table of binomials, filled for
-    the tallies up to n, and kept on the mask.
-    :func:`tlimm.immanant.signed_bytes` signs it.  A weight above 127 is a
-    VerificationError, as it is for the store.
+    read from the hull's bounds, and for a w containing 2143, the lane byte
+    A + 16 * B of the two weight tallies (:func:`tlimm.immanant.row_tally`,
+    whose rows are ranges, each one prefix difference) is turned into the
+    weight by one translate with :func:`_weight_table`, and kept on the
+    mask.  A weight above 127 is a VerificationError, as it is for the
+    store.
 
     >>> closed_form_column((2, 1, 4, 3))[-1]
     2
     """
-    sw, shape, tallies = _closed_form_parts(w)
+    sw, shape, params = _closed_form_parts(w)
     n = len(w)
     # Each tally counts at most n rows, so below 16 the lane byte
     # A + 16 * B determines A and B.
     if n >= 16:
         raise PreconditionError(f"closed-form columns need n < 16, got {n}")
     inside = shape_mask(shape)
-    if tallies is None:
+    if params is None:
         return signed_bytes(n, sw, inside)
-    first, second, weight = tallies
-    size = len(inside)
-    # 128 stands for every weight that does not fit a signed byte, and for
-    # every lane byte whose tallies are not both at most n.
-    table = bytearray(b"\x80" * 256)
-    for b in range(n + 1):
-        for a in range(n + 1):
-            table[a + 16 * b] = min(weight(a, b), 128)
+    first, second, weight = _tallies(params)
+    size = math.factorial(n)
     lanes = (row_tally(n, first) + 16 * row_tally(n, second)).to_bytes(size, "little")
     # 0xFF times the 0/1 hull mask keeps the weights of the u in hull(w).
-    values = (int.from_bytes(lanes.translate(table), "little")
-              & 0xFF * int.from_bytes(inside, "little")).to_bytes(size, "little")
-    if 128 in values:
-        r = values.index(128)
+    values = (int.from_bytes(lanes.translate(_weight_table(params)), "little")
+              & 0xFF * inside)
+    # A weight is at most the sentinel 128, so bit 7 of a lane marks it.
+    if values & inside << 7:
+        r = values.to_bytes(size, "little").index(128)
         raise VerificationError(
             f"closed-form weight {weight(lanes[r] % 16, lanes[r] // 16)} at n={n}, "
             f"w={format_perm(w)}, u={format_perm(perm_index(n).perms[r])} "
@@ -468,7 +491,7 @@ def shape_sum_columns(w: Perm, d: Decomposition) -> tuple[array, array]:
     columns: the stored column of w, and the sum of the shape masks of d's
     shapes, signed by d.sign.  A lane counts at most two shapes, so it stays
     in the [0, 127] that :func:`tlimm.immanant.signed_bytes` takes.
-    :func:`decompose`'s validation and suites A1 and A2 compare them.
+    :func:`decompose`'s validation and suite A2 compare them.
 
     >>> shape_sum_columns((2, 1), decompose((2, 1)))
     (array('b', [0, 1]), array('b', [0, 1]))
@@ -476,8 +499,7 @@ def shape_sum_columns(w: Perm, d: Decomposition) -> tuple[array, array]:
     n = len(w)
     # The store first: above its ceiling it refuses n before a mask is built.
     stored = all_tl_immanants(n)[w]
-    total = sum(int.from_bytes(shape_mask(s), "little") for s in d.shapes)
-    return stored, signed_bytes(n, d.sign, total.to_bytes(math.factorial(n), "little"))
+    return stored, signed_bytes(n, d.sign, sum(map(shape_mask, d.shapes)))
 
 
 def decompose(w: Perm, validate: bool | None = None) -> Decomposition:

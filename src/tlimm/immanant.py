@@ -142,22 +142,29 @@ def hull(w: Perm) -> SkewShape:
     """The minimal skew shape through all points (i, w(i)): row i spans from
     the running minimum of w on [1, i] to the suffix maximum on [i, n].
 
+    A running minimum and a suffix maximum are non-increasing, and mu_i <
+    w(i) <= lam_i, so the shape needs only its two outer bounds checked,
+    mu_n >= 0 and lam_1 <= n; a w that breaks them is a ValueError, as the
+    checking constructor raises.
+
     >>> hull((2, 1, 4, 3))
     SkewShape(n=4, lam=(4, 4, 4, 3), mu=(1, 0, 0, 0))
     """
     n = len(w)
-    mu, lam = [], []
+    mu, lam = [], [0] * n
     running = n + 1
     for x in w:
-        running = min(running, x)
+        if x < running:
+            running = x
         mu.append(running - 1)
     running = 0
-    suffix = [0] * n
     for i in range(n - 1, -1, -1):
-        running = max(running, w[i])
-        suffix[i] = running
-    lam = suffix
-    return SkewShape(n, tuple(lam), tuple(mu))
+        if w[i] > running:
+            running = w[i]
+        lam[i] = running
+    if n and (mu[-1] < 0 or lam[0] > n):
+        raise ValueError(f"row bounds must lie in [0, {n}]")
+    return tuple.__new__(SkewShape, (n, tuple(lam), tuple(mu)))
 
 
 def lies_in(u: Perm, shape: SkewShape) -> bool:
@@ -291,7 +298,9 @@ def _wrap(n: int, values: Sequence[Coeff],
 # in byte lanes from the prefix lanes of a cached basis: below[i][v] is 1
 # in the lane of every u with u(i + 1) <= v, so the u whose row takes a
 # value in (lo, hi] are the lanes of one difference, below[i][hi] -
-# below[i][lo], and no row is translated per call.
+# below[i][lo], and no row is translated per call.  Masks and tallies stay
+# ints, one unsigned byte lane per u, from the basis to signed_bytes, which
+# turns them into the column once.
 #
 # A packed column is one int over S_n, the sum of f(u_r) * 2^(32r): a
 # signed 32-bit lane per u.  Only sums that can leave a signed byte, and
@@ -361,10 +370,7 @@ def _basis(n: int) -> _Basis:
 
 def _runs(n: int, allowed: Iterable[int]) -> Iterable[tuple[int, int]]:
     """The maximal runs (lo, hi] of the values of allowed in 1..n, in
-    increasing order; a range of step 1 is clipped, not iterated."""
-    if type(allowed) is range and allowed.step == 1:
-        lo, hi = max(allowed.start - 1, 0), min(allowed.stop - 1, n)
-        return ((lo, hi),) if lo < hi else ()
+    increasing order, read value by value."""
     present = bytearray(n + 2)
     for x in allowed:
         if 1 <= x <= n:
@@ -376,10 +382,17 @@ def _runs(n: int, allowed: Iterable[int]) -> Iterable[tuple[int, int]]:
 
 def _row_lanes(n: int, rows: Sequence[Iterable[int]]) -> Iterable[int]:
     """For each row i, the int whose byte lane r is 1 iff u_r(i) is in
-    ``rows[i - 1]``: one prefix difference per run of allowed values."""
+    ``rows[i - 1]``: one prefix difference per run of allowed values.  A
+    ``range`` of step 1 is one run, clipped to 1..n, and no value of it is
+    read; any other row, such as the sets J and its complement of a
+    complementary minor, is read value by value by :func:`_runs`."""
     if len(rows) != n:
         raise PreconditionError(f"{len(rows)} rows given for n={n}")
     for below, allowed in zip(_basis(n).below, rows):
+        if type(allowed) is range and allowed.step == 1:
+            lo, hi = max(allowed.start - 1, 0), min(allowed.stop - 1, n)
+            yield below[hi] - below[lo] if lo < hi else 0
+            continue
         lanes = 0
         for lo, hi in _runs(n, allowed):
             lanes += below[hi] - below[lo]
@@ -389,29 +402,34 @@ def _row_lanes(n: int, rows: Sequence[Iterable[int]]) -> Iterable[int]:
 def row_tally(n: int, rows: Sequence[Iterable[int]]) -> int:
     """The byte-lane column, one 8-bit lane per rank of perm_index(n), whose
     lane for u counts the rows i with u(i) in ``rows[i - 1]``; there must
-    be n rows.  A value outside 1..n matches nothing.  A lane counts at
-    most n <= 255 rows, so no lane carries."""
+    be n rows, read as :func:`_row_lanes` reads them.  A value outside 1..n
+    matches nothing.  A lane counts at most n <= 255 rows, so no lane
+    carries."""
     return sum(_row_lanes(n, rows))
 
 
-def row_mask(n: int, rows: Sequence[Iterable[int]]) -> bytes:
-    """One byte per rank of perm_index(n): 1 for the u with u(i) in
-    ``rows[i - 1]`` for every row i, else 0; the rows of :func:`row_tally`
-    ANDed.  At n = 0 the one (empty) u is held."""
-    mask = functools.reduce(operator.and_, _row_lanes(n, rows), _basis(n).ones)
-    return mask.to_bytes(len(perm_index(n).perms), "little")
+def row_mask(n: int, rows: Sequence[Iterable[int]]) -> int:
+    """The byte-lane column, one 8-bit lane per rank of perm_index(n), that
+    is 1 for the u with u(i) in ``rows[i - 1]`` for every row i, else 0:
+    the rows of :func:`row_tally` ANDed.  At n = 0 the one (empty) u is
+    held."""
+    return functools.reduce(operator.and_, _row_lanes(n, rows), _basis(n).ones)
 
 
-def signed_bytes(n: int, s: int, values: bytes) -> array:
-    """The ``array('b')`` of s * sign(u_r) * values[r] over the ranks r of
-    perm_index(n), for s = +-1 and bytes values in [0, 127]: the lanes
-    whose sign is -1 take their value from one negating translate.  On a
-    :func:`row_mask` it is the signed indicator of the u the mask holds."""
+def signed_bytes(n: int, s: int, lanes: int) -> array:
+    """The ``array('b')`` of s * sign(u_r) * v_r over the ranks r of
+    perm_index(n), for s = +-1 and the byte lanes v_r in [0, 127] of
+    ``lanes``: on a :func:`row_mask` or :func:`shape_mask`, the signed
+    indicator of the u the mask holds.  The lanes whose sign is -1 take
+    -v_r as an unsigned byte, from one negation of every lane at once: bit
+    7 of v_r + 127, a sum no lane carries out of, is 1 iff v_r > 0, and
+    ``nonzero`` * 256 - lanes borrows 1 from the next lane exactly where
+    v_r > 0, leaving 256 - v_r there and 0 in the zero lanes."""
     basis = _basis(n)
     flip = basis.odd_bytes if s > 0 else ~basis.odd_bytes
-    plus = int.from_bytes(values, "little")
-    minus = int.from_bytes(values.translate(_NEGATE), "little")
-    return array("b", (plus ^ ((plus ^ minus) & flip)).to_bytes(len(values), "little"))
+    nonzero = (lanes + 0x7F * basis.ones) >> 7 & basis.ones
+    minus = (nonzero << 8) - lanes
+    return array("b", (lanes ^ ((lanes ^ minus) & flip)).to_bytes(math.factorial(n), "little"))
 
 
 def pack_column(n: int, values: array) -> int:
@@ -468,29 +486,37 @@ def _shape_rows(shape: SkewShape) -> tuple[range, ...]:
     return tuple(range(m + 1, l + 1) for m, l in zip(shape.mu, shape.lam))
 
 
-def shape_mask(shape: SkewShape) -> bytes:
-    """The :func:`row_mask` of the u that lie in the shape: row i takes a
-    value in (mu_i, lam_i]."""
-    return row_mask(shape.n, _shape_rows(shape))
+def shape_mask(shape: SkewShape) -> int:
+    """The :func:`row_mask` of the u that lie in the shape, row i taking a
+    value in (mu_i, lam_i], read from the bounds themselves: the prefix
+    differences below[i][lam_i] - below[i][mu_i] ANDed, with no row list
+    built and no run searched.  A row with mu_i = 0 is below[i][lam_i]
+    alone, and a whole row (0, n] is skipped."""
+    n = shape.n
+    basis = _basis(n)
+    mask = basis.ones
+    for below, m, l in zip(basis.below, shape.mu, shape.lam):
+        if m:
+            mask &= below[l] - below[m]
+        elif l != n:
+            mask &= below[l]
+    return mask
 
 
 def _row_indicator(n: int, rows: Sequence[Collection[int]]) -> array:
     """The ``array('b')`` by rank of perm_index(n) of sign(u) on the u with
     u(i) in ``rows[i - 1]`` for every row i, zero elsewhere: the
     coefficients of the determinant of X with the entries outside the rows
-    set to zero."""
+    set to zero.  The rows are read as :func:`_row_lanes` reads them."""
     return signed_bytes(n, 1, row_mask(n, rows))
-
-
-def _percent_rows(shape: SkewShape) -> tuple[range, ...]:
-    limits.check_limit(shape.n, limits.max_n(), "percent immanant")
-    return _shape_rows(shape)
 
 
 def percent_column(shape: SkewShape) -> array:
     """The percent immanant of a shape as an ``array('b')`` by rank of
-    perm_index(n): sign(u) on the u in :func:`shape_mask`, zero elsewhere."""
-    return _row_indicator(shape.n, _percent_rows(shape))
+    perm_index(n): sign(u) on the u in :func:`shape_mask`, zero elsewhere,
+    signed from the mask's lanes; no row list is built."""
+    limits.check_limit(shape.n, limits.max_n(), "percent immanant")
+    return signed_bytes(shape.n, 1, shape_mask(shape))
 
 
 def percent_immanant(shape: SkewShape) -> Immanant:
@@ -498,7 +524,7 @@ def percent_immanant(shape: SkewShape) -> Immanant:
     a value in (mu_i, lam_i].  It is the determinant of X with the entries
     outside the shape set to zero, so it is returned with ``rows`` set to
     the shape's rows, and :func:`evaluate` takes it by elimination; its
-    values must not be changed.
+    values are :func:`percent_column` and must not be changed.
 
     >>> percent_immanant(hull((2, 1, 4, 3))).coeff((2, 1, 4, 3))
     1
@@ -506,8 +532,7 @@ def percent_immanant(shape: SkewShape) -> Immanant:
     ...          [[1, 2, 0, 1], [3, 4, 1, 0], [0, 1, 2, 1], [1, 0, 1, 2]])
     Fraction(-6, 1)
     """
-    rows = _percent_rows(shape)
-    return _wrap(shape.n, _row_indicator(shape.n, rows), rows)
+    return _wrap(shape.n, percent_column(shape), _shape_rows(shape))
 
 
 def tl_immanant(w: Perm) -> Immanant:

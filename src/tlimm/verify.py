@@ -24,8 +24,10 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import math
 import random
 import time
+from array import array
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -158,12 +160,22 @@ def _applicable_two_case(n: int) -> list[Perm]:
 @_suite("A1", (3, 4, 5, 6))
 def suite_a1(n: int) -> Iterator[_Check]:
     """Single-percent classification: tl_immanant(w) equals
-    sign(w) * percent(hull(w)) exactly when w avoids 1324 and 2143."""
+    sign(w) * percent(hull(w)) exactly when w avoids 1324 and 2143.  Each
+    distinct hull's mask (:func:`classify.shape_mask`) is built once and
+    signed once per sign, in one pass over avoiding_321(n); the store and
+    the masks are read through classify, as its shape sums read them."""
+    store = classify.all_tl_immanants(n)
+    masks: dict[immanant.SkewShape, int] = {}
+    signed: dict[tuple[immanant.SkewShape, int], array] = {}
     for w in perm.avoiding_321(n):
-        one = classify.Decomposition("one", perm.sign(w), (immanant.hull(w),))
-        expected, actual = classify.shape_sum_columns(w, one)
+        shape, s = immanant.hull(w), perm.sign(w)
+        column = signed.get((shape, s))
+        if column is None:
+            if shape not in masks:
+                masks[shape] = classify.shape_mask(shape)
+            column = signed[shape, s] = immanant.signed_bytes(n, s, masks[shape])
         yield ("one-percent iff avoids 1324 and 2143", w,
-               perm.avoids(w, PATTERN_1324, PATTERN_2143), expected == actual)
+               perm.avoids(w, PATTERN_1324, PATTERN_2143), store[w] == column)
 
 
 @_suite("A2", (3, 4, 5, 6))
@@ -592,14 +604,15 @@ def suite_a10(n: int) -> Iterator[_Check]:
                immanant.Column(n, immanant.pack_column(
                    n, immanant.percent_column(immanant.hull(w)))),
                immanant.Column(n, total))
+    size = math.factorial(n)
     for w in applicable:
         X = immanant.witness_matrix(w)
         # X is 0/1, so the row product of u is 1 on the support, the u with
         # every X[i, u(i)] = 1, and 0 elsewhere: an immanant's value on X is
         # its column summed over the support.  X's three equal rows share
         # three columns, so the support holds 3! = 6 ranks.
-        support = list(itertools.compress(itertools.count(), immanant.row_mask(
-            n, [[j for j, x in enumerate(row, 1) if x] for row in X])))
+        mask = immanant.row_mask(n, [[j for j, x in enumerate(row, 1) if x] for row in X])
+        support = list(itertools.compress(itertools.count(), mask.to_bytes(size, "little")))
         percent, tl_w = (Fraction(sum(map(column.__getitem__, support)))
                          for column in (immanant.percent_column(immanant.hull(w)), store[w]))
         yield ("witness matrix: hull percent immanant is +-1", w, 1, abs(percent))

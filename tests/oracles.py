@@ -178,6 +178,24 @@ def cells(shape) -> frozenset[tuple[int, int]]:
     )
 
 
+def hull_cells_by_definition(w) -> frozenset[tuple[int, int]]:
+    """The cells (i, j) that every skew shape through the points (a, w(a))
+    holds, point by point.  Both bounds of a skew shape are
+    non-increasing, so a point (a, w(a)) with a >= i and w(a) >= j forces
+    lam_i >= j, and a point (b, w(b)) with b <= i and w(b) <= j forces
+    mu_i < j; the bounds forced so make a skew shape, so no other cell is
+    forced, and these are the cells of the minimal shape."""
+    n = len(w)
+    points = list(enumerate(w, 1))
+    return frozenset(
+        (i, j)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        if any(a >= i and x >= j for a, x in points)
+        and any(b <= i and y <= j for b, y in points)
+    )
+
+
 def inversions(u) -> int:
     """The number of inversions, counted pair by pair."""
     return sum(1 for i, j in itertools.combinations(range(len(u)), 2) if u[i] > u[j])

@@ -196,9 +196,11 @@ def test_closed_form_column_is_the_per_u_reader(n):
 
 def test_a3_catches_an_off_by_one_binomial(monkeypatch):
     """A weight table one off fails A3 at n = 6, and only at the w whose
-    weight is a binomial: those that contain 2143."""
-    binomial = classify._binomial
-    monkeypatch.setattr(classify, "_binomial", lambda a, b: binomial(a + 1, b))
+    weight is a binomial: those that contain 2143.  The table's rows are
+    sliced from _pascal, so each row read one entry on gives binomial(a + 1,
+    b) in place of binomial(a, b)."""
+    pascal = classify._pascal()
+    monkeypatch.setattr(classify, "_pascal", lambda: tuple(row[1:] + b"\x80" for row in pascal))
     report = verify.suite_a3(6)
     failed = {f.witness.split()[0] for f in report.failures}
     assert failed and all(
@@ -206,6 +208,8 @@ def test_a3_catches_an_off_by_one_binomial(monkeypatch):
 
 
 def test_closed_form_column_refuses_a_weight_outside_a_byte(monkeypatch):
+    # The weight table reads _pascal, and the error names the exact weight.
+    monkeypatch.setattr(classify, "_pascal", lambda: (b"\x80" * 16,) * 16)
     monkeypatch.setattr(classify, "_binomial", lambda a, b: 128)
     with pytest.raises(VerificationError, match="weight 128 at n=4, w=2143"):
         classify.closed_form_column((2, 1, 4, 3))
@@ -357,9 +361,10 @@ def test_failed_validation_raises(monkeypatch):
 
 
 def test_one_shape_sum_check_has_two_readers(monkeypatch):
-    # decompose's validation and suites A1 and A2 compare the same
-    # shape_sum_columns, which reads every shape through shape_mask.
-    monkeypatch.setattr(classify, "shape_mask", lambda shape: bytes(math.factorial(shape.n)))
+    # decompose's validation and suite A2 compare the same
+    # shape_sum_columns, and suites A1 and A2 both read every shape
+    # through classify.shape_mask.
+    monkeypatch.setattr(classify, "shape_mask", lambda shape: 0)
     with pytest.raises(VerificationError):
         classify.decompose((2, 1, 4, 3))
     failures = verify.suite_a2(4).failures

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import tlimm
-from tlimm import classify, coloring, immanant, perm, tl
+from tlimm import classify, coloring, immanant, perm, tl, verify
 from tlimm.errors import LimitError, PreconditionError, VerificationError
 
 from oracles import (
@@ -68,6 +68,26 @@ def test_hull_anchors():
     assert immanant.hull((2, 3, 4, 1)) == immanant.skew_shape(
         4, (4, 4, 4, 1), (1, 1, 1, 0)
     )
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_hull_matches_its_definition(n):
+    """hull(w) holds exactly the cells that every skew shape through the
+    points of w holds, and its bounds pass the checking constructor, though
+    hull builds the shape without it."""
+    for w in perm.perm_index(n).perms:
+        shape = immanant.hull(w)
+        assert type(shape) is immanant.SkewShape
+        assert immanant.SkewShape(n, shape.lam, shape.mu) == shape, w
+        assert cells(shape) == oracles.hull_cells_by_definition(w), w
+
+
+def test_hull_refuses_values_outside_the_box():
+    """A value above n or below 1 breaks one of the two outer bounds that
+    hull checks, and is the ValueError the checking constructor raises."""
+    for w in ((5, 1), (0, 1), (1, 3), (2, 1, 4)):
+        with pytest.raises(ValueError, match=r"row bounds must lie in \[0, \d\]"):
+            immanant.hull(w)
 
 
 def test_value_types_compare_and_hash_by_value():
@@ -202,14 +222,14 @@ def test_row_tally_and_mask_match_the_definition(n):
     for rows in row_sets(n):
         expected = oracles.row_tally_by_definition(n, rows)
         assert lanes(n, immanant.row_tally(n, rows)) == expected, rows
-        assert list(immanant.row_mask(n, rows)) == [int(c == n) for c in expected], rows
+        assert lanes(n, immanant.row_mask(n, rows)) == [int(c == n) for c in expected], rows
 
 
 def test_row_values_outside_1_to_n_match_nothing():
     n = 4
     outside = [-300, -256, -1, 0, n + 1, 255, 256, 1000]
     assert immanant.row_tally(n, [outside] * n) == 0
-    assert immanant.row_mask(n, [outside] * n) == bytes(24)
+    assert immanant.row_mask(n, [outside] * n) == 0
     assert immanant.row_tally(n, [[*outside, 2]] * n) == immanant.row_tally(n, [[2]] * n)
     with pytest.raises(PreconditionError, match="3 rows given for n=4"):
         immanant.row_tally(n, [()] * 3)
@@ -221,10 +241,62 @@ def test_shape_and_percent_columns_match_the_definition(n):
         count = oracles.row_tally_by_definition(
             n, [range(m + 1, l + 1) for m, l in zip(shape.mu, shape.lam)])
         inside = [int(c == n) for c in count]
-        assert list(immanant.shape_mask(shape)) == inside, shape
+        assert lanes(n, immanant.shape_mask(shape)) == inside, shape
         assert immanant.percent_column(shape).tolist() == [
             oracles.inversion_sign(u) * x
             for u, x in zip(itertools.permutations(range(1, n + 1)), inside)], shape
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_shape_mask_is_the_row_mask_of_the_shape_rows(n):
+    """shape_mask reads the bounds themselves; row_mask of the rows
+    (mu_i, lam_i] gives the same lanes, for every skew shape in the box at
+    n <= 4 and every hull at n <= 7."""
+    shapes = {immanant.hull(w) for w in perm.perm_index(n).perms}
+    if n <= 4:
+        shapes.update(box_shapes(n))
+    for shape in shapes:
+        assert immanant.shape_mask(shape) == immanant.row_mask(
+            n, immanant._shape_rows(shape)), shape
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_range_rows_match_the_definition(n):
+    """A range row is clipped to 1..n, one prefix difference for step 1 and
+    read value by value otherwise; each row's lanes match its count by
+    definition, for empty, clipped and step-2 ranges."""
+    rows = [range(0), range(3, 3), range(n, 1), range(-2, 0), range(0, n + 3),
+            range(-5, 2), range(2, n + 9), range(1, n + 1, 2), range(2, n + 3, 2),
+            range(n, 0, -2)]
+    for row in rows:
+        expected = oracles.row_tally_by_definition(n, [row] * n)
+        assert lanes(n, immanant.row_tally(n, [row] * n)) == expected, row
+        for i, column in enumerate(immanant._row_lanes(n, [row] * n)):
+            only = [row if k == i else () for k in range(n)]
+            assert lanes(n, column) == oracles.row_tally_by_definition(n, only), (row, i)
+
+
+def test_shape_and_percent_columns_read_no_runs(monkeypatch):
+    """Shape masks and percent columns read the shape's bounds, and rows
+    that are step-1 ranges are one prefix difference each: none of them
+    searches runs."""
+    calls = []
+    real = immanant._runs
+
+    def counted(n, allowed):
+        calls.append(allowed)
+        return real(n, allowed)
+
+    monkeypatch.setattr(immanant, "_runs", counted)
+    n = 5
+    for shape in {immanant.hull(w) for w in perm.perm_index(n).perms}:
+        immanant.shape_mask(shape)
+        immanant.percent_column(shape)
+        immanant.percent_immanant(shape)
+        immanant.row_mask(n, immanant._shape_rows(shape))
+    for w in verify._applicable_two_case(n):
+        classify.closed_form_column(w)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", range(0, 7))
@@ -980,7 +1052,7 @@ def mixed_entries(rng, n):
     return [[entry(i * n + j) for j in range(n)] for i in range(n)]
 
 
-def test_term_walk_matches_oracle_for_int_fraction_and_mixed_coefficients():
+def test_evaluate_matches_oracle_for_int_fraction_and_mixed_coefficients():
     """evaluate against the Fraction oracle on dense 7 x 7 matrices
     of int, Fraction and "p/q" entries: all-int coefficients (store and
     hull percent immanants), all-Fraction ones, and an int immanant plus

@@ -500,7 +500,7 @@ def test_a10_evaluates_no_more_terms_than_its_witness_needs(monkeypatch, n):
     for (_, w, _, percent), (_, _, _, tl_w) in zip(checks[::2], checks[1::2]):
         X = immanant.witness_matrix(w)
         mask = masks[tuple(tuple(j for j, x in enumerate(row, 1) if x) for row in X)]
-        support = [r for r, held in enumerate(mask) if held]
+        support = [r for r, held in enumerate(mask.to_bytes(len(perms), "little")) if held]
         assert 0 < len(support) <= 6, w
         assert all(math.prod(X[i][x - 1] for i, x in enumerate(perms[r])) == 1
                    for r in support), w
