@@ -188,12 +188,14 @@ class Immanant:
     :func:`cm_immanant` return, the allowed values of each row: the values
     are then sign(u) on the u with u(i) in ``rows[i - 1]`` for every row i,
     so Imm_f(X) is the determinant of X with the entries outside the rows
-    set to zero, and :func:`evaluate` computes it so.  The values of such an
-    immanant must not be changed either.  Every other immanant, from the
-    constructor, :meth:`from_json`, + and :meth:`scaled` among them, has
-    ``rows`` None."""
+    set to zero, and :func:`evaluate` computes it so.  Such an immanant
+    builds its values, the ``array('b')`` of :func:`_row_indicator`, only
+    when they are first read, and keeps them; they must not be changed
+    either.  Every other immanant, from the constructor, :meth:`from_json`,
+    + and :meth:`scaled` among them, has ``rows`` None and its values from
+    the start."""
 
-    __slots__ = ("n", "values", "rows")
+    __slots__ = ("n", "_values", "rows")
     __hash__ = None
 
     def __init__(self, n: int, coeffs: Mapping[Perm, Coeff]):
@@ -204,7 +206,16 @@ class Immanant:
             if r is None:
                 raise PreconditionError(f"{u} is not a permutation of S_{n}")
             values[r] = _exact(c)
-        self.n, self.values, self.rows = n, values, None
+        self.n, self._values, self.rows = n, values, None
+
+    @property
+    def values(self) -> Sequence[Coeff]:
+        """The coefficients by rank, built from ``rows`` on the first read
+        where they are not held yet."""
+        values = self._values
+        if values is None:
+            values = self._values = _row_indicator(self.n, self.rows)
+        return values
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -279,12 +290,13 @@ def _exact(c: Coeff) -> Coeff:
     raise PreconditionError(f"inexact coefficient of type {type(c).__name__}")
 
 
-def _wrap(n: int, values: Sequence[Coeff],
+def _wrap(n: int, values: Sequence[Coeff] | None,
           rows: tuple[Collection[int], ...] | None = None) -> Immanant:
     """The Immanant over values, exact and normalized by rank, held
-    uncopied, with the rows slot given."""
+    uncopied, with the rows slot given; values None, with rows given,
+    leaves them to be built from the rows when first read."""
     f = Immanant.__new__(Immanant)
-    f.n, f.values, f.rows = n, values, rows
+    f.n, f._values, f.rows = n, values, rows
     return f
 
 
@@ -523,8 +535,10 @@ def percent_immanant(shape: SkewShape) -> Immanant:
     """Signed indicator of the permutations lying in the shape: row i takes
     a value in (mu_i, lam_i].  It is the determinant of X with the entries
     outside the shape set to zero, so it is returned with ``rows`` set to
-    the shape's rows, and :func:`evaluate` takes it by elimination; its
-    values are :func:`percent_column` and must not be changed.
+    the shape's rows, and :func:`evaluate` takes it by elimination.  n is
+    held to the whole-S_n cap here, but no column is built: its values,
+    equal to :func:`percent_column`, are built on their first read and
+    must not be changed.
 
     >>> percent_immanant(hull((2, 1, 4, 3))).coeff((2, 1, 4, 3))
     1
@@ -532,7 +546,8 @@ def percent_immanant(shape: SkewShape) -> Immanant:
     ...          [[1, 2, 0, 1], [3, 4, 1, 0], [0, 1, 2, 1], [1, 0, 1, 2]])
     Fraction(-6, 1)
     """
-    return _wrap(shape.n, percent_column(shape), _shape_rows(shape))
+    limits.check_limit(shape.n, limits.max_n(), "percent immanant")
+    return _wrap(shape.n, None, _shape_rows(shape))
 
 
 def tl_immanant(w: Perm) -> Immanant:
@@ -568,17 +583,17 @@ def cm_column(n: int, I: Iterable[int], J: Iterable[int]) -> array:
 
 
 def cm_immanant(n: int, I: Iterable[int], J: Iterable[int]) -> Immanant:
-    """The complementary-minor immanant over :func:`cm_column`.  It is the
+    """The complementary-minor immanant of :func:`cm_column`.  It is the
     determinant of X with the entries outside the rows of :func:`_cm_rows`
     set to zero, so it is returned with ``rows`` set to those, and
-    :func:`evaluate` takes it by elimination; its values must not be
-    changed.
+    :func:`evaluate` takes it by elimination.  I, J and n are checked
+    here, the cap among them, but no column is built: its values are built
+    on their first read and must not be changed.
 
     >>> cm_immanant(3, {1}, {3})
     Immanant(n=3, coeffs={(3, 1, 2): 1, (3, 2, 1): -1})
     """
-    rows = _cm_rows(n, I, J)
-    return _wrap(n, _row_indicator(n, rows), rows)
+    return _wrap(n, None, _cm_rows(n, I, J))
 
 
 def subset_sign(I: Iterable[int]) -> int:
@@ -809,8 +824,10 @@ def alternation_violations(n: int, columns: Sequence[Sequence[Coeff]]
     negated by one translate, and each of the block's pairs compares its
     left row with its negated right row, in one pass over the block's run
     of pairs.  Lanes that differ are violations; a lane's first one
-    settles it.  Each block lays out only the columns still pending, and
-    the pass stops once every column is settled.
+    settles it and zeroes that lane in both copies, so the block's later
+    pairs take the equal-rows path wherever only settled lanes differed.
+    Each block lays out only the columns still pending, and the pass stops
+    once every column is settled.
     Any other column goes by compress over the pairs whose values do not
     cancel.
 
@@ -841,6 +858,7 @@ def alternation_violations(n: int, columns: Sequence[Sequence[Coeff]]
     # a time, and each run is walked once per chunk.
     width = size // max(n, 1)
     step = _ALTERNATION_CHUNK * max(n, 1)
+    cleared = bytes(width)
     for start in range(0, len(bytewise), step):
         chunk = bytewise[start:start + step]
         first = 0
@@ -858,15 +876,17 @@ def alternation_violations(n: int, columns: Sequence[Sequence[Coeff]]
                 lhs, rhs = rows[x:x + k], neg[y:y + k]
                 if lhs == rhs:
                     continue
-                hit = (int.from_bytes(lhs, "little") ^ int.from_bytes(rhs, "little")) & pending
-                if hit:
-                    pair = perms[a], perms[b]
-                    for j, lane in enumerate(hit.to_bytes(k, "little")):
-                        if lane:
-                            found[chunk[j]] = pair
-                            pending ^= 0xFF << 8 * j
-                    if not pending:
-                        break
+                hit = int.from_bytes(lhs, "little") ^ int.from_bytes(rhs, "little")
+                pair = perms[a], perms[b]
+                for j, lane in enumerate(hit.to_bytes(k, "little")):
+                    if lane:
+                        found[chunk[j]] = pair
+                        pending ^= 0xFF << 8 * j
+                        # A settled lane reads 0 in both copies from here on,
+                        # so the later pairs of the block match there.
+                        rows[j::k] = neg[j::k] = cleared
+                if not pending:
+                    break
             first = end
             chunk = list(itertools.compress(chunk, pending.to_bytes(k, "little")))
             if not chunk:

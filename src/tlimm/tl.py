@@ -38,9 +38,10 @@ coefficient of beta(w) in m_k . Y, for matching m_k of all_matchings(n); as
 m_k . t_d = 2^loops_k m_{g_k} with (g_k, loops_k) = moves[k] in the entry
 of t_d, dual_{(t_d - 1) Y}[k] = (dual_Y[g_k] << loops_k) - dual_Y[k].  So
 the coefficient of beta(w) in theta(u) is sum_k row[k] dual[k] wherever
-the two meet.  An entry can be nonzero only if k or g_k is a key of dual_Y;
-the same entry lists the k with g_k = j != k for each j, so one table both
-picks which entries to compute and gives their values.
+the two meet.  An entry can be nonzero only if k or g_k is a key of dual_Y,
+so the step walks dual_Y's own keys j and, from the same entry, the k with
+g_k = j != k; such a k closes no loop, so one that is no key of dual_Y
+takes dual_Y[j] as it is.
 
 The orientation of the product is a convention; the one used here is pinned
 by the test anchor ``beta((2,3,4,1)) == parse_matching("1-3' 2-4' 3-4 1'-2'")``
@@ -404,19 +405,24 @@ def _dual_times_theta_gen(steps: _Steps, dual: dict[int, int], d: int) -> dict[i
     target matching in m_k . Y}, the transpose of
     :func:`_row_times_theta_gen`: entry k becomes
     ``(dual[g_k] << loops_k) - dual[k]`` with ``(g_k, loops_k) =
-    moves[k]``.  Only k in dual or with g_k in dual can be nonzero; the
-    preimages pick those."""
+    moves[k]``.  Only k in dual or with g_k in dual can be nonzero, so the
+    walk is over dual's own entries j and their preimages alone.
+
+    :func:`_glue` closes a loop only where it leaves the pairing as it is,
+    so g_k != k implies loops_k = 0: a preimage k of j that is not in dual
+    takes ``dual[j]`` as it is, nonzero as every entry of dual is, and no
+    k is a preimage of two entries."""
     moves, preimages = steps[d - 1]
-    keys = set(dual)
-    for j in dual:
-        keys.update(preimages[j])
     get = dual.get
     terms: dict[int, int] = {}
-    for k in keys:
-        glued, loops = moves[k]
-        c = (get(glued, 0) << loops) - get(k, 0)
-        if c:
-            terms[k] = c
+    for j, c in dual.items():
+        glued, loops = moves[j]
+        v = (get(glued, 0) << loops) - c
+        if v:
+            terms[j] = v
+        for k in preimages[j]:
+            if k not in dual:
+                terms[k] = c
     return terms
 
 

@@ -681,6 +681,49 @@ def test_immanants_hold_their_columns():
         assert type(g.values) is list and g.values == [k * c for c in f.values]
 
 
+def test_tagged_immanants_build_no_column_until_read(monkeypatch):
+    """Every column is signed by signed_bytes, and a spy on it sees no call
+    from percent_immanant, cm_immanant or evaluate on either: the values
+    are built on the first read alone, once."""
+    calls = []
+    real = immanant.signed_bytes
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(immanant, "signed_bytes", spy)
+    X = determinant_matrices(random.Random(4_340), 4)[0]
+    tagged = [immanant.percent_immanant(immanant.hull((2, 1, 4, 3))),
+              immanant.cm_immanant(4, {1, 2}, {2, 4})]
+    for f in tagged:
+        assert immanant.evaluate(f, X)
+    assert calls == []
+    for f in tagged:
+        first = f.values
+        assert f.values is first
+    assert len(calls) == 2
+
+
+def test_tagged_values_are_the_columns_once_read():
+    """Read values equal percent_column(hull(w)) for every 321-avoiding w
+    at n <= 6, and cm_column(n, I, J) for every (I, J) at n <= 4; a second
+    read returns the same object."""
+    for n in range(7):
+        for w in perm.avoiding_321(n):
+            shape = immanant.hull(w)
+            f = immanant.percent_immanant(shape)
+            assert f.values == immanant.percent_column(shape), w
+            assert f.values is f.values
+    for n in range(5):
+        subsets = [I for k in range(n + 1) for I in itertools.combinations(range(1, n + 1), k)]
+        for I, J in itertools.product(subsets, repeat=2):
+            if len(I) == len(J):
+                f = immanant.cm_immanant(n, I, J)
+                assert f.values == immanant.cm_column(n, I, J), (I, J)
+                assert f.values is f.values
+
+
 def test_cm_immanant():
     assert immanant.cm_immanant(3, (), ()).coeffs == determinant(3)
     f = immanant.cm_immanant(4, {1}, {4})
@@ -1345,9 +1388,13 @@ def test_alternation_scans_are_capped(monkeypatch):
 
 
 def test_limits(monkeypatch):
+    """n above the cap is refused when a percent or CM immanant is asked
+    for, not when its values are first read."""
     monkeypatch.setenv("TLIMM_MAX_N", "4")
     with pytest.raises(LimitError):
         immanant.cm_immanant(5, (), ())
+    with pytest.raises(LimitError):
+        immanant.percent_immanant(immanant.hull((2, 1, 4, 3, 5)))
     monkeypatch.delenv("TLIMM_MAX_N")
     with pytest.raises(LimitError):
         immanant.cm_immanant(9, (), ())

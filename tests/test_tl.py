@@ -317,6 +317,46 @@ def test_step_preimages_list_every_moved_matching(n):
             assert preimages[j] == moved, (d, j)
 
 
+def dual_step_by_transpose(moves, dual):
+    """The dual row of (t_d - 1) Y from that of Y by its definition, the
+    dense transpose of t_d's moves: entry k is (dual[g_k] << loops_k) -
+    dual[k] for every matching k, zeros dropped."""
+    entries = ((k, (dual.get(g, 0) << loops) - dual.get(k, 0))
+               for k, (g, loops) in enumerate(moves))
+    return {k: c for k, c in entries if c}
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_dual_step_is_the_transpose_of_the_moves(n):
+    """For every generator t_d and every matching j, the dual step from
+    {j: 1} equals the dense transpose read from moves alone.  So do seeded
+    duals of several terms that hold an entry j together with its target
+    and one of its preimages, where an entry's own term and a preimage's
+    term meet."""
+    steps = tl._steps(n)
+    size = tl.catalan(n)
+    rng = random.Random(700 + n)
+    for d, (moves, preimages) in enumerate(steps, start=1):
+        duals = [{j: 1} for j in range(size)]
+        for j in rng.sample(range(size), min(size, 20)):
+            keys = {j, moves[j][0], *rng.sample(range(size), min(size, 3))}
+            if preimages[j]:
+                keys.add(rng.choice(preimages[j]))
+            duals.append({k: rng.choice((-3, -2, -1, 1, 2, 3)) for k in sorted(keys)})
+        for dual in duals:
+            expected = dual_step_by_transpose(moves, dual)
+            assert tl._dual_times_theta_gen(steps, dict(dual), d) == expected, (d, dual)
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_f_coeff_matches_the_store_everywhere(n):
+    """f_coeff, met in the middle, equals the store's f_w(u) at every
+    (w, u) of S_n."""
+    perms = perm.perm_index(n).perms
+    for w, column in tl.all_tl_immanants(n).items():
+        assert [tl.f_coeff(w, u) for u in perms] == column.tolist(), w
+
+
 def test_one_step_table_serves_every_reader():
     """The store, theta(u) and both rows of f_coeff read the one step
     table of n: after the store of n = 6 is built, theta and f_coeff at
