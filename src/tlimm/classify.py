@@ -40,6 +40,7 @@ from .perm import (
     format_perm,
     inverse,
     is_321_avoiding,
+    is_perm,
     perm_index,
     sign,
 )
@@ -299,7 +300,8 @@ def closed_form(w: Perm) -> Callable[[Perm], int]:
     in hull(w), and 0 elsewhere.  The weight is 1 when w avoids 2143 and
     otherwise the binomial of :func:`classify_2143`'s parameters.  The
     pattern checks, sign(w), hull(w) and the weight are derived here, once
-    per w; :func:`tlimm.immanant.lies_in` rejects a u of another length.
+    per w; a u that is not a permutation, or whose length differs
+    (:func:`tlimm.immanant.lies_in`), is a PreconditionError.
     :func:`closed_form_column` gives the same values for all of S_n.
 
     >>> f = closed_form((2, 1, 4, 3))
@@ -310,6 +312,8 @@ def closed_form(w: Perm) -> Callable[[Perm], int]:
     tallies = None if params is None else _tallies(params)
 
     def coeff(u: Perm) -> int:
+        if not is_perm(u):
+            raise PreconditionError(f"not a permutation of 1..{len(u)}: {u}")
         if not lies_in(u, shape):
             return 0
         if tallies is None:

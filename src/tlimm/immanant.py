@@ -189,11 +189,11 @@ class Immanant:
     are then sign(u) on the u with u(i) in ``rows[i - 1]`` for every row i,
     so Imm_f(X) is the determinant of X with the entries outside the rows
     set to zero, and :func:`evaluate` computes it so.  Such an immanant
-    builds its values, the ``array('b')`` of :func:`_row_indicator`, only
-    when they are first read, and keeps them; they must not be changed
-    either.  Every other immanant, from the constructor, :meth:`from_json`,
-    + and :meth:`scaled` among them, has ``rows`` None and its values from
-    the start."""
+    builds its values only when they are first read, as the ``array('b')``
+    that :func:`signed_bytes` makes of the rows' :func:`row_mask`, and
+    keeps them; they must not be changed either.  Every other immanant,
+    from the constructor, :meth:`from_json`, + and :meth:`scaled` among
+    them, has ``rows`` None and its values from the start."""
 
     __slots__ = ("n", "_values", "rows")
     __hash__ = None
@@ -211,10 +211,11 @@ class Immanant:
     @property
     def values(self) -> Sequence[Coeff]:
         """The coefficients by rank, built from ``rows`` on the first read
-        where they are not held yet."""
+        where they are not held yet: sign(u) on the u with u(i) in
+        ``rows[i - 1]`` for every row i, zero elsewhere."""
         values = self._values
         if values is None:
-            values = self._values = _row_indicator(self.n, self.rows)
+            values = self._values = signed_bytes(self.n, 1, row_mask(self.n, self.rows))
         return values
 
     def __eq__(self, other):
@@ -449,20 +450,11 @@ def pack_column(n: int, values: array) -> int:
     column of :func:`all_tl_immanants`: each byte is spread into its lane
     unsigned, and a byte with its high bit set stands for itself less 256.
 
-    >>> unpack_column(2, pack_column(2, array("b", [3, -1])))
+    >>> Column(2, pack_column(2, array("b", [3, -1])))
     Immanant(n=2, coeffs={(1, 2): 3, (2, 1): -1})
     """
     unsigned = _spread(values.tobytes())
     return unsigned - ((unsigned & (_basis(n).one << 7)) << 1)
-
-
-def unpack_column(n: int, column: int) -> Immanant:
-    """The Immanant that a packed column holds, over its decoded lanes."""
-    top = _basis(n).one << (_LANE - 1)
-    lanes = array("i")
-    lanes.frombytes(((column + top) ^ top).to_bytes(
-        lanes.itemsize * len(perm_index(n).perms), "little"))
-    return _wrap(n, lanes)
 
 
 def sum_columns(columns: Sequence[int]) -> int:
@@ -473,7 +465,7 @@ def sum_columns(columns: Sequence[int]) -> int:
     no lane overflows; more terms are a VerificationError.
 
     >>> column = pack_column(2, array("b", [1, -2]))
-    >>> unpack_column(2, sum_columns([column] * 3))
+    >>> Column(2, sum_columns([column] * 3))
     Immanant(n=2, coeffs={(1, 2): 3, (2, 1): -6})
     """
     if len(columns) > MAX_TERMS:
@@ -484,13 +476,18 @@ def sum_columns(columns: Sequence[int]) -> int:
 
 class Column(NamedTuple):
     """A packed column of S_n as a check's value: equal to another iff
-    their n and lanes are, and shown as the Immanant it holds."""
+    their n and lanes are, and shown as the Immanant over its decoded
+    lanes, each read as a signed 32-bit int."""
 
     n: int
     lanes: int
 
     def __repr__(self) -> str:
-        return repr(unpack_column(self.n, self.lanes))
+        top = _basis(self.n).one << (_LANE - 1)
+        lanes = array("i")
+        lanes.frombytes(((self.lanes + top) ^ top).to_bytes(
+            lanes.itemsize * math.factorial(self.n), "little"))
+        return repr(_wrap(self.n, lanes))
 
 
 def _shape_rows(shape: SkewShape) -> tuple[range, ...]:
@@ -515,30 +512,14 @@ def shape_mask(shape: SkewShape) -> int:
     return mask
 
 
-def _row_indicator(n: int, rows: Sequence[Collection[int]]) -> array:
-    """The ``array('b')`` by rank of perm_index(n) of sign(u) on the u with
-    u(i) in ``rows[i - 1]`` for every row i, zero elsewhere: the
-    coefficients of the determinant of X with the entries outside the rows
-    set to zero.  The rows are read as :func:`_row_lanes` reads them."""
-    return signed_bytes(n, 1, row_mask(n, rows))
-
-
-def percent_column(shape: SkewShape) -> array:
-    """The percent immanant of a shape as an ``array('b')`` by rank of
-    perm_index(n): sign(u) on the u in :func:`shape_mask`, zero elsewhere,
-    signed from the mask's lanes; no row list is built."""
-    limits.check_limit(shape.n, limits.max_n(), "percent immanant")
-    return signed_bytes(shape.n, 1, shape_mask(shape))
-
-
 def percent_immanant(shape: SkewShape) -> Immanant:
     """Signed indicator of the permutations lying in the shape: row i takes
     a value in (mu_i, lam_i].  It is the determinant of X with the entries
     outside the shape set to zero, so it is returned with ``rows`` set to
     the shape's rows, and :func:`evaluate` takes it by elimination.  n is
     held to the whole-S_n cap here, but no column is built: its values,
-    equal to :func:`percent_column`, are built on their first read and
-    must not be changed.
+    sign(u) on the u in :func:`shape_mask`, are built on their first read
+    and must not be changed.
 
     >>> percent_immanant(hull((2, 1, 4, 3))).coeff((2, 1, 4, 3))
     1
@@ -576,29 +557,19 @@ def _cm_rows(n: int, I: Iterable[int], J: Iterable[int]) -> tuple[frozenset[int]
     return tuple(J if i in I else outside for i in range(1, n + 1))
 
 
-def cm_column(n: int, I: Iterable[int], J: Iterable[int]) -> array:
-    """The complementary-minor immanant as an ``array('b')`` by rank of
-    perm_index(n): sign(u) on the u with u(I) = J, zero elsewhere."""
-    return _row_indicator(n, _cm_rows(n, I, J))
-
-
 def cm_immanant(n: int, I: Iterable[int], J: Iterable[int]) -> Immanant:
-    """The complementary-minor immanant of :func:`cm_column`.  It is the
-    determinant of X with the entries outside the rows of :func:`_cm_rows`
-    set to zero, so it is returned with ``rows`` set to those, and
-    :func:`evaluate` takes it by elimination.  I, J and n are checked
-    here, the cap among them, but no column is built: its values are built
-    on their first read and must not be changed.
+    """The complementary-minor immanant of (I, J): sign(u) on the u with
+    u(I) = J, zero elsewhere.  It is the determinant of X with the entries
+    outside the rows of :func:`_cm_rows` set to zero, so it is returned
+    with ``rows`` set to those, and :func:`evaluate` takes it by
+    elimination.  I, J and n are checked here, the cap among them, but no
+    column is built: its values are built on their first read and must
+    not be changed.
 
     >>> cm_immanant(3, {1}, {3})
     Immanant(n=3, coeffs={(3, 1, 2): 1, (3, 2, 1): -1})
     """
     return _wrap(n, None, _cm_rows(n, I, J))
-
-
-def subset_sign(I: Iterable[int]) -> int:
-    """(-1)^(sum of I)."""
-    return -1 if sum(I) % 2 else 1
 
 
 # ---------------------------------------------------------------------------

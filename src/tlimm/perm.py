@@ -191,11 +191,17 @@ def reduced_word(w: Perm) -> tuple[int, ...]:
     (1, 2, 3)
     >>> reduced_word((2, 1))
     (1,)
+
+    A w that is not a permutation of 1..n misses some value of 1..n, and
+    is a PreconditionError when the walk looks for that value.
     """
     word = list(w)
     swaps: list[int] = []
     for value in range(1, len(w) + 1):
-        pos = word.index(value) + 1
+        try:
+            pos = word.index(value) + 1
+        except ValueError:
+            raise PreconditionError(f"not a permutation of 1..{len(w)}: {w}") from None
         while pos > value:
             word[pos - 2], word[pos - 1] = word[pos - 1], word[pos - 2]
             swaps.append(pos - 1)

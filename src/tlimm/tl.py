@@ -94,42 +94,26 @@ def is_noncrossing(pairing: tuple[int, ...]) -> bool:
     return not stack
 
 
-class NonCrossingMatching:
-    """A perfect non-crossing matching of 1..n and 1'..n', immutable.  Two
-    are equal when their n and pairing are, and a matching hashes as the
-    tuple (n, pairing)."""
+class _MatchingFields(NamedTuple):
+    n: int
+    pairing: tuple[int, ...]
 
-    # _hash is hash((n, pairing)), taken once: matchings key every theta row
-    # handed out, and hashing the tuple anew would cost every lookup.
-    __slots__ = ("n", "pairing", "_hash")
 
-    def __init__(self, n: int, pairing: tuple[int, ...]):
+class NonCrossingMatching(_MatchingFields):
+    """A perfect non-crossing matching of 1..n and 1'..n', its pairing as a
+    tuple: an immutable record that hashes and compares as the tuple
+    (n, pairing)."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, pairing: tuple[int, ...]) -> NonCrossingMatching:
         if not isinstance(pairing, tuple):
             pairing = tuple(pairing)
         if len(pairing) != 2 * n:
             raise ValueError(f"{len(pairing)} partners for {2 * n} vertices")
         if not is_noncrossing(pairing):
             raise ValueError(f"pairing {pairing} is not non-crossing and perfect")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "pairing", pairing)
-        object.__setattr__(self, "_hash", hash((n, pairing)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a NonCrossingMatching")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of a NonCrossingMatching")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self.pairing == other.pairing
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        return NonCrossingMatching, (self.n, self.pairing)
+        return tuple.__new__(cls, (n, pairing))
 
     def __repr__(self):
         return f"NonCrossingMatching({self.n}, {format_matching(self)!r})"

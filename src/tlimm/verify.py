@@ -254,8 +254,8 @@ def suite_a4(n: int) -> Iterator[_Check]:
     for k in range(n + 1):
         for I in itertools.combinations(range(1, n + 1), k):
             for J in itertools.combinations(range(1, n + 1), k):
-                lhs = (immanant.subset_sign(I) * immanant.subset_sign(J)
-                       * immanant.pack_column(n, immanant.cm_column(n, I, J)))
+                lhs = ((-1) ** (sum(I) + sum(J))
+                       * immanant.pack_column(n, immanant.cm_immanant(n, I, J).values))
                 rhs = immanant.sum_columns([
                     store[w] for w in
                     coloring.compatible_permutations(coloring.Coloring(n, I, J))
@@ -567,7 +567,7 @@ def suite_a10(n: int) -> Iterator[_Check]:
     the 0/1 witness matrix separates percent from Temperley-Lieb values:
     on it each immanant's value is the sum of its column over the witness
     support, the ranks of the u whose row product is 1, with no
-    arithmetic on the matrix and no Immanant built."""
+    arithmetic on the matrix and no Immanant evaluated."""
     applicable = _applicable_two_case(n)
     store = immanant.all_tl_immanants(n)
     signed = [(w, classify.cm_expansion(w)) for w in applicable]
@@ -587,7 +587,7 @@ def suite_a10(n: int) -> Iterator[_Check]:
     def cm(I: frozenset[int], J: frozenset[int]) -> int:
         column = columns.pop((I, J), None)
         if column is None:
-            column = immanant.pack_column(n, immanant.cm_column(n, I, J))
+            column = immanant.pack_column(n, immanant.cm_immanant(n, I, J).values)
         uses[I, J] -= 1
         if uses[I, J]:
             columns[I, J] = column
@@ -602,7 +602,7 @@ def suite_a10(n: int) -> Iterator[_Check]:
         total = immanant.sum_columns([cm(I, J) for I, J in terms])
         yield ("rectangle CM expansion equals the hull percent immanant", w,
                immanant.Column(n, immanant.pack_column(
-                   n, immanant.percent_column(immanant.hull(w)))),
+                   n, immanant.percent_immanant(immanant.hull(w)).values)),
                immanant.Column(n, total))
     size = math.factorial(n)
     for w in applicable:
@@ -614,7 +614,8 @@ def suite_a10(n: int) -> Iterator[_Check]:
         mask = immanant.row_mask(n, [[j for j, x in enumerate(row, 1) if x] for row in X])
         support = list(itertools.compress(itertools.count(), mask.to_bytes(size, "little")))
         percent, tl_w = (Fraction(sum(map(column.__getitem__, support)))
-                         for column in (immanant.percent_column(immanant.hull(w)), store[w]))
+                         for column in (immanant.percent_immanant(immanant.hull(w)).values,
+                                        store[w]))
         yield ("witness matrix: hull percent immanant is +-1", w, 1, abs(percent))
         yield ("witness matrix: Temperley-Lieb immanant vanishes", w, Fraction(0), tl_w)
 

@@ -376,11 +376,12 @@ def test_one_shape_sum_check_has_two_readers(monkeypatch):
 def _packed_shape_sums(w, d):
     """The packed pair that shape sums were compared as before they became
     byte columns: d.sign times the packed store column of w, and the sum of
-    the packed percent columns of d's shapes."""
+    the packed values of the percent immanants of d's shapes."""
     n = len(w)
     return (immanant.Column(n, d.sign * immanant.pack_column(n, tl.all_tl_immanants(n)[w])),
             immanant.Column(n, immanant.sum_columns(
-                [immanant.pack_column(n, immanant.percent_column(s)) for s in d.shapes])))
+                [immanant.pack_column(n, immanant.percent_immanant(s).values)
+                 for s in d.shapes])))
 
 
 @pytest.mark.parametrize("n", range(0, 8))
@@ -418,10 +419,20 @@ def test_shape_sums_are_compared_without_packing(monkeypatch):
     assert verify.suite_a2(4).ok and not calls
 
 
+def test_a_u_that_is_not_a_permutation_is_a_precondition_error():
+    """A repeated value in u is refused, where it once gave a coefficient
+    (-1 from the closed form) or a bare ValueError from reduced_word."""
+    for call in (lambda: classify.closed_form((2, 1))((2, 2)),
+                 lambda: tl.f_coeff((2, 1), (1, 1)),
+                 lambda: tl.theta((1, 1))):
+        with pytest.raises(PreconditionError, match="not a permutation of 1..2"):
+            call()
+
+
 def test_classify_knows_no_packed_columns():
     """The 32-bit packed format stays in immanant and verify: classify
     neither imports nor reads any of its names."""
-    packed = {"pack_column", "unpack_column", "sum_columns", "Column", "MAX_TERMS"}
+    packed = {"pack_column", "sum_columns", "Column", "MAX_TERMS"}
     tree = ast.parse(Path(classify.__file__).read_text())
     used = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
             for alias in node.names}

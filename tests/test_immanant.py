@@ -139,7 +139,7 @@ def test_bigtableau_antidiagonal_and_alternation(n):
     holds the whole anti-diagonal, and every percent immanant alternates in
     sign across 1324-adjacent pairs."""
     shapes = list(box_shapes(n))
-    columns = [immanant.percent_column(shape) for shape in shapes]
+    columns = [immanant.percent_immanant(shape).values for shape in shapes]
     assert immanant.alternation_violations(n, columns) == [None] * len(shapes)
     for shape in shapes:
         f = immanant.percent_immanant(shape)
@@ -242,7 +242,7 @@ def test_shape_and_percent_columns_match_the_definition(n):
             n, [range(m + 1, l + 1) for m, l in zip(shape.mu, shape.lam)])
         inside = [int(c == n) for c in count]
         assert lanes(n, immanant.shape_mask(shape)) == inside, shape
-        assert immanant.percent_column(shape).tolist() == [
+        assert immanant.percent_immanant(shape).values.tolist() == [
             oracles.inversion_sign(u) * x
             for u, x in zip(itertools.permutations(range(1, n + 1)), inside)], shape
 
@@ -277,9 +277,9 @@ def test_range_rows_match_the_definition(n):
 
 
 def test_shape_and_percent_columns_read_no_runs(monkeypatch):
-    """Shape masks and percent columns read the shape's bounds, and rows
-    that are step-1 ranges are one prefix difference each: none of them
-    searches runs."""
+    """Shape masks read the shape's bounds, and rows that are step-1
+    ranges, as a percent immanant's values read, are one prefix difference
+    each: none of them searches runs."""
     calls = []
     real = immanant._runs
 
@@ -291,8 +291,7 @@ def test_shape_and_percent_columns_read_no_runs(monkeypatch):
     n = 5
     for shape in {immanant.hull(w) for w in perm.perm_index(n).perms}:
         immanant.shape_mask(shape)
-        immanant.percent_column(shape)
-        immanant.percent_immanant(shape)
+        immanant.percent_immanant(shape).values
         immanant.row_mask(n, immanant._shape_rows(shape))
     for w in verify._applicable_two_case(n):
         classify.closed_form_column(w)
@@ -330,7 +329,7 @@ def test_cm_columns_match_the_definition(n):
                 rest = set(range(1, n + 1)) - set(J)
                 count = oracles.row_tally_by_definition(
                     n, [J if i in I else rest for i in range(1, n + 1)])
-                assert immanant.cm_column(n, I, J).tolist() == [
+                assert immanant.cm_immanant(n, I, J).values.tolist() == [
                     oracles.inversion_sign(u) if c == n else 0
                     for u, c in zip(perms, count)], (I, J)
 
@@ -338,17 +337,17 @@ def test_cm_columns_match_the_definition(n):
 def test_packed_lanes_hold_their_range():
     n, low, high = 3, -(2**31), 2**31 - 1
     values = [low, high, 0, -1, 1, 127]
-    column = oracles.packed(values)
-    assert immanant.unpack_column(n, column).coeffs == {
-        u: v for u, v in zip(perm.all_perms(n), values) if v}
+    # A Column shows the Immanant over its decoded lanes.
+    assert repr(immanant.Column(n, oracles.packed(values))) == repr(immanant.Immanant(
+        n, {u: v for u, v in zip(perm.all_perms(n), values) if v}))
     # Sums reach both ends of a lane exactly.
     a = oracles.packed([-(2**30), 2**30 - 1, 5, -5, -128, 127])
     b = oracles.packed([-(2**30), 2**30, -5, 5, -128, 127])
-    assert immanant.unpack_column(n, immanant.sum_columns([a, b])).coeffs == {
-        (1, 2, 3): low, (1, 3, 2): high, (3, 1, 2): -256, (3, 2, 1): 254}
-    assert immanant.unpack_column(n, -b).coeffs == {
-        (1, 2, 3): 2**30, (1, 3, 2): -(2**30), (2, 1, 3): 5, (2, 3, 1): -5,
-        (3, 1, 2): 128, (3, 2, 1): -127}
+    total = immanant.sum_columns([a, b])
+    assert total == oracles.packed([low, high, 0, 0, -256, 254])
+    assert repr(immanant.Column(n, total)) == repr(immanant.Immanant(n, {
+        (1, 2, 3): low, (1, 3, 2): high, (3, 1, 2): -256, (3, 2, 1): 254}))
+    assert -b == oracles.packed([2**30, -(2**30), 5, -5, 128, -127])
     # The docstring's bound: 2^24 signed-byte terms stay inside a lane.
     assert immanant.MAX_TERMS == 2**24
     assert -128 * immanant.MAX_TERMS >= low and 127 * immanant.MAX_TERMS <= high
@@ -524,8 +523,8 @@ def test_alternation_without_pairs_finds_nothing(n):
 def test_byte_lane_packing_matches_generic():
     values = [-128, 127, 0, -1, 1, -127]
     assert immanant.pack_column(3, array("b", values)) == oracles.packed(values)
-    assert immanant.unpack_column(3, immanant.pack_column(3, array("b", values))).coeffs == {
-        u: v for u, v in zip(perm.all_perms(3), values) if v}
+    assert repr(immanant.Column(3, immanant.pack_column(3, array("b", values)))) == repr(
+        immanant.Immanant(3, {u: v for u, v in zip(perm.all_perms(3), values) if v}))
     for n in range(0, 7):
         for column in immanant.all_tl_immanants(n).values():
             assert immanant.pack_column(n, column) == oracles.packed(column)
@@ -541,12 +540,12 @@ def test_byte_lane_packing_matches_generic():
             shapes.add(immanant.hull(w))
             shapes.update(classify.decompose(w, validate=False).shapes)
         for shape in shapes:
-            column = immanant.percent_column(shape)
+            column = immanant.percent_immanant(shape).values
             assert immanant.pack_column(n, column) == brute(brute_percent_immanant(shape))
         for k in range(n + 1):
             for I in itertools.combinations(range(1, n + 1), k):
                 for J in itertools.combinations(range(1, n + 1), k):
-                    column = immanant.cm_column(n, I, J)
+                    column = immanant.cm_immanant(n, I, J).values
                     assert immanant.pack_column(n, column) == brute(brute_cm_immanant(n, I, J))
 
 
@@ -664,15 +663,16 @@ def test_tl_immanant_is_a_copy():
 
 def test_immanants_hold_their_columns():
     """tl_immanant holds the store column itself, and percent_immanant and
-    cm_immanant their ``array('b')`` columns; only the public constructor,
-    from_json, + and scaled build a list."""
+    cm_immanant the ``array('b')`` columns their values build, equal to the
+    brute-force filters; only the public constructor, from_json, + and
+    scaled build a list."""
     for n in range(5):
         store = immanant.all_tl_immanants(n)
         for w in perm.avoiding_321(n):
             assert immanant.tl_immanant(w).values is store[w]
     shape = immanant.hull((2, 1, 4, 3))
-    assert immanant.percent_immanant(shape).values == immanant.percent_column(shape)
-    assert immanant.cm_immanant(4, {1}, {4}).values == immanant.cm_column(4, {1}, {4})
+    assert immanant.percent_immanant(shape).coeffs == brute_percent_immanant(shape)
+    assert immanant.cm_immanant(4, {1}, {4}).coeffs == brute_cm_immanant(4, {1}, {4})
     for f in (immanant.percent_immanant(shape), immanant.cm_immanant(4, {1}, {4})):
         assert type(f.values) is array and f.values.typecode == "b"
         assert len(f.values) == 24
@@ -706,21 +706,25 @@ def test_tagged_immanants_build_no_column_until_read(monkeypatch):
 
 
 def test_tagged_values_are_the_columns_once_read():
-    """Read values equal percent_column(hull(w)) for every 321-avoiding w
-    at n <= 6, and cm_column(n, I, J) for every (I, J) at n <= 4; a second
-    read returns the same object."""
+    """Read values equal brute_percent_immanant(hull(w)) by rank for every
+    321-avoiding w at n <= 6, and brute_cm_immanant(n, I, J) for every
+    (I, J) at n <= 4; a second read returns the same object."""
     for n in range(7):
+        perms = perm.perm_index(n).perms
         for w in perm.avoiding_321(n):
             shape = immanant.hull(w)
             f = immanant.percent_immanant(shape)
-            assert f.values == immanant.percent_column(shape), w
+            brute = brute_percent_immanant(shape)
+            assert f.values.tolist() == [brute.get(u, 0) for u in perms], w
             assert f.values is f.values
     for n in range(5):
+        perms = perm.perm_index(n).perms
         subsets = [I for k in range(n + 1) for I in itertools.combinations(range(1, n + 1), k)]
         for I, J in itertools.product(subsets, repeat=2):
             if len(I) == len(J):
                 f = immanant.cm_immanant(n, I, J)
-                assert f.values == immanant.cm_column(n, I, J), (I, J)
+                brute = brute_cm_immanant(n, I, J)
+                assert f.values.tolist() == [brute.get(u, 0) for u in perms], (I, J)
                 assert f.values is f.values
 
 
@@ -754,7 +758,7 @@ def test_cm_sign_law(n):
         for I in itertools.combinations(range(1, n + 1), k):
             for J in itertools.combinations(range(1, n + 1), k):
                 f = immanant.cm_immanant(n, I, J)
-                s = immanant.subset_sign(I) * immanant.subset_sign(J)
+                s = (-1) ** (sum(I) + sum(J))
                 for u in perm.all_perms(n):
                     if {u[i - 1] for i in I} != set(J):
                         assert f.coeff(u) == 0
@@ -984,7 +988,7 @@ def test_cm_determinants(n):
 
 def test_only_percent_and_cm_immanants_carry_rows():
     """percent_immanant and cm_immanant set the rows slot; the constructor,
-    from_json, tl_immanant, unpack_column, + and scaled leave it None, so
+    from_json, tl_immanant, zero_immanant, + and scaled leave it None, so
     a sum or a multiple goes by the row split and gets its own value: a
     sum that kept the rows of its terms would give the determinant once."""
     f = immanant.percent_immanant(immanant.hull((2, 1, 4, 3)))
@@ -994,8 +998,7 @@ def test_only_percent_and_cm_immanants_carry_rows():
     X = determinant_matrices(random.Random(4_330), 4)[0]
     built = (f + f, f + g, g + f, f.scaled(3), g.scaled(Fraction(1, 2)),
              immanant.Immanant(4, f.coeffs), immanant.Immanant.from_json(g.to_json()),
-             immanant.tl_immanant((2, 1, 4, 3)), immanant.zero_immanant(4),
-             immanant.unpack_column(4, immanant.pack_column(4, f.values)))
+             immanant.tl_immanant((2, 1, 4, 3)), immanant.zero_immanant(4))
     assert all(h.rows is None for h in built)
     assert immanant.evaluate(f, X) and immanant.evaluate(g, X)
     assert immanant.evaluate(f + f, X) == 2 * immanant.evaluate(f, X)
@@ -1048,17 +1051,18 @@ def test_evaluate_on_witness_matrices(n):
 
 
 def test_evaluate_walks_agree_on_sparse_and_dense_matrices():
-    """A walk over every term of f and one over its held terms give the
-    Fraction oracle's value, with Fraction coefficients.  An immanant with
-    every term meets permutation matrices, seeded matrices at least half
-    zeros (one with a zero row), and n = 0; store and scaled percent
-    immanants meet dense 7 x 7 matrices, where every term is held."""
+    """evaluate on f and on its held terms, those at the u whose row
+    product on X is nonzero, gives the Fraction oracle's value, with
+    Fraction coefficients.  An immanant with every term meets permutation
+    matrices, seeded matrices at least half zeros (one with a zero row),
+    and n = 0; store and scaled percent immanants meet dense 7 x 7
+    matrices, where every term is held."""
     rng = random.Random(31)
 
     def entry():
         return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
 
-    def both_walks(f, X):
+    def on_all_and_held_terms(f, X):
         return immanant.evaluate(f, X), immanant.evaluate(held_terms(f, X), X)
 
     for n in range(0, 6):
@@ -1066,7 +1070,7 @@ def test_evaluate_walks_agree_on_sparse_and_dense_matrices():
         full = immanant.Immanant(n, {u: entry() for u in universe})
         for u in universe:
             X = [[int(u[i] == j) for j in range(1, n + 1)] for i in range(n)]
-            assert both_walks(full, X) == (oracles.evaluate(full, X),) * 2
+            assert on_all_and_held_terms(full, X) == (oracles.evaluate(full, X),) * 2
             assert oracles.evaluate(full, X) == full.coeff(u)
         for trial in range(8):
             X = [[0] * n for _ in range(n)]
@@ -1074,7 +1078,7 @@ def test_evaluate_walks_agree_on_sparse_and_dense_matrices():
                 X[cell // n][cell % n] = entry()
             if n and trial == 0:
                 X[rng.randrange(n)] = [0] * n
-            assert both_walks(full, X) == (oracles.evaluate(full, X),) * 2, (n, trial)
+            assert on_all_and_held_terms(full, X) == (oracles.evaluate(full, X),) * 2, (n, trial)
     dense = [[entry() for _ in range(7)] for _ in range(7)]
     for w in perm.avoiding_321(7)[::120]:
         for f in (immanant.tl_immanant(w),
@@ -1082,7 +1086,7 @@ def test_evaluate_walks_agree_on_sparse_and_dense_matrices():
             assert held_terms(f, dense) == f
             assert immanant.evaluate(f, dense) == oracles.evaluate(f, dense), w
     for f in (immanant.zero_immanant(0), immanant.Immanant(0, {(): Fraction(-5, 3)})):
-        assert both_walks(f, []) == (oracles.evaluate(f, []),) * 2
+        assert on_all_and_held_terms(f, []) == (oracles.evaluate(f, []),) * 2
 
 
 def mixed_entries(rng, n):
@@ -1201,9 +1205,9 @@ def test_transforms(n):
 
 def test_sign_alternation():
     for n in (3, 4):
-        columns = [immanant.percent_column(immanant.hull(w)) for w in perm.all_perms(n)]
+        columns = [immanant.percent_immanant(immanant.hull(w)).values for w in perm.all_perms(n)]
         assert immanant.alternation_violations(n, columns) == [None] * len(columns)
-    assert immanant.alternation_violations(4, [immanant.cm_column(4, (), ())]) == [None]
+    assert immanant.alternation_violations(4, [immanant.cm_immanant(4, (), ()).values]) == [None]
     column = immanant.all_tl_immanants(5)[(2, 4, 1, 5, 3)]
     assert immanant.alternation_violations(5, [column]) != [None]
 

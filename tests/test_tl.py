@@ -96,8 +96,8 @@ def test_is_noncrossing_against_definition(size):
 
 
 def test_equal_matchings_hash_equal():
-    """The hash is taken once, from (n, pairing); equality, repr and the
-    interning of _matching are as before."""
+    """A matching hashes and compares as the tuple (n, pairing); repr and
+    the interning of _matching are as before."""
     m = tl.parse_matching("1-3' 2-4' 3-4 1'-2'")
     twin = tl.NonCrossingMatching(m.n, m.pairing)
     assert twin == m and twin is not m and hash(twin) == hash(m) == hash((m.n, m.pairing))
