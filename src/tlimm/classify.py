@@ -37,10 +37,10 @@ from .immanant import (
 from .perm import (
     Perm,
     avoids,
+    check_perm,
     format_perm,
     inverse,
     is_321_avoiding,
-    is_perm,
     perm_index,
     sign,
 )
@@ -190,6 +190,7 @@ def classify_2143(w: Perm) -> CaseParams:
     >>> classify_2143((2, 4, 1, 5, 3))
     Case2(a=1, e=1, b=1, c=1, f=0, d=1)
     """
+    check_perm(w)
     if not is_321_avoiding(w):
         raise PreconditionError(f"{w} contains the pattern 321")
     if not avoids(w, PATTERN_1324):
@@ -268,6 +269,7 @@ def _tallies(params: CaseParams) -> Tallies:
 def _closed_form_parts(w: Perm) -> tuple[int, SkewShape, CaseParams | None]:
     """sign(w), hull(w) and the case parameters of a w avoiding 321 and
     1324; the parameters are None when w avoids 2143 and the weight is 1."""
+    check_perm(w)
     if not is_321_avoiding(w):
         raise PreconditionError(f"{w} contains the pattern 321")
     if not avoids(w, PATTERN_1324):
@@ -312,8 +314,7 @@ def closed_form(w: Perm) -> Callable[[Perm], int]:
     tallies = None if params is None else _tallies(params)
 
     def coeff(u: Perm) -> int:
-        if not is_perm(u):
-            raise PreconditionError(f"not a permutation of 1..{len(u)}: {u}")
+        check_perm(u)
         if not lies_in(u, shape):
             return 0
         if tallies is None:
@@ -437,6 +438,7 @@ def rect_cm_expansion(w: Perm) -> list[tuple[frozenset[int], frozenset[int]]]:
     >>> [(sorted(I), sorted(J)) for I, J in rect_cm_expansion((3, 1, 4, 2))]
     [([2, 4], [1, 2]), ([3, 4], [1, 2])]
     """
+    check_perm(w)
     n = len(w)
     if not (is_321_avoiding(w) and avoids(w, PATTERN_1324, PATTERN_2143)):
         raise PreconditionError(f"{w} must avoid 321, 1324 and 2143")
@@ -523,6 +525,7 @@ def decompose(w: Perm, validate: bool | None = None) -> Decomposition:
     >>> decompose((2, 4, 1, 5, 3)).kind
     'none'
     """
+    check_perm(w)
     if not is_321_avoiding(w):
         raise PreconditionError(f"{w} contains the pattern 321")
     n = len(w)

@@ -4,24 +4,24 @@ Black/white vertex colorings and their compatible matchings.
 A coloring of the 2n vertices is stored as a pair (I, J): I the set of
 unprimed black vertices, J the set of primed *white* vertices.  A coloring
 is compatible with a matching when every pair joins a black vertex to a
-white one.
+white one; :func:`_compatibility_table` is the one list of that relation.
 
 The ``unique_matching_*`` constructions produce, for given zone sizes, the
 single coloring-and-matching satisfying a prescribed list of zone
 conditions; they are built directly as rainbow blocks of nested pairs,
 not by search.  Suite A7 in :mod:`tlimm.verify` is the uniqueness oracle:
-it searches every (coloring, matching) pair that meets the zone conditions.
+it looks up every coloring that meets the zone counts in that table, which
+is built from the matchings alone, and holds what it lists to the zones.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from typing import Iterable, NamedTuple, Sequence
 
 from . import limits
 from .errors import PreconditionError
-from .perm import Perm, is_321_avoiding
+from .perm import Perm, check_perm, is_321_avoiding
 from .tl import (
     NonCrossingMatching,
     all_matchings,
@@ -83,33 +83,39 @@ def is_compatible(m: NonCrossingMatching, c: Coloring) -> bool:
 
 def compatible_permutations(c: Coloring) -> frozenset[Perm]:
     """All 321-avoiding w whose matching is compatible with the coloring."""
+    n = c.n
     if len(c.blacks) != len(c.primed_whites):
         warnings.warn(
             f"coloring has {len(c.blacks)} unprimed blacks but "
             f"{len(c.primed_whites)} primed whites; no compatible matching exists"
         )
         return frozenset()
-    return _compatibility_table(c.n)[c.blacks, c.primed_whites]
+    mask = sum(1 << i - 1 for i in c.blacks)
+    mask += sum(1 << 2 * n - j for j in range(1, n + 1) if j not in c.primed_whites)
+    return frozenset(w for _, _, w in _compatibility_table(n)[mask])
 
 
 @limits.capped_cache(limits.max_n, "compatibility table", maxsize=4)
-def _compatibility_table(n: int) -> dict[tuple[frozenset[int], frozenset[int]], frozenset[Perm]]:
-    """Every balanced coloring (I, J) mapped to the w whose matching is
-    compatible with it.  A matching is compatible with the 2^n colorings
-    that pick one black end per pair: I holds the unprimed black ends and J
-    the primed white ends.  Every balanced coloring has a compatible
-    matching, so the table has exactly C(2n, n) keys."""
-    table = {}
+def _compatibility_table(n: int) -> dict[int, list[tuple]]:
+    """Every matching m of ``all_matchings(n)``, as one shared entry (m,
+    m.pairs(), beta_inv(m)), filed under each of its 2^n proper colorings,
+    those that give each pair one black end.  A coloring is keyed by the
+    bitmask of its black circular positions (:func:`tl.vertex_position`):
+    bit i - 1 for a black i, bit 2n - j for a black j'.  Every balanced
+    coloring has a compatible matching, so the table has exactly C(2n, n)
+    keys; each key lists its matchings in ``all_matchings`` order.
+
+    >>> [w for _, _, w in _compatibility_table(2)[0b0101]]
+    [(2, 1), (1, 2)]
+    """
+    table: dict[int, list[tuple]] = {}
     for m in all_matchings(n):
-        w = beta_inv(m)
-        for ends in itertools.product(*(((p, q), (q, p)) for p, q in m.pairs())):
-            blacks = frozenset(b + 1 for b, _ in ends if b < n)
-            primed_whites = frozenset(2 * n - x for _, x in ends if x >= n)
-            table.setdefault((blacks, primed_whites), set()).add(w)
-    # Freezing in place frees each set as it goes: 35 MB of peak memory at
-    # n = 8, against 54 MB for a second dict of frozensets.
-    for key, ws in table.items():
-        table[key] = frozenset(ws)
+        entry = (m, m.pairs(), beta_inv(m))
+        masks = [0]
+        for p, q in entry[1]:
+            masks = [mask | bit for bit in (1 << p, 1 << q) for mask in masks]
+        for mask in masks:
+            table.setdefault(mask, []).append(entry)
     return table
 
 
@@ -121,6 +127,7 @@ def canonical_coloring(w: Perm) -> Coloring:
     >>> sorted(c.blacks), sorted(c.primed_whites)
     ([1], [2])
     """
+    check_perm(w)
     if not is_321_avoiding(w):
         raise PreconditionError(f"{w} contains the pattern 321")
     blacks, primed_whites = set(), set()

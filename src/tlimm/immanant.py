@@ -145,7 +145,8 @@ def hull(w: Perm) -> SkewShape:
     A running minimum and a suffix maximum are non-increasing, and mu_i <
     w(i) <= lam_i, so the shape needs only its two outer bounds checked,
     mu_n >= 0 and lam_1 <= n; a w that breaks them is a ValueError, as the
-    checking constructor raises.
+    checking constructor raises.  w is not otherwise checked: this is on
+    hot paths, such as suite A9's pass over S_n.
 
     >>> hull((2, 1, 4, 3))
     SkewShape(n=4, lam=(4, 4, 4, 3), mu=(1, 0, 0, 0))
@@ -534,10 +535,13 @@ def percent_immanant(shape: SkewShape) -> Immanant:
 def tl_immanant(w: Perm) -> Immanant:
     """The Temperley-Lieb immanant of a 321-avoiding w: the coefficient of u
     is the coefficient of beta(w) in theta(u).  Its values are the stored
-    column of w itself, not a copy."""
+    column of w itself, not a copy; a w the store misses is no permutation."""
     if not is_321_avoiding(w):
         raise PreconditionError(f"{w} contains the pattern 321")
-    return _wrap(len(w), all_tl_immanants(len(w))[w])
+    column = all_tl_immanants(len(w)).get(w)
+    if column is None:
+        raise PreconditionError(f"not a permutation of 1..{len(w)}: {w}")
+    return _wrap(len(w), column)
 
 
 def _cm_rows(n: int, I: Iterable[int], J: Iterable[int]) -> tuple[frozenset[int], ...]:

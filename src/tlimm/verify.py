@@ -383,48 +383,21 @@ def _case2_zones(a: int, e: int, b: int, c: int, f: int, d: int) -> tuple[Zone, 
     )
 
 
-# One (m, m.pairs()) per matching m, shared by every mask it is filed under.
-_Entry = tuple[tl.NonCrossingMatching, tuple[tuple[int, int], ...]]
-
-
-def _proper_coloring_index(n: int) -> dict[int, list[_Entry]]:
-    """Every matching of ``tl.all_matchings(n)`` filed under each of its
-    2^n proper colorings: the bitmask of the black positions, where each
-    pair joins a black position to a white one.  A mask's list keeps the
-    order of ``all_matchings``.
-
-    >>> index = _proper_coloring_index(2)
-    >>> [format(mask, "04b")[::-1] for mask in sorted(index)]
-    ['1100', '1010', '0110', '1001', '0101', '0011']
-    >>> [tl.format_matching(m) for m, _ in index[0b0101]]
-    ["1-2 1'-2'", "1-1' 2-2'"]
-    """
-    index: dict[int, list[_Entry]] = {}
-    for m in tl.all_matchings(n):
-        entry = (m, m.pairs())
-        masks = [0]
-        for p, q in entry[1]:
-            masks = [mask | bit for bit in (1 << p, 1 << q) for mask in masks]
-        for mask in masks:
-            index.setdefault(mask, []).append(entry)
-    return index
-
-
 def _zone_solutions(
-    index: dict[int, list[_Entry]],
+    index: dict[int, list[tuple]],
     zones: Sequence[Zone],
 ) -> list[tuple[tuple[bool, ...], tl.NonCrossingMatching]]:
     """Every (coloring, matching) on the 2n circular positions that meets
     the zones, which must partition the positions: each zone holds its
     counts of black (True) and white positions, every pair joins black to
     white, and no pair has both ends in one sealed zone.  Exhaustive: every
-    coloring that meets the counts is looked up in ``index``, the
-    :func:`_proper_coloring_index` of n, whose list for it holds exactly the
-    matchings that join black to white under it; those are then held to
-    the sealed zones.  Listed in coloring order, then ``all_matchings``
-    order.
+    coloring that meets the counts is looked up by its black mask in
+    ``index``, the :func:`coloring._compatibility_table` of n, whose list
+    for it holds exactly the matchings that join black to white under it;
+    those are then held to the sealed zones.  Listed in coloring order,
+    then ``all_matchings`` order.
 
-    >>> index = _proper_coloring_index(2)
+    >>> index = coloring._compatibility_table(2)
     >>> zones = _general_zones(1, 1, 0, 0, 0)
     >>> _zone_solutions(index, zones)
     [((True, False, True, False), NonCrossingMatching(2, "1-2 1'-2'"))]
@@ -450,7 +423,7 @@ def _zone_solutions(
     ):
         mask = sum(1 << p for p in itertools.chain.from_iterable(choice))
         found = [
-            m for m, pairs in index.get(mask, ())
+            m for m, pairs, _ in index.get(mask, ())
             if not any(p in sealed and sealed[p] == sealed.get(q) for p, q in pairs)
         ]
         if found:
@@ -496,7 +469,7 @@ def suite_a7(n: int) -> Iterator[_Check]:
     """Unique-matching constructions match brute force: every zone-condition
     instance has exactly one (coloring, matching) solution and it is the
     constructed one, which in turn equals beta of the built permutation."""
-    index = _proper_coloring_index(n)
+    index = coloring._compatibility_table(n)
     for family, params, witness, zones, construct, build in _a7_instances(n):
         col, m = construct(**params)
         colors = tuple(col.is_black_position(p) for p in range(2 * n))

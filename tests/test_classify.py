@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from tlimm import classify, cli, immanant, perm, tl, verify
+from tlimm import classify, cli, coloring, immanant, perm, tl, verify
 from tlimm.errors import PreconditionError, VerificationError
 
 from oracles import block_structure, cells
@@ -427,6 +427,25 @@ def test_a_u_that_is_not_a_permutation_is_a_precondition_error():
                  lambda: tl.theta((1, 1))):
         with pytest.raises(PreconditionError, match="not a permutation of 1..2"):
             call()
+
+
+@pytest.mark.parametrize("call, w", [
+    (immanant.tl_immanant, (2, 2)),
+    (classify.decompose, (2, 2)),
+    (lambda w: classify.decompose(w, validate=False), (2, 2)),
+    (classify.closed_form, (2, 2)),
+    (classify.closed_form_column, (2, 2)),
+    (classify.classify_2143, (2, 2)),
+    (coloring.canonical_coloring, (2, 2)),
+    (classify.rect_cm_expansion, (1, 1)),
+], ids=["tl_immanant", "decompose", "decompose-unvalidated", "closed_form",
+        "closed_form_column", "classify_2143", "canonical_coloring", "rect_cm_expansion"])
+def test_a_w_that_is_not_a_permutation_is_a_precondition_error(call, w):
+    """A repeated value in w is refused, where it once raised a bare
+    KeyError, gave kind "one", a coefficient, a coloring, a case verdict
+    or a ValueError about a negative binomial argument."""
+    with pytest.raises(PreconditionError, match=f"not a permutation of 1..{len(w)}"):
+        call(w)
 
 
 def test_classify_knows_no_packed_columns():

@@ -1,5 +1,7 @@
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import pytest
 
@@ -58,10 +60,27 @@ def test_compatible_permutations():
 @pytest.mark.parametrize("n", range(0, 8))
 def test_compatibility_table_keys_every_balanced_coloring(n):
     """Each matching is compatible with 2^n colorings, and together they
-    cover every (I, J) with |I| = |J|: C(2n, n) keys and no other."""
+    cover every balanced coloring: the keys are exactly the black masks of
+    2n bits with n set, C(2n, n) of them."""
     table = coloring._compatibility_table(n)
+    assert sorted(table) == sorted(
+        sum(1 << p for p in blacks) for blacks in itertools.combinations(range(2 * n), n))
     assert len(table) == math.comb(2 * n, n)
-    assert all(len(I) == len(J) and I | J <= set(range(1, n + 1)) for I, J in table)
+
+
+def test_compatibility_table_reads_no_construction():
+    """Suite A7 checks the unique-matching constructions against the
+    compatibility table, so the table is built from the matchings alone:
+    its source names none of the constructions or the coloring record."""
+    source = Path(coloring.__file__).read_text()
+    table = next(node for node in ast.parse(source).body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_compatibility_table")
+    names = {getattr(node, "id", None) or getattr(node, "attr", None)
+             for node in ast.walk(table)}
+    forbidden = {name for name in names if name and (
+        name in ("_unique_general", "_pull_back", "from_circle", "Coloring")
+        or name.startswith("unique_matching_"))}
+    assert forbidden == set()
 
 
 @pytest.mark.parametrize("n", range(0, 6))

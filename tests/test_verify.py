@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from tlimm import classify, immanant, perm, verify
+from tlimm import classify, coloring, immanant, perm, verify
 from tlimm.errors import PreconditionError, VerificationError
 
 from oracles import brute_percent_immanant, determinant, zone_solutions
@@ -154,7 +154,7 @@ def test_zone_solutions_against_scan(n):
     """A7's lookup of proper colorings by black mask finds what the scan of
     every coloring against every matching finds, in the same order, on
     every instance of the suite and on the same zones with no seal."""
-    index = verify._proper_coloring_index(n)
+    index = coloring._compatibility_table(n)
     for _, _, witness, zones, _, _ in verify._a7_instances(n):
         assert verify._zone_solutions(index, zones) == zone_solutions(n, zones), witness
         unsealed = [(positions, k, w, False) for positions, k, w, _ in zones]
@@ -162,7 +162,7 @@ def test_zone_solutions_against_scan(n):
 
 
 def test_zone_solutions_refuses_what_the_scan_refuses():
-    index = verify._proper_coloring_index(2)
+    index = coloring._compatibility_table(2)
     for zones in ([(range(3), 1, 2, False)],                          # misses position 3
                   [(range(2), 1, 1, False), (range(2, 4), 1, 0, True)]):  # 1 + 0 != 2
         for search in (functools.partial(verify._zone_solutions, index),
