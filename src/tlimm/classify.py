@@ -190,20 +190,30 @@ def classify_2143(w: Perm) -> CaseParams:
     >>> classify_2143((2, 4, 1, 5, 3))
     Case2(a=1, e=1, b=1, c=1, f=0, d=1)
     """
+    params = _case(w)[1]
+    if params is None:
+        raise PreconditionError(f"{w} avoids the pattern 2143")
+    return params
+
+
+def _case(w: Perm, strict: bool = True) -> tuple[bool, CaseParams | None]:
+    """The one check chain on w, in the paper's order: a permutation, 321,
+    1324, then 2143.  Returns whether w avoids 1324, and w's case
+    parameters, None unless it contains 2143.  A non-permutation or a 321
+    is a PreconditionError, and a 1324 too unless strict is off."""
     check_perm(w)
     if not is_321_avoiding(w):
         raise PreconditionError(f"{w} contains the pattern 321")
     if not avoids(w, PATTERN_1324):
-        raise PreconditionError(f"{w} contains the pattern 1324")
-    if avoids(w, PATTERN_2143):
-        raise PreconditionError(f"{w} avoids the pattern 2143")
-    return _case_params(w)
+        if strict:
+            raise PreconditionError(f"{w} contains the pattern 1324")
+        return False, None
+    return True, None if avoids(w, PATTERN_2143) else _case_params(w)
 
 
 def _case_params(w: Perm) -> CaseParams:
-    """:func:`classify_2143` without its pattern checks, for callers that
-    have just made them: the case and its blocks from the corner
-    parameters, rebuilt and compared with w."""
+    """The case and its blocks of a w that :func:`_case` has checked, from
+    the corner parameters, rebuilt and compared with w."""
     n = len(w)
     ap, bp, cp, dp = corner_params(w)
     if ap + bp + cp + dp <= n:
@@ -266,18 +276,6 @@ def _tallies(params: CaseParams) -> Tallies:
             lambda above, below: _binomial(c - above, b - below))
 
 
-def _closed_form_parts(w: Perm) -> tuple[int, SkewShape, CaseParams | None]:
-    """sign(w), hull(w) and the case parameters of a w avoiding 321 and
-    1324; the parameters are None when w avoids 2143 and the weight is 1."""
-    check_perm(w)
-    if not is_321_avoiding(w):
-        raise PreconditionError(f"{w} contains the pattern 321")
-    if not avoids(w, PATTERN_1324):
-        raise PreconditionError(f"{w} contains the pattern 1324")
-    params = None if avoids(w, PATTERN_2143) else _case_params(w)
-    return sign(w), hull(w), params
-
-
 def _weight_table(params: CaseParams) -> bytes:
     """The 256-byte table that turns the lane byte A + 16 * B of
     :func:`_tallies` into the weight, for A, B <= n < 16, with 128 for a
@@ -310,7 +308,8 @@ def closed_form(w: Perm) -> Callable[[Perm], int]:
     >>> f((2, 1, 3, 4)), f((4, 3, 2, 1))
     (0, 2)
     """
-    sw, shape, params = _closed_form_parts(w)
+    params = _case(w)[1]
+    sw, shape = sign(w), hull(w)
     tallies = None if params is None else _tallies(params)
 
     def coeff(u: Perm) -> int:
@@ -343,13 +342,13 @@ def closed_form_column(w: Perm) -> array:
     >>> closed_form_column((2, 1, 4, 3))[-1]
     2
     """
-    sw, shape, params = _closed_form_parts(w)
+    params = _case(w)[1]
     n = len(w)
     # Each tally counts at most n rows, so below 16 the lane byte
     # A + 16 * B determines A and B.
     if n >= 16:
         raise PreconditionError(f"closed-form columns need n < 16, got {n}")
-    inside = shape_mask(shape)
+    sw, inside = sign(w), shape_mask(hull(w))
     if params is None:
         return signed_bytes(n, sw, inside)
     first, second, weight = _tallies(params)
@@ -438,10 +437,9 @@ def rect_cm_expansion(w: Perm) -> list[tuple[frozenset[int], frozenset[int]]]:
     >>> [(sorted(I), sorted(J)) for I, J in rect_cm_expansion((3, 1, 4, 2))]
     [([2, 4], [1, 2]), ([3, 4], [1, 2])]
     """
-    check_perm(w)
+    if _case(w)[1] is not None:
+        raise PreconditionError(f"{w} contains the pattern 2143")
     n = len(w)
-    if not (is_321_avoiding(w) and avoids(w, PATTERN_1324, PATTERN_2143)):
-        raise PreconditionError(f"{w} must avoid 321, 1324 and 2143")
     if w[0] != 1 and w[0] != w[n - 1] + 1:
         raise PreconditionError(
             f"{w} is not in normal form: need w(1) = 1 or w(1) = w(n) + 1"
@@ -525,18 +523,13 @@ def decompose(w: Perm, validate: bool | None = None) -> Decomposition:
     >>> decompose((2, 4, 1, 5, 3)).kind
     'none'
     """
-    check_perm(w)
-    if not is_321_avoiding(w):
-        raise PreconditionError(f"{w} contains the pattern 321")
-    n = len(w)
-    if validate is None:
-        validate = n <= 6
-    if not avoids(w, PATTERN_1324):
+    avoids_1324, params = _case(w, strict=False)
+    validate = len(w) <= 6 if validate is None else validate
+    if not avoids_1324:
         return Decomposition("none", 0, ())
-    if avoids(w, PATTERN_2143):
+    if params is None:
         result = Decomposition("one", sign(w), (hull(w),))
     else:
-        params = _case_params(w)
         second = _second_shape(params) if isinstance(params, Case1) else None
         if second is None:
             return Decomposition("none", 0, ())

@@ -17,7 +17,7 @@ is built from the matchings alone, and holds what it lists to the zones.
 from __future__ import annotations
 
 import warnings
-from typing import Iterable, NamedTuple, Sequence
+from typing import Container, Iterable, NamedTuple, Sequence
 
 from . import limits
 from .errors import PreconditionError
@@ -90,9 +90,14 @@ def compatible_permutations(c: Coloring) -> frozenset[Perm]:
             f"{len(c.primed_whites)} primed whites; no compatible matching exists"
         )
         return frozenset()
-    mask = sum(1 << i - 1 for i in c.blacks)
-    mask += sum(1 << 2 * n - j for j in range(1, n + 1) if j not in c.primed_whites)
+    mask = _black_mask(n, c.blacks, c.primed_whites)
     return frozenset(w for _, _, w in _compatibility_table(n)[mask])
+
+
+def _black_mask(n: int, blacks: Iterable[int], primed_whites: Container[int]) -> int:
+    """The key in :func:`_compatibility_table` of the coloring (blacks, primed_whites)."""
+    whites = sum(1 << 2 * n - j for j in range(1, n + 1) if j not in primed_whites)
+    return sum(1 << i - 1 for i in blacks) + whites
 
 
 @limits.capped_cache(limits.max_n, "compatibility table", maxsize=4)

@@ -28,6 +28,7 @@ from .errors import LimitError, PreconditionError, VerificationError
 from .perm import (
     Perm,
     adjacent_1324_ranks,
+    check_perm,
     format_perm,
     inverse,
     is_321_avoiding,
@@ -535,8 +536,10 @@ def percent_immanant(shape: SkewShape) -> Immanant:
 def tl_immanant(w: Perm) -> Immanant:
     """The Temperley-Lieb immanant of a 321-avoiding w: the coefficient of u
     is the coefficient of beta(w) in theta(u).  Its values are the stored
-    column of w itself, not a copy; a w the store misses is no permutation."""
+    column of w itself, not a copy.  A non-permutation is refused as one,
+    whether it fails the 321 test (checked only then) or misses the store."""
     if not is_321_avoiding(w):
+        check_perm(w)
         raise PreconditionError(f"{w} contains the pattern 321")
     column = all_tl_immanants(len(w)).get(w)
     if column is None:

@@ -34,14 +34,13 @@ def check_perm(w: Perm) -> None:
 
 
 def perm(seq: Iterable[int]) -> Perm:
-    """Coerce seq to a validated permutation tuple.
+    """Coerce seq to a permutation tuple, checked by :func:`check_perm`.
 
     >>> perm([2, 1, 4, 3])
     (2, 1, 4, 3)
     """
     word = tuple(seq)
-    if not is_perm(word):
-        raise ValueError(f"not a permutation of 1..{len(word)}: {word}")
+    check_perm(word)
     return word
 
 

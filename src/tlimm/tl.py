@@ -234,12 +234,13 @@ def beta(w: Perm) -> NonCrossingMatching:
 
 
 def _beta_pairing(w: Perm) -> tuple[int, ...]:
-    """The pairing of beta(w), glued in one list along a reduced word of w,
-    with no matching object built."""
+    """beta(w)'s pairing, with no matching built, glued in one list along a
+    reduced word of w, whose guard refuses a non-permutation before 321."""
+    word = reduced_word(w)
     if not is_321_avoiding(w):
         raise PreconditionError(f"{w} contains the pattern 321")
     pairing = list(range(2 * len(w) - 1, -1, -1))
-    for i in reduced_word(w):
+    for i in word:
         if _glue(pairing, i):
             raise VerificationError(f"t_{i} closes a loop in the product for {w}")
     return tuple(pairing)

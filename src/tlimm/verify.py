@@ -251,15 +251,14 @@ def suite_a4(n: int) -> Iterator[_Check]:
     """Complementary minors expand into compatible Temperley-Lieb immanants:
     (-1)^(s(I)+s(J)) CM_{I,J} = sum of Imm_w over compatible w."""
     store = {w: immanant.pack_column(n, col) for w, col in immanant.all_tl_immanants(n).items()}
+    table = coloring._compatibility_table(n)
     for k in range(n + 1):
         for I in itertools.combinations(range(1, n + 1), k):
             for J in itertools.combinations(range(1, n + 1), k):
                 lhs = ((-1) ** (sum(I) + sum(J))
                        * immanant.pack_column(n, immanant.cm_immanant(n, I, J).values))
-                rhs = immanant.sum_columns([
-                    store[w] for w in
-                    coloring.compatible_permutations(coloring.Coloring(n, I, J))
-                ])
+                rhs = immanant.sum_columns(
+                    [store[w] for _, _, w in table[coloring._black_mask(n, I, J)]])
                 yield ("signed CM equals compatible immanant sum",
                        f"I={set(I) or '{}'} J={set(J) or '{}'}",
                        immanant.Column(n, lhs), immanant.Column(n, rhs))

@@ -448,6 +448,24 @@ def test_a_w_that_is_not_a_permutation_is_a_precondition_error(call, w):
         call(w)
 
 
+@pytest.mark.parametrize("call, args, reason", [
+    (tl.beta, ((0, 1),), "not a permutation of 1..2"),
+    (tl.f_coeff, ((0, 1), (1, 2)), "not a permutation of 1..2"),
+    (immanant.tl_immanant, ((0, 1),), "not a permutation of 1..2"),
+    (immanant.tl_immanant, ((1, 1, 0),), "not a permutation of 1..3"),
+    (classify.rect_cm_expansion, ((1, 3, 2, 4),), "contains the pattern 1324"),
+    (classify.rect_cm_expansion, ((2, 1, 4, 3),), "contains the pattern 2143"),
+], ids=["beta", "f_coeff", "tl_immanant-01", "tl_immanant-110",
+        "rect_cm_expansion-1324", "rect_cm_expansion-2143"])
+def test_a_check_names_the_first_fault_it_finds(call, args, reason):
+    """w is checked in the paper's order, a permutation, then 321, 1324 and
+    2143, so the error names the first check w fails: a value below 1 was
+    once reported as a 321, and rect_cm_expansion named all three
+    patterns at once."""
+    with pytest.raises(PreconditionError, match=reason):
+        call(*args)
+
+
 def test_classify_knows_no_packed_columns():
     """The 32-bit packed format stays in immanant and verify: classify
     neither imports nor reads any of its names."""
