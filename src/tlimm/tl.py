@@ -25,20 +25,28 @@ is handed out, as by ``all_matchings``, ``beta``, ``theta`` and
 
 Theta is multiplied out over the table by one row step,
 :func:`_row_times_theta_gen`, which consumes the row it is given.  It has
-three callers: ``theta(u)``, one step at a time along a reduced word of u;
-``f_coeff(w, u)``, one coefficient, from such a row over the front of the
-word and a dual row over its back (:func:`_dual_times_theta_gen`); and
-every theta(g) of S_n at once along the coset chain, a row holding one int
-of 16-bit lanes per matching, a whole block of S_n (:func:`_theta_columns`,
-which fills the store :func:`all_tl_immanants`).
+two callers: ``theta(u)``, one step at a time along a reduced word of u,
+and every theta(g) of S_n at once along the coset chain, a row holding one
+int of 16-bit lanes per matching, a whole block of S_n
+(:func:`_theta_columns`, which fills the store :func:`all_tl_immanants`).
+
+``f_coeff(w, u)`` reads one coefficient off the store of a smaller m,
+n - 1 up to the default table cap.  u = tau . sigma, where tau in S_m
+lists u's values <= m in order of position and sigma, the shortest element
+of S_m . u, is u with those values relabelled 1..m.  theta is an algebra
+map, so theta(u) = theta(tau) theta(sigma).  The terms of theta(tau) are
+the TL_m matchings drawn with strands m+1..n straight through, each with
+its store entry at tau's rank (:func:`_store_keys` names their keys); the
+factor theta(sigma) is a dual row from beta(w) over a reduced word of
+sigma alone (:func:`_dual_times_theta_gen`).
 
 The dual step is the transpose of the row step.  For Y a product of
-factors (t_d - 1) over the back of the word, let dual_Y[k] be the
-coefficient of beta(w) in m_k . Y, for matching m_k of all_matchings(n); as
-m_k . t_d = 2^loops_k m_{g_k} with (g_k, loops_k) = moves[k] in the entry
-of t_d, dual_{(t_d - 1) Y}[k] = (dual_Y[g_k] << loops_k) - dual_Y[k].  So
-the coefficient of beta(w) in theta(u) is sum_k row[k] dual[k] wherever
-the two meet.  An entry can be nonzero only if k or g_k is a key of dual_Y,
+factors (t_d - 1), let dual_Y[k] be the coefficient of beta(w) in
+m_k . Y, for matching m_k of all_matchings(n); as m_k . t_d = 2^loops_k
+m_{g_k} with (g_k, loops_k) = moves[k] in the entry of t_d,
+dual_{(t_d - 1) Y}[k] = (dual_Y[g_k] << loops_k) - dual_Y[k].  So the
+coefficient of beta(w) in X Y is sum_k X[k] dual_Y[k], for X =
+theta(tau).  An entry can be nonzero only if k or g_k is a key of dual_Y,
 so the step walks dual_Y's own keys j and, from the same entry, the k with
 g_k = j != k; such a k closes no loop, so one that is no key of dual_Y
 takes dual_Y[j] as it is.
@@ -63,6 +71,7 @@ from . import limits
 from .errors import LimitError, PreconditionError, VerificationError
 from .perm import (
     Perm,
+    check_perm,
     format_perm,
     inverse,
     is_321_avoiding,
@@ -372,7 +381,7 @@ def _steps(n: int) -> _Steps:
 def _row_times_theta_gen(steps: _Steps, row: dict[int, int], d: int) -> dict[int, int]:
     """row . (t_d - 1) for a row {index in all_matchings(n): coeff}, read
     off the step table; zero terms are dropped.  The one forward product:
-    :func:`_theta_row`, :func:`f_coeff` and :func:`_theta_columns` call it.
+    :func:`_theta_row` and :func:`_theta_columns` call it.
     It consumes row, popping each term as it reads it, so each of the coset
     chain's big ints is freed once read; the store's peak rests on that."""
     moves = steps[d - 1].moves
@@ -579,11 +588,40 @@ def theta_table(n: int) -> dict[Perm, TLElement]:
     return {u: TLElement(n, row) for u, row in zip(perms, rows)}
 
 
+def _coset_split(u: Perm, m: int) -> tuple[Perm, Perm]:
+    """u = tau . sigma, with tau in S_m (fixing m+1..n) and sigma the
+    shortest element of S_m . u, so that l(u) = l(tau) + l(sigma): tau
+    lists u's values <= m in order of position, and sigma is u with those
+    values relabelled 1..m from left to right."""
+    labels = itertools.count(1)
+    sigma = tuple(x if x > m else next(labels) for x in u)
+    return tuple(x for x in u if x <= m) + tuple(range(m + 1, len(u) + 1)), sigma
+
+
+@limits.capped_cache(limits.max_n, "Temperley-Lieb store keys", maxsize=16)
+def _store_keys(n: int) -> tuple[int, dict[int, Perm]]:
+    """The size m of the store that :func:`f_coeff` reads at n, n - 1 up to
+    the default table cap (0 at n = 0), and {index in all_matchings(n):
+    store key} for each TL_m matching drawn with strands m+1..n straight
+    through.  The keys, in the order of the index of m, are read off the
+    store; no column is held, so a rebuilt store is read afresh."""
+    m = max(0, min(n - 1, limits.DEFAULT_THETA_MAX_N))
+    # TL_m's primed positions m..2m-1 move past the 2(n - m) ends of the
+    # through strands, which pair p with 2n - 1 - p.
+    shift, index = 2 * (n - m), _matching_index(n)
+    keys = {}
+    for pairing, key in zip(_matching_index(m), all_tl_immanants(m)):
+        moved = [q + shift if q >= m else q for q in pairing]
+        drawn = (*moved[:m], *range(2 * n - 1 - m, m - 1, -1), *moved[m:])
+        keys[index[drawn]] = key
+    return m, keys
+
+
 def f_coeff(w: Perm, u: Perm) -> int:
-    """The coefficient of beta(w) in theta(u), met in the middle of a
-    reduced word of u: a row from the identity over its front and a dual
-    row from beta(w) over its back, the smaller of the two taking each next
-    step, summed against each other where they meet.
+    """The coefficient of beta(w) in theta(u) = theta(tau) theta(sigma): a
+    dual row from beta(w) over a reduced word of sigma alone, summed
+    against the store of m (:func:`_store_keys`) at tau's rank; see the
+    module docstring.  A size the caps refuse builds no store.
 
     >>> f_coeff((2, 1, 4, 3), (4, 3, 2, 1))
     2
@@ -592,17 +630,11 @@ def f_coeff(w: Perm, u: Perm) -> int:
         raise PreconditionError(f"size mismatch: {len(w)} vs {len(u)}")
     n = len(u)
     steps = _steps(n)
-    word = reduced_word(u)
-    # The identity matching comes last in all_matchings(n).
-    row, dual = {catalan(n) - 1: 1}, {_matching_index(n)[_beta_pairing(w)]: 1}
-    front, back = 0, len(word)
-    while front < back:
-        if len(row) <= len(dual):
-            row = _row_times_theta_gen(steps, row, word[front])
-            front += 1
-        else:
-            back -= 1
-            dual = _dual_times_theta_gen(steps, dual, word[back])
-    if len(dual) < len(row):
-        row, dual = dual, row
-    return sum(c * dual.get(k, 0) for k, c in row.items())
+    check_perm(u)
+    dual = {_matching_index(n)[_beta_pairing(w)]: 1}
+    m, keys = _store_keys(n)
+    tau, sigma = _coset_split(u, m)
+    for d in reversed(reduced_word(sigma)):
+        dual = _dual_times_theta_gen(steps, dual, d)
+    store, r = all_tl_immanants(m), perm_index(m).rank[tau[:m]]
+    return sum(c * store[keys[k]][r] for k, c in dual.items() if k in keys)

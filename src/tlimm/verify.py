@@ -11,12 +11,14 @@ witness is data: a permutation, a string or a dict of labelled parts such as
 a check whose two values differ, and times the stream, so ``suite_aN(n)``
 returns a :class:`VerificationReport`.  A block whose whole-column verdict
 passes adds its count at once; any other block is run check by check, so a
-report is the same either way.  A VerificationError raised by the stream
-ends it as one more check, a :class:`Failure` with claim "suite raised",
-witness ``after <the last witness yielded>`` (the input that raised comes
-after that check; ``n=...`` before the first) and the message; a
-PreconditionError or any other exception propagates.  Suites A1-A10 are the
-acceptance gate; ``run_suite`` runs one suite at one size.
+report is the same either way.  An exception raised by the stream ends it
+as one more check, a :class:`Failure` with claim "suite raised", witness
+``after <the last witness yielded>`` (the input that raised comes after
+that check; ``n=...`` before the first) and the message, led by the
+exception's type unless it is a VerificationError.  A suite makes its own
+inputs, so a PreconditionError is such a fault too; only a LimitError, a
+size the caps refuse, propagates.  Suites A1-A10 are the acceptance gate;
+``run_suite`` runs one suite at one size.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import classify, coloring, immanant, perm, tl
 from .classify import PATTERN_1324, PATTERN_2143
-from .errors import VerificationError
+from .errors import LimitError, VerificationError
 from .perm import Perm
 
 
@@ -135,10 +137,14 @@ def _suite(name: str, sizes: tuple[int, ...]):
                             failures.append(
                                 Failure(claim, _render(witness), repr(expected), repr(actual))
                             )
-            except VerificationError as exc:
+            except LimitError:
+                raise
+            except Exception as exc:
                 count += 1
                 where = f"n={n}" if witness is None else f"after {_render(witness)}"
-                failures.append(Failure("suite raised", where, "no error", str(exc)))
+                message = str(exc) if isinstance(exc, VerificationError) else (
+                    f"{type(exc).__name__}: {exc}")
+                failures.append(Failure("suite raised", where, "no error", message))
             return VerificationReport(name, n, count, failures, time.perf_counter() - start)
 
         SUITES[name] = run

@@ -81,6 +81,18 @@ MUTANTS = (
            "(2 * i + 2).__add__", "(2 * i + 1).__add__", suite="A6", n=3, fails=1),
     Mutant("the inside shift in _pairings off by one", "tl.py",
            "(1).__add__", "(2).__add__", suite="A6", n=3, fails=1),
+    Mutant("a wrong swap in _glue", "tl.py",
+           "    pairing[a], pairing[b] = b, a\n", "    pairing[a], pairing[b] = a, b\n",
+           suite="A6", n=3, fails=1),
+    Mutant("the shift of TL_m's primed positions into TL_n off by one", "tl.py",
+           "shift, index = 2 * (n - m), _matching_index(n)",
+           "shift, index = 2 * (n - m) + 1, _matching_index(n)", suite="A8", n=4, fails=1),
+    Mutant("f_coeff's tau read in reverse", "tl.py",
+           "return tuple(x for x in u if x <= m) + tuple",
+           "return tuple(x for x in u if x <= m)[::-1] + tuple", suite="A8", n=4, fails=1),
+    Mutant("f_coeff's sigma built from the wrong values", "tl.py",
+           "sigma = tuple(x if x > m else next(labels) for x in u)",
+           "sigma = tuple(x if x >= m else next(labels) for x in u)", suite="A8", n=4, fails=1),
     # Killed by a tier-1 test.
     Mutant("beta's reduced word taken after the 321 test", "tl.py",
            "    word = reduced_word(w)\n    if not is_321_avoiding(w):\n"
@@ -95,11 +107,6 @@ MUTANTS = (
            "            sign = -sign\n", "",
            test="tests/test_immanant.py::test_percent_determinants_on_hulls[5]",
            reason="no suite evaluates an immanant at a matrix"),
-    Mutant("a wrong swap in _glue", "tl.py",
-           "    pairing[a], pairing[b] = b, a\n", "    pairing[a], pairing[b] = a, b\n",
-           test="tests/test_tl.py::test_theta_matches_glued_product[3]",
-           reason="the first crossed pairing raises a ValueError, so verify exits 2 "
-                  "with no FAIL line"),
     Mutant("suffix digits reversed in evaluate's row split", "immanant.py",
            "    for lanes in digits[h:]:\n", "    for lanes in reversed(digits[h:]):\n",
            test="tests/test_immanant.py::test_row_split_matches_oracle",

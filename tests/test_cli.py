@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -156,6 +157,58 @@ def test_verify_all_reports_a_suite_that_raises(capsys, monkeypatch):
                          for n in sizes]
     assert sum(" ok, " in line for line in lines) == len(summaries) - 1
     assert lines[-1].endswith(" checks, 1 failures")
+
+
+# (suite, n, old text of verify.py, new text, the exception named): each
+# plants a fault that raises inside that one (suite, n).
+PLANTED_RAISES = (
+    ("A1", 4, "shape, s = immanant.hull(w), perm.sign(w)\n",
+     "shape, s = immanant.hull(w), perm.sign(w) if n != 4 else w[n]\n", "IndexError"),
+    ("A6", 3, "images = [tl.beta(w) for w in avoiders]",
+     "images = [tl.beta(w if n != 3 else w[::-1]) for w in avoiders]", "PreconditionError"),
+    ("A8", 4, "abs(row.get(index[tl._beta_pairing(w)], 0))",
+     "abs(row.get(index[tl._beta_pairing(w)[::-1 if n == 4 else 1]], 0))", "KeyError"),
+)
+
+
+def test_verify_records_a_raise_of_any_kind_as_a_failure(tmp_path):
+    """An IndexError, a PreconditionError and a KeyError raised inside
+    three suites of a copy of src, as the mutation register plants its
+    faults: ``tlimm verify --suite all`` prints one FAIL line naming the
+    exception under each of the three (suite, n), with its rerun line,
+    goes on to every other (suite, n), exits 4 and prints no traceback.
+    ``--jobs 2`` prints the same lines."""
+    src = tmp_path / "src"
+    shutil.copytree(Path(cli.__file__).resolve().parents[1], src,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = src / "tlimm" / "verify.py"
+    text = path.read_text()
+    for _, _, old, new, _ in PLANTED_RAISES:
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    path.write_text(text)
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    runs = []
+    for jobs in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-B", "-m", "tlimm.cli", "verify", "--suite", "all", "--jobs", jobs],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == cli.EXIT_MISMATCH, done.stderr
+        assert done.stderr == "" and "Traceback" not in done.stdout
+        lines = done.stdout.splitlines()
+        for suite, n, _, _, name in PLANTED_RAISES:
+            at = lines.index(next(line for line in lines if line.startswith(f"{suite} n={n}: ")))
+            assert ", 1 FAILED, " in lines[at]
+            assert lines[at + 1].startswith("  FAIL suite raised [")
+            assert f"expected no error, got {name}: " in lines[at + 1]
+            assert lines[at + 2] == f"  rerun: tlimm verify --suite {suite} --n {n}"
+        summaries = [line.split(":")[0] for line in lines if not line.startswith((" ", "total"))]
+        assert summaries == [f"{name} n={n}" for name, sizes in verify.DEFAULT_SIZES.items()
+                             for n in sizes]
+        assert sum(" ok, " in line for line in lines) == len(summaries) - 3
+        assert lines[-1].endswith(" checks, 3 failures")
+        runs.append([line.rpartition(", ")[0] if line[0] != " " else line for line in lines])
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -581,8 +581,8 @@ def test_tl_immanant_anchors():
 def test_all_tl_immanants_match_f_coeff(n):
     # The keys come in a fixed order.  Each stored column, entry by rank,
     # against the single-shot theta(u), which does not go through the coset
-    # chain, to n = 6, and to n = 5 against f_coeff, which meets a row and
-    # a dual row in the middle.  n = 0 and 1 have only the identity.
+    # chain, to n = 6, and to n = 5 against f_coeff, which reads the store
+    # of n - 1 and a dual row.  n = 0 and 1 have only the identity.
     imms = immanant.all_tl_immanants(n)
     assert list(imms) == [tl.beta_inv(m) for m in tl.all_matchings(n)]
     if n == 7:
@@ -1271,7 +1271,7 @@ def test_span_layer_keeps_only_its_kernels():
 CAPPED_TABLES = [
     perm.perm_index, perm.symmetry_ranks, perm.avoiding_321, perm.adjacent_1324_ranks,
     immanant.related_classes, immanant.all_tl_immanants, immanant._basis,
-    immanant._split_plan, tl.all_matchings, tl._matching_index, tl._steps,
+    immanant._split_plan, tl.all_matchings, tl._matching_index, tl._steps, tl._store_keys,
     coloring._compatibility_table,
 ]
 

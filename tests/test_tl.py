@@ -21,6 +21,7 @@ from oracles import (
     brute_is_noncrossing,
     compose_word,
     glue,
+    inversions,
     matchings_in_fill_order,
     tl_product,
 )
@@ -264,10 +265,60 @@ def _sampled_pairs(n: int, count: int, rng: random.Random) -> list:
 
 
 def test_f_coeff_matches_theta_row_n8():
-    """Meeting in the middle against the whole row of theta(u), for 500
-    seeded pairs at n = 8."""
+    """f_coeff, from the store of n = 7 and a dual row over the coset
+    part of u, against the whole row of theta(u), for 500 seeded pairs at
+    n = 8."""
     for w, u in _sampled_pairs(8, 500, random.Random(8)):
         assert tl.f_coeff(w, u) == tl.theta(u).get(tl.beta(w), 0), (w, u)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_coset_split_of_every_u(n):
+    """f_coeff's split u = tau . sigma for every u of S_n: tau fixes
+    m+1..n, and the lengths add, so sigma is the shortest element of
+    S_m . u; at n <= 5 for every m <= n as well."""
+    for m in {tl._store_keys(n)[0], *(range(n + 1) if n <= 5 else ())}:
+        fixed = tuple(range(m + 1, n + 1))
+        for u in perm.all_perms(n):
+            tau, sigma = tl._coset_split(u, m)
+            assert tau[m:] == fixed and perm.compose(tau, sigma) == u, (m, u)
+            assert inversions(u) == inversions(tau) + inversions(sigma), (m, u)
+
+
+def test_f_coeff_reads_the_store_of_n7_once():
+    """In a fresh interpreter with no cap override: f_coeff at n = 9 is a
+    LimitError that builds no store and no key map.  The first f_coeff at
+    n = 8 builds the store of n = 7 and the key map of n = 8 once, and
+    later calls build nothing; after the store's cache is cleared, the next
+    call builds it again and gives the same value."""
+    script = """
+import random
+from tlimm import tl
+from tlimm.errors import LimitError
+built = lambda: (tl.all_tl_immanants.cache_info().misses, tl._store_keys.cache_info().misses,
+                 tl._steps.cache_info().misses)
+try:
+    tl.f_coeff((2, 1, 3, 4, 5, 6, 7, 8, 9), (9, 8, 7, 6, 5, 4, 3, 2, 1))
+except LimitError:
+    print(*built())
+w, u = (2, 1, 4, 3, 6, 5, 8, 7), (8, 7, 6, 5, 4, 3, 2, 1)
+first = tl.f_coeff(w, u)
+print(*built())
+rng = random.Random(87)
+for v in [tuple(rng.sample(range(1, 9), 8)) for _ in range(20)]:
+    tl.f_coeff(w, v)
+print(*built())
+tl.all_tl_immanants.cache_clear()
+print(tl.f_coeff(w, u) == first, *built())
+"""
+    env = {key: value for key, value in os.environ.items() if key != "TLIMM_MAX_N"}
+    env["PYTHONPATH"] = str(Path(tl.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    # Store, key map and step tables: the n = 8 steps and those the n = 7
+    # store is built from.
+    assert done.stdout.splitlines() == ["0 0 0", "1 1 2", "1 1 2", "True 1 1 2"]
 
 
 def test_f_coeff_matches_theta_row_n9(monkeypatch):
@@ -277,6 +328,17 @@ def test_f_coeff_matches_theta_row_n9(monkeypatch):
     monkeypatch.setenv("TLIMM_MAX_N", "9")
     try:
         for w, u in _sampled_pairs(9, 50, random.Random(9)):
+            assert tl.f_coeff(w, u) == tl.theta(u).get(tl.beta(w), 0), (w, u)
+    finally:
+        tl._steps.cache_clear()
+
+
+def test_f_coeff_matches_theta_row_n10(monkeypatch):
+    """The same for 20 seeded pairs at n = 10, where sigma moves the three
+    values 8, 9 and 10; the n = 10 step table is dropped afterwards."""
+    monkeypatch.setenv("TLIMM_MAX_N", "10")
+    try:
+        for w, u in _sampled_pairs(10, 20, random.Random(10)):
             assert tl.f_coeff(w, u) == tl.theta(u).get(tl.beta(w), 0), (w, u)
     finally:
         tl._steps.cache_clear()
@@ -350,24 +412,27 @@ def test_dual_step_is_the_transpose_of_the_moves(n):
 
 @pytest.mark.parametrize("n", range(0, 6))
 def test_f_coeff_matches_the_store_everywhere(n):
-    """f_coeff, met in the middle, equals the store's f_w(u) at every
-    (w, u) of S_n."""
+    """f_coeff, which reads the store of n - 1 from n = 1 on, equals the
+    store's f_w(u) at every (w, u) of S_n."""
     perms = perm.perm_index(n).perms
     for w, column in tl.all_tl_immanants(n).items():
         assert [tl.f_coeff(w, u) for u in perms] == column.tolist(), w
 
 
 def test_one_step_table_serves_every_reader():
-    """The store, theta(u) and both rows of f_coeff read the one step
-    table of n: after the store of n = 6 is built, theta and f_coeff at
-    n = 6 build no other."""
+    """The store, theta(u) and f_coeff's dual row read the one step table
+    of n: after the stores of n = 6 and of n = 5, which f_coeff at n = 6
+    reads, are built, theta and f_coeff at n = 6 build no other table or
+    store."""
     for table in (tl.all_tl_immanants, tl._steps, tl._matching_index, tl.all_matchings):
         table.cache_clear()
     tl.all_tl_immanants(6)
+    tl.all_tl_immanants(5)
     u, w = (6, 5, 4, 3, 2, 1), (2, 3, 1, 5, 6, 4)
     assert tl.theta(u)
     assert tl.f_coeff(w, u) == -3
-    assert tl._steps.cache_info().misses == 1
+    assert tl._steps.cache_info().misses == 2
+    assert tl.all_tl_immanants.cache_info().misses == 2
     assert not hasattr(tl, "_step_preimages")
 
 
@@ -492,7 +557,7 @@ def test_store_refuses_n_above_its_ceiling(monkeypatch):
 
 def test_ceiling_witness_leaves_a_signed_byte(monkeypatch):
     """The witness the store's ceiling names, by f_coeff, which builds no
-    store: 155 is outside [-128, 127]."""
+    store of n = 9: 155 is outside [-128, 127]."""
     monkeypatch.setenv("TLIMM_MAX_N", "9")
     w, u = CEILING_WITNESS
     assert perm.is_321_avoiding(w)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from tlimm import classify, coloring, immanant, perm, verify
-from tlimm.errors import PreconditionError, VerificationError
+from tlimm.errors import LimitError, PreconditionError, VerificationError
 
 from oracles import brute_percent_immanant, determinant, zone_solutions
 
@@ -137,15 +137,27 @@ def test_a2_fails_a_wrong_forbidden_list(monkeypatch):
             ("decomposable iff sign-alternating", w, avoids_list, holds)]
 
 
-def test_other_errors_still_propagate(monkeypatch):
+def test_only_a_limit_error_propagates(monkeypatch):
+    """A PreconditionError or any other exception raised inside a suite,
+    which makes its own inputs, is one failed check that names the
+    exception's type; a LimitError, a size the caps refuse, propagates."""
     def refused(w, validate=None):
         raise PreconditionError("refused")
 
     monkeypatch.setattr(classify, "decompose", refused)
-    with pytest.raises(PreconditionError, match="refused"):
-        verify.suite_a2(3)
+    report = verify.suite_a2(3)
+    assert report.checks == 1 and [tuple(f) for f in report.failures] == [
+        ("suite raised", "n=3", "no error", "PreconditionError: refused")]
     monkeypatch.setattr(classify, "decompose", lambda w, validate=None: 1 // 0)
-    with pytest.raises(ZeroDivisionError):
+    assert [tuple(f) for f in verify.suite_a2(3).failures] == [
+        ("suite raised", "n=3", "no error",
+         "ZeroDivisionError: integer division or modulo by zero")]
+
+    def capped(w, validate=None):
+        raise LimitError("capped")
+
+    monkeypatch.setattr(classify, "decompose", capped)
+    with pytest.raises(LimitError, match="capped"):
         verify.suite_a2(3)
 
 
