@@ -41,7 +41,6 @@ from .coloring import (
     Coloring,
     canonical_coloring,
     compatible_permutations,
-    is_compatible,
     unique_matching_case1,
     unique_matching_case2,
     unique_matching_general,

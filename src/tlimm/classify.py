@@ -440,7 +440,7 @@ def rect_cm_expansion(w: Perm) -> list[tuple[frozenset[int], frozenset[int]]]:
     if _case(w)[1] is not None:
         raise PreconditionError(f"{w} contains the pattern 2143")
     n = len(w)
-    if w[0] != 1 and w[0] != w[n - 1] + 1:
+    if not w or w[0] not in (1, w[n - 1] + 1):
         raise PreconditionError(
             f"{w} is not in normal form: need w(1) = 1 or w(1) = w(n) + 1"
         )

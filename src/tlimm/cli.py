@@ -92,18 +92,12 @@ def cmd_decompose(args) -> int:
 
 def cmd_expand(args) -> int:
     w = perm.parse_perm(args.w)
-    if not perm.avoids(w, classify.PATTERN_2143):
-        terms = [
-            {"sign": s, "I": sorted(I), "J": sorted(J)}
-            for s, I, J in classify.cm_expansion(w)
-        ]
-        _emit({"w": perm.format_perm(w), "kind": "signed", "terms": terms})
+    if perm.avoids(w, classify.PATTERN_2143):
+        kind, terms = "rectangle", [(1, I, J) for I, J in classify.rect_cm_expansion(w)]
     else:
-        terms = [
-            {"sign": 1, "I": sorted(I), "J": sorted(J)}
-            for I, J in classify.rect_cm_expansion(w)
-        ]
-        _emit({"w": perm.format_perm(w), "kind": "rectangle", "terms": terms})
+        kind, terms = "signed", classify.cm_expansion(w)
+    _emit({"w": perm.format_perm(w), "kind": kind, "terms": [
+        {"sign": s, "I": sorted(I), "J": sorted(J)} for s, I, J in terms]})
     return 0
 
 
@@ -139,11 +133,9 @@ def cmd_render(args) -> int:
             else tl.beta(perm.parse_perm(args.value))
         )
         out = render.matching_svg(m) if args.format == "svg" else render.matching_ascii(m)
-    elif args.object == "hull":
-        shape = immanant.hull(perm.parse_perm(args.value))
-        out = render.shape_svg(shape) if args.format == "svg" else render.shape_ascii(shape)
     else:
-        shape = _load_shape(args.value)
+        shape = (immanant.hull(perm.parse_perm(args.value)) if args.object == "hull"
+                 else _load_shape(args.value))
         out = render.shape_svg(shape) if args.format == "svg" else render.shape_ascii(shape)
     print(out)
     return 0

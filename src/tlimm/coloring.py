@@ -74,13 +74,6 @@ class Coloring(_ColoringFields):
         return cls(n, blacks, primed_whites)
 
 
-def is_compatible(m: NonCrossingMatching, c: Coloring) -> bool:
-    """True iff every pair of m joins a black vertex to a white one."""
-    if m.n != c.n:
-        raise PreconditionError(f"size mismatch: {m.n} vs {c.n}")
-    return all(c.is_black_position(p) != c.is_black_position(q) for p, q in m.pairs())
-
-
 def compatible_permutations(c: Coloring) -> frozenset[Perm]:
     """All 321-avoiding w whose matching is compatible with the coloring."""
     n = c.n

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 from array import array
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import limits
 from .errors import PreconditionError
@@ -33,17 +33,6 @@ def check_perm(w: Perm) -> None:
         raise PreconditionError(f"not a permutation of 1..{len(w)}: {w}")
 
 
-def perm(seq: Iterable[int]) -> Perm:
-    """Coerce seq to a permutation tuple, checked by :func:`check_perm`.
-
-    >>> perm([2, 1, 4, 3])
-    (2, 1, 4, 3)
-    """
-    word = tuple(seq)
-    check_perm(word)
-    return word
-
-
 def parse_perm(text: str) -> Perm:
     """Parse "2143" or "2,1,4,3" into a permutation tuple.
 
@@ -60,9 +49,11 @@ def parse_perm(text: str) -> Perm:
     else:
         parts = list(text)
     try:
-        return perm(int(p) for p in parts)
+        word = tuple(int(p) for p in parts)
+        check_perm(word)
     except ValueError as exc:
         raise ValueError(f"cannot parse permutation from {text!r}: {exc}") from None
+    return word
 
 
 def format_perm(w: Perm) -> str:
@@ -120,18 +111,14 @@ def symmetry_ranks(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
             tuple(rank[conjugate_by_longest(u)] for u in perms))
 
 
-def _check_same_size(v: Perm, w: Perm) -> None:
-    if len(v) != len(w):
-        raise PreconditionError(f"size mismatch: {len(v)} vs {len(w)}")
-
-
 def compose(v: Perm, w: Perm) -> Perm:
     """The product v.w acting as (v.w)(i) = v(w(i)).
 
     >>> compose((2, 1, 3), (1, 3, 2))
     (2, 3, 1)
     """
-    _check_same_size(v, w)
+    if len(v) != len(w):
+        raise PreconditionError(f"size mismatch: {len(v)} vs {len(w)}")
     return tuple(v[w[i] - 1] for i in range(len(w)))
 
 

@@ -35,7 +35,9 @@ def matching_ascii(m: NonCrossingMatching) -> str:
             right_pairs.append(tuple(sorted((i, j))))
         else:
             through.append((j, i) if ip else (i, j))
-    through.sort()
+    # Rising strands (j < i) take the leftmost bends by increasing i, and
+    # falling ones the rest by decreasing i, so that no two bends cross.
+    through.sort(key=lambda ij: (ij[0] < ij[1], ij[0] if ij[1] < ij[0] else -ij[0]))
 
     left_depth = _arc_depths(left_pairs)
     right_depth = _arc_depths(right_pairs)

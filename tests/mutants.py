@@ -115,4 +115,9 @@ MUTANTS = (
            "zip(*[terms] * math.factorial(n - h))", "zip(*[terms] * math.factorial(n - h + 1))",
            test="tests/test_immanant.py::test_row_split_matches_oracle",
            reason="no suite evaluates an immanant at a matrix"),
+    Mutant("through strands bent in label order in the ascii matching", "render.py",
+           "    through.sort(key=lambda ij: (ij[0] < ij[1], ij[0] if ij[1] < ij[0] else -ij[0]))\n",
+           "    through.sort()\n",
+           test="tests/test_cli.py::test_render_ncm_draws_no_false_crossing",
+           reason="no suite renders"),
 )

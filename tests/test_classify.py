@@ -269,6 +269,10 @@ def test_rect_cm_expansion_anchors():
         classify.rect_cm_expansion((2, 1, 4, 3))  # contains 2143
     with pytest.raises(PreconditionError):
         classify.rect_cm_expansion((2, 3, 1, 4))  # not in normal form
+    # n = 0 has no w(1), which was once read and raised an IndexError.
+    with pytest.raises(PreconditionError, match="not in normal form"):
+        classify.rect_cm_expansion(())
+    assert classify.rect_cm_expansion((1,)) == [(frozenset({1}), frozenset({1}))]
 
 
 @pytest.mark.parametrize("n", range(1, 4))

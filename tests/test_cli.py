@@ -1,7 +1,9 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -269,6 +271,27 @@ def test_verify_above_the_store_ceiling_exits_3(tmp_path, capsys, monkeypatch):
     assert (perm.perm_index.cache_info().misses, immanant._basis.cache_info().misses) == built
 
 
+def test_expand_output_is_pinned_over_every_321_avoider(capsys):
+    """The exit code, stdout and stderr of `tlimm expand w` for every
+    321-avoider w with n <= 6, hashed in order: the runs take the signed
+    and rectangle expansions and the 1324 and normal-form refusals, and
+    the digest was read before the two expansions shared one JSON build."""
+    digest, seen = hashlib.sha256(), set()
+    for n in range(7):
+        for w in perm.avoiding_321(n):
+            text = perm.format_perm(w)
+            code = cli.main(["expand", text])
+            out, err = capsys.readouterr()
+            digest.update(f"{text}\t{code}\t{out}\t{err}\n".encode())
+            seen.add(json.loads(out)["kind"] if code == 0 else
+                     "1324" if "pattern 1324" in err else
+                     "normal form" if "not in normal form" in err else err)
+    assert seen == {"signed", "rectangle", "1324", "normal form",
+                    "error: empty permutation string\n"}
+    assert digest.hexdigest() == (
+        "31f349748737570ee3ddd6856db5967b2eee41856d4ef0cdcd7bdfbcf0e32d8c")
+
+
 def test_render_paths(capsys):
     code, out = run(capsys, "render", "ncm", "2341")
     assert code == 0 and "1'" in out
@@ -357,6 +380,17 @@ def test_render_matching_shows_all_pairs():
         art = render.matching_ascii(tl.beta(w))
         assert len(art.splitlines()) == 5
         assert "5'" in art
+
+
+def test_render_ncm_draws_no_false_crossing():
+    """No through strand of a drawn matching is crossed or touched by
+    another, so no '|', '.' or "'" sits between two '-' on a row.  Bends
+    taken in label order drew 2341's strands 1-3' and 2-4' across each
+    other, though the matching has no crossing."""
+    for n in range(8):
+        for w in perm.avoiding_321(n):
+            art = render.matching_ascii(tl.beta(w))
+            assert re.search(r"-[|.']-", art) is None, (w, art)
 
 
 def test_output_determinism(capsys):

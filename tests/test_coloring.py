@@ -8,7 +8,7 @@ import pytest
 from tlimm import coloring, perm, tl, verify
 from tlimm.errors import PreconditionError
 
-from oracles import beta_lookup, brute_compatible_permutations
+from oracles import brute_compatible_permutations
 
 
 def test_coloring_from_any_iterables():
@@ -30,15 +30,18 @@ def test_circular_conversion():
 
 
 def test_is_compatible():
-    assert coloring.is_compatible(tl.beta((2, 1)), coloring.Coloring(2, [1], [1]))
-    assert coloring.is_compatible(
-        tl.beta((1, 2, 3)), coloring.Coloring(3, [1], [1])
-    )
+    """The compatibility relation, read from the table through
+    compatible_permutations and held to the brute-force oracle: anchors,
+    and an all-black coloring that no matching is compatible with."""
+    for c, w in ((coloring.Coloring(2, [1], [1]), (2, 1)),
+                 (coloring.Coloring(3, [1], [1]), (1, 2, 3))):
+        got = coloring.compatible_permutations(c)
+        assert w in got and got == brute_compatible_permutations(c)
     all_black = coloring.Coloring(3, [1, 2, 3], [])
-    for m in tl.all_matchings(3):
-        assert not coloring.is_compatible(m, all_black)
-    with pytest.raises(PreconditionError):
-        coloring.is_compatible(tl.beta((2, 1)), coloring.Coloring(3, [1], [1]))
+    assert brute_compatible_permutations(all_black) == frozenset()
+    assert (1 << 6) - 1 not in coloring._compatibility_table(3)
+    with pytest.warns(UserWarning):
+        assert coloring.compatible_permutations(all_black) == frozenset()
 
 
 def test_compatible_permutations():
@@ -85,16 +88,14 @@ def test_compatibility_table_reads_no_construction():
 
 @pytest.mark.parametrize("n", range(0, 6))
 def test_compatible_permutations_match_oracle(n):
-    # is_compatible and compatible_permutations for every coloring (I, J).
-    # With |I| != |J| no perfect matching joins black to white, and
-    # compatible_permutations warns.
+    # compatible_permutations, which reads the compatibility table, for
+    # every coloring (I, J).  With |I| != |J| no perfect matching joins
+    # black to white, and compatible_permutations warns.
     subsets = [S for k in range(n + 1) for S in itertools.combinations(range(1, n + 1), k)]
     for I in subsets:
         for J in subsets:
             c = coloring.Coloring(n, I, J)
             expected = brute_compatible_permutations(c)
-            assert {w for m, w in beta_lookup(n).items()
-                    if coloring.is_compatible(m, c)} == expected, (I, J)
             if len(I) == len(J):
                 assert coloring.compatible_permutations(c) == expected, (I, J)
             else:
@@ -120,7 +121,7 @@ def test_canonical_coloring_law(n):
     for w in perm.avoiding_321(n):
         m = tl.beta(w)
         c = coloring.canonical_coloring(w)
-        assert coloring.is_compatible(m, c)
+        assert w in coloring.compatible_permutations(c)
         for p, q in m.pairs():
             labels = {}
             for pos in (p, q):
