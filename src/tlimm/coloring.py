@@ -4,7 +4,12 @@ Black/white vertex colorings and their compatible matchings.
 A coloring of the 2n vertices is stored as a pair (I, J): I the set of
 unprimed black vertices, J the set of primed *white* vertices.  A coloring
 is compatible with a matching when every pair joins a black vertex to a
-white one; :func:`_compatibility_table` is the one list of that relation.
+white one; :func:`_compatibility_table` is the one list of that relation
+over every coloring.  :func:`_cm_plan` lists it over the canonical
+colorings alone, from bit lanes with no table, as the triangular system
+by which :func:`tlimm.immanant.evaluate` takes a Temperley-Lieb immanant:
+the complementary-minor formula of Rhoades and Skandera, det X[I, J] *
+det X[Ic, Jc] = sum of Imm_v(X) over the v compatible with (I, J).
 
 The ``unique_matching_*`` constructions produce, for given zone sizes, the
 single coloring-and-matching satisfying a prescribed list of zone
@@ -20,15 +25,17 @@ import warnings
 from typing import Container, Iterable, NamedTuple, Sequence
 
 from . import limits
-from .errors import PreconditionError
-from .perm import Perm, check_perm, is_321_avoiding
+from .errors import PreconditionError, VerificationError
+from .perm import Perm, check_perm, format_perm, is_321_avoiding, perm_index
 from .tl import (
     NonCrossingMatching,
     all_matchings,
     beta,
     beta_inv,
     vertex_of_position,
+    _beta_inv,
     _matching,
+    _matching_index,
 )
 
 
@@ -128,12 +135,96 @@ def canonical_coloring(w: Perm) -> Coloring:
     check_perm(w)
     if not is_321_avoiding(w):
         raise PreconditionError(f"{w} contains the pattern 321")
-    blacks, primed_whites = set(), set()
-    for i, x in enumerate(w, start=1):
-        if x >= i:
-            blacks.add(i)
-            primed_whites.add(x)
-    return Coloring(len(w), blacks, primed_whites)
+    weak, _ = _weak_positions(w)
+    return Coloring(len(w), [i + 1 for i in weak], [w[i] for i in weak])
+
+
+def _weak_positions(w: Perm) -> tuple[list[int], list[int]]:
+    """The 0-based positions i of w's weak excedances, w(i + 1) >= i + 1,
+    and of its deficiencies, each increasing; w is not checked."""
+    return [i for i, x in enumerate(w) if x > i], [i for i, x in enumerate(w) if x <= i]
+
+
+class _CMPlan(NamedTuple):
+    # index[w] is w's place k in the matching index of n, for w =
+    # beta_inv of matching k; the keys are perm_index(n)'s own tuples.
+    index: dict[Perm, int]
+    # minors[k] = (I, J, Ic, Jc), 0-based and increasing: the rows and
+    # columns of w's canonical coloring and their complements.  Equal sets
+    # are one tuple.
+    minors: tuple[tuple[tuple[int, ...], ...], ...]
+    # others[k]: the k' != k whose matching is compatible with the
+    # canonical coloring of k, increasing.
+    others: tuple[tuple[int, ...], ...]
+
+
+# Room for every n up to the cap: at n = 7 the plan holds about 0.1 MB.
+@limits.capped_cache(limits.max_n, "complementary-minor plan", maxsize=16)
+def _cm_plan(n: int) -> _CMPlan:
+    """The triangular system of the complementary-minor formula of
+    Rhoades and Skandera: for each 321-avoiding w with canonical coloring
+    (I, J),
+
+        det X[I, J] * det X[Ic, Jc] = sum of Imm_v(X) over the v whose
+        matching is compatible with (I, J),
+
+    w among them, so Imm_w(X) is the minor product less the Imm_v(X) of
+    the v in ``others``.
+
+    Built from the matching index and the canonical colorings alone, in
+    bit lanes: lane p has bit t set when canonical coloring t makes
+    circular position p black, so the colorings that matching k is
+    compatible with, those that give each of its chords (p, q) one black
+    end, are the bits of the AND of lane p ^ lane q over its chords.  A w
+    missing from its own list, or a cycle in the relation, which
+    ``graphlib`` looks for, is a VerificationError; so every chain of
+    ``others`` ends.
+
+    >>> plan = _cm_plan(3)
+    >>> ws = list(plan.index)
+    >>> [(w, [ws[j] for j in plan.others[k]]) for w, k in plan.index.items() if plan.others[k]]
+    [((2, 1, 3), [(2, 3, 1)]), ((1, 3, 2), [(2, 3, 1)])]
+    """
+    import graphlib  # only here: most runs never build the plan
+
+    pairings = _matching_index(n)
+    index = perm_index(n)
+    ws = [index.perms[index.rank[_beta_inv(n, pairing)]] for pairing in pairings]
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    lanes = [0] * (2 * n)
+    minors = []
+    for t, w in enumerate(ws):
+        bit = 1 << t
+        weak, rest = _weak_positions(w)
+        # Black: the rows of I, and the primed j' with j - 1 in Jc.
+        Jc = [w[i] - 1 for i in rest]
+        for p in weak + [2 * n - 1 - j for j in Jc]:
+            lanes[p] |= bit
+        sets = list(map(tuple, (weak, [w[i] - 1 for i in weak], rest, Jc)))
+        minors.append(tuple(map(shared.setdefault, sets, sets)))
+    lists: list[list[int]] = [[] for _ in ws]
+    for k, pairing in enumerate(pairings):
+        fits = (1 << len(ws)) - 1
+        for p, q in enumerate(pairing):
+            if p < q:
+                fits &= lanes[p] ^ lanes[q]
+        while fits:
+            low = fits & -fits
+            lists[low.bit_length() - 1].append(k)
+            fits ^= low
+    others = []
+    for t, (w, listed) in enumerate(zip(ws, lists)):
+        if t not in listed:
+            raise VerificationError(
+                f"{format_perm(w) or '()'} is not compatible with its own canonical coloring")
+        others.append(tuple(k for k in listed if k != t))
+    try:
+        graphlib.TopologicalSorter(dict(enumerate(others))).prepare()
+    except graphlib.CycleError as exc:
+        cycle = ", ".join(format_perm(ws[k]) for k in exc.args[1])
+        raise VerificationError(
+            f"the compatibility relation at n={n} has a cycle: {cycle}") from None
+    return _CMPlan(dict(zip(ws, range(len(ws)))), tuple(minors), tuple(others))
 
 
 # ---------------------------------------------------------------------------

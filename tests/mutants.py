@@ -115,6 +115,25 @@ MUTANTS = (
            "zip(*[terms] * math.factorial(n - h))", "zip(*[terms] * math.factorial(n - h + 1))",
            test="tests/test_immanant.py::test_row_split_matches_oracle",
            reason="no suite evaluates an immanant at a matrix"),
+    Mutant("the all-int shortcut of evaluate's row split dropped", "immanant.py",
+           "    if not (isinstance(values, array) or set(map(type, values)) <= {int}):\n",
+           "    if True:\n",
+           test="tests/test_immanant.py::test_int_coefficients_take_no_coefficient_lcm",
+           reason="no suite evaluates an immanant at a matrix, and every value stays "
+                  "right: the lcm of int coefficients is 1"),
+    Mutant("the dependency sum of the complementary-minor recursion added", "immanant.py",
+           "values[v] = product - sum(", "values[v] = product + sum(",
+           test="tests/test_immanant.py::test_tagged_tl_immanants_match_the_row_split",
+           reason="no suite evaluates an immanant at a matrix"),
+    Mutant("I in place of Ic in the second minor of the recursion", "immanant.py",
+           "_minor(rows, I, J) * _minor(rows, Ic, Jc)", "_minor(rows, I, J) * _minor(rows, I, Jc)",
+           test="tests/test_immanant.py::test_tagged_tl_immanants_match_the_row_split",
+           reason="no suite evaluates an immanant at a matrix"),
+    Mutant("the plan's primed black lanes shifted by one position", "coloring.py",
+           "for p in weak + [2 * n - 1 - j for j in Jc]:",
+           "for p in weak + [2 * n - 2 - j for j in Jc]:",
+           test="tests/test_coloring.py::test_cm_plan_lists_match_the_compatibility_table[3]",
+           reason="no suite reads the complementary-minor plan"),
     Mutant("through strands bent in label order in the ascii matching", "render.py",
            "    through.sort(key=lambda ij: (ij[0] < ij[1], ij[0] if ij[1] < ij[0] else -ij[0]))\n",
            "    through.sort()\n",

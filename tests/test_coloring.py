@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from tlimm import coloring, perm, tl, verify
-from tlimm.errors import PreconditionError
+from tlimm import coloring, immanant, perm, tl, verify
+from tlimm.errors import PreconditionError, VerificationError
 
 from oracles import brute_compatible_permutations
 
@@ -84,6 +84,61 @@ def test_compatibility_table_reads_no_construction():
         name in ("_unique_general", "_pull_back", "from_circle", "Coloring")
         or name.startswith("unique_matching_"))}
     assert forbidden == set()
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_cm_plan_lists_match_the_compatibility_table(n):
+    """For every 321-avoiding w: the plan's four index sets are the
+    canonical coloring (I, J) of w, 0-based, and their complements; w is
+    in the table's list of its coloring, and the plan's ``others`` is that
+    list without w, in the same order; the keys of the index are the
+    tuples of perm_index(n)."""
+    plan = coloring._cm_plan(n)
+    table = coloring._compatibility_table(n)
+    ws = list(plan.index)
+    assert ws == [tl.beta_inv(m) for m in tl.all_matchings(n)]
+    for w, k in plan.index.items():
+        c = coloring.canonical_coloring(w)
+        I, J, Ic, Jc = plan.minors[k]
+        assert [i + 1 for i in I] == sorted(c.blacks)
+        assert [j + 1 for j in J] == sorted(c.primed_whites)
+        assert sorted(I + Ic) == sorted(J + Jc) == list(range(n))
+        listed = [v for _, _, v in table[coloring._black_mask(n, c.blacks, c.primed_whites)]]
+        assert w in listed
+        assert [ws[j] for j in plan.others[k]] == [v for v in listed if v != w], w
+        assert w is perm.perm_index(n).perms[perm.perm_index(n).rank[w]]
+
+
+def test_cm_plan_refuses_a_missing_w_and_a_cycle(monkeypatch):
+    """The matching of 231 read as another w: as 123, whose coloring only
+    the identity matching fits, 123 misses its own list, which a
+    VerificationError names; as 213, whose coloring both the matching of
+    213 and that of 231 fit, the two colorings list each other, a cycle,
+    which graphlib finds."""
+    real = coloring._beta_inv
+    for other, message in (((1, 2, 3), "123 is not compatible with its own"),
+                           ((2, 1, 3), "has a cycle")):
+        monkeypatch.setattr(coloring, "_beta_inv", lambda n, pairing, other=other: (
+            other if real(n, pairing) == (2, 3, 1) else real(n, pairing)))
+        with pytest.raises(VerificationError, match=message):
+            coloring._cm_plan.__wrapped__(3)
+
+
+def test_cm_route_reads_no_construction():
+    """The plan and the complementary-minor route of evaluate reach the
+    Temperley-Lieb immanants through matchings, colorings and minors
+    alone: their source names no theta, step table, gluing or store."""
+    forbidden = {"_theta_columns", "_theta_row", "_steps", "_glue", "all_tl_immanants",
+                 "theta", "theta_table", "f_coeff", "_store_keys"}
+    for module, names in ((coloring, {"_cm_plan", "_weak_positions"}),
+                          (immanant, {"_cm_value", "_minor", "_bareiss"})):
+        tree = ast.parse(Path(module.__file__).read_text())
+        found = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name in names}
+        assert set(found) == names
+        for name, node in found.items():
+            used = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)}
+            assert used & forbidden == set(), name
 
 
 @pytest.mark.parametrize("n", range(0, 6))

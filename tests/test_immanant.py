@@ -854,11 +854,12 @@ def test_evaluate_matches_fraction_oracle():
 
 
 def test_row_split_matches_oracle():
-    """evaluate's row split equals the Fraction oracle on every store
-    column at n = 6, and at n = 8, the default cap, on a seeded Fraction
-    immanant and on an untagged copy of a CM column; untagged copies of
-    hull percent columns equal their tagged value by elimination.  One
-    seeded rational matrix per n."""
+    """evaluate's row split equals the Fraction oracle on an untagged copy
+    of every store column at n = 6 (a tagged one goes by the
+    complementary-minor recursion), and at n = 8, the default cap, on a
+    seeded Fraction immanant and on an untagged copy of a CM column;
+    untagged copies of hull percent columns equal their tagged value by
+    elimination.  One seeded rational matrix per n."""
     rng = random.Random(42)
 
     def matrix(n):
@@ -867,7 +868,8 @@ def test_row_split_matches_oracle():
 
     X = matrix(6)
     for w in immanant.all_tl_immanants(6):
-        f = immanant.tl_immanant(w)
+        f = immanant.Immanant(6, immanant.tl_immanant(w).coeffs)
+        assert f.w is None and f.rows is None
         assert immanant.evaluate(f, X) == oracles.evaluate(f, X), w
     X = matrix(8)
     universe = perm.perm_index(8).perms
@@ -882,6 +884,80 @@ def test_row_split_matches_oracle():
         untagged = immanant.Immanant(8, tagged.coeffs)
         assert tagged.rows is not None and untagged.rows is None
         assert immanant.evaluate(untagged, X) == immanant.evaluate(tagged, X), w
+
+
+def assert_tagged_equals_row_split(f, X):
+    """f, a tagged Temperley-Lieb immanant, has on X the value of the row
+    split of an untagged copy of its column; the value is returned."""
+    untagged = immanant._wrap(f.n, f.values)
+    assert f.w is not None and untagged.w is None
+    value = immanant.evaluate(f, X)
+    assert value == immanant.evaluate(untagged, X), (f.w, X)
+    return value
+
+
+def test_tagged_tl_immanants_match_the_row_split():
+    """For every 321-avoiding w at n = 0..7, the complementary-minor value
+    of tl_immanant(w) equals the row split of its store column on a seeded
+    rational matrix, and is 0 on that matrix with one row zeroed; every
+    fortieth w at n <= 6 also meets the Fraction oracle, which takes about
+    0.1 s per w at n = 7.  The two kernels share only ``_integer_rows``."""
+    rng = random.Random(5_307)
+    for n in range(0, 8):
+        X = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+             for _ in range(n)]
+        zero = [list(row) for row in X]
+        if n:
+            zero[rng.randrange(n)] = [0] * n
+        for k, w in enumerate(perm.avoiding_321(n)):
+            f = immanant.tl_immanant(w)
+            assert f.w == w
+            value = assert_tagged_equals_row_split(f, X)
+            assert immanant.evaluate(f, zero) == (0 if n else 1), w
+            if n < 7 and k % 40 == 0:
+                assert value == oracles.evaluate(f, X), w
+
+
+def test_tagged_tl_immanants_match_the_row_split_n8(monkeypatch):
+    """At n = 8, 12 seeded w on a seeded rational matrix, each column
+    tagged with its w as tl_immanant tags it.  The 58 MB store is built by
+    the uncached function under a raised cap, so it is dropped with the
+    test and the cached stores of smaller n stay as they were."""
+    rng = random.Random(5_308)
+    X = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(8)] for _ in range(8)]
+    monkeypatch.setenv("TLIMM_MAX_N", "8")
+    before = immanant.all_tl_immanants.cache_info()
+    store = immanant.all_tl_immanants.__wrapped__.__wrapped__(8)
+    for w in rng.sample(perm.avoiding_321(8), 12):
+        assert_tagged_equals_row_split(immanant._wrap(8, store[w], w=w), X)
+    assert immanant.all_tl_immanants.cache_info() == before
+
+
+def test_only_tl_immanants_carry_w(monkeypatch):
+    """tl_immanant tags its immanant with w, and evaluate then reads
+    neither the row-split plan nor the values; the constructor, from_json,
+    +, scaled, zero_immanant, percent_immanant and cm_immanant leave w
+    None, so a sum or a multiple of a tagged immanant is split by rows."""
+    w = (2, 1, 4, 3)
+    f = immanant.tl_immanant(w)
+    assert f.w == w and f.rows is None
+    built = (f + f, f.scaled(3), immanant.Immanant(4, f.coeffs),
+             immanant.Immanant.from_json(f.to_json()), immanant.zero_immanant(4),
+             immanant.percent_immanant(immanant.hull(w)), immanant.cm_immanant(4, {1}, {2}))
+    assert all(g.w is None for g in built)
+    X = determinant_matrices(random.Random(4_350), 4)[0]
+    reads = []
+    plan = immanant._split_plan
+
+    def spy(n):
+        reads.append(n)
+        return plan(n)
+
+    monkeypatch.setattr(immanant, "_split_plan", spy)
+    f._values = None
+    value = immanant.evaluate(f, X)
+    assert reads == []
+    assert immanant.evaluate(built[0], X) == 2 * value and reads == [4]
 
 
 @pytest.mark.parametrize("n", range(0, 9))
@@ -1103,7 +1179,9 @@ def test_evaluate_matches_oracle_for_int_fraction_and_mixed_coefficients():
     """evaluate against the Fraction oracle on dense 7 x 7 matrices
     of int, Fraction and "p/q" entries: all-int coefficients (store and
     hull percent immanants), all-Fraction ones, and an int immanant plus
-    one Fraction term; then n = 0 and n = 1."""
+    one Fraction term; an untagged copy of the store immanant, all-int
+    and taken by the row split, has the store immanant's value.  Then
+    n = 0 and n = 1."""
     rng = random.Random(3_607)
     universe = list(perm.all_perms(7))
     for w in perm.avoiding_321(7)[::60]:
@@ -1119,6 +1197,9 @@ def test_evaluate_matches_oracle_for_int_fraction_and_mixed_coefficients():
                          (mixed, {int, Fraction})):
             assert set(map(type, f.coeffs.values())) == types
             assert immanant.evaluate(f, X) == oracles.evaluate(f, X), (w, types)
+        untagged = immanant.Immanant(7, tl_w.coeffs)
+        assert untagged.w is None and set(map(type, untagged.values)) == {int}
+        assert immanant.evaluate(untagged, X) == immanant.evaluate(tl_w, X), w
     small = [immanant.zero_immanant(0), immanant.Immanant(0, {(): 4}),
              immanant.Immanant(0, {(): Fraction(-5, 3)})]
     for f in small:
@@ -1131,11 +1212,14 @@ def test_evaluate_matches_oracle_for_int_fraction_and_mixed_coefficients():
 
 def test_int_coefficients_take_no_coefficient_lcm(monkeypatch):
     """On a dense matrix, an all-int immanant calls math.lcm only for the
-    n row scales; Fraction coefficients add one call for their own lcm."""
+    n row scales, by the complementary-minor recursion (a tagged store
+    immanant), by the row split (an untagged copy of it) or by
+    elimination; Fraction coefficients add one call for their own lcm."""
     real = math.lcm
     X = mixed_entries(random.Random(17), 7)
     w = perm.avoiding_321(7)[200]
     for f, expected in ((immanant.tl_immanant(w), 7),
+                        (immanant.Immanant(7, immanant.tl_immanant(w).coeffs), 7),
                         (immanant.percent_immanant(immanant.hull(w)), 7),
                         (immanant.tl_immanant(w).scaled(Fraction(1, 2)), 8)):
         calls = []
@@ -1272,7 +1356,7 @@ CAPPED_TABLES = [
     perm.perm_index, perm.symmetry_ranks, perm.avoiding_321, perm.adjacent_1324_ranks,
     immanant.related_classes, immanant.all_tl_immanants, immanant._basis,
     immanant._split_plan, tl.all_matchings, tl._matching_index, tl._steps, tl._store_keys,
-    coloring._compatibility_table,
+    coloring._compatibility_table, coloring._cm_plan,
 ]
 
 
